@@ -112,11 +112,12 @@ class LivenessMixin:
         """A data query arrived: the sender is alive, and per the paper
         we acknowledge it (suppressed under heavy load) so that crash
         detection reacts faster when queries are flowing."""
-        if self.neighbor_timers:  # note_alive, inlined for the hot path
-            timer = self.neighbor_timers.get(sender)
-            if timer is not None:
-                timer.reset()
-        if not self.config.heartbeats_enabled or sender == self.address:
+        if not self.config.heartbeats_enabled:
+            return  # no timers were ever armed (see watch_neighbor)
+        timer = self.neighbor_timers.get(sender)  # note_alive, inlined
+        if timer is not None:
+            timer.reset()
+        if sender == self.address:
             return
         if self.engine.now >= self.ack_suppress_until:
             self.ack_suppress_until = self.engine.now + self.config.ack_suppress
@@ -139,9 +140,11 @@ class LivenessMixin:
         """Cancel every timer this peer owns (departure/crash cleanup)."""
         if self.hello_timer is not None:
             self.hello_timer.stop()
-        for timer in self.neighbor_timers.values():
-            timer.cancel()
-        self.neighbor_timers.clear()
+        timers = self._touched("neighbor_timers")
+        if timers:
+            for timer in timers.values():
+                timer.cancel()
+            timers.clear()
 
     # ------------------------------------------------------------------
     # Message handlers

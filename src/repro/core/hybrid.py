@@ -35,6 +35,7 @@ from ..net.topology import (
     generate_transit_stub,
 )
 from ..overlay.idspace import ClusteredIdSpace, IdSpace
+from ..overlay.peer import BasePeer
 from ..overlay.transport import Transport
 from ..sim.engine import Engine
 from ..sim.rng import RngRegistry
@@ -139,6 +140,26 @@ class HybridSystem:
         self._issued_stores = 0
         self.trace.subscribe("data.stored", self._on_stored)
         self.built = False
+
+    def close(self) -> None:
+        """Dismantle a finished system so its memory is freed right away.
+
+        System, transport, engine heap, trace bus and peers reference
+        each other in cycles (every peer holds a ``send`` partial bound
+        to itself, every armed timer its owner), so a dropped system
+        would otherwise sit there until the next full collection --
+        several cells later in a sweep worker.  Closing cuts the
+        cycles; plain reference counting then frees the graph as the
+        last outside reference goes.  The system is unusable afterwards
+        (metrics already taken stay valid); closing twice is harmless.
+        """
+        for actor in (self.server, *self.peers.values()):
+            if isinstance(actor, BasePeer):  # a shard's PeerStub holds no references
+                vars(actor).clear()
+        self.peers.clear()
+        self.transport.close()
+        self.engine.clear()
+        self.trace.clear()
 
     # ------------------------------------------------------------------
     # Internals
@@ -384,18 +405,23 @@ class HybridSystem:
         the paper assumes but does not simulate): finger ``k`` of a
         t-peer points at the owner of ``p_id + 2**k``.
         """
-        members = self.server.ring.members()
-        if not members:
-            return
-        for peer in self.peers.values():
-            if peer.role != "t" or not peer.alive:
+        ring = self.server.ring
+        members = ring.members()
+        n, bits = len(members), self.idspace.bits
+        for j, (p_id, address) in enumerate(members):
+            peer = self.peers.get(address)
+            if peer is None or peer.role != "t" or not peer.alive:
                 continue
-            fingers = []
-            seen = set()
-            for k in range(self.idspace.bits):
-                start = self.idspace.finger_start(peer.p_id, k)
-                f_pid, f_addr = self.server.ring.owner_of(start)
-                if f_addr != peer.address and f_addr not in seen:
+            # Every finger whose start still lies in (p_id, suc_pid]
+            # resolves to the successor: enter it once and probe from
+            # the first power of two that clears the gap.
+            suc_pid, suc_addr = members[(j + 1) % n]
+            fingers = [(suc_pid, suc_addr)] if suc_addr != address else []
+            seen = {address, suc_addr}
+            gap = self.idspace.distance_cw(p_id, suc_pid)
+            for k in range(gap.bit_length(), bits):
+                f_pid, f_addr = ring.owner_of(self.idspace.finger_start(p_id, k))
+                if f_addr not in seen:
                     seen.add(f_addr)
                     fingers.append((f_pid, f_addr))
             peer.set_fingers(fingers)
@@ -564,7 +590,7 @@ class HybridSystem:
 
     def total_replicas(self) -> int:
         """Copies in replica stores (repro.replica; 0 at k == 1)."""
-        return int(sum(len(p.replicas) for p in self.alive_peers()))
+        return int(sum(len(p._touched("replicas") or ()) for p in self.alive_peers()))
 
     def snetwork_sizes(self) -> Dict[int, int]:
         """s-peers per t-peer (anchor address -> member count)."""

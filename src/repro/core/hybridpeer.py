@@ -15,12 +15,21 @@ protocol behaviour lives in the role mixins:
 This module owns the *state* those mixins operate on, the join entry
 point (contact the server, then run the t-join ring walk or the s-join
 tree walk), and the public ``leave`` / ``crash`` lifecycle.
+
+A peer costs what it uses: identity, ring/tree pointers and everything
+read per message are set in ``__init__``; each per-feature container
+(join queue, liveness timers, flood dedup set, pending lookups, bypass
+table, ...) is a :func:`functools.cached_property` that lands in the
+instance dict on first touch and is an ordinary attribute from then on
+(see DESIGN.md, "Peer state").  Teardown paths go through
+:meth:`HybridPeer._touched` so clearing state never creates it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -109,14 +118,11 @@ class HybridPeer(
         self.fingers: List[Tuple[int, int]] = []
         self.joining = False
         self.pending_join: Optional[Tuple[int, int]] = None
-        self.join_queue: Deque[TJoinRequest] = deque()
         self.leaving = False
         self.want_leave = False
-        self.deferred_leaves: List[TLeaveToPre] = []
         self.handoff_target = -1
         self._handoff_timer: Optional[Timer] = None
         # Departure-time load dump (acked + retried; see _depart_with_load).
-        self._dump_candidates: List[int] = []
         self._dump_pending_id = -1
         self._dump_next_id = 0
         self._dump_timer: Optional[Timer] = None
@@ -127,30 +133,14 @@ class HybridPeer(
         self.cp = -1
         self.children: Set[int] = set()
         self.segment_lo = -1
-        self.extra_links: Set[int] = set()  # mesh ablation only
         self._rejoin_timer: Optional[Timer] = None
 
         # --- liveness ------------------------------------------------------
-        self.neighbor_timers: Dict[int, Timer] = {}
         self.hello_timer: Optional[PeriodicTimer] = None
         self.ack_suppress_until = float("-inf")
-        # Per-neighbor time of the last ack/HELLO we sent (bandwidth
-        # optimisation: a fresh ack cancels that neighbor's next HELLO).
-        self._last_liveness_sent: Dict[int, float] = {}
 
         # --- data plane -----------------------------------------------------
         self.database = DataStore(idspace)
-        # --- segment replication (repro.replica; inert at k == 1) -----------
-        self._init_replica_state(idspace)
-        # --- swarm bulk transfer (repro.swarm; inert unless enabled) --------
-        self._init_swarm_state()
-        self.seen_queries: Set[Tuple[int, int]] = set()
-        self.pending_lookups: Dict[int, object] = {}
-        self.pending_searches: Dict[int, PartialSearch] = {}
-        self.bt_index: Dict[str, int] = {}
-
-        # --- bypass links (Section 5.4) ---------------------------------------
-        self.bypass: Dict[int, BypassLink] = {}
 
         # --- popular-data cache (future work, Section 7) ------------------------
         self.cache: Optional[LruCache] = (
@@ -159,6 +149,74 @@ class HybridPeer(
             else None
         )
         self.answers_served = 0  # queries this peer answered (db or cache)
+
+    # ------------------------------------------------------------------
+    # Per-feature state, created on first use (replica and swarm state
+    # live on their mixins the same way)
+    # ------------------------------------------------------------------
+    @cached_property
+    def join_queue(self) -> Deque[TJoinRequest]:
+        """t-joins queued behind the one in progress."""
+        return deque()
+
+    @cached_property
+    def deferred_leaves(self) -> List[TLeaveToPre]:
+        """Successor leaves deferred while a join is in progress."""
+        return []
+
+    @cached_property
+    def _dump_candidates(self) -> List[int]:
+        """Recipients still to try for the departure-time load dump."""
+        return []
+
+    @cached_property
+    def extra_links(self) -> Set[int]:
+        """Mesh ablation only: intra-s-network links beside the tree."""
+        return set()
+
+    @cached_property
+    def neighbor_timers(self) -> Dict[int, Timer]:
+        """Crash-detection timer per watched neighbor."""
+        return {}
+
+    @cached_property
+    def _last_liveness_sent(self) -> Dict[int, float]:
+        """Per-neighbor time of the last ack/HELLO we sent (bandwidth
+        optimisation: a fresh ack cancels that neighbor's next HELLO)."""
+        return {}
+
+    @cached_property
+    def seen_queries(self) -> Set[Tuple[int, int]]:
+        """Flood / walk dedup: ``(query id, attempt)`` already handled."""
+        return set()
+
+    @cached_property
+    def pending_lookups(self) -> Dict[int, Any]:
+        """Lookups this peer originated that are still in flight."""
+        return {}
+
+    @cached_property
+    def pending_searches(self) -> Dict[int, PartialSearch]:
+        """Partial searches this peer originated."""
+        return {}
+
+    @cached_property
+    def bt_index(self) -> Dict[str, int]:
+        """BitTorrent-style s-networks: the t-peer's key -> holder index."""
+        return {}
+
+    @cached_property
+    def bypass(self) -> Dict[int, BypassLink]:
+        """Bypass links (Section 5.4)."""
+        return {}
+
+    def _touched(self, name: str) -> Any:
+        """The lazy container ``name`` if it was ever used, else ``None``.
+
+        For paths that only drain or clear (shutdown, accounting):
+        reading the attribute itself would create it.
+        """
+        return self.__dict__.get(name)
 
     # ------------------------------------------------------------------
     # Join
@@ -291,33 +349,31 @@ class HybridPeer(
                 self._dump_timer.cancel()
             self._depart()
 
-    def _depart(self) -> None:
-        """Final exit after all departure messages went out."""
+    def _cancel_timers(self) -> None:
+        """Stop every timer this peer owns and drop what they guarded."""
         self.stop_liveness()
         self.replica_shutdown()
         self.swarm_shutdown()
         self._cancel_rejoin_retry()
         if self._handoff_timer is not None:
             self._handoff_timer.cancel()
+        pending_lookups = self._touched("pending_lookups")
+        if pending_lookups:
+            for pending in pending_lookups.values():
+                pending.timer.cancel()
+            pending_lookups.clear()
+
+    def _depart(self) -> None:
+        """Final exit after all departure messages went out."""
+        self._cancel_timers()
         if self._dump_timer is not None:
             self._dump_timer.cancel()
-        for pending in list(self.pending_lookups.values()):
-            pending.timer.cancel()
-        self.pending_lookups.clear()
         self.alive = False
         self.emit("peer.departed", role=self.role)
 
     def crash(self) -> None:
         """Abrupt failure: no notifications, all local state frozen."""
-        self.stop_liveness()
-        self.replica_shutdown()
-        self.swarm_shutdown()
-        self._cancel_rejoin_retry()
-        if self._handoff_timer is not None:
-            self._handoff_timer.cancel()
-        for pending in list(self.pending_lookups.values()):
-            pending.timer.cancel()
-        self.pending_lookups.clear()
+        self._cancel_timers()
         super().crash()
         self.emit("peer.crashed", role=self.role)
 

@@ -195,9 +195,7 @@ def run_cell(
     pairs = workload.sample_lookups(scale.n_lookups, alive)
     system.run_lookups(pairs, wave_size=scale.wave_size)
     stats = system.query_stats()
-    if system_out is not None:
-        system_out["system"] = system
-    return CellResult(
+    result = CellResult(
         p_s=config.p_s,
         failure_ratio=stats.failure_ratio,
         mean_latency=stats.mean_latency,
@@ -209,3 +207,8 @@ def run_cell(
         n_t_peers=len(system.t_peers()),
         n_s_peers=len(system.s_peers()),
     )
+    if system_out is not None:
+        system_out["system"] = system
+    else:
+        system.close()
+    return result

@@ -1,9 +1,10 @@
 """Base peer machinery shared by all overlay nodes.
 
-A :class:`BasePeer` owns a mailbox dispatch table (message class ->
-``on_<ClassName>`` method discovered by reflection), a data store, and
-its attachment to a physical host.  The hybrid peer, the Chord baseline
-peer and the Gnutella baseline peer all inherit from it.
+A :class:`BasePeer` is an addressable actor attached to a physical
+host.  Its class owns a mailbox dispatch table (message class ->
+``on_<ClassName>`` function discovered by reflection, one table per
+peer class); the hybrid peer, the bootstrap server and the live
+runtime's peer all inherit from it.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ class BasePeer:
         Optional trace bus for metrics/tests.
 
     Subclasses implement handlers named ``on_<MessageClassName>``; the
-    dispatch table is built once per class and cached.
+    dispatch table is built once per class, on its first instance, and
+    shared by every instance (a peer carries no table of its own).
     """
 
-    _dispatch_cache: Dict[type, Dict[str, str]] = {}
+    # peer class -> {message name | message class -> plain ``on_*`` function}
+    _dispatch_cache: Dict[type, Dict[Any, Callable[[Any, Message], None]]] = {}
 
     def __init__(
         self,
@@ -67,26 +70,23 @@ class BasePeer:
         # first and skip the call entirely.
         self._wants_cache: Dict[str, bool] = {}
         self._wants_version = -1
-        self._dispatch = self._build_dispatch()
+        if type(self) not in BasePeer._dispatch_cache:
+            self._build_dispatch()
         # Shadow the send() method with a pre-bound partial: one less
         # Python frame on the hottest call path in the system.
         self.send = partial(transport.send, self)
 
     # ------------------------------------------------------------------
-    def _build_dispatch(self) -> Dict[str, Callable[[Message], None]]:
-        # The name -> method-name map is discovered once per class; each
-        # instance then binds it to itself so dispatch is a single dict
-        # lookup yielding a bound method (no per-message getattr).
-        cls = type(self)
-        cached = BasePeer._dispatch_cache.get(cls)
-        if cached is None:
-            cached = {
-                name[3:]: name
-                for name in dir(cls)
-                if name.startswith("on_") and callable(getattr(cls, name))
-            }
-            BasePeer._dispatch_cache[cls] = cached
-        return {msg_name: getattr(self, meth) for msg_name, meth in cached.items()}
+    @classmethod
+    def _build_dispatch(cls) -> None:
+        # Keyed by the concrete class, so a subclass overriding a handler
+        # gets its own table; ``getattr`` on the class resolves the MRO
+        # once and yields the plain function ``receive`` calls with self.
+        BasePeer._dispatch_cache[cls] = {
+            name[3:]: getattr(cls, name)
+            for name in dir(cls)
+            if name.startswith("on_") and callable(getattr(cls, name))
+        }
 
     # ------------------------------------------------------------------
     def send(self, dst_address: int, msg: Message) -> bool:
@@ -107,7 +107,7 @@ class BasePeer:
         if not self.alive:
             return
         self.messages_received += 1
-        dispatch = self._dispatch
+        dispatch = BasePeer._dispatch_cache[type(self)]
         cls = type(msg)
         handler = dispatch.get(cls)
         if handler is None:
@@ -119,7 +119,7 @@ class BasePeer:
                 self.unhandled(msg)
                 return
             dispatch[cls] = handler
-        handler(msg)
+        handler(self, msg)
 
     def unhandled(self, msg: Message) -> None:
         """Hook for messages with no handler; loud by default.

@@ -188,6 +188,15 @@ class Transport(TransportBase):
         self._cap_cache.pop(address, None)
         self._delay_cache.clear()
 
+    def close(self) -> None:
+        """Forget every actor, memo and callback into the owning system."""
+        self._actors.clear()
+        self._cap_cache.clear()
+        self._rows.clear()
+        self._delay_cache.clear()
+        self._capacity_of = None
+        self._shard_capture = None
+
     def actor(self, address: int) -> Optional[Actor]:
         """The actor at ``address``, or None."""
         return self._actors.get(address)

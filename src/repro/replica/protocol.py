@@ -37,9 +37,10 @@ the segment, and the new owner re-replicates down its own chain.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..core.datastore import DataStore
 from ..overlay.messages import (
     ReplicaAck,
     ReplicaSyncRequest,
@@ -81,20 +82,27 @@ class ReplicationMixin:
     """k-successor replication: quorum writes, repair, failover."""
 
     # ------------------------------------------------------------------
-    # State (called from HybridPeer.__init__)
+    # State: containers appear on first use, counters start from the
+    # class defaults (a peer that never replicates carries none of it)
     # ------------------------------------------------------------------
-    def _init_replica_state(self, idspace) -> None:
-        from ..core.datastore import DataStore
+    _replica_write_seq = 0
+    _write_watch_seq = 0
+    _replica_sync_timer: Optional[PeriodicTimer] = None
 
-        # Copies held for predecessor segments, apart from the primary db.
-        self.replicas = DataStore(idspace)
-        # Owner side: tracked writes awaiting their quorum.
-        self._replica_pending: Dict[int, _PendingReplicaWrite] = {}
-        self._replica_write_seq = 0
-        # Origin side: callbacks awaiting a durability verdict.
-        self._write_watchers: Dict[int, Tuple[Callable[[bool, float], Any], float]] = {}
-        self._write_watch_seq = 0
-        self._replica_sync_timer: Optional[PeriodicTimer] = None
+    @cached_property
+    def replicas(self) -> DataStore:
+        """Copies held for predecessor segments, apart from the primary db."""
+        return DataStore(self.idspace)
+
+    @cached_property
+    def _replica_pending(self) -> Dict[int, _PendingReplicaWrite]:
+        """Owner side: tracked writes awaiting their quorum."""
+        return {}
+
+    @cached_property
+    def _write_watchers(self) -> Dict[int, Tuple[Callable[[bool, float], Any], float]]:
+        """Origin side: callbacks awaiting a durability verdict."""
+        return {}
 
     @property
     def _replication_on(self) -> bool:
@@ -340,11 +348,15 @@ class ReplicationMixin:
     def replica_shutdown(self) -> None:
         """Cancel every replica timer (leave/crash path)."""
         self.stop_replica_sync()
-        for pending in self._replica_pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-        self._replica_pending.clear()
-        self._write_watchers.clear()
+        writes = self._touched("_replica_pending")
+        if writes:
+            for pending in writes.values():
+                if pending.timer is not None:
+                    pending.timer.cancel()
+            writes.clear()
+        watchers = self._touched("_write_watchers")
+        if watchers:
+            watchers.clear()
 
     def _replica_sync_tick(self) -> None:
         if self.role == "t" and self.alive:

@@ -214,6 +214,7 @@ class _InlineHandle(_Handle):
 
     def stop(self) -> None:
         self._reply = None
+        self._worker.close()
 
 
 def _worker_failure(shard: int, detail: str) -> Exception:
@@ -716,6 +717,10 @@ def run_cell_sharded(
             gc.unfreeze()
         if hub is not None:
             hub.close()
+        # Everything the merge needs was copied out (``compact``,
+        # ``owner``, ``pairs``, the workers' exports): free the parent's
+        # copy of the cell by reference count, not at some later gen-2.
+        system.close()
     lookup_wall = _time.perf_counter() - lookup_t0
     ipc = (
         hub.ipc_totals([r.get("ipc") for r in results])

@@ -209,6 +209,16 @@ class ShardWorker:
             "peak_rss_kb": peak_rss_kb,
         }
 
+    def close(self) -> None:
+        """Teardown of an in-process worker: free its replica now.
+
+        Forked workers never call this -- they exit, and dismantling an
+        inherited system would write every refcount on the pages the
+        fork shares with its parent (see :meth:`compact`).
+        """
+        self._retired.clear()
+        self.system.close()
+
     def _state(self) -> dict:
         outbox = self._outbox
         self._outbox = []

@@ -264,6 +264,18 @@ class Engine:
         """Cancel a previously scheduled event (lazy removal)."""
         event.cancel()
 
+    def clear(self) -> None:
+        """Drop every pending event; the clock and counters stay.
+
+        Cancellable events are cancelled first, so a handle held
+        elsewhere reads ``cancelled`` and releases its callback.
+        """
+        for entry in self._heap:
+            if entry[2] is None:
+                entry[3].cancel()
+        self._heap.clear()
+        self._live = 0
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -89,6 +89,14 @@ class TraceBus:
                 del self._subs[category]
         self.version += 1
 
+    def clear(self) -> None:
+        """Remove every subscriber and stop recording."""
+        self._subs.clear()
+        self._any_subs.clear()
+        self._record_buffer = None
+        self._record_categories = None
+        self.version += 1
+
     # ------------------------------------------------------------------
     def start_recording(self, categories: Optional[List[str]] = None) -> None:
         """Begin buffering records (optionally only given categories)."""

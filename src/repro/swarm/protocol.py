@@ -17,14 +17,14 @@ replication mixin, this implements both halves of tracker mode:
 Everything is deterministic: piece/holder selection is a pure function
 (:func:`~repro.swarm.pieces.rarest_first` salted by the peer address),
 and the periodic re-announce tick rides the shared engine timers.  With
-``swarm_enabled=False`` (the default) ``_init_swarm_state`` allocates
-empty containers and nothing else ever runs -- no messages, no timers,
-no RNG draws -- so the determinism golden is bit-identical.
+``swarm_enabled=False`` (the default) nothing ever runs -- no messages,
+no timers, no RNG draws, and none of the state below is even created --
+so the determinism golden is bit-identical.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..overlay.messages import (
@@ -86,17 +86,28 @@ class SwarmMixin:
     """Tracker-mode chunked bulk transfer (paper Section 5.5)."""
 
     # ------------------------------------------------------------------
-    # State
+    # State (created on first use)
     # ------------------------------------------------------------------
-    def _init_swarm_state(self) -> None:
-        # content hash -> piece index -> bytes (pieces this peer serves)
-        self.swarm_pieces: Dict[str, Dict[int, bytes]] = {}
-        # content hash -> manifest (known locally; needed to verify/serve)
-        self.swarm_meta: Dict[str, Dict[str, Any]] = {}
-        # tracker side (only populated on the segment-owning t-peer)
-        self.swarm_tracker = SwarmTracker()
-        self._swarm_downloads: Dict[str, _SwarmDownload] = {}
-        self.swarm_integrity_failures = 0
+    swarm_integrity_failures = 0
+
+    @cached_property
+    def swarm_pieces(self) -> Dict[str, Dict[int, bytes]]:
+        """content hash -> piece index -> bytes (pieces this peer serves)."""
+        return {}
+
+    @cached_property
+    def swarm_meta(self) -> Dict[str, Dict[str, Any]]:
+        """content hash -> manifest (known locally; needed to verify/serve)."""
+        return {}
+
+    @cached_property
+    def swarm_tracker(self) -> SwarmTracker:
+        """Tracker side (only populated on the segment-owning t-peer)."""
+        return SwarmTracker()
+
+    @cached_property
+    def _swarm_downloads(self) -> Dict[str, _SwarmDownload]:
+        return {}
 
     @property
     def _swarm_on(self) -> bool:
@@ -104,10 +115,12 @@ class SwarmMixin:
 
     def swarm_shutdown(self) -> None:
         """Cancel download timers and drop swarm state (depart/crash)."""
-        for dl in self._swarm_downloads.values():
-            if dl.timer is not None:
-                dl.timer.stop()
-        self._swarm_downloads.clear()
+        downloads = self._touched("_swarm_downloads")
+        if downloads:
+            for dl in downloads.values():
+                if dl.timer is not None:
+                    dl.timer.stop()
+            downloads.clear()
 
     # ------------------------------------------------------------------
     # Publishing / seeding

@@ -51,6 +51,18 @@ def build_system(
     return system
 
 
+def build_bulk_system(
+    n_peers: int,
+    p_s: float = 0.7,
+    seed: int = 0,
+    **config_kwargs,
+) -> HybridSystem:
+    """Build a system through ``build_bulk`` (no protocol traffic)."""
+    system = HybridSystem(HybridConfig(p_s=p_s, **config_kwargs), n_peers=n_peers, seed=seed)
+    system.build_bulk()
+    return system
+
+
 @pytest.fixture
 def small_system() -> HybridSystem:
     """A 40-peer half-and-half system (fresh per test)."""

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import HybridConfig, HybridSystem
+from repro.experiments.common import Scale, run_cell
 
 from .conftest import build_system
 
@@ -109,3 +113,40 @@ class TestStressTracking:
         assert build_tx > 0
         system.stress.reset()
         assert system.stress.summary().total_transmissions == 0
+
+
+class TestClose:
+    def test_close_frees_the_graph_by_reference_count(self):
+        # Heartbeats on: armed timers and a never-empty event heap are
+        # the cycles a finished cell used to leave to the gen-2 collector.
+        system = build_system(n_peers=30, heartbeats_enabled=True)
+        system.populate([(p.address, f"k{p.address}", 1) for p in system.alive_peers()])
+        system.run_lookups([(a, f"k{a}") for a in list(system.peers)[:10]])
+        assert system.engine.pending_count > 0
+        handle = system.engine.call_later(10.0, lambda: None)
+        refs = [
+            weakref.ref(obj)
+            for obj in (system, system.transport, system.engine, system.trace,
+                        system.server, *system.peers.values())
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            system.close()
+            assert handle.cancelled and system.engine.pending_count == 0
+            assert not system.trace.active and len(system.transport) == 0
+            system.close()  # harmless twice
+            del system, handle
+            assert [r() for r in refs if r() is not None] == []
+
+            # run_cell closes what nobody asked to keep ...
+            before = len(gc.get_objects())
+            for seed in range(3):
+                run_cell(HybridConfig(p_s=0.5), Scale(n_peers=60, n_keys=30, n_lookups=20, seed=seed))
+            assert len(gc.get_objects()) - before < 1_000
+            # ... and leaves a requested system usable.
+            out = {}
+            run_cell(HybridConfig(p_s=0.5), Scale(n_peers=60, n_keys=30, n_lookups=20), system_out=out)
+            assert len(out["system"].alive_peers()) == 60
+        finally:
+            gc.enable()

@@ -67,11 +67,38 @@ class TestDispatch:
 
     def test_dispatch_table_cached_per_class(self, wired):
         engine, transport, a, b = wired
-        # Reflection happens once per class; instances bind the shared
-        # name -> method-name map to themselves.
-        assert type(a)._dispatch_cache[type(a)] is type(b)._dispatch_cache[type(b)]
-        assert a._dispatch.keys() == b._dispatch.keys()
-        assert a._dispatch["Hello"].__self__ is a
+        # Reflection happens once per class: the table holds plain
+        # functions, lives on the class side, and instances carry none.
+        table = BasePeer._dispatch_cache[EchoPeer]
+        assert table["Hello"] is EchoPeer.on_Hello
+        assert "_dispatch" not in vars(a) and "_dispatch" not in vars(b)
+        a.send(2, Hello())
+        b.send(1, Hello())
+        engine.run()
+        assert len(a.hellos) == len(b.hellos) == 1
+        assert BasePeer._dispatch_cache[EchoPeer] is table  # still one, shared
+        assert table[Hello] is EchoPeer.on_Hello  # memoized under the class
+
+    def test_subclass_override_gets_its_own_table(self, engine, idspace):
+        class LoudPeer(EchoPeer):
+            def on_Hello(self, msg: Hello) -> None:
+                self.hellos.append("loud")
+
+        transport = Transport(engine)
+        plain = EchoPeer(1, 0, engine, transport, idspace)
+        loud = LoudPeer(2, 0, engine, transport, idspace)
+        transport.register(plain)
+        transport.register(loud)
+        plain.send(2, Hello())
+        loud.send(1, Hello())
+        plain.send(2, DataFound())
+        with pytest.raises(NotImplementedError, match="LoudPeer.*DataFound"):
+            engine.run()
+        assert loud.hellos == ["loud"]
+        assert len(plain.hellos) == 1 and isinstance(plain.hellos[0], Hello)
+        tables = BasePeer._dispatch_cache
+        assert tables[LoudPeer] is not tables[EchoPeer]
+        assert tables[LoudPeer]["Hello"] is LoudPeer.on_Hello
 
     def test_emit_noop_without_listeners(self, wired):
         engine, transport, a, b = wired
