@@ -25,11 +25,7 @@ import sys
 import time
 
 from repro.exec import CellCache, CellExecutor
-from repro.shard import (
-    SHARDS_STRICT_ENV,
-    resolve_shard_backend,
-    resolve_shards,
-)
+from repro.shard import SHARDS_STRICT_ENV, resolve_shards
 from repro.experiments import (
     Scale,
     fig3_analysis,
@@ -60,11 +56,6 @@ def main() -> None:
         "bit-identical to unsharded execution",
     )
     parser.add_argument(
-        "--shard-backend", choices=("pipe", "shm"), default=None,
-        help="cross-shard transport (default: REPRO_SHARD_BACKEND or "
-        "pipe); shm = struct-encoded shared-memory rings",
-    )
-    parser.add_argument(
         "--shards-strict", action="store_true", default=None,
         help="fail instead of silently running a cell single-process "
         "when its config is not shardable (also: REPRO_SHARDS_STRICT=1)",
@@ -82,10 +73,6 @@ def main() -> None:
         cache=None if args.no_cache else CellCache(),
         progress=sys.stderr.isatty(),
         shards=resolve_shards(args.shards),
-        shard_backend=(
-            resolve_shard_backend(args.shard_backend)
-            if args.shard_backend else None
-        ),
     )
     jobs = [
         ("fig3", lambda: fig3_analysis.main(points=11)),

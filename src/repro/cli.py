@@ -30,8 +30,8 @@ Live-runtime verbs (real TCP; see :mod:`repro.runtime`):
 * ``repro top --node HOST:PORT`` -- refreshing table of frame/lookup
   rates and hop/latency p50/p99 scraped from the node's ``/metrics.json``
   endpoint (see docs/OBSERVABILITY.md);
-* ``repro bench-clients`` -- open/closed-loop client-path load
-  generator (:mod:`repro.loadgen`); ``--smoke`` is the CI gate.
+* ``repro bench-clients --node HOST:PORT`` -- open/closed-loop load
+  generator against running nodes (:mod:`repro.loadgen`).
 
 Every simulator command takes ``--seed``; runs are bit-reproducible.
 """
@@ -193,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive concurrent clients against live nodes, report latency",
     )
     bench.add_argument(
-        "--node", action="append", metavar="HOST:PORT", default=None,
-        help="target node (repeatable; omit to boot an in-process localnet)",
+        "--node", action="append", metavar="HOST:PORT", required=True,
+        help="target node (repeatable)",
     )
     bench.add_argument("--clients", type=int, default=4,
                        help="persistent client connections")
@@ -214,13 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: closed loop)")
     bench.add_argument("--timeout", type=float, default=10.0)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--output", metavar="FILE", default=None,
-                       help="append the result JSON to FILE "
-                       "(e.g. BENCH_clientpath.json)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="CI mode: short run against an in-process "
-                       "localnet, exit 1 unless get throughput clears "
-                       "10x the polling-era baseline with zero errors")
 
     return parser
 
@@ -249,13 +242,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         "sharded run is bit-identical to the single-process run",
     )
     parser.add_argument(
-        "--shard-backend",
-        choices=("pipe", "shm"),
-        default=None,
-        help="cross-shard transport (default: REPRO_SHARD_BACKEND or "
-        "pipe); shm = struct-encoded shared-memory rings",
-    )
-    parser.add_argument(
         "--shards-strict",
         action="store_true",
         default=None,
@@ -266,23 +252,17 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
 
 def _make_executor(args: argparse.Namespace):
     from .exec import CellCache, CellExecutor
-    from .shard import (
-        SHARDS_STRICT_ENV,
-        resolve_shard_backend,
-        resolve_shards,
-    )
+    from .shard import SHARDS_STRICT_ENV, resolve_shards
 
     if getattr(args, "shards_strict", None):
         # Propagated via the environment so pool worker processes --
         # where run_cell's fallback decision happens -- inherit it.
         os.environ[SHARDS_STRICT_ENV] = "1"
-    backend = getattr(args, "shard_backend", None)
     return CellExecutor(
         jobs=args.jobs,
         cache=None if args.no_cache else CellCache(),
         progress=sys.stderr.isatty(),
         shards=resolve_shards(getattr(args, "shards", None)),
-        shard_backend=resolve_shard_backend(backend) if backend else None,
     )
 
 
@@ -650,15 +630,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_clients(args: argparse.Namespace) -> int:
-    from .loadgen import (
-        POLLING_ERA_GET_OPS,
-        LoadSpec,
-        run_against_localnet,
-        run_load_sync,
-        smoke_result_ok,
-    )
+    from .loadgen import LoadSpec, run_load_sync
 
-    spec_kwargs = dict(
+    result = run_load_sync(LoadSpec(
+        endpoints=[_parse_endpoint(text) for text in args.node],
         clients=args.clients,
         pipeline=args.pipeline,
         duration=args.duration,
@@ -668,73 +643,9 @@ def _cmd_bench_clients(args: argparse.Namespace) -> int:
         rate=args.rate,
         timeout=args.timeout,
         seed=args.seed,
-    )
-    if args.smoke:
-        # CI sizing: short window, modest concurrency, in-process nodes.
-        spec_kwargs.update(duration=2.0, warmup=0.3)
-    if args.node:
-        endpoints = [_parse_endpoint(text) for text in args.node]
-        result = run_load_sync(LoadSpec(endpoints=endpoints, **spec_kwargs))
-    else:
-        import asyncio
-
-        result = asyncio.run(
-            run_against_localnet(spec_kwargs, t_peers=2, s_peers=1, seed=args.seed + 5)
-        )
+    ))
     print(result)
-    if args.output:
-        _append_bench_record(args.output, result.to_dict())
-    if args.smoke:
-        problems = smoke_result_ok(result, min_get_ops=10 * POLLING_ERA_GET_OPS)
-        for problem in problems:
-            print(f"smoke FAIL: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print(
-            f"smoke OK: {result.get_throughput_ops:.1f} get ops/s "
-            f"(>= {10 * POLLING_ERA_GET_OPS:.0f}), zero errors",
-            file=sys.stderr,
-        )
     return 0
-
-
-def _append_bench_record(path: str, record: dict) -> None:
-    """Append one run to a JSON file holding a list of runs.
-
-    The rewrite is atomic (same-directory tmp + fsync + rename) so a
-    crash mid-write -- or two bench invocations racing on the same
-    ``--output`` -- can never leave a truncated/interleaved file behind:
-    readers see either the old list or the new one.
-    """
-    import os
-    import tempfile
-
-    runs = []
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                existing = json.load(fh)
-            runs = existing if isinstance(existing, list) else [existing]
-        except (OSError, ValueError):
-            runs = []
-    runs.append(record)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(runs, fh, indent=2)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 def _cmd_top(args: argparse.Namespace) -> int:

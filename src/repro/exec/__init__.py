@@ -10,7 +10,8 @@ never recomputed -- across runs, processes, and even across experiments
 that happen to share cells.
 
 See EXPERIMENTS.md ("Running paper scale fast") for the user-facing
-knobs and scripts/bench_sweep.py for the recorded speedups.
+knobs; ``python3 bench/run.py --workload sweep_quick`` measures the
+cold (``jobs=2``) and warm-cache sweep and checks their digests.
 """
 
 from .cache import CACHE_ENV, CellCache, cell_key, code_fingerprint, default_cache_root

@@ -104,9 +104,8 @@ class CellSpec:
     # Sharded execution (repro.shard).  Deliberately NOT part of the
     # cache identity (_spec_inputs): the sharded run is bit-identical
     # to the single-process run, so a cached cell is valid at any
-    # shard count -- and on either cross-shard transport (pipe/shm).
+    # shard count.
     shards: int = 1
-    shard_backend: Optional[str] = None
 
     @property
     def label(self) -> str:
@@ -156,7 +155,6 @@ def _cell_worker(spec: CellSpec) -> Tuple[bool, Any, float]:
             crash_fraction=spec.crash_fraction,
             settle_after_crash=spec.settle_after_crash,
             shards=spec.shards,
-            shard_backend=spec.shard_backend,
         )
         return True, result, time.perf_counter() - t0
     except BaseException:
@@ -186,11 +184,9 @@ class CellExecutor:
         registry: Optional[MetricsRegistry] = None,
         stream: Optional[TextIO] = None,
         shards: int = 1,
-        shard_backend: Optional[str] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.shards = max(1, int(shards))
-        self.shard_backend = shard_backend
         self.cache = cache
         self.progress = progress
         self.stream = stream if stream is not None else sys.stderr
@@ -228,12 +224,6 @@ class CellExecutor:
                 dataclasses.replace(s, shards=self.shards) if s.shards == 1 else s
                 for s in specs
             ]
-        if self.shard_backend is not None:
-            specs = [
-                dataclasses.replace(s, shard_backend=self.shard_backend)
-                if s.shard_backend is None else s
-                for s in specs
-            ]
         self.stats.cells_total += len(specs)
         if self.jobs > 1:
             for spec in specs:
@@ -266,7 +256,6 @@ class CellExecutor:
                     settle_after_crash=spec.settle_after_crash,
                     system_out=spec.system_out,
                     shards=spec.shards,
-                    shard_backend=spec.shard_backend,
                 )
                 elapsed = time.perf_counter() - t0
                 if self.cache is not None and spec.system_out is None:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import HybridConfig
 from ..core.hybrid import HybridSystem
+from ..core.lookup import QueryRegistry, QueryStats
 from ..workloads.keys import KeyWorkload
 
-__all__ = ["Scale", "CellResult", "run_cell", "DEFAULT_PS_GRID"]
+__all__ = ["Scale", "CellResult", "prepare_cell", "run_cell", "DEFAULT_PS_GRID"]
 
 # The paper sweeps p_s from 0 to 1; 0.99 stands in for the pure-
 # unstructured endpoint (p_s = 1 has no t-network to anchor s-networks,
@@ -121,6 +122,59 @@ class CellResult:
             raise ValueError(f"missing CellResult fields: {sorted(missing)}")
         return cls(**data)
 
+    @classmethod
+    def from_stats(
+        cls, config: HybridConfig, stats: QueryStats, n_t: int, n_s: int
+    ) -> "CellResult":
+        """The bundle of one finished cell: lookup stats + population."""
+        return cls(
+            p_s=config.p_s,
+            failure_ratio=stats.failure_ratio,
+            mean_latency=stats.mean_latency,
+            median_latency=stats.median_latency,
+            connum=stats.connum,
+            mean_contacts=stats.mean_contacts_per_lookup,
+            successes=stats.successes,
+            failures=stats.failures,
+            n_t_peers=n_t,
+            n_s_peers=n_s,
+        )
+
+
+def prepare_cell(
+    config: HybridConfig,
+    scale: Scale,
+    crash_fraction: float,
+    settle_after_crash: float,
+    queries: Optional[QueryRegistry] = None,
+) -> Tuple[HybridSystem, List[Tuple[int, str]]]:
+    """Build + populate + (crash + settle) + sample: a cell up to its lookups.
+
+    Returns the system and the ``(origin, key)`` lookup pairs.  The one
+    construction pipeline of :func:`run_cell`, the sharded executor and
+    its inline replicas -- a deterministic function of the arguments,
+    which is what lets every shard replica rebuild the same state.
+    ``queries`` substitutes the registry (the sharded executor's
+    shard-aware one) before any peer captures the reference.
+    """
+    system = HybridSystem(
+        config, n_peers=scale.n_peers, seed=scale.seed, queries=queries
+    )
+    if scale.bulk_build:
+        system.build_bulk()
+    else:
+        system.build()
+    addresses = [p.address for p in system.alive_peers()]
+    workload = KeyWorkload.uniform(
+        scale.n_keys, addresses, system.rngs.stream("workload")
+    )
+    system.populate(workload.store_plan())
+    if crash_fraction > 0.0:
+        system.crash_random_fraction(crash_fraction)
+        system.settle(settle_after_crash)
+    alive = [p.address for p in system.alive_peers()]
+    return system, workload.sample_lookups(scale.n_lookups, alive)
+
 
 def run_cell(
     config: HybridConfig,
@@ -139,11 +193,18 @@ def run_cell(
     With ``shards > 1`` the cell executes on the sharded substrate
     (:mod:`repro.shard`) -- bit-identical metrics, workers in parallel;
     ``system_out`` then receives the shard diagnostics under
-    ``"shard_info"`` instead of a system object.  ``shard_backend``
-    picks the cross-shard transport (pipe/shm); ``shards_strict``
+    ``"shard_info"`` instead of a system object.  ``shards_strict``
     (or ``REPRO_SHARDS_STRICT``) turns the silent single-process
     fallback for unshardable configs into a raised ValueError.
     """
+    # There is one fork-mode shard transport.  The keyword survives only
+    # because bench/workloads.py (frozen for this change) still passes
+    # shard_backend="shm"; the next benchmark PR drops the argument from
+    # the ledger and then this parameter.
+    if shard_backend not in (None, "shm"):
+        raise ValueError(
+            f"unknown shard backend {shard_backend!r}: shm is the only one"
+        )
     if shards > 1:
         from ..shard import (
             check_shardable,
@@ -172,40 +233,18 @@ def run_cell(
             result = run_cell_sharded(
                 config, scale, crash_fraction, settle_after_crash,
                 shards=shards,
-                backend=shard_backend,
                 info_out=info if system_out is not None else None,
             )
             if system_out is not None:
                 system_out["shard_info"] = info
             return result
-    system = HybridSystem(config, n_peers=scale.n_peers, seed=scale.seed)
-    if scale.bulk_build:
-        system.build_bulk()
-    else:
-        system.build()
-    addresses = [p.address for p in system.alive_peers()]
-    workload = KeyWorkload.uniform(
-        scale.n_keys, addresses, system.rngs.stream("workload")
+    system, pairs = prepare_cell(
+        config, scale, crash_fraction, settle_after_crash
     )
-    system.populate(workload.store_plan())
-    if crash_fraction > 0.0:
-        system.crash_random_fraction(crash_fraction)
-        system.settle(settle_after_crash)
-    alive = [p.address for p in system.alive_peers()]
-    pairs = workload.sample_lookups(scale.n_lookups, alive)
     system.run_lookups(pairs, wave_size=scale.wave_size)
-    stats = system.query_stats()
-    result = CellResult(
-        p_s=config.p_s,
-        failure_ratio=stats.failure_ratio,
-        mean_latency=stats.mean_latency,
-        median_latency=stats.median_latency,
-        connum=stats.connum,
-        mean_contacts=stats.mean_contacts_per_lookup,
-        successes=stats.successes,
-        failures=stats.failures,
-        n_t_peers=len(system.t_peers()),
-        n_s_peers=len(system.s_peers()),
+    result = CellResult.from_stats(
+        config, system.query_stats(),
+        len(system.t_peers()), len(system.s_peers()),
     )
     if system_out is not None:
         system_out["system"] = system

@@ -8,8 +8,10 @@ immediately becomes a source for it -- so a flash crowd's load spreads
 over the crowd itself instead of concentrating on the publisher.
 
 The simulator's delay model has no link serialization (a peer can
-answer any number of requests in parallel), so wall-clock speedup is
-the *live* bench's job (``scripts/bench_swarm.py``).  What the sim can
+answer any number of requests in parallel), so wall-clock speedup can
+only be measured live (``tests/test_swarm_runtime.py`` holds the
+hash-verified transfer; a swarm workload in the perf ledger would hold
+the speed).  What the sim can
 measure deterministically is the load shape: pieces served per peer,
 counted off the trace bus.  The naive baseline needs no run at all --
 a single holder serves every piece of every download by definition, so

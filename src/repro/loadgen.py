@@ -1,10 +1,12 @@
 """Open/closed-loop load generator for the live client path.
 
-Drives N concurrent clients against one or more live nodes (or an
-in-process :class:`~repro.runtime.localnet.LocalNet`) and reports the
-numbers BENCH_clientpath.json records: p50/p99/p999 latency per verb,
-sustained throughput, and error rate.  Exposed on the CLI as
-``repro bench-clients`` (``--smoke`` is the CI mode).
+Drives N concurrent clients against one or more live nodes and
+reports p50/p99/p999 latency per verb, sustained throughput, and error
+rate.  Exposed on the CLI as ``repro bench-clients`` -- the operator's
+load generator against running nodes (``scripts/failover_smoke.py``
+drives it against a cluster it kills a node of).  The recorded
+client-path numbers come from the perf ledger's ``live_read`` /
+``live_write`` workloads (``python3 bench/run.py``), not from here.
 
 Two driving disciplines, selected by ``LoadSpec.rate``:
 
@@ -46,13 +48,7 @@ __all__ = [
     "LoadResult",
     "run_load",
     "run_load_sync",
-    "POLLING_ERA_GET_OPS",
 ]
-
-# The last polling-era localnet get throughput (BENCH_runtime.json,
-# PR 5): the ~20 ms poll tick capped serial gets at ~38.7 ops/s.  CI's
-# smoke run asserts the event-driven path clears a 10x multiple of it.
-POLLING_ERA_GET_OPS = 38.7
 
 
 @dataclass
@@ -320,48 +316,3 @@ async def run_load(spec: LoadSpec) -> LoadResult:
 def run_load_sync(spec: LoadSpec) -> LoadResult:
     """Blocking wrapper for CLI use (runs its own event loop)."""
     return asyncio.run(run_load(spec))
-
-
-# ----------------------------------------------------------------------
-async def run_against_localnet(
-    spec_kwargs: Dict[str, object],
-    t_peers: int = 2,
-    s_peers: int = 1,
-    seed: int = 5,
-) -> LoadResult:
-    """Boot an in-process localnet, run one load, tear it down.
-
-    ``spec_kwargs`` is everything for :class:`LoadSpec` except
-    ``endpoints``, which are filled in from the booted nodes.  This is
-    what ``repro bench-clients --smoke`` (and CI) runs: no external
-    daemons, one process, real TCP.
-    """
-    from .runtime.localnet import LocalNet, fast_config
-
-    net = LocalNet(t_peers=t_peers, s_peers=s_peers, seed=seed, config=fast_config())
-    await net.start(join_timeout=30.0)
-    await net.wait_converged(timeout=30.0)
-    try:
-        endpoints = [(n.host, n.port) for n in net.nodes]
-        return await run_load(LoadSpec(endpoints=endpoints, **spec_kwargs))
-    finally:
-        await net.stop()
-
-
-def smoke_result_ok(result: LoadResult, min_get_ops: float) -> List[str]:
-    """CI gate: the failures list is empty when the smoke run passes."""
-    problems: List[str] = []
-    if result.errors_total:
-        problems.append(
-            f"{result.errors_total} errored op(s): "
-            f"{result.put.error_samples + result.get.error_samples}"
-        )
-    if result.get_throughput_ops < min_get_ops:
-        problems.append(
-            f"get throughput {result.get_throughput_ops:.1f} ops/s below "
-            f"the {min_get_ops:.1f} ops/s floor "
-            f"(10x the {POLLING_ERA_GET_OPS} ops/s polling-era baseline)"
-        )
-    if result.get.ops == 0:
-        problems.append("no gets completed inside the measured window")
-    return problems

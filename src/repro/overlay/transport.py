@@ -153,10 +153,6 @@ class Transport(TransportBase):
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        # Opt-in per-message-type accounting (see repro.perf); one dict
-        # update per send when enabled, a single attribute test when not.
-        self._count_types = False
-        self.message_type_counts: Dict[str, int] = {}
         # wants("transport.send") cached against the bus version.
         self._trace_version = -1
         self._trace_sends = False
@@ -165,7 +161,7 @@ class Transport(TransportBase):
         # returning True means the destination lives on another shard and
         # the delivery was captured for cross-shard forwarding instead of
         # being scheduled on the local heap.  Sender-side accounting
-        # (messages_sent, traces, stress, type counts) has already
+        # (messages_sent, traces, stress) has already
         # happened at that point, exactly as in the single-process run.
         self._shard_capture: Optional[Callable[[float, int, Message], bool]] = None
 
@@ -207,16 +203,6 @@ class Transport(TransportBase):
 
     def __len__(self) -> int:
         return len(self._actors)
-
-    # ------------------------------------------------------------------
-    # Perf accounting
-    # ------------------------------------------------------------------
-    def enable_type_counts(self) -> None:
-        """Start counting sends per message-type name (see repro.perf)."""
-        self._count_types = True
-
-    def disable_type_counts(self) -> None:
-        self._count_types = False
 
     # ------------------------------------------------------------------
     # Delay model
@@ -309,10 +295,6 @@ class Transport(TransportBase):
                     kind=type(msg).__name__,
                     delay=prop,
                 )
-        if self._count_types:
-            name = type(msg).__name__
-            counts = self.message_type_counts
-            counts[name] = counts.get(name, 0) + 1
         # Engine.schedule_after, inlined (one frame per simulated
         # message): ``prop >= min_latency > 0`` so the negative-delay
         # guard is statically satisfied.
@@ -405,9 +387,6 @@ class Transport(TransportBase):
         self.messages_sent += attempted
         if dropped:
             self.messages_dropped += dropped
-        if self._count_types and attempted:
-            counts = self.message_type_counts
-            counts[kind] = counts.get(kind, 0) + attempted
         if entries:
             self._engine.schedule_batch(entries)
         return sent

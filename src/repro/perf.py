@@ -4,16 +4,15 @@ The reproduction's experiment sweeps are bounded by raw event-loop
 throughput, so this module gives every driver a uniform way to answer
 "how fast did that run, and where did the time go":
 
-* :func:`measure` -- context manager that times a block and snapshots
-  engine/transport counters into a :class:`PerfReport` (wall seconds,
-  events executed, events/sec, messages by direction and -- optionally
-  -- by message type via :meth:`Transport.enable_type_counts`).
+* :func:`rss_kb` / :func:`memory_info` / :class:`PhaseSampler` --
+  sampled resident/proportional memory and a per-phase wall + RSS
+  trace; :mod:`repro.shard` attaches them to its run diagnostics.
 * :func:`maybe_profile` -- cProfile hook gated on the ``REPRO_PROFILE=1``
   environment variable; zero overhead when the variable is unset, a
   sorted hot-spot table on stderr when it is.
 
-``scripts/bench_perf.py`` builds on both to track the substrate against
-the pre-optimisation baseline recorded in ``BENCH_substrate.json``.
+Speed and memory *claims* are measured from outside ``src/`` by the
+perf ledger (``python3 bench/run.py``, ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -24,17 +23,11 @@ import pstats
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
-
-from .overlay.transport import Transport
-from .sim.engine import Engine
 
 __all__ = [
     "PROFILE_ENV",
     "PROFILE_DIR_ENV",
-    "PerfReport",
-    "measure",
     "maybe_profile",
     "profiling_enabled",
     "rss_kb",
@@ -52,84 +45,6 @@ PROFILE_ENV = "REPRO_PROFILE"
 #: their own ``profile-shard<N>.pstats`` instead of vanishing into a
 #: parent-only profile.
 PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
-
-
-@dataclass
-class PerfReport:
-    """Counters harvested from one measured block.
-
-    Populated by :func:`measure` when the ``with`` block exits; until
-    then every field holds its zero value.
-    """
-
-    wall_seconds: float = 0.0
-    events_executed: int = 0
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    message_type_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def events_per_second(self) -> float:
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.events_executed / self.wall_seconds
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready form (used by ``scripts/bench_perf.py``)."""
-        return {
-            "wall_seconds": self.wall_seconds,
-            "events_executed": self.events_executed,
-            "events_per_second": self.events_per_second,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_dropped": self.messages_dropped,
-            "message_type_counts": dict(
-                sorted(self.message_type_counts.items(), key=lambda kv: -kv[1])
-            ),
-        }
-
-
-@contextmanager
-def measure(
-    engine: Engine,
-    transport: Optional[Transport] = None,
-    count_types: bool = False,
-) -> Iterator[PerfReport]:
-    """Time a block and snapshot substrate counters into a report.
-
-    Counter fields are deltas across the block, so an engine/transport
-    that already did work can be measured mid-life.  When
-    ``count_types`` is true the transport's per-message-type accounting
-    is switched on for the duration of the block (and restored after).
-    """
-    report = PerfReport()
-    events0 = engine.events_executed
-    if transport is not None:
-        sent0 = transport.messages_sent
-        delivered0 = transport.messages_delivered
-        dropped0 = transport.messages_dropped
-        types0 = dict(transport.message_type_counts)
-        counting0 = transport._count_types
-        if count_types:
-            transport.enable_type_counts()
-    start = time.perf_counter()
-    try:
-        yield report
-    finally:
-        report.wall_seconds = time.perf_counter() - start
-        report.events_executed = engine.events_executed - events0
-        if transport is not None:
-            report.messages_sent = transport.messages_sent - sent0
-            report.messages_delivered = transport.messages_delivered - delivered0
-            report.messages_dropped = transport.messages_dropped - dropped0
-            report.message_type_counts = {
-                name: count - types0.get(name, 0)
-                for name, count in transport.message_type_counts.items()
-                if count - types0.get(name, 0)
-            }
-            if count_types and not counting0:
-                transport.disable_type_counts()
 
 
 # ----------------------------------------------------------------------

@@ -547,8 +547,7 @@ class PeerNode(NodeDaemon):
         # k == 1: ok only after the single copy lands at its holder.
         # Acking on send loses the write if the holder dies with the
         # store in flight, and lets an immediate lookup crowd outrun a
-        # large value's transfer (the bench_swarm wait_stored() polling
-        # workaround this replaces).  Re-sending after a timeout is
+        # large value's transfer.  Re-sending after a timeout is
         # idempotent: same d_id, same routing, insert overwrites.
         loop = asyncio.get_running_loop()
         wait_s = self.PUT_LANDED_WAIT_S

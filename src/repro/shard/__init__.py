@@ -7,14 +7,12 @@ to the single-process :func:`repro.experiments.common.run_cell`.
 
 Public surface:
 
-* :func:`run_cell_sharded` / :func:`resolve_shards` /
-  :func:`resolve_shard_backend` -- the executor and the ``--shards`` /
-  ``REPRO_SHARDS`` / ``--shard-backend`` / ``REPRO_SHARD_BACKEND``
-  plumbing (plus ``REPRO_SHARDS_STRICT`` via
-  :func:`resolve_shards_strict`);
+* :func:`run_cell_sharded` / :func:`resolve_shards` -- the executor
+  and the ``--shards`` / ``REPRO_SHARDS`` plumbing (plus
+  ``REPRO_SHARDS_STRICT`` via :func:`resolve_shards_strict`);
 * :class:`NullMessageSync` -- the lower-bound-timestamp window logic;
 * :class:`SpscRing` / :class:`ShardFrameCodec` -- the shared-memory
-  ring transport and struct frame encoding of the shm backend
+  ring transport and struct frame encoding forked workers talk over
   (:mod:`repro.shard.ipc`);
 * :class:`ShardQueryRegistry` / :func:`merge_registries` -- exact
   metric aggregation across shards;
@@ -31,12 +29,10 @@ from .ipc import (
 )
 from .partition import partition_snetworks, shard_loads
 from .runner import (
-    SHARD_BACKEND_ENV,
     SHARDS_ENV,
     SHARDS_STRICT_ENV,
     check_shardable,
     merge_registries,
-    resolve_shard_backend,
     resolve_shards,
     resolve_shards_strict,
     run_cell_sharded,
@@ -47,7 +43,6 @@ from .worker import ShardWorker
 
 __all__ = [
     "SHARDS_ENV",
-    "SHARD_BACKEND_ENV",
     "SHARDS_STRICT_ENV",
     "CompactPeerState",
     "NullMessageSync",
@@ -63,7 +58,6 @@ __all__ = [
     "check_shardable",
     "merge_registries",
     "partition_snetworks",
-    "resolve_shard_backend",
     "resolve_shards",
     "resolve_shards_strict",
     "run_cell_sharded",

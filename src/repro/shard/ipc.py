@@ -1,8 +1,8 @@
 """Shared-memory IPC for sharded cell runs.
 
-The pipe backend moves every cross-shard delivery twice through
-``pickle`` and twice through a coordinator pipe.  This module replaces
-that path with single-producer/single-consumer ring buffers in
+Forked shard workers exchange cross-shard deliveries directly, without
+``pickle`` and without passing through the coordinator, over
+single-producer/single-consumer ring buffers in
 :mod:`multiprocessing.shared_memory`:
 
 * one **data ring per ordered shard pair** ``i -> j`` carrying overlay
@@ -188,7 +188,7 @@ class SpscRing:
 
     @classmethod
     def over(cls, capacity: int) -> "SpscRing":
-        """In-process ring over a plain bytearray (tests, micro-bench)."""
+        """In-process ring over a plain bytearray (tests)."""
         return cls(bytearray(HEADER_BYTES + int(capacity)), capacity)
 
     @property

@@ -4,11 +4,13 @@
 :func:`repro.experiments.common.run_cell` but splits the lookup phase
 across shard workers:
 
-1. **Replicate** -- build + populate + crash + settle are deterministic
+1. **Replicate** -- build + populate + crash + settle
+   (:func:`~repro.experiments.common.prepare_cell`) are deterministic
    functions of (config, scale), so they run once and every worker gets
-   the finished state: the fork backend builds in the parent and forks
-   (copy-on-write, no pickling); the inline backend -- used where fork
-   is unavailable, and by the sync unit tests -- builds one replica per
+   the finished state: fork mode builds in the parent and forks
+   (copy-on-write, no pickling) workers that talk over shared-memory
+   rings (:mod:`repro.shard.ipc`); inline mode -- used where fork is
+   unavailable, and as the tests' reference -- builds one replica per
    logical shard from the same seed.
 2. **Partition** -- whole s-networks are assigned to shards
    (:mod:`repro.shard.partition`); each worker compacts the peers it
@@ -17,9 +19,10 @@ across shard workers:
    ``run_lookups``'s wave pacing: it pins every shard's clock to the
    wave timestamp, lets the owners issue their share, then negotiates
    null-message windows (:mod:`repro.shard.sync`) until the wave
-   resolves.  Cross-shard messages travel coordinator-mediated, sorted
-   by (delivery time, origin shard, capture order), so every delivery
-   happens in global timestamp order.
+   resolves.  Cross-shard messages travel worker-to-worker through
+   the data rings (through the coordinator inline), sorted by (delivery
+   time, origin shard, capture order), so every delivery happens in
+   global timestamp order.
 4. **Merge** -- per-shard registries are stitched back into one
    :class:`~repro.core.lookup.QueryRegistry` in global pair order, with
    foreign contact counts folded in and the metric overrun past the
@@ -39,10 +42,8 @@ import time as _time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import SEARCH_WALK, SNETWORK_BITTORRENT, HybridConfig
-from ..core.hybrid import HybridSystem
 from ..core.lookup import PENDING, QueryRecord, QueryRegistry
 from ..perf import PhaseSampler, memory_info
-from ..workloads.keys import KeyWorkload
 from .ipc import (
     CTRL_RING_BYTES,
     K_BLOB,
@@ -66,14 +67,12 @@ from .ipc import (
 from .partition import partition_snetworks, shard_loads
 from .state import SHARD_ID_BITS, CompactPeerState, ShardQueryRegistry
 from .sync import NullMessageSync, ShardSyncError
-from .worker import ShardWorker, serve, serve_shm
+from .worker import ShardWorker, serve_shm
 
 __all__ = [
     "SHARDS_ENV",
-    "SHARD_BACKEND_ENV",
     "SHARDS_STRICT_ENV",
     "resolve_shards",
-    "resolve_shard_backend",
     "resolve_shards_strict",
     "check_shardable",
     "run_cell_sharded",
@@ -82,11 +81,6 @@ __all__ = [
 
 #: Default shard count for drivers that take ``--shards`` (0/unset = 1).
 SHARDS_ENV = "REPRO_SHARDS"
-
-#: Cross-shard transport of the fork backend: "pipe" (pickled tuples
-#: over multiprocessing pipes) or "shm" (struct-encoded frames in
-#: shared-memory rings, :mod:`repro.shard.ipc`).
-SHARD_BACKEND_ENV = "REPRO_SHARD_BACKEND"
 
 #: When truthy, an unshardable cell raises instead of silently falling
 #: back to single-process execution (see ``run_cell``).
@@ -101,15 +95,6 @@ def resolve_shards(value: Optional[int] = None) -> int:
     value = int(value)
     if value < 1:
         raise ValueError(f"shard count must be >= 1, got {value}")
-    return value
-
-
-def resolve_shard_backend(value: Optional[str] = None) -> str:
-    """Backend from an explicit value or REPRO_SHARD_BACKEND (default pipe)."""
-    if value is None:
-        value = os.environ.get(SHARD_BACKEND_ENV, "").strip() or "pipe"
-    if value not in ("pipe", "shm"):
-        raise ValueError(f"unknown shard backend {value!r} (pipe|shm)")
     return value
 
 
@@ -148,37 +133,6 @@ def check_shardable(config: HybridConfig) -> None:
             "configuration not supported by the sharded executor: "
             + ", ".join(problems)
         )
-
-
-# ----------------------------------------------------------------------
-# Replicated construction phases (must mirror run_cell exactly)
-# ----------------------------------------------------------------------
-def _build_phases(
-    config: HybridConfig,
-    scale,
-    crash_fraction: float,
-    settle_after_crash: float,
-) -> Tuple[HybridSystem, List[Tuple[int, str]]]:
-    """Build + populate + crash + settle + sample, as run_cell does."""
-    system = HybridSystem(
-        config, n_peers=scale.n_peers, seed=scale.seed,
-        queries=ShardQueryRegistry(),
-    )
-    if getattr(scale, "bulk_build", False):
-        system.build_bulk()
-    else:
-        system.build()
-    addresses = [p.address for p in system.alive_peers()]
-    workload = KeyWorkload.uniform(
-        scale.n_keys, addresses, system.rngs.stream("workload")
-    )
-    system.populate(workload.store_plan())
-    if crash_fraction > 0.0:
-        system.crash_random_fraction(crash_fraction)
-        system.settle(settle_after_crash)
-    alive = [p.address for p in system.alive_peers()]
-    pairs = list(workload.sample_lookups(scale.n_lookups, alive))
-    return system, pairs
 
 
 # ----------------------------------------------------------------------
@@ -224,64 +178,8 @@ def _worker_failure(shard: int, detail: str) -> Exception:
     return CellExecutionError(f"shard {shard}", detail)
 
 
-class _ForkHandle(_Handle):
-    """A forked worker process behind a pipe."""
-
-    def __init__(self, conn, process, shard: int) -> None:
-        self._conn = conn
-        self._process = process
-        self._shard = shard
-
-    def _dead(self) -> Exception:
-        code = self._process.exitcode
-        return _worker_failure(
-            self._shard, f"worker process died (exit code {code})"
-        )
-
-    def send(self, request: tuple) -> None:
-        try:
-            self._conn.send(request)
-        except (BrokenPipeError, OSError):
-            raise self._dead() from None
-
-    def recv(self) -> dict:
-        # Poll instead of a bare blocking recv: a worker killed
-        # mid-window must surface as a named failure, not a hang.
-        while not self._conn.poll(0.2):
-            if not self._process.is_alive() and not self._conn.poll(0):
-                raise self._dead()
-        try:
-            status, payload = self._conn.recv()
-        except (EOFError, OSError):
-            raise self._dead() from None
-        if status != "ok":
-            raise _worker_failure(self._shard, payload)
-        return payload
-
-    def stop(self) -> None:
-        try:
-            self._conn.send(("stop",))
-            self._conn.close()
-        except (BrokenPipeError, OSError):
-            pass
-        self._process.join(timeout=30)
-        if self._process.is_alive():  # pragma: no cover - hung worker
-            self._process.terminate()
-            self._process.join(timeout=5)
-
-
-def _serve_forked(conn, system, shard_index, n_shards, owner, pairs) -> None:
-    """Entry point of a forked worker (inherits the built system)."""
-    worker = ShardWorker(system, shard_index, n_shards, owner, pairs)
-    worker.compact(retain=True)
-    try:
-        serve(conn, worker)
-    finally:
-        conn.close()
-
-
 # ----------------------------------------------------------------------
-# Shared-memory backend
+# Forked workers behind shared-memory rings
 # ----------------------------------------------------------------------
 class _ShmHub:
     """Coordinator-side state of the shm transport.
@@ -298,14 +196,23 @@ class _ShmHub:
         self.shards = shards
         self.owner = owner
         data_bytes = resolve_data_ring_bytes()
-        self.c2w = [SpscRing.create(CTRL_RING_BYTES) for _ in range(shards)]
-        self.w2c = [SpscRing.create(CTRL_RING_BYTES) for _ in range(shards)]
-        self.data: Dict[Tuple[int, int], SpscRing] = {
-            (i, j): SpscRing.create(data_bytes)
-            for i in range(shards)
-            for j in range(shards)
-            if i != j
-        }
+        self.c2w: List[SpscRing] = []
+        self.w2c: List[SpscRing] = []
+        self.data: Dict[Tuple[int, int], SpscRing] = {}
+        try:
+            for _ in range(shards):
+                self.c2w.append(SpscRing.create(CTRL_RING_BYTES))
+            for _ in range(shards):
+                self.w2c.append(SpscRing.create(CTRL_RING_BYTES))
+            for i in range(shards):
+                for j in range(shards):
+                    if i != j:
+                        self.data[(i, j)] = SpscRing.create(data_bytes)
+        except BaseException:
+            # A create can fail part-way (EMFILE, ENOSPC): the caller
+            # never sees this hub, so unlink what was made so far.
+            self.close()
+            raise
         # Spilled frames awaiting forwarding, per destination shard.
         self.spill: List[List[Tuple[int, bytes]]] = [[] for _ in range(shards)]
         # owed[dst][origin]: data-ring frames dst must drain at its
@@ -350,12 +257,16 @@ class _ShmHub:
         return totals
 
     def close(self) -> None:
+        """Detach from and unlink every ring, whatever state the run left."""
         for ring in (*self.c2w, *self.w2c, *self.data.values()):
             try:
                 ring.close()
-                ring.unlink()
-            except Exception:  # pragma: no cover - already torn down
+            except BufferError:
+                # A failed recv's frame, alive in the propagating
+                # traceback, still exports the ring's view.  The mapping
+                # goes when that frame does; the name must go now.
                 pass
+            ring.unlink()
 
 
 class _ShmHandle(_Handle):
@@ -382,7 +293,7 @@ class _ShmHandle(_Handle):
             if op == "issue":
                 ring.write(K_CTRL, encode_issue(*request[1:]), self._alive)
             elif op == "window":
-                # The inbox argument is pipe-mode only; here the spill
+                # The inbox argument is inline-mode only; here the spill
                 # buffer and owed counts replace it (and are reset --
                 # the worker drains everything at this window).
                 spills = hub.spill[self._shard]
@@ -457,7 +368,7 @@ class _ShmHandle(_Handle):
 
 
 def _serve_forked_shm(hub, system, shard_index, n_shards, owner, pairs) -> None:
-    """Entry point of a forked worker on the shm backend."""
+    """Entry point of a forked worker (inherits the built system)."""
     parent = os.getppid()
     endpoint = hub.endpoint(shard_index, peer_alive=lambda: os.getppid() == parent)
     worker = ShardWorker(system, shard_index, n_shards, owner, pairs)
@@ -483,8 +394,8 @@ def _coordinate(
     def absorb(shard: int, reply: dict) -> None:
         """Fold one state reply into the sync bookkeeping.
 
-        Pipe/inline replies carry the captured messages themselves;
-        shm replies carry per-destination (count, min time) summaries
+        Inline replies carry the captured messages themselves; shm
+        replies carry per-destination (count, min time) summaries
         while the bodies sit in the data rings.
         """
         sync.note_state(shard, reply["next_time"])
@@ -600,32 +511,28 @@ def run_cell_sharded(
     settle_after_crash: float = 30_000.0,
     shards: int = 2,
     mode: Optional[str] = None,
-    backend: Optional[str] = None,
     info_out: Optional[dict] = None,
 ):
     """Run one sweep cell across ``shards`` workers; returns CellResult.
 
     ``mode`` selects the worker substrate: "fork" (build once, fork
-    workers -- the default where the platform supports it), "inline"
+    workers that exchange struct-encoded frames over shared-memory
+    rings -- the default where the platform supports it), "inline"
     (logical shards in-process, each building its own replica; slower,
-    used for tests and as the portable fallback).  ``backend`` selects
-    the fork-mode transport: "pipe" (pickled tuples over
-    multiprocessing pipes) or "shm" (struct-encoded frames in
-    shared-memory rings); defaults to ``REPRO_SHARD_BACKEND`` or
-    "pipe", and is ignored inline.  ``info_out`` receives shard
-    diagnostics (loads, window rounds, event/message totals, per-phase
-    memory samples, IPC byte counts).
+    used for tests and as the portable fallback).  ``info_out``
+    receives shard diagnostics (loads, window rounds, event/message
+    totals, per-phase memory samples, IPC byte counts; ``"backend"``
+    reads "shm" or "inline").
     """
-    from ..experiments.common import CellResult
+    from ..experiments.common import CellResult, prepare_cell
 
     shards = int(shards)
     if shards < 1:
         raise ValueError("shards must be >= 1")
     check_shardable(config)
-    backend = resolve_shard_backend(backend)
     if mode is None:
         # Daemonic processes (e.g. some pool workers) cannot fork
-        # children; the inline backend is the universal fallback.
+        # children; inline mode is the universal fallback.
         can_fork = (
             "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon
@@ -636,8 +543,9 @@ def run_cell_sharded(
 
     sampler = PhaseSampler()
     build_t0 = _time.perf_counter()
-    system, pairs = _build_phases(
-        config, scale, crash_fraction, settle_after_crash
+    system, pairs = prepare_cell(
+        config, scale, crash_fraction, settle_after_crash,
+        queries=ShardQueryRegistry(),
     )
     build_wall = _time.perf_counter() - build_t0
     sampler.mark("build")
@@ -659,8 +567,7 @@ def run_cell_sharded(
     try:
         if mode == "fork":
             ctx = multiprocessing.get_context("fork")
-            if backend == "shm":
-                hub = _ShmHub(shards, owner)
+            hub = _ShmHub(shards, owner)
             # Move every live object to the permanent generation before
             # forking: collector passes in the children would otherwise
             # touch gc headers across the whole inherited heap and
@@ -669,32 +576,21 @@ def run_cell_sharded(
             gc.freeze()
             frozen = True
             for shard in range(shards):
-                if hub is not None:
-                    process = ctx.Process(
-                        target=_serve_forked_shm,
-                        args=(hub, system, shard, shards, owner, pairs),
-                        daemon=True,
-                    )
-                    process.start()
-                    handles.append(_ShmHandle(hub, shard, process))
-                else:
-                    parent_conn, child_conn = ctx.Pipe()
-                    process = ctx.Process(
-                        target=_serve_forked,
-                        args=(child_conn, system, shard, shards, owner, pairs),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    handles.append(_ForkHandle(parent_conn, process, shard))
+                process = ctx.Process(
+                    target=_serve_forked_shm,
+                    args=(hub, system, shard, shards, owner, pairs),
+                    daemon=True,
+                )
+                process.start()
+                handles.append(_ShmHandle(hub, shard, process))
         else:
-            backend = "inline"
             for shard in range(shards):
                 if shard == 0:
                     replica = system
                 else:
-                    replica, _ = _build_phases(
-                        config, scale, crash_fraction, settle_after_crash
+                    replica, _ = prepare_cell(
+                        config, scale, crash_fraction, settle_after_crash,
+                        queries=ShardQueryRegistry(),
                     )
                 worker = ShardWorker(replica, shard, shards, owner, pairs)
                 worker.compact()
@@ -725,7 +621,7 @@ def run_cell_sharded(
     ipc = (
         hub.ipc_totals([r.get("ipc") for r in results])
         if hub is not None
-        else {"backend": backend}
+        else {"backend": "inline"}
     )
     sampler.mark(
         "lookup",
@@ -744,7 +640,7 @@ def run_cell_sharded(
         info_out.update({
             "shards": shards,
             "mode": mode,
-            "backend": backend,
+            "backend": ipc["backend"],
             "lookahead_ms": lookahead,
             "waves": waves,
             "window_rounds": rounds,
@@ -770,15 +666,4 @@ def run_cell_sharded(
             "registry": merged,
             "peer_state": compact,
         })
-    return CellResult(
-        p_s=config.p_s,
-        failure_ratio=stats.failure_ratio,
-        mean_latency=stats.mean_latency,
-        median_latency=stats.median_latency,
-        connum=stats.connum,
-        mean_contacts=stats.mean_contacts_per_lookup,
-        successes=stats.successes,
-        failures=stats.failures,
-        n_t_peers=n_t,
-        n_s_peers=n_s,
-    )
+    return CellResult.from_stats(config, stats, n_t, n_s)

@@ -54,7 +54,7 @@ class NullMessageSync:
         # Undelivered cross-shard messages, per destination shard:
         # (deliver_time, origin_shard, origin_order, dst_address, msg).
         self._pending: List[List[tuple]] = [[] for _ in range(n_shards)]
-        # Summary-mode pending (shm backend): the messages themselves
+        # Summary-mode pending (forked workers): the messages themselves
         # sit in per-pair data rings, the coordinator only tracks
         # (count, min delivery time) batches per destination shard.
         self._summaries: List[List[Tuple[int, float]]] = [
@@ -87,7 +87,7 @@ class NullMessageSync:
     ) -> None:
         """Account for in-flight messages the coordinator never holds.
 
-        The shm backend moves message bodies worker-to-worker through
+        Forked workers move message bodies worker-to-worker through
         shared-memory rings; each worker's state reply carries only a
         per-destination (count, min delivery time) summary.  The floor
         over batch minima equals the floor over the messages themselves

@@ -2,9 +2,9 @@
 
 A :class:`ShardWorker` wraps a fully built :class:`HybridSystem` whose
 construction phases (build, populate, crash, settle) already ran -- in
-the fork backend every worker inherits the *same* built system from the
-parent; in the inline backend each logical shard builds its own
-identical replica from the seed.  From that point the worker:
+fork mode every worker inherits the *same* built system from the
+parent; in inline mode each logical shard builds its own identical
+replica from the seed.  From that point the worker:
 
 * installs the transport's shard-capture hook so deliveries to peers
   owned by other shards are buffered instead of scheduled locally;
@@ -16,9 +16,9 @@ identical replica from the seed.  From that point the worker:
   strictly below the negotiated barrier), and ``finish`` (trim the
   metric overrun and export records/counters for the merge).
 
-The request/response loop is transport-agnostic: :func:`serve` speaks
-it over a multiprocessing pipe, the inline backend calls
-:meth:`ShardWorker.handle` directly.
+The request/response loop is transport-agnostic: :func:`serve_shm`
+speaks it over the shared-memory rings of a forked worker, inline mode
+calls :meth:`ShardWorker.handle` directly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..perf import maybe_profile, memory_info, rss_kb
 from .ipc import RingClosed, WorkerEndpoint
 from .state import PeerStub
 
-__all__ = ["ShardWorker", "serve", "serve_shm", "release_freed_memory"]
+__all__ = ["ShardWorker", "serve_shm", "release_freed_memory"]
 
 
 def release_freed_memory() -> None:
@@ -103,7 +103,7 @@ class ShardWorker:
 
         ``retain`` selects the memory policy:
 
-        * ``retain=False`` (inline backend, and any worker that owns
+        * ``retain=False`` (inline mode, and any worker that owns
           its replica outright): the stubbed peers' protocol state
           (databases, children sets, seen-query dicts, fingers) becomes
           garbage and is eagerly returned to the OS, together with the
@@ -242,38 +242,21 @@ class ShardWorker:
         raise ValueError(f"unknown shard request {op!r}")
 
 
-def serve(conn, worker: ShardWorker) -> None:
-    """Answer coordinator requests over a pipe until ``("stop",)``.
-
-    Runs in the forked worker process.  Exceptions are reported back as
-    ``("error", traceback_text)`` so the coordinator can re-raise with
-    the worker's stack instead of hanging on a dead pipe.  With
-    ``REPRO_PROFILE=1`` the whole serve loop is profiled under the
-    ``-shard<N>`` tag (one profile per worker process).
-    """
-    with maybe_profile(tag=f"-shard{worker.shard_index}"):
-        while True:
-            request = conn.recv()
-            if request[0] == "stop":
-                return
-            try:
-                conn.send(worker.handle(request))
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
-                return
-
-
 def serve_shm(endpoint: WorkerEndpoint, worker: ShardWorker) -> None:
     """Answer coordinator requests over shared-memory rings.
 
-    The shm twin of :func:`serve`.  Requests arrive as struct-packed
-    control frames; ``window`` inboxes are drained straight out of the
-    per-pair data rings (zero-copy decode, exact frame counts -- see
+    Runs in the forked worker process until a ``stop`` frame.  Requests
+    arrive as struct-packed control frames; ``window`` inboxes are
+    drained straight out of the per-pair data rings (zero-copy decode,
+    exact frame counts -- see
     :meth:`~repro.shard.ipc.WorkerEndpoint.drain_inbox`); the outbox of
     every reply is distributed to the outbound data rings before the
     state frame is published.  Worker errors travel back as ``K_ERR``
-    frames; a vanished coordinator surfaces as :class:`RingClosed` and
-    ends the loop (the worker is an orphan at that point).
+    frames so the coordinator re-raises with the worker's stack; a
+    vanished coordinator surfaces as :class:`RingClosed` and ends the
+    loop (the worker is an orphan at that point).  With
+    ``REPRO_PROFILE=1`` the whole loop is profiled under the
+    ``-shard<N>`` tag (one profile per worker process).
     """
     with maybe_profile(tag=f"-shard{worker.shard_index}"):
         try:

@@ -10,8 +10,9 @@ on floats on purpose.  If an "optimisation" moves any of these by one
 ulp, it reordered events or changed arithmetic and must be fixed, not
 re-goldened.
 
-``scripts/bench_perf.py`` checks the same invariants at whichever scale
-it benches.
+The same bundle is pinned at ``Scale.medium()`` (seven times the
+events), and the perf ledger's ``sim_shard2`` workload re-checks the
+quick goldens on every benchmark run.
 """
 
 from __future__ import annotations
@@ -38,6 +39,23 @@ GOLDEN = {
 }
 GOLDEN_EVENTS_EXECUTED = 37_040
 
+# Scale.medium(), seed 0: mean latency, connum and event count are the
+# values the substrate bench asserted on every repeat from PR 1 until
+# PR 16 removed it; the rest were re-read on the same commit.
+GOLDEN_MEDIUM = {
+    "p_s": 0.3,
+    "failure_ratio": 0.0,
+    "mean_latency": 10661.615417341618,
+    "median_latency": 10615.541561046848,
+    "connum": 123750,
+    "mean_contacts": 103.125,
+    "successes": 1200,
+    "failures": 0,
+    "n_t_peers": 210,
+    "n_s_peers": 90,
+}
+GOLDEN_MEDIUM_EVENTS_EXECUTED = 261_776
+
 
 @pytest.fixture(scope="module")
 def quick_cell():
@@ -63,3 +81,14 @@ class TestGoldenQuickCell:
         first, _system = quick_cell
         second = run_cell(HybridConfig(p_s=0.3), Scale.quick())
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
+
+class TestGoldenMediumCell:
+    def test_metrics_and_event_count_bit_identical(self):
+        out = {}
+        result = run_cell(HybridConfig(p_s=0.3), Scale.medium(), system_out=out)
+        system = out["system"]
+        assert dataclasses.asdict(result) == GOLDEN_MEDIUM
+        assert system.engine.events_executed == GOLDEN_MEDIUM_EVENTS_EXECUTED
+        assert system.transport.messages_sent == GOLDEN_MEDIUM_EVENTS_EXECUTED
+        assert system.transport.messages_dropped == 0

@@ -4,63 +4,7 @@ from __future__ import annotations
 
 import io
 
-from repro.overlay.idspace import IdSpace
-from repro.overlay.messages import Hello
-from repro.overlay.peer import BasePeer
-from repro.overlay.transport import Transport
-from repro.perf import PROFILE_ENV, PerfReport, maybe_profile, measure, profiling_enabled
-from repro.sim import Engine
-
-
-class SinkPeer(BasePeer):
-    def on_Hello(self, msg: Hello) -> None:
-        pass
-
-
-def _wired():
-    engine = Engine()
-    transport = Transport(engine)
-    a = SinkPeer(1, 0, engine, transport, IdSpace(bits=16))
-    b = SinkPeer(2, 0, engine, transport, IdSpace(bits=16))
-    transport.register(a)
-    transport.register(b)
-    return engine, transport, a, b
-
-
-class TestMeasure:
-    def test_counters_are_deltas(self):
-        engine, transport, a, b = _wired()
-        a.send(2, Hello())
-        engine.run()  # pre-existing traffic must not leak into the report
-        with measure(engine, transport) as report:
-            for _ in range(5):
-                a.send(2, Hello())
-            engine.run()
-        assert report.events_executed == 5
-        assert report.messages_sent == 5
-        assert report.messages_delivered == 5
-        assert report.messages_dropped == 0
-        assert report.wall_seconds > 0.0
-        assert report.events_per_second > 0.0
-
-    def test_type_counts_enabled_for_block_only(self):
-        engine, transport, a, b = _wired()
-        with measure(engine, transport, count_types=True) as report:
-            a.send(2, Hello())
-            a.send_many([2], Hello())
-            engine.run()
-        assert report.message_type_counts == {"Hello": 2}
-        a.send(2, Hello())  # after the block: accounting switched off again
-        assert transport.message_type_counts.get("Hello") == 2
-
-    def test_as_dict_is_json_ready(self):
-        report = PerfReport(wall_seconds=2.0, events_executed=10)
-        d = report.as_dict()
-        assert d["events_per_second"] == 5.0
-        assert d["message_type_counts"] == {}
-
-    def test_zero_wall_guard(self):
-        assert PerfReport().events_per_second == 0.0
+from repro.perf import PROFILE_ENV, maybe_profile, profiling_enabled
 
 
 class TestMaybeProfile:

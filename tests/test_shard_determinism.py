@@ -6,12 +6,14 @@ N worker shards under conservative (null-message) synchronization is
 *the same computation* -- same event order per peer, same floating-point
 arithmetic, same metric bundle -- as the single-process run.  These
 tests compare full :class:`CellResult` values with ``==`` (exact float
-equality) across shard counts, backends, and configurations, and pin
+equality) across shard counts, modes, and configurations, and pin
 down the :class:`NullMessageSync` window logic the guarantee rests on.
 """
 
 from __future__ import annotations
 
+import errno
+import glob
 import logging
 import os
 
@@ -27,7 +29,7 @@ from repro.shard import (
     resolve_shards,
     run_cell_sharded,
 )
-from repro.shard.ipc import RING_BYTES_ENV
+from repro.shard.ipc import RING_BYTES_ENV, SpscRing
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +39,6 @@ def quick_single():
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_fork_matches_single_process(self, quick_single, shards):
-        sharded = run_cell(
-            HybridConfig(p_s=0.3), Scale.quick(), shards=shards
-        )
-        assert sharded == quick_single
-
     def test_inline_backend_matches(self, quick_single):
         sharded = run_cell_sharded(
             HybridConfig(p_s=0.3), Scale.quick(), shards=2, mode="inline"
@@ -68,37 +63,31 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("shards", [2, 3, 4])
     def test_shm_backend_matches_single_process(self, quick_single, shards):
-        info = {}
-        sharded = run_cell_sharded(
+        out = {}
+        sharded = run_cell(
             HybridConfig(p_s=0.3), Scale.quick(), shards=shards,
-            backend="shm", info_out=info,
+            system_out=out,
         )
         assert sharded == quick_single
+        info = out["shard_info"]
         # In fork mode the transport really was the shm rings; inline
         # (fork-less platforms) is still bit-identical, just not shm.
         if info["mode"] == "fork":
             assert info["backend"] == "shm"
             assert info["ipc"]["data_frames"] > 0
             assert info["ipc"]["pickled_fallbacks"] == 0
+        else:
+            assert info["backend"] == "inline"
 
-    def test_shm_crash_cell_matches(self):
-        config = HybridConfig(p_s=0.5)
-        single = run_cell(config, Scale.quick(), crash_fraction=0.3)
-        sharded = run_cell_sharded(
-            config, Scale.quick(), crash_fraction=0.3, shards=2,
-            backend="shm",
-        )
-        assert sharded == single
-
-    def test_shm_enhancements_cell_matches(self):
-        config = HybridConfig(
-            p_s=0.6, bypass_links=True, cache_enabled=True,
-        )
-        single = run_cell(config, Scale.quick())
-        sharded = run_cell_sharded(
-            config, Scale.quick(), shards=3, backend="shm"
-        )
-        assert sharded == single
+    def test_unknown_shard_backend_rejected(self):
+        # The keyword outlives the pipe transport only for the frozen
+        # ledger's shard_backend="shm"; anything else must not be
+        # silently accepted as if a second transport still existed.
+        with pytest.raises(ValueError, match="pipe"):
+            run_cell(
+                HybridConfig(p_s=0.3), Scale.quick(), shards=2,
+                shard_backend="pipe",
+            )
 
     def test_shm_spill_path_matches(self, quick_single, monkeypatch):
         # Shrink the data rings until windows overflow into the control
@@ -107,8 +96,7 @@ class TestBitIdentity:
         monkeypatch.setenv(RING_BYTES_ENV, "512")
         info = {}
         sharded = run_cell_sharded(
-            HybridConfig(p_s=0.3), Scale.quick(), shards=2,
-            backend="shm", info_out=info,
+            HybridConfig(p_s=0.3), Scale.quick(), shards=2, info_out=info,
         )
         assert sharded == quick_single
         if info["mode"] == "fork":
@@ -193,28 +181,69 @@ class TestCheckShardable:
         ) == single
 
 
+def _shm_segments() -> set:
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+def _assert_failed_fork_run_leaks_nothing(exc_type, match) -> None:
+    """A failed fork-mode cell raises ``exc_type`` and unlinks every ring.
+
+    The check runs while ``pytest.raises`` still holds the traceback --
+    i.e. while the frames of the failed run, and whatever views into
+    the rings they hold, are alive.
+    """
+    before = _shm_segments()
+    with pytest.raises(exc_type, match=match):
+        run_cell_sharded(
+            HybridConfig(p_s=0.3), Scale.quick(), shards=2, mode="fork",
+        )
+    assert _shm_segments() - before == set()
+
+
+def _patch_shard_one_issue(monkeypatch, fail) -> None:
+    original = ShardWorker.issue
+
+    def failing_issue(self, *args, **kwargs):
+        if self.shard_index == 1:
+            fail()
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShardWorker, "issue", failing_issue)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestWorkerDeath:
-    """A dying shard process must fail the cell loudly, naming the shard."""
+    """A failing shard must fail the cell loudly, naming the shard, and
+    leave no shared-memory segment behind -- whichever way it failed."""
 
-    @pytest.fixture(autouse=True)
-    def _kill_shard_one(self, monkeypatch):
-        original = ShardWorker.issue
+    def test_dead_worker_raises_with_shard_named(self, monkeypatch):
+        _patch_shard_one_issue(monkeypatch, lambda: os._exit(42))
+        _assert_failed_fork_run_leaks_nothing(CellExecutionError, "shard 1")
 
-        def dying_issue(self, *args, **kwargs):
-            if self.shard_index == 1:
-                os._exit(42)
-            return original(self, *args, **kwargs)
+    def test_raising_worker_reports_its_traceback(self, monkeypatch):
+        def boom():
+            raise RuntimeError("boom in shard one")
 
-        monkeypatch.setattr(ShardWorker, "issue", dying_issue)
+        _patch_shard_one_issue(monkeypatch, boom)
+        _assert_failed_fork_run_leaks_nothing(
+            CellExecutionError, "boom in shard one"
+        )
 
-    @pytest.mark.parametrize("backend", ["pipe", "shm"])
-    def test_dead_worker_raises_with_shard_named(self, backend):
-        with pytest.raises(CellExecutionError, match="shard 1"):
-            run_cell_sharded(
-                HybridConfig(p_s=0.3), Scale.quick(), shards=2,
-                mode="fork", backend=backend,
-            )
+    def test_failed_ring_create_unwinds_the_rings_made(self, monkeypatch):
+        create = SpscRing.create.__func__
+        made = []
+
+        def create_until_the_fourth(cls, capacity):
+            if len(made) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            made.append(create(cls, capacity))
+            return made[-1]
+
+        monkeypatch.setattr(
+            SpscRing, "create", classmethod(create_until_the_fourth)
+        )
+        _assert_failed_fork_run_leaks_nothing(OSError, "No space left")
+        assert len(made) == 3
 
 
 class TestResolveShards:

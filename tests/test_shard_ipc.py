@@ -346,7 +346,7 @@ class TestSummaryAccounting:
         assert sync.in_flight == 0
 
     def test_min_of_mins_matches_message_floor(self):
-        # The summary floor must equal the floor the pipe backend
+        # The summary floor must equal the floor inline mode
         # computes from the messages themselves.
         deliveries = [(12.0, 1), (7.5, 1), (9.0, 0)]
         by_msg = NullMessageSync(2, lookahead=1.0)
