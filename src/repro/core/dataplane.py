@@ -247,7 +247,8 @@ class DataPlaneMixin:
     # ==================================================================
     def on_LookupRequest(self, msg: LookupRequest) -> None:
         """Ring leg of a remote lookup."""
-        if self.wants_trace("lookup.hop"):
+        trace = self.trace
+        if trace is not None and "lookup.hop" in trace.wanted:
             self.emit(
                 "lookup.hop", span=msg.span_id, query_id=msg.query_id,
                 hop=msg.hop_count + 1, kind="ring",
@@ -260,7 +261,8 @@ class DataPlaneMixin:
             self.send(self.t_peer, msg)
             return
         self.queries.contact(msg.query_id)
-        self.note_query_activity(msg.sender, msg.query_id)
+        if self.config.heartbeats_enabled:
+            self.note_query_activity(msg.sender, msg.query_id)
         if self.cache is not None:
             cached = self.cache.get(msg.key, self.engine.now)
             if cached is not None:
@@ -276,7 +278,11 @@ class DataPlaneMixin:
         span = (self.p_id - pred) & mask
         if not (span == 0 or 0 < ((msg.d_id - pred) & mask) <= span):
             msg.hop_count += 1
-            self.send(self.ring_next_hop(msg.d_id), msg)
+            # ring_next_hop, inlined for the plain successor walk; and
+            # transport.send called directly (Python to Python), not
+            # through the pre-bound ``self.send`` partial.
+            nxt = self.ring_next_hop(msg.d_id) if self.fingers else self.successor
+            self.transport.send(self, nxt, msg)
             return
         item = self.database.get(msg.key)
         if item is None and self.config.replication_factor > 1:
@@ -321,8 +327,10 @@ class DataPlaneMixin:
             return
         self.seen_queries.add(seen_key)
         self.queries.contact(msg.query_id)
-        self.note_query_activity(msg.sender, msg.query_id)
-        if self.wants_trace("lookup.hop"):
+        if self.config.heartbeats_enabled:
+            self.note_query_activity(msg.sender, msg.query_id)
+        trace = self.trace
+        if trace is not None and "lookup.hop" in trace.wanted:
             self.emit(
                 "lookup.hop", span=msg.span_id, query_id=msg.query_id,
                 hop=msg.hop_count + 1, kind="flood",
@@ -415,7 +423,11 @@ class DataPlaneMixin:
         mask = self.idspace._mask
         span = (self.p_id - pred) & mask
         if not (span == 0 or 0 < ((msg.d_id - pred) & mask) <= span):
-            self.send(self.ring_next_hop(msg.d_id), msg)
+            # ring_next_hop, inlined for the plain successor walk; and
+            # transport.send called directly (Python to Python), not
+            # through the pre-bound ``self.send`` partial.
+            nxt = self.ring_next_hop(msg.d_id) if self.fingers else self.successor
+            self.transport.send(self, nxt, msg)
             return
         if self.config.replication_factor > 1:
             # Durable path (repro.replica): primary copy here, then the
@@ -550,8 +562,10 @@ class DataPlaneMixin:
 
     def on_BTLookup(self, msg: BTLookup) -> None:
         self.queries.contact(msg.query_id)
-        self.note_query_activity(msg.sender, msg.query_id)
-        if self.wants_trace("lookup.hop"):
+        if self.config.heartbeats_enabled:
+            self.note_query_activity(msg.sender, msg.query_id)
+        trace = self.trace
+        if trace is not None and "lookup.hop" in trace.wanted:
             self.emit(
                 "lookup.hop", span=-1, query_id=msg.query_id,
                 hop=msg.hop_count + 1, kind="bt",
@@ -572,7 +586,8 @@ class DataPlaneMixin:
 
     def on_BTFetch(self, msg: BTFetch) -> None:
         self.queries.contact(msg.query_id)
-        if self.wants_trace("lookup.hop"):
+        trace = self.trace
+        if trace is not None and "lookup.hop" in trace.wanted:
             self.emit(
                 "lookup.hop", span=-1, query_id=msg.query_id,
                 hop=msg.hop_count + 1, kind="bt",

@@ -111,9 +111,12 @@ class LivenessMixin:
     def note_query_activity(self, sender: int, query_id: int) -> None:
         """A data query arrived: the sender is alive, and per the paper
         we acknowledge it (suppressed under heavy load) so that crash
-        detection reacts faster when queries are flowing."""
-        if not self.config.heartbeats_enabled:
-            return  # no timers were ever armed (see watch_neighbor)
+        detection reacts faster when queries are flowing.
+
+        Query handlers call this only under
+        ``config.heartbeats_enabled``: with heartbeats off no timer was
+        ever armed (see watch_neighbor) and no ack is owed.
+        """
         timer = self.neighbor_timers.get(sender)  # note_alive, inlined
         if timer is not None:
             timer.reset()

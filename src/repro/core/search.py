@@ -72,8 +72,10 @@ class SearchMixin:
     def on_WalkQuery(self, msg: WalkQuery) -> None:
         """One walker step: check, then wander on."""
         self.queries.contact(msg.query_id)
-        self.note_query_activity(msg.sender, msg.query_id)
-        if self.wants_trace("lookup.hop"):
+        if self.config.heartbeats_enabled:
+            self.note_query_activity(msg.sender, msg.query_id)
+        trace = self.trace
+        if trace is not None and "lookup.hop" in trace.wanted:
             self.emit(
                 "lookup.hop", span=msg.span_id, query_id=msg.query_id,
                 hop=msg.hop_count + 1, kind="walk",
@@ -148,7 +150,8 @@ class SearchMixin:
             return
         self.seen_queries.add(seen_key)
         self.queries.contact(msg.query_id)
-        self.note_query_activity(msg.sender, msg.query_id)
+        if self.config.heartbeats_enabled:
+            self.note_query_activity(msg.sender, msg.query_id)
         matches = tuple(
             (item.key, item.value)
             for item in self.database

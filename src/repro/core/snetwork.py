@@ -51,7 +51,9 @@ class SNetworkMixin:
 
     def flood_targets(self, exclude: int = -1) -> Set[int]:
         """Where a flood fans out: tree links plus mesh-ablation links."""
-        targets = self.tree_neighbors() | self.extra_links
+        # union() copies even when there is nothing to add; the copy's
+        # iteration order is the fan-out order the goldens pin.
+        targets = self.tree_neighbors().union(self._touched("extra_links") or ())
         targets.discard(exclude)
         targets.discard(self.address)
         return targets

@@ -44,7 +44,9 @@ class BasePeer:
     shared by every instance (a peer carries no table of its own).
     """
 
-    # peer class -> {message name | message class -> plain ``on_*`` function}
+    # peer class -> {message name | message class -> plain ``on_*`` function};
+    # each class also carries its own table as ``_dispatch``, which is
+    # what ``receive`` reads.
     _dispatch_cache: Dict[type, Dict[Any, Callable[[Any, Message], None]]] = {}
 
     def __init__(
@@ -64,12 +66,6 @@ class BasePeer:
         self.trace = trace
         self.alive = True
         self.messages_received = 0
-        # Per-category wants() answers, cached against the bus version
-        # (same trick as Transport): emit() builds its payload dict
-        # before the guard runs, so hot handlers ask wants_trace()
-        # first and skip the call entirely.
-        self._wants_cache: Dict[str, bool] = {}
-        self._wants_version = -1
         if type(self) not in BasePeer._dispatch_cache:
             self._build_dispatch()
         # Shadow the send() method with a pre-bound partial: one less
@@ -82,7 +78,7 @@ class BasePeer:
         # Keyed by the concrete class, so a subclass overriding a handler
         # gets its own table; ``getattr`` on the class resolves the MRO
         # once and yields the plain function ``receive`` calls with self.
-        BasePeer._dispatch_cache[cls] = {
+        cls._dispatch = BasePeer._dispatch_cache[cls] = {
             name[3:]: getattr(cls, name)
             for name in dir(cls)
             if name.startswith("on_") and callable(getattr(cls, name))
@@ -103,14 +99,24 @@ class BasePeer:
         return self.transport.send_many(self, dst_addresses, msg)
 
     def receive(self, msg: Message) -> None:
-        """Dispatch an incoming message to its ``on_*`` handler."""
+        """Dispatch an incoming message to its ``on_*`` handler.
+
+        The engine calls this for every delivery (the
+        :class:`~repro.overlay.transport.Actor` contract): a message
+        that was in flight when this peer died is dropped and counted
+        here.
+        """
+        transport = self.transport
         if not self.alive:
+            transport.messages_dropped += 1
             return
+        transport.messages_delivered += 1
         self.messages_received += 1
-        dispatch = BasePeer._dispatch_cache[type(self)]
+        dispatch = self._dispatch
         cls = type(msg)
-        handler = dispatch.get(cls)
-        if handler is None:
+        try:
+            handler = dispatch[cls]
+        except KeyError:
             # First message of this class: resolve by name, then memoize
             # under the class itself so steady-state dispatch hashes a
             # type instead of a string.
@@ -139,25 +145,15 @@ class BasePeer:
             self.trace.publish(self.engine.now, category, peer=self.address, **payload)
 
     def wants_trace(self, category: str) -> bool:
-        """Cached ``trace.wants(category)`` for per-message call sites.
+        """Would ``emit(category, ...)`` reach a listener?
 
-        ``emit()`` evaluates its keyword arguments before the guard can
-        run; handlers on the message hot path therefore check this first
-        so that with no subscriber the cost is one dict lookup.  The
-        cache is invalidated wholesale whenever the bus's listener set
-        changes (``TraceBus.version``).
+        ``emit()`` evaluates its keyword arguments before its guard can
+        run, so call sites with a payload to build ask this first.  The
+        per-hop handlers spell the same test inline
+        (``"category" in trace.wanted``) to save the call.
         """
         trace = self.trace
-        if trace is None:
-            return False
-        if trace.version != self._wants_version:
-            self._wants_cache.clear()
-            self._wants_version = trace.version
-        want = self._wants_cache.get(category)
-        if want is None:
-            want = trace.wants(category)
-            self._wants_cache[category] = want
-        return want
+        return trace is not None and category in trace.wanted
 
     def crash(self) -> None:
         """Die abruptly: no notifications, in-flight messages undeliverable."""

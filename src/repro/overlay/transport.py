@@ -9,7 +9,9 @@ shortest path between the two hosts, so its delay is
 (the second term only when a capacity model is installed; Section 5.1).
 
 Messages to dead or unknown addresses are silently dropped -- that is
-exactly how a crashed peer manifests to the rest of the system.
+exactly how a crashed peer manifests to the rest of the system.  A
+delivery is one event: the engine calls the destination's ``receive``
+directly (see :class:`Actor`), there is no transport frame in between.
 
 Two delivery paths share one delay model:
 
@@ -42,11 +44,21 @@ __all__ = ["Actor", "TransportBase", "Transport"]
 
 
 class Actor(Protocol):
-    """Anything addressable on the overlay."""
+    """Anything addressable on the overlay.
+
+    ``receive`` is the callable the simulator's :class:`Transport`
+    schedules for every delivery, bound when the message is sent, so it
+    owns the arrival-side rules: an actor that died while the message
+    was in flight counts it in ``transport.messages_dropped`` and does
+    nothing else; a live one counts ``transport.messages_delivered``
+    and handles it.  :class:`~repro.overlay.peer.BasePeer` implements
+    exactly that.
+    """
 
     address: int
     host: int
     alive: bool
+    transport: TransportBase
 
     def receive(self, msg: Message) -> None:  # pragma: no cover - protocol
         ...
@@ -72,7 +84,9 @@ class TransportBase:
       to every destination, so receivers must treat messages as
       immutable -- the protocol code already does;
     * ``is_reachable`` is a best-effort liveness hint; the live backend
-      can only report what its last connection attempt observed.
+      can only report what its last connection attempt observed;
+    * both keep ``messages_delivered`` / ``messages_dropped`` counters
+      that the receiving :class:`Actor` bumps on arrival.
     """
 
     def register(self, actor: Actor) -> None:
@@ -150,12 +164,11 @@ class Transport(TransportBase):
         # pure function of the two endpoints and the message size.
         # Invalidated wholesale whenever the registry changes.
         self._delay_cache: Dict[tuple, float] = {}
+        # messages_delivered and the in-flight share of messages_dropped
+        # are counted by the receiving actor (see Actor).
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        # wants("transport.send") cached against the bus version.
-        self._trace_version = -1
-        self._trace_sends = False
         # Sharded execution hook (repro.shard): when set, called with
         # (deliver_time, dst_address, msg) after the delay model has run;
         # returning True means the destination lives on another shard and
@@ -179,7 +192,11 @@ class Transport(TransportBase):
         self._delay_cache.clear()
 
     def unregister(self, address: int) -> None:
-        """Remove an actor (it stops receiving even in-flight messages)."""
+        """Remove an actor: sends to the address drop from now on.
+
+        Messages already in flight are bound to the actor itself and
+        reach its ``receive``, which drops them once it is not alive.
+        """
         self._actors.pop(address, None)
         self._cap_cache.pop(address, None)
         self._delay_cache.clear()
@@ -205,43 +222,14 @@ class Transport(TransportBase):
         return len(self._actors)
 
     # ------------------------------------------------------------------
-    # Delay model
-    # ------------------------------------------------------------------
-    def delay(self, src: Actor, dst: Actor, size: float) -> float:
-        """Delivery delay for a message of ``size`` between two actors."""
-        if self._router is not None:
-            prop = self._latency_row(src.host)[dst.host]
-        else:
-            prop = self.default_latency
-        prop = max(prop, self.min_latency)
-        if self._capacity_of is not None:
-            bottleneck = min(
-                self._capacity(src.address), self._capacity(dst.address)
-            )
-            prop += size / bottleneck
-        return prop
-
-    def _latency_row(self, host: int) -> List[float]:
-        row = self._rows.get(host)
-        if row is None:
-            row = self._rows[host] = self._router.latency_row(host)
-        return row
-
-    def _capacity(self, address: int) -> float:
-        cap = self._cap_cache.get(address)
-        if cap is None:
-            cap = self._cap_cache[address] = self._capacity_of(address)
-        return cap
-
-    # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
     def send(self, src: Actor, dst_address: int, msg: Message) -> bool:
         """Schedule delivery of ``msg`` from ``src`` to ``dst_address``.
 
         Returns False (and drops the message) when the destination is
-        unknown or dead at send time; delivery is also suppressed if the
-        destination dies while the message is in flight.
+        unknown or dead at send time; if it dies while the message is in
+        flight, its ``receive`` drops and counts it on arrival.
         """
         self.messages_sent += 1
         dst = self._actors.get(dst_address)
@@ -282,19 +270,15 @@ class Transport(TransportBase):
         if self._stress is not None and router is not None:
             self._stress.record_path(router.path_edges(src.host, dst.host))
         trace = self._trace
-        if trace is not None:
-            if trace.version != self._trace_version:
-                self._trace_version = trace.version
-                self._trace_sends = trace.wants("transport.send")
-            if self._trace_sends:
-                trace.publish(
-                    self._engine.now,
-                    "transport.send",
-                    src=src.address,
-                    dst=dst_address,
-                    kind=type(msg).__name__,
-                    delay=prop,
-                )
+        if trace is not None and "transport.send" in trace.wanted:
+            trace.publish(
+                self._engine.now,
+                "transport.send",
+                src=src.address,
+                dst=dst_address,
+                kind=type(msg).__name__,
+                delay=prop,
+            )
         # Engine.schedule_after, inlined (one frame per simulated
         # message): ``prop >= min_latency > 0`` so the negative-delay
         # guard is statically satisfied.
@@ -302,9 +286,8 @@ class Transport(TransportBase):
         capture = self._shard_capture
         if capture is not None and capture(engine._now + prop, dst_address, msg):
             return True
-        heappush(engine._heap, (engine._now + prop, engine._seq, self._deliver, (dst_address, msg)))
+        heappush(engine._heap, (engine._now + prop, engine._seq, dst.receive, (msg,)))
         engine._seq += 1
-        engine._live += 1
         return True
 
     def send_many(self, src: Actor, dst_addresses: Iterable[int], msg: Message) -> int:
@@ -345,9 +328,9 @@ class Transport(TransportBase):
             if cap_src is None:
                 cap_src = cache[src_address] = capacity_of(src_address)
         trace = self._trace
-        tracing = trace is not None and trace.wants("transport.send")
+        tracing = trace is not None and "transport.send" in trace.wanted
         now = self._engine.now
-        deliver = self._deliver
+        args = (msg,)
         entries = []
         append = entries.append
         kind = type(msg).__name__
@@ -381,7 +364,7 @@ class Transport(TransportBase):
             if capture is not None and capture(now + prop, dst_address, msg):
                 sent += 1
                 continue
-            append((now + prop, deliver, (dst_address, msg)))
+            append((now + prop, dst.receive, args))
             sent += 1
         attempted = sent + dropped
         self.messages_sent += attempted
@@ -390,11 +373,3 @@ class Transport(TransportBase):
         if entries:
             self._engine.schedule_batch(entries)
         return sent
-
-    def _deliver(self, dst_address: int, msg: Message) -> None:
-        dst = self._actors.get(dst_address)
-        if dst is None or not dst.alive:
-            self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        dst.receive(msg)

@@ -204,6 +204,7 @@ class AioTransport(TransportBase):
         self.backoff_base = backoff_base
         self.max_queue = max_queue
         self.messages_sent = 0
+        self.messages_delivered = 0  # counted by the receiving actor
         self.messages_dropped = 0
         self.bytes_sent = 0
         # Per-destination accounting, kept even without a registry so

@@ -172,9 +172,10 @@ class ShardWorker:
     def window(self, w_end: float, inbox: Sequence[tuple]) -> dict:
         """Schedule inbound deliveries, run strictly below ``w_end``."""
         if inbox:
-            deliver = self.system.transport._deliver
+            # Same heap entry Transport.send pushes for a local delivery.
+            actor = self.system.transport.actor
             self.engine.schedule_batch(
-                (time, deliver, (dst, msg)) for time, dst, msg in inbox
+                (time, actor(dst).receive, (msg,)) for time, dst, msg in inbox
             )
         self.engine.run_before(w_end)
         return self._state()

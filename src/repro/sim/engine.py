@@ -12,8 +12,10 @@ are C-level tuple comparisons instead of Python ``__lt__`` calls.  Only
 the *cancellable* minority of events (timers, heartbeats) allocates an
 :class:`Event` handle; those ride the heap as ``(time, seq, None,
 event)`` entries and are skipped lazily when popped after cancellation,
-which keeps :meth:`Event.cancel` O(1).  A live-event counter makes
-:attr:`Engine.pending_count` O(1) as well.
+which keeps :meth:`Event.cancel` O(1).  :attr:`Engine.pending_count`
+is derived -- heap length minus the cancelled entries still waiting on
+it -- so it is O(1), exact from inside a callback, and costs the
+scheduling and dispatch paths nothing.
 
 Two scheduling tiers:
 
@@ -38,7 +40,7 @@ Example
 
 from __future__ import annotations
 
-import heapq
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Optional, Tuple
 
@@ -67,26 +69,20 @@ class Event:
     seq:
         Monotone sequence number used to break ties deterministically.
     fn:
-        The callback; ``None`` once the event fired or was cancelled.
+        The callback (keyword arguments already bound); ``None`` once
+        the event fired or was cancelled.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "kwargs", "cancelled", "_engine")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_engine")
 
     def __init__(
-        self,
-        engine: "Engine",
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
+        self, engine: "Engine", time: float, seq: int, fn: Callable[..., Any], args: tuple
     ) -> None:
         self._engine = engine
         self.time = time
         self.seq = seq
         self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
-        self.kwargs = kwargs
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -99,14 +95,13 @@ class Event:
         """
         if self.cancelled or self.fn is None:
             return
-        # Still pending: it no longer counts as live.
-        self._engine._live -= 1
+        # Still on the heap until popped, but no longer live.
+        self._engine._cancelled_on_heap += 1
         self.cancelled = True
         # Drop references early so cancelled events pin no memory while
         # they wait to be popped off the heap.
         self.fn = None
         self.args = ()
-        self.kwargs = {}
 
     @property
     def pending(self) -> bool:
@@ -143,7 +138,9 @@ class Engine:
         self._now = float(start_time)
         self._heap: list = []
         self._seq = 0
-        self._live = 0
+        # Cancelled handles not yet popped: Event.cancel adds one, every
+        # lazy discard takes one away.
+        self._cancelled_on_heap = 0
         self._events_executed = 0
 
     # ------------------------------------------------------------------
@@ -161,11 +158,15 @@ class Engine:
 
     @property
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still in the heap (O(1))."""
-        return self._live
+        """Number of live (non-cancelled) events still in the heap (O(1)).
+
+        Exact at every instant, including from inside a callback (the
+        event being executed has already left the heap).
+        """
+        return len(self._heap) - self._cancelled_on_heap
 
     def __len__(self) -> int:
-        return self._live
+        return self.pending_count
 
     # ------------------------------------------------------------------
     # Scheduling -- fast tier (fire-and-forget, not cancellable)
@@ -182,7 +183,6 @@ class Engine:
             )
         heappush(self._heap, (time, self._seq, fn, args))
         self._seq += 1
-        self._live += 1
 
     def schedule_after(self, delay: float, fn: Callable[..., Any], args: tuple = ()) -> None:
         """Schedule ``fn(*args)`` ``delay`` time units from now (no handle)."""
@@ -190,7 +190,6 @@ class Engine:
             raise SimulationError(f"negative delay {delay}")
         heappush(self._heap, (self._now + delay, self._seq, fn, args))
         self._seq += 1
-        self._live += 1
 
     def schedule_batch(
         self, entries: Iterable[Tuple[float, Callable[..., Any], tuple]]
@@ -223,7 +222,6 @@ class Engine:
             for entry in staged:
                 heappush(heap, entry)
         self._seq = seq
-        self._live += len(staged)
         return len(staged)
 
     # ------------------------------------------------------------------
@@ -244,10 +242,9 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
-        ev = Event(self, time, self._seq, fn, args, kwargs)
+        ev = Event(self, time, self._seq, partial(fn, **kwargs) if kwargs else fn, args)
         heappush(self._heap, (time, self._seq, None, ev))
         self._seq += 1
-        self._live += 1
         return ev
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
@@ -274,7 +271,7 @@ class Engine:
             if entry[2] is None:
                 entry[3].cancel()
         self._heap.clear()
-        self._live = 0
+        self._cancelled_on_heap = 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -297,18 +294,14 @@ class Engine:
             if fn is None:
                 ev = args
                 if ev.cancelled:
-                    continue  # lazily discarded; not counted as executed
-                fn, args, kwargs = ev.fn, ev.args, ev.kwargs
+                    # lazily discarded; not counted as executed
+                    self._cancelled_on_heap -= 1
+                    continue
+                fn, args = ev.fn, ev.args
                 # Mark fired before invoking so re-entrant inspection via
                 # the handle sees a consistent state.
                 ev.fn = None
-                self._now = time
-                self._live -= 1
-                self._events_executed += 1
-                fn(*args, **kwargs)
-                return True
             self._now = time
-            self._live -= 1
             self._events_executed += 1
             fn(*args)
             return True
@@ -336,34 +329,25 @@ class Engine:
         heap = self._heap
         pop = heappop
         executed = 0
-        # See run_while for the deferred _live/_events_executed
-        # accounting.
+        # See run_while for the deferred _events_executed accounting.
         try:
             while heap:
                 time, _seq, fn, args = pop(heap)
                 if fn is None:
                     ev = args
                     if ev.cancelled:
+                        self._cancelled_on_heap -= 1
                         continue
-                    fn, args, kwargs = ev.fn, ev.args, ev.kwargs
+                    fn, args = ev.fn, ev.args
                     ev.fn = None
-                    self._now = time
-                    executed += 1
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely an event livelock"
-                        )
-                    fn(*args, **kwargs)
-                else:
-                    self._now = time
-                    executed += 1
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely an event livelock"
-                        )
-                    fn(*args)
+                self._now = time
+                executed += 1
+                if executed > max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely an event livelock"
+                    )
+                fn(*args)
         finally:
-            self._live -= executed
             self._events_executed += executed
         return executed
 
@@ -388,33 +372,24 @@ class Engine:
             fn = entry[2]
             if fn is None and entry[3].cancelled:
                 pop(heap)  # lazily discard; costs no dispatch
+                self._cancelled_on_heap -= 1
                 continue
             if entry[0] > deadline:
                 break
             pop(heap)
+            args = entry[3]
             if fn is None:
-                ev = entry[3]
-                fn, args, kwargs = ev.fn, ev.args, ev.kwargs
+                ev = args
+                fn, args = ev.fn, ev.args
                 ev.fn = None
-                self._now = entry[0]
-                self._live -= 1
-                self._events_executed += 1
-                executed += 1
-                if executed > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before deadline"
-                    )
-                fn(*args, **kwargs)
-            else:
-                self._now = entry[0]
-                self._live -= 1
-                self._events_executed += 1
-                executed += 1
-                if executed > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before deadline"
-                    )
-                fn(*entry[3])
+            self._now = entry[0]
+            self._events_executed += 1
+            executed += 1
+            if executed > max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} before deadline"
+                )
+            fn(*args)
         self._now = max(self._now, deadline)
         return executed
 
@@ -431,6 +406,7 @@ class Engine:
             entry = heap[0]
             if entry[2] is None and entry[3].cancelled:
                 heappop(heap)
+                self._cancelled_on_heap -= 1
                 continue
             return entry[0]
         return None
@@ -448,38 +424,31 @@ class Engine:
         heap = self._heap
         pop = heappop
         executed = 0
-        # Deferred _live/_events_executed accounting, as in run_while.
+        # Deferred _events_executed accounting, as in run_while.
         try:
             while heap:
                 entry = heap[0]
                 fn = entry[2]
                 if fn is None and entry[3].cancelled:
                     pop(heap)  # lazily discard; costs no dispatch
+                    self._cancelled_on_heap -= 1
                     continue
                 if entry[0] >= deadline:
                     break
                 pop(heap)
+                args = entry[3]
                 if fn is None:
-                    ev = entry[3]
-                    fn, args, kwargs = ev.fn, ev.args, ev.kwargs
+                    ev = args
+                    fn, args = ev.fn, ev.args
                     ev.fn = None
-                    self._now = entry[0]
-                    executed += 1
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} in run_before"
-                        )
-                    fn(*args, **kwargs)
-                else:
-                    self._now = entry[0]
-                    executed += 1
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} in run_before"
-                        )
-                    fn(*entry[3])
+                self._now = entry[0]
+                executed += 1
+                if executed > max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} in run_before"
+                    )
+                fn(*args)
         finally:
-            self._live -= executed
             self._events_executed += executed
         return executed
 
@@ -512,35 +481,27 @@ class Engine:
         heap = self._heap
         pop = heappop
         executed = 0
-        # _live/_events_executed are maintained via `executed` and
-        # written back on exit (including via callbacks raising):
-        # callbacks observe a momentarily stale pending_count, never a
-        # wrong clock.
+        # _events_executed is maintained via `executed` and written
+        # back on exit (including via callbacks raising): callbacks
+        # observe a momentarily stale events_executed, never a wrong
+        # clock or pending_count.
         try:
             while predicate() and heap:
                 time, _seq, fn, args = pop(heap)
                 if fn is None:
                     ev = args
                     if ev.cancelled:
+                        self._cancelled_on_heap -= 1
                         continue
-                    fn, args, kwargs = ev.fn, ev.args, ev.kwargs
+                    fn, args = ev.fn, ev.args
                     ev.fn = None
-                    self._now = time
-                    executed += 1
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} in run_while"
-                        )
-                    fn(*args, **kwargs)
-                else:
-                    self._now = time
-                    executed += 1
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} in run_while"
-                        )
-                    fn(*args)
+                self._now = time
+                executed += 1
+                if executed > max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} in run_while"
+                    )
+                fn(*args)
         finally:
-            self._live -= executed
             self._events_executed += executed
         return executed

@@ -8,12 +8,11 @@ private state.
 
 Records are plain tuples ``(time, category, payload)`` where ``payload``
 is a dict.  Tracing is off unless someone subscribes, so the hot path
-costs a single attribute check.
+costs one membership test against :attr:`TraceBus.wanted`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 __all__ = ["TraceRecord", "TraceBus"]
@@ -30,28 +29,58 @@ class TraceRecord(NamedTuple):
 Subscriber = Callable[[TraceRecord], None]
 
 
+class _EveryCategory:
+    """The universal set: what a bus with a ``"*"`` subscriber or a
+    running recorder wants."""
+
+    __slots__ = ()
+
+    def __contains__(self, category: object) -> bool:
+        return True
+
+
+_EVERY_CATEGORY = _EveryCategory()
+
+
 class TraceBus:
     """Publish/subscribe bus for simulation trace events.
 
     Subscribers register per-category or for all categories (``"*"``).
     A built-in ring-buffer recorder can be enabled for debugging.
+
+    Attributes
+    ----------
+    wanted:
+        The categories a publish would reach, as one set-like object
+        replaced whenever the listeners change.  Per-message publishers
+        guard with ``"category" in trace.wanted`` and build no payload
+        otherwise; :meth:`wants` and :attr:`active` read the same object.
+    version:
+        Bumped on every listener change.
     """
 
     def __init__(self) -> None:
-        self._subs: Dict[str, List[Subscriber]] = defaultdict(list)
+        # Every key holds a non-empty list (unsubscribe prunes).
+        self._subs: Dict[str, List[Subscriber]] = {}
         self._any_subs: List[Subscriber] = []
         self._record_buffer: Optional[List[TraceRecord]] = None
         self._record_categories: Optional[set] = None
         self.emitted = 0
-        # Bumped whenever the set of listeners changes; hot-path
-        # publishers cache their wants() answer against it.
         self.version = 0
+        self.wanted = frozenset()
+
+    def _listeners_changed(self) -> None:
+        self.version += 1
+        if self._any_subs or self._record_buffer is not None:
+            self.wanted = _EVERY_CATEGORY
+        else:
+            self.wanted = frozenset(self._subs)
 
     # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
         """True if anyone is listening (publish is a no-op otherwise)."""
-        return bool(self._subs) or bool(self._any_subs) or self._record_buffer is not None
+        return bool(self.wanted)
 
     def wants(self, category: str) -> bool:
         """True if publishing ``category`` would reach any listener.
@@ -62,32 +91,28 @@ class TraceBus:
         building the payload entirely.  Conservatively True while
         recording or when a wildcard subscriber is installed.
         """
-        if self._any_subs or self._record_buffer is not None:
-            return True
-        return bool(self._subs.get(category))
+        return category in self.wanted
 
     def subscribe(self, category: str, fn: Subscriber) -> None:
         """Register ``fn`` for records of ``category`` ("*" = all)."""
         if category == "*":
             self._any_subs.append(fn)
         else:
-            self._subs[category].append(fn)
-        self.version += 1
+            self._subs.setdefault(category, []).append(fn)
+        self._listeners_changed()
 
     def unsubscribe(self, category: str, fn: Subscriber) -> None:
         """Remove a subscriber; raises ValueError if absent."""
         if category == "*":
             self._any_subs.remove(fn)
         else:
-            subs = self._subs[category]
+            subs = self._subs.get(category)
+            if subs is None:
+                raise ValueError(f"no subscriber for category {category!r}")
             subs.remove(fn)
             if not subs:
-                # Prune the empty list so ``active`` (truthiness of the
-                # dict) goes back to False after the last listener
-                # leaves -- otherwise publish keeps building records
-                # nobody receives.
                 del self._subs[category]
-        self.version += 1
+        self._listeners_changed()
 
     def clear(self) -> None:
         """Remove every subscriber and stop recording."""
@@ -95,21 +120,21 @@ class TraceBus:
         self._any_subs.clear()
         self._record_buffer = None
         self._record_categories = None
-        self.version += 1
+        self._listeners_changed()
 
     # ------------------------------------------------------------------
     def start_recording(self, categories: Optional[List[str]] = None) -> None:
         """Begin buffering records (optionally only given categories)."""
         self._record_buffer = []
         self._record_categories = set(categories) if categories else None
-        self.version += 1
+        self._listeners_changed()
 
     def stop_recording(self) -> List[TraceRecord]:
         """Stop buffering and return what was captured."""
         buf = self._record_buffer or []
         self._record_buffer = None
         self._record_categories = None
-        self.version += 1
+        self._listeners_changed()
         return buf
 
     @property
@@ -120,7 +145,7 @@ class TraceBus:
     # ------------------------------------------------------------------
     def publish(self, time: float, category: str, **payload: Any) -> None:
         """Emit one trace record to all interested parties."""
-        if not self.active:
+        if category not in self.wanted:
             return
         rec = TraceRecord(time, category, payload)
         self.emitted += 1

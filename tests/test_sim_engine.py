@@ -87,6 +87,30 @@ class TestCancellation:
         assert engine.pending_count == 3
         assert len(engine) == 3
 
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            lambda eng: eng.run(),
+            lambda eng: eng.run_while(lambda: True),
+            lambda eng: eng.run_before(100.0),
+            lambda eng: eng.run_until(100.0),
+            lambda eng: [eng.step() for _ in range(3)],
+        ],
+        ids=["run", "run_while", "run_before", "run_until", "step"],
+    )
+    def test_pending_count_is_exact_inside_callbacks(self, engine, drive):
+        seen = []
+        engine.call_at(1.0, lambda: None).cancel()  # discarded lazily, first
+        engine.schedule_at(2.0, lambda: seen.append(engine.pending_count))
+        engine.call_at(3.0, lambda: seen.append(engine.pending_count))
+        dead = engine.call_at(4.0, lambda: None)
+        engine.schedule_at(5.0, lambda: seen.append(len(engine)))
+        dead.cancel()  # still on the heap while the first two callbacks run
+        assert engine.pending_count == 3
+        drive(engine)
+        assert seen == [2, 1, 0]
+        assert engine.pending_count == 0
+
 
 class TestRunVariants:
     def test_run_returns_executed_count(self, engine):

@@ -172,3 +172,80 @@ def test_filtered_recording_with_live_subscribers():
     # category even though the recorder ignores it.
     assert [r.category for r in bus.stop_recording()] == ["keep"]
     assert [r.category for r in got] == ["drop"]
+
+
+def test_unsubscribe_of_unknown_category_raises_without_mutating():
+    bus = TraceBus()
+    fn = lambda rec: None
+    with pytest.raises(ValueError):
+        bus.unsubscribe("lookup.hop", fn)
+    # The failed call must not leave an empty listener list behind: that
+    # made ``active`` True forever and every publish build a record.
+    assert not bus.active and not bus.wants("lookup.hop")
+    assert "lookup.hop" not in bus.wanted
+    bus.publish(1.0, "lookup.hop")
+    assert bus.emitted == 0
+    bus.subscribe("other", fn)
+    with pytest.raises(ValueError):
+        bus.unsubscribe("other", lambda rec: None)  # known category, unknown fn
+    assert bus.wants("other")
+
+
+def protocol_categories() -> set:
+    """Every category a small protocol-driven run publishes."""
+    from repro.core import HybridConfig, HybridSystem
+
+    seen = set()
+    system = HybridSystem(HybridConfig(p_s=0.5), n_peers=30, seed=5)
+    system.trace.subscribe("*", lambda rec: seen.add(rec.category))
+    system.build()
+    origins = sorted(system.peers)
+    system.populate((origins[i % len(origins)], f"k{i}", i) for i in range(20))
+    system.run_lookups([(origins[-1 - i], f"k{i}") for i in range(20)])
+    assert {"transport.send", "lookup.hop", "flood.fanout", "lookup.done"} <= seen
+    return seen
+
+
+def test_wanted_tracks_every_listener_change():
+    categories = protocol_categories() | {"never.published"}
+    bus = TraceBus()
+    reached = []
+
+    def check(expected):
+        """``wanted`` holds exactly ``expected`` (None: every category),
+        ``wants``/``active`` agree, and no unwanted publish reaches anyone."""
+        for category in categories:
+            want = expected is None or category in expected
+            assert (category in bus.wanted) is want, category
+            assert bus.wants(category) is want, category
+            before, emitted = len(reached), bus.emitted
+            bus.publish(0.0, category)
+            if not want:
+                assert len(reached) == before and bus.emitted == emitted
+        assert bus.active is (expected is None or bool(expected))
+
+    hop = lambda rec: reached.append(rec)
+    done = lambda rec: reached.append(rec)
+    check(set())
+    bus.subscribe("lookup.hop", hop)
+    check({"lookup.hop"})
+    bus.subscribe("lookup.hop", done)
+    bus.subscribe("lookup.done", done)
+    check({"lookup.hop", "lookup.done"})
+    bus.unsubscribe("lookup.hop", hop)
+    check({"lookup.hop", "lookup.done"})  # one lookup.hop listener left
+    bus.unsubscribe("lookup.hop", done)
+    check({"lookup.done"})
+    bus.subscribe("*", hop)
+    check(None)
+    bus.unsubscribe("*", hop)
+    check({"lookup.done"})
+    bus.start_recording(categories=["transport.send"])
+    check(None)  # conservative while the recorder runs, filtered or not
+    bus.stop_recording()
+    check({"lookup.done"})
+    bus.start_recording()
+    bus.subscribe("*", hop)
+    bus.clear()
+    check(set())
+    assert bus.records == []
