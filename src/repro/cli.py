@@ -116,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7401)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--ps", type=float, default=0.5, help="fraction of s-peers")
-    serve.add_argument("--codec", type=int, default=None, choices=(1, 2),
-                       help="wire format to encode with (default: v2; "
-                       "both are always decoded)")
     serve.add_argument("--set", action="append", metavar="KEY=VALUE",
                        dest="overrides", default=None,
                        help="override a HybridConfig field (repeatable), "
@@ -131,9 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--port", type=int, default=0, help="0 = ephemeral")
     node.add_argument("--seed", type=int, default=0)
     node.add_argument("--capacity", type=float, default=1.0)
-    node.add_argument("--codec", type=int, default=None, choices=(1, 2),
-                      help="wire format to encode with (default: v2; "
-                      "both are always decoded)")
     node.add_argument("--set", action="append", metavar="KEY=VALUE",
                       dest="overrides", default=None,
                       help="override a HybridConfig field (repeatable), "
@@ -437,13 +431,6 @@ def _run_daemon(daemon) -> int:
     return 0
 
 
-def _codec_kwargs(args: argparse.Namespace) -> dict:
-    """``codec_version=`` kwarg from the optional ``--codec`` flag."""
-    if getattr(args, "codec", None) is None:
-        return {}
-    return {"codec_version": args.codec}
-
-
 def _apply_config_overrides(config: HybridConfig, pairs) -> HybridConfig:
     """Apply repeatable ``--set KEY=VALUE`` flags to a config.
 
@@ -491,11 +478,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = _apply_config_overrides(
         HybridConfig(p_s=args.ps), getattr(args, "overrides", None)
     )
-    return _run_daemon(
-        BootstrapNode(
-            args.host, args.port, config, seed=args.seed, **_codec_kwargs(args)
-        )
-    )
+    return _run_daemon(BootstrapNode(args.host, args.port, config, seed=args.seed))
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
@@ -509,8 +492,7 @@ def _cmd_node(args: argparse.Namespace) -> int:
         getattr(args, "overrides", None),
     )
     daemon = PeerNode(
-        args.host, args.port, config, seed=args.seed, capacity=args.capacity,
-        **_codec_kwargs(args),
+        args.host, args.port, config, seed=args.seed, capacity=args.capacity
     )
 
     async def _serve() -> None:

@@ -10,7 +10,7 @@ runtime's peer all inherit from it.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Type
+from typing import Any, Optional
 
 from ..sim.engine import Engine
 from ..sim.trace import TraceBus
@@ -44,11 +44,6 @@ class BasePeer:
     shared by every instance (a peer carries no table of its own).
     """
 
-    # peer class -> {message name | message class -> plain ``on_*`` function};
-    # each class also carries its own table as ``_dispatch``, which is
-    # what ``receive`` reads.
-    _dispatch_cache: Dict[type, Dict[Any, Callable[[Any, Message], None]]] = {}
-
     def __init__(
         self,
         address: int,
@@ -66,7 +61,7 @@ class BasePeer:
         self.trace = trace
         self.alive = True
         self.messages_received = 0
-        if type(self) not in BasePeer._dispatch_cache:
+        if "_dispatch" not in type(self).__dict__:
             self._build_dispatch()
         # Shadow the send() method with a pre-bound partial: one less
         # Python frame on the hottest call path in the system.
@@ -75,10 +70,11 @@ class BasePeer:
     # ------------------------------------------------------------------
     @classmethod
     def _build_dispatch(cls) -> None:
-        # Keyed by the concrete class, so a subclass overriding a handler
-        # gets its own table; ``getattr`` on the class resolves the MRO
-        # once and yields the plain function ``receive`` calls with self.
-        cls._dispatch = BasePeer._dispatch_cache[cls] = {
+        # {message name | message class -> plain ``on_*`` function}, set on
+        # the concrete class, so a subclass overriding a handler gets its
+        # own table; ``getattr`` on the class resolves the MRO once and
+        # yields the plain function ``receive`` calls with self.
+        cls._dispatch = {
             name[3:]: getattr(cls, name)
             for name in dir(cls)
             if name.startswith("on_") and callable(getattr(cls, name))

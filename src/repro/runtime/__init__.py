@@ -39,8 +39,6 @@ from .client import (
     runtime_codec,
 )
 from .codec import (
-    WIRE_V1,
-    WIRE_V2,
     WIRE_VERSION,
     CodecError,
     MessageCodec,
@@ -73,8 +71,6 @@ __all__ = [
     "NodeDaemon",
     "PeerNode",
     "RuntimePeer",
-    "WIRE_V1",
-    "WIRE_V2",
     "WIRE_VERSION",
     "acall",
     "call",

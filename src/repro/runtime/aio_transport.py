@@ -57,61 +57,28 @@ from ..overlay.messages import Message
 from ..overlay.transport import Actor, TransportBase
 from .codec import MAX_FRAME, CodecError, MessageCodec, _LEN, format_endpoint, unpack_endpoint
 
-__all__ = ["AioTransport", "frame_stream", "read_frame", "read_frame_body"]
+__all__ = ["AioTransport", "frame_stream"]
 
 logger = logging.getLogger("repro.runtime.transport")
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[memoryview]:
-    """Read one length-prefixed payload; None on clean EOF at a boundary."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    return await read_frame_body(reader, header)
-
-
-async def read_frame_body(
-    reader: asyncio.StreamReader, header: bytes
-) -> Optional[memoryview]:
-    """Read a frame's payload given its already-consumed length prefix.
-
-    Split out of :func:`read_frame` so the node daemon can sniff the
-    first bytes of an inbound connection (HTTP vs framed protocol) and
-    still resume normal framing with the bytes it consumed.
-
-    Returns a :class:`memoryview` over the single ``bytes`` object the
-    stream reader assembled: the one unavoidable copy off the socket
-    buffer is the last one.  :meth:`MessageCodec.decode` slices that
-    view in place (header parse, struct unpacks, string decodes), so a
-    v2 frame reaches its message object with no intermediate copies.
-    """
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise CodecError(f"incoming frame too large: {length} bytes")
-    try:
-        return memoryview(await reader.readexactly(length))
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
 
 
 async def frame_stream(reader: asyncio.StreamReader, initial: bytes = b""):
     """Yield every frame payload on ``reader`` as a :class:`memoryview`.
 
-    The per-frame hot loop for inbound protocol connections.  Where
-    :func:`read_frame` awaits the event loop twice per frame (length,
-    then body), this reads the socket in large chunks and slices all
-    complete frames out of each chunk -- under a flood burst the remote
-    writer coalesces dozens of frames per segment, so this collapses
-    dozens of awaits into one.  Yielded views alias the chunk buffer
-    (``bytes``, so later buffer turnover cannot invalidate them); each
-    is consumed by ``decode`` before the generator is advanced, making
-    the whole rx path copy-free after the socket read.
+    The per-frame hot loop for inbound protocol connections.  Rather
+    than awaiting the event loop twice per frame (length, then body),
+    this reads the socket in large chunks and slices all complete
+    frames out of each chunk -- under a flood burst the remote writer
+    coalesces dozens of frames per segment, so this collapses dozens of
+    awaits into one.  Yielded views alias the chunk buffer (``bytes``,
+    so later buffer turnover cannot invalidate them); each is consumed
+    by ``decode`` before the generator is advanced, making the whole rx
+    path copy-free after the socket read.
 
     ``initial`` seeds the buffer with bytes already consumed from the
     stream (the daemon's HTTP-vs-frame sniff).  Ends on EOF; trailing
-    bytes that do not form a complete frame are discarded, matching
-    :func:`read_frame`'s mid-frame-EOF behaviour.
+    bytes that do not form a complete frame are discarded.  A length
+    prefix beyond :data:`MAX_FRAME` raises :class:`CodecError`.
     """
     buf = bytes(initial)
     pos = 0
@@ -395,17 +362,10 @@ class AioTransport(TransportBase):
         return sum(len(conn.queue) for conn in self._conns.values())
 
     def connection_info(self) -> Dict[str, Dict[str, Any]]:
-        """Per-destination transmit-side state, keyed by endpoint.
-
-        ``tx_codec_version`` is the body format this transport writes to
-        that destination -- the configured codec version (every decoder
-        accepts both formats by default, so no in-band negotiation is
-        needed and broadcast frames stay shareable across destinations).
-        """
+        """Per-destination transmit-side state, keyed by endpoint."""
         info: Dict[str, Dict[str, Any]] = {}
         for dst, conn in self._conns.items():
             info[format_endpoint(dst)] = {
-                "tx_codec_version": self.codec.version,
                 "queue_depth": len(conn.queue),
                 "connects": conn.connects,
                 "failed": conn.failed,

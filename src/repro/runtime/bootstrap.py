@@ -57,6 +57,6 @@ class BootstrapNode(NodeDaemon):
         snap["endpoint"] = f"{self.host}:{self.port}"
         snap["address"] = self.address
         snap["uptime_s"] = round(self.uptime(), 3)
-        snap["codec_version"] = self.codec.version
         snap["codec"] = self.codec_snapshot()
+        snap["codec_version"] = snap["codec"]["version"]
         return snap

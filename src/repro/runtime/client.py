@@ -14,10 +14,8 @@ with :func:`~repro.overlay.messages.wire_types` growth.
 answers each request as it resolves, *not* in arrival order, so one TCP
 connection can carry many concurrent in-flight operations
 (:class:`ClientConnection` multiplexes them: futures keyed by request
-id, completed out of order as replies land).  ``request_id 0`` is the
-uncorrelated sentinel: a reply carrying it is matched to the oldest
-in-flight request, which keeps a new client interoperable with a
-pre-correlation node that answers serially.
+id, completed out of order as replies land).  A reply whose id matches
+no in-flight request is dropped.
 """
 
 from __future__ import annotations
@@ -25,11 +23,11 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..overlay.messages import Message
 from ..swarm import manifest as swarm_manifest
-from .codec import CLIENT_TYPE_BASE, WIRE_VERSION, CodecError, MessageCodec, default_codec
+from .codec import CLIENT_TYPE_BASE, CodecError, MessageCodec, default_codec
 from .aio_transport import frame_stream
 
 __all__ = [
@@ -198,17 +196,9 @@ def client_types() -> tuple:
     )
 
 
-def runtime_codec(
-    version: int = WIRE_VERSION, accept: Optional[Iterable[int]] = None
-) -> MessageCodec:
-    """The full live-runtime codec: every protocol message + client verbs.
-
-    ``version``/``accept`` pass straight through to
-    :class:`~repro.runtime.codec.MessageCodec`: ``version`` is the body
-    format this codec *encodes*, ``accept`` the versions it decodes
-    (both, by default, so mixed-version localnets interoperate).
-    """
-    codec = default_codec(version=version, accept=accept)
+def runtime_codec() -> MessageCodec:
+    """The full live-runtime codec: every protocol message + client verbs."""
+    codec = default_codec()
     for i, cls in enumerate(client_types()):
         codec.register(cls, CLIENT_TYPE_BASE + i)
     return codec
@@ -376,21 +366,17 @@ class ClientConnection:
         error: Optional[BaseException] = None
         try:
             async for payload in frame_stream(self._reader):
-                try:
-                    reply = self.codec.decode(payload)
-                except CodecError as exc:
-                    error = ConnectionError(f"undecodable reply frame: {exc}")
-                    break
+                reply = self.codec.decode(payload)
                 if not isinstance(reply, ClientReply):
                     continue  # foreign frame on a client connection: skip
                 future = self._pending.pop(reply.request_id, None)
-                if future is None and reply.request_id == 0 and self._pending:
-                    # Pre-correlation node: it answers strictly in
-                    # arrival order, so the oldest in-flight request
-                    # owns this reply (dicts iterate in insert order).
-                    future = self._pending.pop(next(iter(self._pending)))
                 if future is not None and not future.done():
                     future.set_result(reply)
+        except CodecError as exc:
+            # An undecodable body or an oversized length prefix: the
+            # stream cannot be resynchronised, so the connection is dead.
+            error = ConnectionError(f"undecodable reply frame: {exc}")
+            error.__cause__ = exc
         except (OSError, ConnectionError, asyncio.CancelledError) as exc:
             error = exc
         finally:

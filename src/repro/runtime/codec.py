@@ -1,49 +1,37 @@
-"""Length-prefixed binary wire formats for overlay messages.
+"""Length-prefixed binary wire format for overlay messages.
 
 The live runtime sends the *same* message dataclasses the simulator
 delivers in-process (:mod:`repro.overlay.messages`) over real TCP
 sockets.  Encoders are auto-derived per message class -- no per-message
 hand-written serialization -- from the dataclass field list and the
-type annotations.  Two body formats share one frame layout:
+type annotations.  There is one wire generation:
 
 * **framing** -- each message is one frame: a 4-byte big-endian length
   followed by the payload (``struct``);
-* **payload** -- a 1-byte format version, a 2-byte big-endian type id,
-  then the field values in dataclass field order (``sender`` and
-  ``hop_count`` from the :class:`Message` base first, subclass fields
-  after, exactly as ``dataclasses.fields`` reports them);
-* **v1 body** (:data:`WIRE_V1`) -- the field values as a compact JSON
-  array.  ``bytes`` become ``{"__bytes__": <base64>}``; tuples are
-  revived from JSON arrays using the field annotations so
-  ``decode(encode(m)) == m`` holds exactly;
-* **v2 body** (:data:`WIRE_V2`) -- the fast path: a per-class
-  **precompiled packer** built at registration time from the same
-  annotations.  Runs of fixed-width fields (``int`` -> ``!q``,
-  ``float`` -> ``!d``, ``bool`` -> ``!?``) collapse into single
-  :class:`struct.Struct` pack/unpack calls; ``str``/``bytes`` are
-  ``!I``-length-prefixed; homogeneous tuples carry a ``!I`` count;
-  fixed-arity tuples are laid out element by element; ``Optional`` adds
-  a 1-byte presence flag; ``Any`` fields carry a length-prefixed JSON
-  value (same adapters as v1).  Decoding slices a single
-  :class:`memoryview` over the payload -- no intermediate copies;
-* **fallback** -- a class whose annotations the v2 compiler does not
-  understand, or a field value outside its fixed-width range (an int
-  beyond 64 bits), is encoded as a v1 frame even by a v2 codec.  The
-  version byte makes the choice explicit on the wire, so the decoder
-  never guesses;
+* **payload** -- a 1-byte format version (:data:`WIRE_VERSION`; anything
+  else is rejected), a 2-byte big-endian type id, then the field values
+  in dataclass field order (``sender`` and ``hop_count`` from the
+  :class:`Message` base first, subclass fields after, exactly as
+  ``dataclasses.fields`` reports them);
+* **body** -- a per-class pair of **generated** encode/decode functions
+  compiled at registration time from the annotations.  Runs of
+  fixed-width fields (``int`` -> ``!q``, ``float`` -> ``!d``, ``bool``
+  -> ``!?``) collapse into single :class:`struct.Struct` pack/unpack
+  calls; ``str``/``bytes`` are ``!I``-length-prefixed; homogeneous
+  tuples carry a ``!I`` count; fixed-arity tuples are laid out element
+  by element; ``Optional`` adds a 1-byte presence flag; ``Any`` fields
+  carry a length-prefixed JSON value (``bytes`` inside it become
+  ``{"__bytes__": <base64>}``).  Decoding slices the payload in place;
+* **no fallback** -- a class whose annotations have no layout (or that
+  the decoder cannot build in place: ``__post_init__``, frozen) fails
+  :meth:`MessageCodec.register`; a field value outside its layout (an
+  int beyond 64 bits) fails :meth:`MessageCodec.encode`.  Both raise
+  :class:`CodecError`, as does every malformed, truncated, over-long or
+  foreign-version payload handed to :meth:`MessageCodec.decode`;
 * **type ids** -- derived from :func:`repro.overlay.messages.wire_types`
   (position in ``__all__``), so ids are stable as long as that list is
   append-only; runtime-private messages (the client verbs) register in
   a reserved band above :data:`CLIENT_TYPE_BASE`.
-
-The version byte gives forward compatibility: a decoder that sees a
-version it does not accept (or an unknown type id) raises
-:class:`CodecError` instead of misparsing.  By default a codec decodes
-*both* formats regardless of which it encodes, so mixed-version
-networks interoperate: each sender picks its own body format and every
-receiver understands it.  Pass ``accept`` to build a strict
-single-version decoder (the cross-version tests use this to prove a
-foreign frame is rejected, never misread).
 
 Everything here is stdlib-only (``struct`` + ``json``) and synchronous;
 the asyncio plumbing lives in :mod:`repro.runtime.aio_transport`.
@@ -56,12 +44,10 @@ import json
 import socket
 import struct
 from dataclasses import fields as dataclass_fields
-from operator import attrgetter
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Tuple,
@@ -74,8 +60,6 @@ from typing import (
 from ..overlay.messages import Message, wire_types
 
 __all__ = [
-    "WIRE_V1",
-    "WIRE_V2",
     "WIRE_VERSION",
     "MAX_FRAME",
     "CLIENT_TYPE_BASE",
@@ -87,11 +71,9 @@ __all__ = [
     "format_endpoint",
 ]
 
-WIRE_V1 = 1  # JSON-array body
-WIRE_V2 = 2  # precompiled struct-packed body
-# The version new codecs encode with unless told otherwise.
-WIRE_VERSION = WIRE_V2
-_KNOWN_VERSIONS = (WIRE_V1, WIRE_V2)
+# The one body format on the wire; the version byte leads every payload
+# so a frame from any other generation is rejected, never misparsed.
+WIRE_VERSION = 2
 # Hard cap on a single frame; a length prefix beyond this is treated as
 # a corrupt/hostile stream rather than an allocation request.
 MAX_FRAME = 16 * 1024 * 1024
@@ -145,7 +127,7 @@ def format_endpoint(address: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# JSON value adapters (v1 bodies and embedded ``Any`` values in v2)
+# JSON value adapters (embedded ``Any`` values)
 # ----------------------------------------------------------------------
 def _json_default(obj: Any) -> Any:
     if isinstance(obj, (bytes, bytearray)):
@@ -155,56 +137,18 @@ def _json_default(obj: Any) -> Any:
 
 def _json_object_hook(obj: Dict[str, Any]) -> Any:
     if len(obj) == 1 and "__bytes__" in obj:
-        return base64.b64decode(obj["__bytes__"])
+        return base64.b64decode(obj["__bytes__"], validate=True)
     return obj
 
 
-def _reviver_for(hint: Any) -> Optional[Callable[[Any], Any]]:
-    """Derive a v1 decode-side value reviver from a type annotation.
-
-    Returns None when JSON round-trips the value unchanged (ints,
-    floats, strs, bools, Any); otherwise a callable that restores the
-    annotated shape (tuples, optionals of tuples).
-    """
-    origin = get_origin(hint)
-    if origin is tuple:
-        args = get_args(hint)
-        if len(args) == 2 and args[1] is Ellipsis:
-            elem = _reviver_for(args[0])
-            if elem is None:
-                return lambda v: tuple(v)
-            return lambda v: tuple(elem(x) for x in v)
-        per_slot = [_reviver_for(a) for a in args]
-        return lambda v: tuple(
-            x if r is None else r(x) for r, x in zip(per_slot, v)
-        )
-    if origin is Union:
-        inner = [a for a in get_args(hint) if a is not type(None)]
-        if len(inner) == 1:
-            revive = _reviver_for(inner[0])
-            if revive is not None:
-                return lambda v: None if v is None else revive(v)
-    return None
-
-
 # ----------------------------------------------------------------------
-# v2 packer compiler
+# Per-field packers
 # ----------------------------------------------------------------------
-# A compiled plan is a list of steps executed in field order:
-#   (_FIXED, struct.Struct, attrgetter, n_fields, field_names) -- a run
-#       of consecutive fixed-width scalars packed/unpacked in one call;
-#   (_VAR, pack_fn, unpack_fn, field_name) -- one variable-size field.
 # pack_fn(value, out_bytearray) appends bytes; unpack_fn(buf, pos)
-# returns (value, new_pos) and must bounds-check (memoryview slicing
-# silently truncates, so every reader goes through _take).
-# The plan is both executable as-is (_encode_v2/_decode_v2 interpret
-# it) and the source for the per-class *generated* encode/decode
-# functions (_compile_fast), which unroll the step loop into straight-
-# line code -- the interpreted path stays as the reference and the
-# fallback for classes the generator declines (__post_init__, frozen).
-
-_FIXED = 0
-_VAR = 1
+# returns (value, new_pos) and must bounds-check (slicing silently
+# truncates, so every reader goes through _take).  _compile stitches
+# them, and the fixed-width runs between them, into one generated
+# encode/decode pair per class.
 
 _FIXED_FMT = {int: "q", float: "d", bool: "?"}
 
@@ -286,7 +230,9 @@ def _unpack_any(buf: Any, pos: int) -> Tuple[Any, int]:
     raw, pos = _take(buf, pos + 4, n)
     try:
         return json.loads(str(raw, "utf-8"), object_hook=_json_object_hook), pos
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
+        # bad utf-8 / JSON / base64, a non-string "__bytes__", or a
+        # nesting bomb: all the peer's doing, none of them ours to crash on
         raise CodecError(f"bad embedded JSON value: {exc}") from exc
 
 
@@ -399,192 +345,114 @@ def _var_codec_for(hint: Any) -> Optional[Tuple[PackFn, UnpackFn]]:
     return None
 
 
-def _compile_plan(
-    names: List[str], hints: Dict[str, Any]
-) -> Optional[List[tuple]]:
-    """The v2 packer plan for a field list, or None if underivable."""
-    steps: List[tuple] = []
-    run_fmt: List[str] = []
-    run_names: List[str] = []
+def _compile(cls: type, head: bytes) -> Tuple[Callable, Callable]:
+    """Generate the straight-line ``(encode, decode)`` pair for a class.
 
-    def flush_run() -> None:
-        if run_names:
-            steps.append(
-                (
-                    _FIXED,
-                    struct.Struct("!" + "".join(run_fmt)),
-                    attrgetter(*run_names),
-                    len(run_names),
-                    tuple(run_names),
-                )
-            )
-            run_fmt.clear()
-            run_names.clear()
-
-    for name in names:
-        hint = hints.get(name, Any)
-        code = _FIXED_FMT.get(hint)
-        if code is not None:
-            run_fmt.append(code)
-            run_names.append(name)
-            continue
-        pair = _var_codec_for(hint)
-        if pair is None:
-            return None  # unknown shape: the whole class stays on v1
-        flush_run()
-        steps.append((_VAR, pair[0], pair[1], name))
-    flush_run()
-    return steps
-
-
-def _compile_fast(cls: type, plan: List[tuple], head_v2: bytes):
-    """Generate straight-line encode/decode functions from a plan.
-
-    Returns ``(fast_encode, fast_decode)`` or ``(None, None)`` when the
-    class needs the interpreted path (``__post_init__`` hooks or frozen
-    classes, whose construction the decoder cannot bypass).  The
-    generated code does exactly what the plan interpreter does -- same
-    byte layout, same exceptions -- minus the per-field dispatch: fixed
-    runs become one bound ``pack``/``unpack_from`` call, the decoder
-    builds the instance via ``object.__new__`` and assigns every field
-    (including ``init=False`` ones) directly.
+    Fixed runs become one bound ``pack``/``unpack_from`` call, variable
+    fields one call to their packer; the decoder builds the instance
+    via ``object.__new__`` and assigns every field (including
+    ``init=False`` ones) directly -- which is why a class that needs its
+    constructor run (``__post_init__``) or forbids assignment (frozen)
+    is refused here rather than decoded wrongly.
     """
+    name = cls.__name__
     if hasattr(cls, "__post_init__") or cls.__dataclass_params__.frozen:
-        return None, None
+        raise CodecError(
+            f"{name} has no wire layout: the decoder assigns fields in "
+            f"place, so __post_init__ hooks and frozen classes are refused"
+        )
+    hints = get_type_hints(cls)
     ns: Dict[str, Any] = {
         "_CodecError": CodecError,
         "_serr": struct.error,
         "_new": object.__new__,
         "_cls": cls,
-        "_head": head_v2,
+        "_head": head,
         "_len": len,
     }
-    enc_terms: List[str] = []  # expressions appended to the output
-    dec_parse: List[str] = []  # statements that parse the buffer
-    dec_fields: List[Tuple[str, str]] = []  # (field, local) assignments
-    for si, step in enumerate(plan):
-        if step[0] == _FIXED:
-            ns[f"p{si}"] = step[1].pack
-            ns[f"u{si}"] = step[1].unpack_from
-            locals_ = [f"f{si}_{i}" for i in range(step[3])]
-            attrs = ", ".join(f"msg.{n}" for n in step[4])
-            enc_terms.append(f"p{si}({attrs})")
-            target = ", ".join(locals_) + ("," if step[3] == 1 else "")
-            dec_parse.append(f"{target} = u{si}(buf, pos)")
-            dec_parse.append(f"pos += {step[1].size}")
-            dec_fields.extend(zip(step[4], locals_))
-        else:
-            ns[f"vp{si}"] = step[1]
-            ns[f"vu{si}"] = step[2]
-            enc_terms.append((f"vp{si}(msg.{step[3]}, out)", True))
-            dec_parse.append(f"f{si}, pos = vu{si}(buf, pos)")
-            dec_fields.append((step[3], f"f{si}"))
+    names = [f.name for f in dataclass_fields(cls)]
+    enc: List[Tuple[str, bool]] = []  # (source, True if it appends to out itself)
+    dec: List[str] = []  # statements that parse the buffer into f0, f1, ...
+    run: List[int] = []  # field indices of the fixed-width run being gathered
+    run_fmt: List[str] = []
 
-    # Encode: all-fixed plans collapse to one concatenation; plans with
-    # variable fields accumulate into a bytearray like the interpreter.
-    if all(isinstance(t, str) for t in enc_terms):
-        body = " + ".join(["_head"] + enc_terms) if enc_terms else "_head"
-        enc_src = f"def _enc(msg):\n    return {body}\n"
+    def flush_run() -> None:
+        if not run:
+            return
+        packer = struct.Struct("!" + "".join(run_fmt))
+        ns[f"p{run[0]}"] = packer.pack
+        ns[f"u{run[0]}"] = packer.unpack_from
+        attrs = ", ".join(f"msg.{names[i]}" for i in run)
+        enc.append((f"p{run[0]}({attrs})", False))
+        dec.append("".join(f"f{i}, " for i in run) + f"= u{run[0]}(buf, pos)")
+        dec.append(f"pos += {packer.size}")
+        run.clear()
+        run_fmt.clear()
+
+    for i, field in enumerate(names):
+        code = _FIXED_FMT.get(hints[field])
+        if code is not None:
+            run.append(i)
+            run_fmt.append(code)
+            continue
+        pair = _var_codec_for(hints[field])
+        if pair is None:
+            raise CodecError(
+                f"{name}.{field} has no wire layout: "
+                f"annotation {hints[field]!r} is not derivable"
+            )
+        flush_run()
+        ns[f"p{i}"], ns[f"u{i}"] = pair
+        enc.append((f"p{i}(msg.{field}, out)", True))
+        dec.append(f"f{i}, pos = u{i}(buf, pos)")
+    flush_run()
+
+    # Encode: all-fixed classes collapse to one concatenation; classes
+    # with variable fields accumulate into a bytearray.
+    if not any(appends for _, appends in enc):
+        lines = ["def _enc(msg):", "    return " + " + ".join(["_head"] + [t for t, _ in enc])]
     else:
         lines = ["def _enc(msg):", "    out = bytearray(_head)"]
-        for term in enc_terms:
-            if isinstance(term, str):
-                lines.append(f"    out += {term}")
-            else:
-                lines.append(f"    {term[0]}")
+        lines += [f"    {t}" if appends else f"    out += {t}" for t, appends in enc]
         lines.append("    return bytes(out)")
-        enc_src = "\n".join(lines) + "\n"
-
-    dec_lines = [
-        "def _dec(buf):",
-        "    try:",
-        f"        pos = {_HEAD.size}",
-    ]
-    dec_lines += [f"        {stmt}" for stmt in dec_parse]
-    dec_lines += [
+    lines += ["def _dec(buf):", "    try:", f"        pos = {_HEAD.size}"]
+    lines += [f"        {stmt}" for stmt in dec]
+    lines += [
         "    except _serr as exc:",
-        f"        raise _CodecError("
-        f"f'truncated {cls.__name__} body: {{exc}}') from exc",
+        f"        raise _CodecError(f'truncated {name} body: {{exc}}') from exc",
         "    if pos != _len(buf):",
-        f"        raise _CodecError(f'{{_len(buf) - pos}} trailing bytes "
-        f"after {cls.__name__}')",
+        f"        raise _CodecError(f'{{_len(buf) - pos}} trailing bytes after {name}')",
         "    msg = _new(_cls)",
     ]
-    dec_lines += [f"    msg.{name} = {local}" for name, local in dec_fields]
-    dec_lines.append("    return msg")
-    dec_src = "\n".join(dec_lines) + "\n"
-
-    exec(enc_src + dec_src, ns)  # noqa: S102 - fixed template, no user input
+    lines += [f"    msg.{field} = f{i}" for i, field in enumerate(names)]
+    lines.append("    return msg")
+    exec("\n".join(lines), ns)  # noqa: S102 - fixed template, no user input
     return ns["_enc"], ns["_dec"]
 
 
 class _Entry:
-    """Per-class codec entry: field order, v1 revivers, v2 packer plan."""
+    """Per-class codec entry: the type id and the generated pair."""
 
-    __slots__ = (
-        "cls",
-        "type_id",
-        "names",
-        "init_idx",
-        "extra",
-        "revivers",
-        "plan",
-        "head_v1",
-        "head_v2",
-        "fast_encode",
-        "fast_decode",
-    )
+    __slots__ = ("type_id", "fast_encode", "fast_decode")
 
     def __init__(self, cls: type, type_id: int) -> None:
-        self.cls = cls
         self.type_id = type_id
-        flds = dataclass_fields(cls)
-        self.names: List[str] = [f.name for f in flds]
-        # Decoded values arrive as a list in field order; messages are
-        # rebuilt positionally -- init fields straight into the
-        # constructor, init=False fields (sender/hop_count from the
-        # Message base) via setattr afterwards.
-        self.init_idx: Tuple[int, ...] = tuple(
-            i for i, f in enumerate(flds) if f.init
+        self.fast_encode, self.fast_decode = _compile(
+            cls, _HEAD.pack(WIRE_VERSION, type_id)
         )
-        self.extra: Tuple[Tuple[int, str], ...] = tuple(
-            (i, f.name) for i, f in enumerate(flds) if not f.init
-        )
-        hints = get_type_hints(cls)
-        self.revivers: List[Optional[Callable[[Any], Any]]] = [
-            _reviver_for(hints.get(f.name, Any)) for f in flds
-        ]
-        self.plan = _compile_plan(self.names, hints)
-        self.head_v1 = _HEAD.pack(WIRE_V1, type_id)
-        self.head_v2 = _HEAD.pack(WIRE_V2, type_id)
-        if self.plan is not None:
-            self.fast_encode, self.fast_decode = _compile_fast(
-                cls, self.plan, self.head_v2
-            )
-        else:
-            self.fast_encode = self.fast_decode = None
 
 
 class MessageCodec:
     """Registry of message classes plus the auto-derived encoders.
 
     Registration is keyed by message class; ids must be unique and the
-    class must be a :class:`Message` dataclass.  :func:`default_codec`
-    pre-registers every protocol message; callers with runtime-private
-    messages register them on top (ids >= :data:`CLIENT_TYPE_BASE`).
+    class must be a :class:`Message` dataclass every field of which has
+    a wire layout.  :func:`default_codec` pre-registers every protocol
+    message; callers with runtime-private messages register them on top
+    (ids >= :data:`CLIENT_TYPE_BASE`).
 
     Parameters
     ----------
-    version:
-        The body format :meth:`encode` emits: :data:`WIRE_V2` (default,
-        the struct-packed fast path) or :data:`WIRE_V1` (JSON).  A v2
-        codec still emits v1 frames for classes without a compiled plan
-        and for values outside the packed layout.
-    accept:
-        Versions :meth:`decode` understands.  Defaults to *both* so
-        mixed-version networks interoperate; pass ``(WIRE_V2,)`` (or
-        ``(WIRE_V1,)``) for a strict single-version decoder that raises
-        :class:`CodecError` on foreign frames.
     max_frame_size:
         Upper bound on a single frame's payload, enforced symmetrically:
         :meth:`frame` refuses to emit a larger frame and :meth:`decode`
@@ -594,27 +462,12 @@ class MessageCodec:
         to :data:`MAX_FRAME` (16 MiB).
     """
 
-    def __init__(
-        self,
-        version: int = WIRE_VERSION,
-        accept: Optional[Iterable[int]] = None,
-        max_frame_size: int = MAX_FRAME,
-    ) -> None:
-        if version not in _KNOWN_VERSIONS:
-            raise CodecError(f"unknown wire version {version}")
+    def __init__(self, max_frame_size: int = MAX_FRAME) -> None:
         if max_frame_size < _HEAD.size:
             raise CodecError(
                 f"max_frame_size must be >= {_HEAD.size}, got {max_frame_size}"
             )
         self.max_frame_size = max_frame_size
-        accepted = _KNOWN_VERSIONS if accept is None else tuple(accept)
-        for v in accepted:
-            if v not in _KNOWN_VERSIONS:
-                raise CodecError(f"unknown wire version {v}")
-        if not accepted:
-            raise CodecError("codec must accept at least one version")
-        self.version = version
-        self.accepted_versions = frozenset(accepted)
         self._by_class: Dict[type, _Entry] = {}
         self._by_id: Dict[int, _Entry] = {}
 
@@ -631,81 +484,29 @@ class MessageCodec:
         self._by_class[cls] = entry
         self._by_id[type_id] = entry
 
-    def registered_classes(self) -> Tuple[type, ...]:
-        return tuple(self._by_class)
-
     def type_id_of(self, cls: type) -> int:
         entry = self._by_class.get(cls)
         if entry is None:
             raise CodecError(f"{cls.__name__} is not registered")
         return entry.type_id
 
-    def has_v2_layout(self, cls: type) -> bool:
-        """True when ``cls`` has a compiled struct plan (no v1 fallback)."""
-        entry = self._by_class.get(cls)
-        if entry is None:
-            raise CodecError(f"{cls.__name__} is not registered")
-        return entry.plan is not None
-
-    # ------------------------------------------------------------------
-    # Encode
-    # ------------------------------------------------------------------
-    def encode(self, msg: Message, version: Optional[int] = None) -> bytes:
-        """Payload bytes (no length prefix) for one message.
-
-        ``version`` overrides the codec's configured body format for
-        this one message (the bench and the cross-version tests use it;
-        the transport always encodes at the configured version).
-        """
+    def encode(self, msg: Message) -> bytes:
+        """Payload bytes (no length prefix) for one message."""
         entry = self._by_class.get(type(msg))
         if entry is None:
             raise CodecError(f"{type(msg).__name__} is not registered")
-        v = self.version if version is None else version
-        if v == WIRE_V2 and entry.plan is not None:
-            try:
-                if entry.fast_encode is not None:
-                    return entry.fast_encode(msg)
-                return self._encode_v2(entry, msg)
-            except CodecError:
-                raise
-            except (struct.error, OverflowError, TypeError, ValueError):
-                # A value the packed layout cannot carry (int beyond 64
-                # bits, wrong arity, non-utf8 str): fall back to the
-                # JSON body, which either carries it or raises a real
-                # CodecError below.
-                pass
-        elif v not in _KNOWN_VERSIONS:
-            raise CodecError(f"unknown wire version {v}")
-        return self._encode_v1(entry, msg)
-
-    def _encode_v1(self, entry: _Entry, msg: Message) -> bytes:
         try:
-            body = json.dumps(
-                [getattr(msg, name) for name in entry.names],
-                separators=(",", ":"),
-                default=_json_default,
-            ).encode("utf-8")
-        except (TypeError, ValueError) as exc:
+            return entry.fast_encode(msg)
+        except (struct.error, OverflowError, TypeError, ValueError) as exc:
+            # A value the layout cannot carry: an int beyond 64 bits,
+            # wrong tuple arity, a non-JSON-able ``Any``.
             raise CodecError(
                 f"{type(msg).__name__} payload is not wire-encodable: {exc}"
             ) from exc
-        return entry.head_v1 + body
 
-    def _encode_v2(self, entry: _Entry, msg: Message) -> bytes:
-        out = bytearray(entry.head_v2)
-        for step in entry.plan:  # type: ignore[union-attr]
-            if step[0] == _FIXED:
-                if step[3] == 1:
-                    out += step[1].pack(step[2](msg))
-                else:
-                    out += step[1].pack(*step[2](msg))
-            else:
-                step[1](getattr(msg, step[3]), out)
-        return bytes(out)
-
-    def frame(self, msg: Message, version: Optional[int] = None) -> bytes:
+    def frame(self, msg: Message) -> bytes:
         """Length-prefixed frame ready to write to a socket."""
-        payload = self.encode(msg, version)
+        payload = self.encode(msg)
         if len(payload) > self.max_frame_size:
             raise CodecError(
                 f"frame too large: {len(payload)} bytes exceeds "
@@ -713,15 +514,12 @@ class MessageCodec:
             )
         return _LEN.pack(len(payload)) + payload
 
-    # ------------------------------------------------------------------
-    # Decode
-    # ------------------------------------------------------------------
     def decode(self, payload: Any) -> Message:
         """Rebuild the message from payload bytes (no length prefix).
 
         Accepts any bytes-like object (``bytes``, ``bytearray``,
-        ``memoryview``); all v2 slicing happens through one memoryview,
-        so nothing is copied on the fast path.
+        ``memoryview``) and returns a :class:`Message` or raises
+        :class:`CodecError` -- nothing else, whatever the bytes.
         """
         if len(payload) > self.max_frame_size:
             raise CodecError(
@@ -731,82 +529,22 @@ class MessageCodec:
         if len(payload) < _HEAD.size:
             raise CodecError("truncated payload")
         version, type_id = _HEAD.unpack_from(payload)
-        if version not in self.accepted_versions:
+        if version != WIRE_VERSION:
             raise CodecError(f"unsupported wire version {version}")
         entry = self._by_id.get(type_id)
         if entry is None:
             raise CodecError(f"unknown message type id {type_id}")
-        if version == WIRE_V2:
-            if entry.fast_decode is not None:
-                return entry.fast_decode(payload)
-            values = self._decode_v2(entry, payload)
-        else:
-            values = self._decode_v1(entry, payload)
-        try:
-            msg = entry.cls(*[values[i] for i in entry.init_idx])
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"cannot rebuild {entry.cls.__name__}: {exc}") from exc
-        for i, name in entry.extra:  # sender / hop_count (init=False)
-            setattr(msg, name, values[i])
-        return msg
-
-    def _decode_v1(self, entry: _Entry, payload: Any) -> List[Any]:
-        body = payload[_HEAD.size :]
-        if isinstance(body, memoryview):  # json.loads cannot take one
-            body = bytes(body)
-        try:
-            values = json.loads(
-                body.decode("utf-8"), object_hook=_json_object_hook
-            )
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CodecError(f"bad message body: {exc}") from exc
-        if not isinstance(values, list) or len(values) != len(entry.names):
-            raise CodecError(
-                f"{entry.cls.__name__} expects {len(entry.names)} fields, "
-                f"got {len(values) if isinstance(values, list) else 'non-list'}"
-            )
-        return [
-            value if (revive is None or value is None) else revive(value)
-            for revive, value in zip(entry.revivers, values)
-        ]
-
-    def _decode_v2(self, entry: _Entry, payload: Any) -> List[Any]:
-        if entry.plan is None:
-            raise CodecError(f"{entry.cls.__name__} has no v2 wire layout")
-        buf = payload if isinstance(payload, memoryview) else memoryview(payload)
-        pos = _HEAD.size
-        values: List[Any] = []
-        try:
-            for step in entry.plan:
-                if step[0] == _FIXED:
-                    values.extend(step[1].unpack_from(buf, pos))
-                    pos += step[1].size
-                else:
-                    v, pos = step[2](buf, pos)
-                    values.append(v)
-        except struct.error as exc:
-            raise CodecError(
-                f"truncated {entry.cls.__name__} body: {exc}"
-            ) from exc
-        if pos != len(buf):
-            raise CodecError(
-                f"{len(buf) - pos} trailing bytes after {entry.cls.__name__}"
-            )
-        return values
+        return entry.fast_decode(payload)
 
 
-def default_codec(
-    version: int = WIRE_VERSION,
-    accept: Optional[Iterable[int]] = None,
-    max_frame_size: int = MAX_FRAME,
-) -> MessageCodec:
+def default_codec(max_frame_size: int = MAX_FRAME) -> MessageCodec:
     """A codec with every protocol message registered.
 
     Type ids are ``1 + position`` in :func:`wire_types` order (0 is
     reserved), so both ends of a connection derive the same table from
     the message module alone.
     """
-    codec = MessageCodec(version=version, accept=accept, max_frame_size=max_frame_size)
+    codec = MessageCodec(max_frame_size=max_frame_size)
     for i, cls in enumerate(wire_types()):
         codec.register(cls, 1 + i)
     return codec

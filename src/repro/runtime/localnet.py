@@ -18,11 +18,10 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.config import HybridConfig
 from .bootstrap import BootstrapNode
-from .codec import WIRE_VERSION
 from .node import PeerNode
 
 __all__ = ["LocalNet", "fast_config"]
@@ -58,8 +57,6 @@ class LocalNet:
         config: Optional[HybridConfig] = None,
         seed: int = 0,
         host: str = "127.0.0.1",
-        codec_version: int = WIRE_VERSION,
-        codec_versions: Optional[Sequence[int]] = None,
     ) -> None:
         if t_peers < 1:
             raise ValueError("need at least one t-peer to anchor the ring")
@@ -68,16 +65,6 @@ class LocalNet:
         self.host = host
         self.seed = seed
         self.config = config if config is not None else fast_config()
-        # codec_version applies to every daemon; codec_versions (one
-        # entry per peer, in join order) overrides it per node to build
-        # deliberately mixed-version localnets for testing.
-        self.codec_version = codec_version
-        if codec_versions is not None and len(codec_versions) != t_peers + s_peers:
-            raise ValueError(
-                f"codec_versions needs {t_peers + s_peers} entries, "
-                f"got {len(codec_versions)}"
-            )
-        self.codec_versions = codec_versions
         self.bootstrap: Optional[BootstrapNode] = None
         self.nodes: List[PeerNode] = []
 
@@ -91,24 +78,13 @@ class LocalNet:
         forced through the server's ``preassigned_roles`` hook so the
         requested t/s split is exact regardless of the ``p_s`` ratio.
         """
-        self.bootstrap = BootstrapNode(
-            self.host, 0, self.config, seed=self.seed,
-            codec_version=self.codec_version,
-        )
+        self.bootstrap = BootstrapNode(self.host, 0, self.config, seed=self.seed)
         await self.bootstrap.start()
         live_config = self.bootstrap.config  # server_address now filled in
 
         roles = ["t"] * self.t_peers + ["s"] * self.s_peers
         for i, role in enumerate(roles):
-            version = (
-                self.codec_versions[i]
-                if self.codec_versions is not None
-                else self.codec_version
-            )
-            node = PeerNode(
-                self.host, 0, live_config, seed=self.seed + 1 + i,
-                codec_version=version,
-            )
+            node = PeerNode(self.host, 0, live_config, seed=self.seed + 1 + i)
             await node.start()
             self.bootstrap.server.preassigned_roles[node.address] = role
             await node.join(timeout=join_timeout)

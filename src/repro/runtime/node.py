@@ -52,7 +52,7 @@ from .client import (
     ClientStatus,
     runtime_codec,
 )
-from .codec import WIRE_VERSION, CodecError, format_endpoint, pack_endpoint
+from .codec import WIRE_VERSION, CodecError, pack_endpoint
 from .loop_engine import LoopEngine
 
 __all__ = ["RuntimePeer", "NodeDaemon", "PeerNode"]
@@ -132,21 +132,12 @@ class NodeDaemon:
         port: int,
         config: HybridConfig,
         seed: int = 0,
-        codec_version: int = WIRE_VERSION,
     ) -> None:
         self.host = host
         self.port = port
         self.config = config
         self.seed = seed
-        # The version this daemon *encodes* with; it decodes both wire
-        # formats regardless, so mixed-version localnets interoperate
-        # without in-band negotiation (see runtime/codec.py).
-        self.codec = runtime_codec(version=codec_version)
-        # Wire format actually observed on inbound connections, keyed
-        # by the sender's endpoint -- this is what the status verb
-        # reports per connection (the configured constant alone cannot
-        # tell a mixed-version localnet apart).
-        self._rx_versions: Dict[str, int] = {}
+        self.codec = runtime_codec()
         # Observability: every daemon carries its own registry; the
         # trace bus + bridge replay the protocol core's trace emissions
         # (lookup spans, hop timings, stores) into the same metric
@@ -284,7 +275,6 @@ class NodeDaemon:
             if head in _HTTP_PREFIXES:
                 await self._serve_http(reader, writer, head)
                 return
-            last_version = -1
             # Buffered frame loop: under a flood burst the remote's
             # write coalescing lands dozens of frames per TCP segment,
             # and frame_stream slices them all out of one read.
@@ -294,14 +284,6 @@ class NodeDaemon:
                 except CodecError:
                     break  # corrupt/foreign stream: drop the connection
                 self._count_rx(type(msg), len(payload) + 4)
-                version = payload[0]
-                if version != last_version:
-                    # Once per connection in steady state: remember the
-                    # wire format this sender actually speaks, keyed by
-                    # its endpoint (client verbs carry no address).
-                    last_version = version
-                    if msg.sender > 0xFFFF:
-                        self._rx_versions[format_endpoint(msg.sender)] = version
                 if isinstance(msg, CLIENT_REQUEST_TYPES):
                     # Pipelining: each request resolves in its own task
                     # and writes its reply when done -- a slow get never
@@ -397,23 +379,13 @@ class NodeDaemon:
             "ok": True,
             "endpoint": f"{self.host}:{self.port}",
             "uptime_s": round(self.uptime(), 3),
-            "codec_version": self.codec.version,
+            "codec_version": WIRE_VERSION,
         }
 
     def codec_snapshot(self) -> Dict[str, Any]:
-        """Per-connection codec state for the status verb.
-
-        ``version`` is what this daemon encodes; ``rx_peer_versions``
-        is the wire format each peer was *observed* sending (from the
-        version byte of decoded frames); ``tx_connections`` is the
-        transmit side per destination.  In a mixed-version localnet the
-        observed maps are how you see who still speaks v1.
-        """
-        snapshot: Dict[str, Any] = {
-            "version": self.codec.version,
-            "accepts": sorted(self.codec.accepted_versions),
-            "rx_peer_versions": dict(self._rx_versions),
-        }
+        """Codec state for the status verb: the wire version and the
+        transmit side per destination."""
+        snapshot: Dict[str, Any] = {"version": WIRE_VERSION}
         if self.transport is not None:
             snapshot["tx_connections"] = self.transport.connection_info()
         return snapshot
@@ -437,9 +409,8 @@ class PeerNode(NodeDaemon):
         seed: int = 0,
         capacity: float = 1.0,
         interest: Optional[str] = None,
-        codec_version: int = WIRE_VERSION,
     ) -> None:
-        super().__init__(host, port, config, seed, codec_version=codec_version)
+        super().__init__(host, port, config, seed)
         self.capacity = capacity
         self.interest = interest
         self.queries = QueryRegistry()
@@ -856,7 +827,7 @@ class PeerNode(NodeDaemon):
             },
             "messages_received": p.messages_received,
             "uptime_s": round(self.uptime(), 3),
-            "codec_version": self.codec.version,
+            "codec_version": WIRE_VERSION,
             "codec": self.codec_snapshot(),
         }
 

@@ -6,10 +6,12 @@ single-producer/single-consumer ring buffers in
 :mod:`multiprocessing.shared_memory`:
 
 * one **data ring per ordered shard pair** ``i -> j`` carrying overlay
-  messages encoded with the compiled per-class struct layouts of wire
-  codec v2 (:mod:`repro.runtime.codec`) behind a fixed 25-byte delivery
-  envelope -- the consumer decodes straight out of the shared buffer as
-  a zero-copy memoryview slice;
+  messages encoded with the compiled per-class struct layouts of the
+  wire codec (:mod:`repro.runtime.codec`) behind a fixed 25-byte
+  delivery envelope -- the consumer decodes straight out of the shared
+  buffer as a zero-copy memoryview slice.  A message the codec cannot
+  carry raises :class:`CodecError` in the sending worker and fails the
+  cell; there is no second encoding;
 * one **control ring pair per worker** (coordinator->worker and back)
   carrying struct-packed ``issue``/``window``/``finish``/``stop`` frames
   and the worker's state replies.
@@ -66,7 +68,6 @@ __all__ = [
     "K_CTRL",
     "K_STATE",
     "K_MSG",
-    "K_PMSG",
     "K_BLOB",
     "K_BLOBC",
     "K_ERR",
@@ -84,8 +85,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 K_CTRL = 1   #: coordinator -> worker control frame (opcode leads payload)
 K_STATE = 2  #: worker -> coordinator state reply (+ per-dst summaries)
-K_MSG = 3    #: delivery envelope + wire-codec-v2 message body
-K_PMSG = 4   #: delivery envelope + pickled message body (codec fallback)
+K_MSG = 3    #: delivery envelope + wire-codec message body
 K_BLOB = 5   #: pickled object (finish export), final chunk
 K_BLOBC = 6  #: blob continuation chunk (more follow)
 K_ERR = 7    #: UTF-8 worker traceback
@@ -484,19 +484,17 @@ def decode_state(payload) -> Tuple[Optional[float], int, float, List[Tuple[int, 
 class ShardFrameCodec:
     """Encodes cross-shard deliveries for the rings.
 
-    Wraps the runtime's :func:`default_codec` (wire codec v2: compiled
-    per-class struct layouts) behind the delivery envelope; any message
-    the codec cannot carry travels as a pickled ``K_PMSG`` frame
-    instead, so the ring path is total over message types.
+    Wraps the runtime's :func:`default_codec` (compiled per-class
+    struct layouts) behind the delivery envelope; a message the codec
+    cannot carry raises :class:`CodecError`.
     """
 
-    __slots__ = ("_codec", "_encode", "_decode", "pickled_fallbacks")
+    __slots__ = ("_encode", "_decode")
 
     def __init__(self, codec: Optional[MessageCodec] = None) -> None:
-        self._codec = codec if codec is not None else default_codec()
-        self._encode = self._codec.encode  # bound once: hot-path calls
-        self._decode = self._codec.decode
-        self.pickled_fallbacks = 0
+        codec = codec if codec is not None else default_codec()
+        self._encode = codec.encode  # bound once: hot-path calls
+        self._decode = codec.decode
 
     def encode_delivery(
         self,
@@ -508,13 +506,7 @@ class ShardFrameCodec:
         _pack=ENVELOPE.pack,
     ) -> Tuple[int, bytes]:
         head = _pack(deliver_time, dst_address, seq, origin_shard)
-        try:
-            return K_MSG, head + self._encode(msg)
-        except CodecError:
-            self.pickled_fallbacks += 1
-            return K_PMSG, head + pickle.dumps(
-                msg, protocol=pickle.HIGHEST_PROTOCOL
-            )
+        return K_MSG, head + self._encode(msg)
 
     def decode_delivery(
         self, kind: int, payload, _unpack=ENVELOPE.unpack_from,
@@ -522,23 +514,13 @@ class ShardFrameCodec:
     ) -> Tuple[float, int, int, int, object]:
         """Inverse of :meth:`encode_delivery`; raises CodecError on any
         malformed or truncated input (never a silent misparse)."""
+        if kind != K_MSG:
+            raise CodecError(f"not a delivery frame kind: {kind}")
         view = payload if isinstance(payload, memoryview) else memoryview(payload)
         if len(view) < _env_size:
             raise CodecError("truncated delivery envelope")
         deliver_time, dst_address, seq, origin = _unpack(view, 0)
-        body = view[_env_size:]
-        try:
-            if kind == K_MSG:
-                msg = self._decode(body)
-            elif kind == K_PMSG:
-                msg = pickle.loads(bytes(body))
-            else:
-                raise CodecError(f"not a delivery frame kind: {kind}")
-        except CodecError:
-            raise
-        except Exception as exc:
-            raise CodecError(f"malformed delivery body: {exc!r}") from exc
-        return deliver_time, dst_address, seq, origin, msg
+        return deliver_time, dst_address, seq, origin, self._decode(view[_env_size:])
 
     @staticmethod
     def peek_destination(payload) -> int:
@@ -681,7 +663,6 @@ class WorkerEndpoint:
             "ctrl_bytes_out": self._ctrl_out.bytes_written,
             "ctrl_bytes_in": self._ctrl_in.bytes_read,
             "spilled_frames": self.spilled_frames,
-            "pickled_fallbacks": self._codec.pickled_fallbacks,
         }
 
     def close(self) -> None:

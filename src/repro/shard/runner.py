@@ -51,7 +51,6 @@ from .ipc import (
     K_CTRL,
     K_ERR,
     K_MSG,
-    K_PMSG,
     K_STATE,
     RingClosed,
     ShardFrameCodec,
@@ -245,7 +244,7 @@ class _ShmHub:
             "data_frames": 0,
             "ctrl_bytes": 0,
             "spilled_frames": self.spilled_frames,
-            "pickled_fallbacks": 0,
+            "pickled_fallbacks": 0,  # always: bench/ still reads the key (ROADMAP 2a)
         }
         for c in worker_counters:
             if not c:
@@ -253,7 +252,6 @@ class _ShmHub:
             totals["data_bytes"] += c["data_bytes_out"]
             totals["data_frames"] += c["data_frames_out"]
             totals["ctrl_bytes"] += c["ctrl_bytes_out"] + c["ctrl_bytes_in"]
-            totals["pickled_fallbacks"] += c["pickled_fallbacks"]
         return totals
 
     def close(self) -> None:
@@ -321,7 +319,7 @@ class _ShmHandle(_Handle):
         try:
             while True:
                 kind, view = ring.read(peer_alive=self._alive)
-                if kind in (K_MSG, K_PMSG):
+                if kind == K_MSG:
                     # A spilled delivery: buffer for the destination's
                     # next window.  Its count/min-time already ride in
                     # the state summary, so only routing happens here.

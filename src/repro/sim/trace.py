@@ -55,8 +55,6 @@ class TraceBus:
         replaced whenever the listeners change.  Per-message publishers
         guard with ``"category" in trace.wanted`` and build no payload
         otherwise; :meth:`wants` and :attr:`active` read the same object.
-    version:
-        Bumped on every listener change.
     """
 
     def __init__(self) -> None:
@@ -66,11 +64,9 @@ class TraceBus:
         self._record_buffer: Optional[List[TraceRecord]] = None
         self._record_categories: Optional[set] = None
         self.emitted = 0
-        self.version = 0
         self.wanted = frozenset()
 
     def _listeners_changed(self) -> None:
-        self.version += 1
         if self._any_subs or self._record_buffer is not None:
             self.wanted = _EVERY_CATEGORY
         else:

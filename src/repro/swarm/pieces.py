@@ -2,9 +2,9 @@
 
 Bitmaps are ``bytes``/``bytearray`` little-endian by bit: piece ``i``
 lives in bit ``i % 8`` of byte ``i // 8``.  They travel on the wire as
-``bytes`` fields (the v2 codec's int runs are signed 64-bit, so an
-arbitrary-width int bitmap would silently fall back to v1 JSON framing
-for content over 64 pieces).
+``bytes`` fields (the codec's int runs are signed 64-bit, so an
+arbitrary-width int bitmap would fail to encode for content over 64
+pieces).
 
 Selection is a pure, deterministic function of its inputs -- the sim's
 determinism golden depends on no hidden RNG in the swarm path.

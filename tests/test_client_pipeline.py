@@ -11,6 +11,7 @@ and cover the loadgen aggregation helpers.
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.runtime import (
     ClientGet,
     ClientPut,
     ClientReply,
+    CodecError,
     LocalNet,
 )
 from repro.runtime.client import runtime_codec
@@ -113,15 +115,12 @@ class _DropAfterServer(_FakeServer):
                 return  # close with (total - answer) requests unanswered
 
 
-class _UncorrelatedServer(_FakeServer):
-    """Pre-correlation node: answers in arrival order with request_id=0."""
+class _OversizedPrefixServer(_FakeServer):
+    """Answers every request with a length prefix beyond MAX_FRAME."""
 
     async def handle(self, frames, writer) -> None:
-        async for payload in frames:
-            msg = self.codec.decode(payload)
-            writer.write(
-                self.codec.frame(ClientReply(ok=True, payload=msg.key))
-            )
+        async for _ in frames:
+            writer.write(struct.pack("!I", 0x7FFFFFFF))
             await writer.drain()
 
 
@@ -177,19 +176,21 @@ def test_connection_drop_fails_inflight_futures_without_leaks() -> None:
     asyncio.run(scenario())
 
 
-def test_uncorrelated_replies_fall_back_to_fifo() -> None:
-    """request_id=0 replies (old server) match the oldest in-flight op."""
+def test_oversized_length_prefix_fails_requests_and_closes_cleanly() -> None:
+    """A hostile length prefix kills the connection, not the caller."""
 
     async def scenario() -> None:
-        server = await _UncorrelatedServer().start()
+        server = await _OversizedPrefixServer().start()
         try:
             async with ClientConnection(server.host, server.port) as conn:
-                replies = await asyncio.gather(
-                    *(conn.request(ClientGet(key=f"k/{i}"), timeout=10) for i in range(8))
-                )
-                # The server answers strictly in arrival order; FIFO
-                # matching must give every waiter its own key back.
-                assert [r.payload for r in replies] == [f"k/{i}" for i in range(8)]
+                reader_task = conn._reader_task
+                with pytest.raises(ConnectionError) as info:
+                    await conn.request(ClientGet(key="k"), timeout=10)
+                assert str(0x7FFFFFFF) in str(info.value.__cause__)
+                assert isinstance(info.value.__cause__.__cause__, CodecError)
+                # the reader ended on its own, with nothing to re-raise
+                assert reader_task.done() and reader_task.exception() is None
+            # leaving the block ran aclose(): it returned
         finally:
             await server.stop()
 
@@ -264,34 +265,6 @@ def test_get_distinguishes_missing_value_from_stored_none() -> None:
                 assert not reply.ok
                 assert "value missing" in (reply.error or "")
                 assert "424242" in (reply.error or "")
-        finally:
-            await net.stop()
-
-    asyncio.run(scenario())
-
-
-def test_v1_json_client_against_v2_node() -> None:
-    """Old client on the JSON wire format still completes put/get."""
-
-    async def scenario() -> None:
-        net = LocalNet(t_peers=2, s_peers=1, seed=7, config=fast_config())
-        await net.start(join_timeout=20)
-        await net.wait_converged(timeout=20)
-        try:
-            from repro.runtime.codec import WIRE_V1
-
-            node = net.nodes[0]
-            old_codec = runtime_codec(version=WIRE_V1)
-            async with ClientConnection(
-                node.host, node.port, codec=old_codec
-            ) as conn:
-                reply = await conn.request(
-                    ClientPut(key="mixed", value="ok"), timeout=15
-                )
-                assert reply.ok, reply.error
-                reply = await conn.request(ClientGet(key="mixed"), timeout=15)
-                assert reply.ok, reply.error
-                assert reply.payload["value"] == "ok"
         finally:
             await net.stop()
 

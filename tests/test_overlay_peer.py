@@ -69,14 +69,14 @@ class TestDispatch:
         engine, transport, a, b = wired
         # Reflection happens once per class: the table holds plain
         # functions, lives on the class side, and instances carry none.
-        table = BasePeer._dispatch_cache[EchoPeer]
+        table = EchoPeer._dispatch
         assert table["Hello"] is EchoPeer.on_Hello
         assert "_dispatch" not in vars(a) and "_dispatch" not in vars(b)
         a.send(2, Hello())
         b.send(1, Hello())
         engine.run()
         assert len(a.hellos) == len(b.hellos) == 1
-        assert BasePeer._dispatch_cache[EchoPeer] is table  # still one, shared
+        assert EchoPeer._dispatch is table  # still one, shared
         assert table[Hello] is EchoPeer.on_Hello  # memoized under the class
 
     def test_subclass_override_gets_its_own_table(self, engine, idspace):
@@ -96,9 +96,8 @@ class TestDispatch:
             engine.run()
         assert loud.hellos == ["loud"]
         assert len(plain.hellos) == 1 and isinstance(plain.hellos[0], Hello)
-        tables = BasePeer._dispatch_cache
-        assert tables[LoudPeer] is not tables[EchoPeer]
-        assert tables[LoudPeer]["Hello"] is LoudPeer.on_Hello
+        assert LoudPeer._dispatch is not EchoPeer._dispatch
+        assert LoudPeer._dispatch["Hello"] is LoudPeer.on_Hello
 
     def test_emit_noop_without_listeners(self, wired):
         engine, transport, a, b = wired

@@ -1,19 +1,21 @@
-"""Wire codec: every registered message round-trips exactly, twice over.
+"""Wire codec: every registered message round-trips exactly.
 
 The property test derives a value strategy from each dataclass field's
-type annotation -- the same annotations the codec derives its v1
-revivers *and* v2 struct packers from -- so any annotation shape a
-future message introduces that either body format cannot round-trip
-shows up here as a failing example.  Every round-trip property runs
-under both wire versions; cross-version tests pin down that a strict
-decoder *rejects* a foreign frame with :class:`CodecError` rather than
-misparsing it.
+type annotation -- the same annotations the codec generates its struct
+packers from -- so any annotation shape a future message introduces
+that the body format cannot round-trip shows up here as a failing
+example.  The adversarial property pins the other direction: whatever
+bytes arrive, ``decode`` returns a :class:`Message` or raises
+:class:`CodecError`, nothing else.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import json
 import struct
+from types import SimpleNamespace
 from typing import Any, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import pytest
@@ -23,16 +25,17 @@ from hypothesis import strategies as st
 from repro.overlay.messages import (
     FloodQuery,
     Hello,
+    LookupRequest,
     Message,
     RoleHandoff,
     ServerJoin,
     ServerJoinReply,
     wire_types,
 )
-from repro.runtime.client import client_types, runtime_codec
+from repro.runtime.aio_transport import AioTransport
+from repro.runtime.client import ClientPut, client_types, runtime_codec
 from repro.runtime.codec import (
-    WIRE_V1,
-    WIRE_V2,
+    CLIENT_TYPE_BASE,
     WIRE_VERSION,
     CodecError,
     default_codec,
@@ -41,8 +44,7 @@ from repro.runtime.codec import (
     unpack_endpoint,
 )
 
-CODEC = runtime_codec()  # encodes v2, decodes both
-CODEC_V1 = runtime_codec(version=WIRE_V1)  # encodes v1, decodes both
+CODEC = runtime_codec()
 ALL_CLASSES = tuple(wire_types()) + tuple(client_types())
 
 # Boundary ids the protocol actually produces: the id space is 32-bit.
@@ -108,32 +110,14 @@ def test_roundtrip_equals_v2(msg: Message) -> None:
     assert decoded.hop_count == msg.hop_count
 
 
-@settings(max_examples=300, deadline=None)
-@given(messages())
-def test_roundtrip_equals_v1(msg: Message) -> None:
-    decoded = CODEC_V1.decode(CODEC_V1.encode(msg))
-    assert decoded == msg
-    assert decoded.sender == msg.sender
-    assert decoded.hop_count == msg.hop_count
-
-
-@settings(max_examples=100, deadline=None)
-@given(messages())
-def test_cross_version_interop(msg: Message) -> None:
-    """A default codec decodes the other default codec's frames."""
-    assert CODEC.decode(CODEC_V1.encode(msg)) == msg
-    assert CODEC_V1.decode(CODEC.encode(msg)) == msg
-
-
 @given(messages())
 @settings(max_examples=50, deadline=None)
 def test_frame_strips_to_payload(msg: Message) -> None:
-    for codec in (CODEC, CODEC_V1):
-        frame = codec.frame(msg)
-        assert CODEC.decode(frame[4:]) == msg
-        # decode takes any bytes-like; memoryview is the zero-copy path
-        # the daemons actually use.
-        assert CODEC.decode(memoryview(frame)[4:]) == msg
+    frame = CODEC.frame(msg)
+    assert CODEC.decode(frame[4:]) == msg
+    # decode takes any bytes-like; memoryview is the zero-copy path
+    # the daemons actually use.
+    assert CODEC.decode(memoryview(frame)[4:]) == msg
 
 
 def test_every_class_roundtrips_empty() -> None:
@@ -141,27 +125,22 @@ def test_every_class_roundtrips_empty() -> None:
     for cls in ALL_CLASSES:
         msg = cls()
         assert CODEC.decode(CODEC.encode(msg)) == msg
-        assert CODEC.decode(CODEC_V1.encode(msg)) == msg
 
 
-def test_every_class_has_v2_layout() -> None:
-    """Every *current* message compiles a struct plan (no JSON fallback).
-
-    If a future message's annotations defeat the packer derivation it
-    still ships (as v1) -- but it should be a deliberate choice, so
-    this test forces the author to look.
-    """
+def test_every_class_registers() -> None:
+    """Every current message has a wire layout: a class without one
+    fails ``register``, so constructing the runtime codec is the check."""
+    codec = runtime_codec()
     for cls in ALL_CLASSES:
-        assert CODEC.has_v2_layout(cls), f"{cls.__name__} fell back to v1"
+        assert codec.type_id_of(cls) == CODEC.type_id_of(cls)
 
 
 def test_boundary_ids_roundtrip() -> None:
-    for codec in (CODEC, CODEC_V1):
-        for p_id in ID_BOUNDARIES:
-            msg = ServerJoinReply(role="t", p_id=p_id, entry_peer=p_id)
-            assert CODEC.decode(codec.encode(msg)).p_id == p_id
-            q = FloodQuery(d_id=p_id, key="k", origin=3, query_id=p_id, ttl=1)
-            assert CODEC.decode(codec.encode(q)).d_id == p_id
+    for p_id in ID_BOUNDARIES:
+        msg = ServerJoinReply(role="t", p_id=p_id, entry_peer=p_id)
+        assert CODEC.decode(CODEC.encode(msg)).p_id == p_id
+        q = FloodQuery(d_id=p_id, key="k", origin=3, query_id=p_id, ttl=1)
+        assert CODEC.decode(CODEC.encode(q)).d_id == p_id
 
 
 def test_nested_tuples_revive_as_tuples() -> None:
@@ -171,12 +150,11 @@ def test_nested_tuples_revive_as_tuples() -> None:
         items=(("k", b"v", 9),),
         s_neighbors=(5, 6),
     )
-    for codec in (CODEC, CODEC_V1):
-        decoded = CODEC.decode(codec.encode(msg))
-        assert decoded == msg
-        assert isinstance(decoded.fingers, tuple)
-        assert all(isinstance(f, tuple) for f in decoded.fingers)
-        assert decoded.items[0][1] == b"v"
+    decoded = CODEC.decode(CODEC.encode(msg))
+    assert decoded == msg
+    assert isinstance(decoded.fingers, tuple)
+    assert all(isinstance(f, tuple) for f in decoded.fingers)
+    assert decoded.items[0][1] == b"v"
 
 
 def test_type_ids_stable() -> None:
@@ -187,64 +165,70 @@ def test_type_ids_stable() -> None:
 
 
 # ----------------------------------------------------------------------
-# Version handling: strict decoders reject, never misparse
+# One generation: the bytes are pinned, foreign versions are rejected
 # ----------------------------------------------------------------------
 def test_default_encodes_v2() -> None:
-    assert CODEC.version == WIRE_VERSION == WIRE_V2
-    payload = CODEC.encode(Hello())
-    assert payload[0] == WIRE_V2
-    assert CODEC_V1.encode(Hello())[0] == WIRE_V1
+    assert WIRE_VERSION == 2
+    assert CODEC.encode(Hello())[0] == WIRE_VERSION
 
 
-@settings(max_examples=100, deadline=None)
-@given(messages())
-def test_strict_v2_rejects_v1_frames(msg: Message) -> None:
-    strict = runtime_codec(accept=(WIRE_V2,))
-    with pytest.raises(CodecError):
-        strict.decode(CODEC_V1.encode(msg))
-    # and it still decodes its own format
-    assert strict.decode(CODEC.encode(msg)) == msg
-
-
-@settings(max_examples=100, deadline=None)
-@given(messages())
-def test_strict_v1_rejects_v2_frames(msg: Message) -> None:
-    strict = runtime_codec(version=WIRE_V1, accept=(WIRE_V1,))
-    with pytest.raises(CodecError):
-        strict.decode(CODEC.encode(msg))
-    assert strict.decode(CODEC_V1.encode(msg)) == msg
+def test_wire_golden_frames() -> None:
+    """Three literal payloads captured before the v1/interpreter paths
+    were retired: the generated code must keep producing these bytes."""
+    lookup = LookupRequest(
+        d_id=2**32 - 1, key="ключ", origin=pack_endpoint("10.0.0.1", 7401),
+        query_id=77, ttl=3, attempt=2, span_id=9,
+    )
+    lookup.sender = pack_endpoint("127.0.0.1", 4242)
+    lookup.hop_count = 5
+    golden = {
+        "020014ffffffffffffffff0000000000000000": Hello(),
+        "02001900007f0000011092000000000000000500000000ffffffff00000008"
+        "d0bad0bbd18ed18700000a0000011ce9000000000000004d0000000000000003"
+        "00000000000000020000000000000009": lookup,
+        "020200ffffffffffffffff0000000000000000000000016b000000147b225f5f"
+        "62797465735f5f223a224141453d227d0000000000000007": ClientPut(
+            key="k", value=b"\x00\x01", request_id=7
+        ),
+    }
+    for hexed, msg in golden.items():
+        assert CODEC.encode(msg).hex() == hexed
+        decoded = CODEC.decode(bytes.fromhex(hexed))
+        assert decoded == msg
+        assert (decoded.sender, decoded.hop_count) == (msg.sender, msg.hop_count)
 
 
 def test_unknown_versions_rejected() -> None:
-    with pytest.raises(CodecError):
-        runtime_codec(version=3)
-    with pytest.raises(CodecError):
-        runtime_codec(accept=(1, 7))
-    with pytest.raises(CodecError):
-        runtime_codec(accept=())
-
-
-def test_per_message_version_override() -> None:
-    msg = Hello()
-    assert CODEC.encode(msg, version=WIRE_V1)[0] == WIRE_V1
-    assert CODEC_V1.encode(msg, version=WIRE_V2)[0] == WIRE_V2
-    with pytest.raises(CodecError):
-        CODEC.encode(msg, version=9)
+    body = CODEC.encode(Hello())[1:]
+    for version in (0, 1, 3, 255):
+        with pytest.raises(CodecError, match="unsupported wire version"):
+            CODEC.decode(bytes([version]) + body)
 
 
 # ----------------------------------------------------------------------
-# v2 fallback cases: values the packed layout cannot carry
+# No fallback: what the layout cannot carry raises, loudly
 # ----------------------------------------------------------------------
-def test_i64_overflow_falls_back_to_v1() -> None:
-    """An int beyond 64 bits cannot ride `!q`; the frame ships as v1."""
+def test_i64_overflow_raises_and_transport_counts_the_drop() -> None:
+    """An int beyond 64 bits cannot ride `!q`: encode raises, and the
+    transport counts the drop and enqueues nothing."""
     msg = ServerJoin(address=2**80, capacity=1.0)
-    payload = CODEC.encode(msg)
-    assert payload[0] == WIRE_V1
-    assert CODEC.decode(payload).address == 2**80
+    with pytest.raises(CodecError, match="ServerJoin"):
+        CODEC.encode(msg)
+
+    async def scenario() -> None:
+        transport = AioTransport(CODEC, asyncio.get_running_loop())
+        origin = SimpleNamespace(alive=True, address=pack_endpoint("127.0.0.1", 2))
+        with pytest.raises(CodecError):
+            transport.send(origin, pack_endpoint("127.0.0.1", 1), msg)
+        assert transport.messages_dropped == 1
+        assert transport.tx_queue_depth() == 0
+
+    asyncio.run(scenario())
 
 
-def test_unknown_annotation_shape_falls_back_to_v1() -> None:
-    """A class the plan compiler cannot derive still works -- via v1."""
+def test_register_refuses_classes_without_a_layout() -> None:
+    """A class the compiler cannot derive is a registration-time error
+    naming the class and field -- never a second body format."""
 
     @dataclasses.dataclass(slots=True)
     class Odd(Message):
@@ -253,20 +237,38 @@ def test_unknown_annotation_shape_falls_back_to_v1() -> None:
 
     @dataclasses.dataclass(slots=True)
     class Stranger(Message):
-        # dict annotation: not derivable, whole class falls back
         mapping: dict = dataclasses.field(default_factory=dict)
+
+    @dataclasses.dataclass
+    class Hooked(Message):
+        x: int = 0
+
+        def __post_init__(self) -> None:
+            self.x += 1
+
+    @dataclasses.dataclass
+    class Iced(Message):
+        x: int = 0
+
+    # Python refuses to derive a frozen dataclass from the non-frozen
+    # Message, so borrow the params of a real frozen one.
+    Iced.__dataclass_params__ = dataclasses.make_dataclass(
+        "F", [], frozen=True
+    ).__dataclass_params__
 
     codec = runtime_codec()
     codec.register(Odd, 1000)
-    codec.register(Stranger, 1001)
-    assert codec.has_v2_layout(Odd)
-    assert not codec.has_v2_layout(Stranger)
     odd = Odd(table=(("a", "b"), ()), weird=(3, "x"))
     assert codec.decode(codec.encode(odd)) == odd
-    stranger = Stranger(mapping={"k": [1, 2]})
-    payload = codec.encode(stranger)
-    assert payload[0] == WIRE_V1  # v2 codec, but the class has no plan
-    assert codec.decode(payload) == stranger
+    with pytest.raises(CodecError, match=r"Stranger\.mapping"):
+        codec.register(Stranger, 1001)
+    with pytest.raises(CodecError, match="Hooked.*__post_init__"):
+        codec.register(Hooked, 1001)
+    with pytest.raises(CodecError, match="Iced.*frozen"):
+        codec.register(Iced, 1001)
+    # a refused class leaves no half-registered entry behind
+    with pytest.raises(CodecError, match="not registered"):
+        codec.encode(Stranger())
 
 
 # ----------------------------------------------------------------------
@@ -278,17 +280,108 @@ def test_decode_rejects_garbage() -> None:
     with pytest.raises(CodecError):
         CODEC.decode(b"\x63" + b"\x00\x01" + b"[]")  # bad version
     with pytest.raises(CodecError):
-        CODEC.decode(b"\x01" + b"\xff\xff" + b"[]")  # unknown type id
-    good_v1 = CODEC_V1.encode(FloodQuery())
+        CODEC.decode(b"\x02" + b"\xff\xff" + b"[]")  # unknown type id
     with pytest.raises(CodecError):
-        CODEC.decode(good_v1[:-2] + b"!!")  # corrupt JSON body
-    good_v2 = CODEC.encode(FloodQuery())
-    with pytest.raises(CodecError):
-        CODEC.decode(good_v2 + b"xx")  # trailing bytes after the plan
+        CODEC.decode(CODEC.encode(FloodQuery()) + b"xx")  # trailing bytes
+
+
+# Adversarial payloads, built field by field from the same annotations:
+# mostly well-formed for the layout (so the parser gets deep into the
+# body), with wrong-typed, truncated and over-long fields mixed in.
+_HOSTILE_JSON = [
+    b'{"__bytes__":5}', b'{"__bytes__":"!"}', b'{"__bytes__":[1]}',
+    b'{"__bytes__":null}', b'{"__bytes__":"AAE"}', b'{"__bytes__":"AAE="}',
+    b'{"a":{"__bytes__":{}}}', b"[" * 100_000, b"1" * 5000, b"\xff\xfe", b"{", b"",
+]
+_junk = st.binary(max_size=12) | st.sampled_from(_HOSTILE_JSON[:6])
+
+
+def _u32(draw: st.DrawFn, n: int) -> bytes:
+    """A length or count prefix: usually ``n``, sometimes a lie."""
+    lie = draw(st.sampled_from([n] * 6 + [n + 1, max(n - 1, 0), 2**32 - 1]))
+    return struct.pack("!I", lie)
+
+
+def _prefixed(draw: st.DrawFn, blob: bytes) -> bytes:
+    return _u32(draw, len(blob)) + blob
+
+
+def _wire(draw: st.DrawFn, hint: Any) -> bytes:
+    if draw(st.integers(0, 11)) == 0:
+        return draw(_junk)  # wrong-typed: whatever this is, it is not `hint`
+    if hint is int:
+        return struct.pack("!q", draw(st.integers(-(2**63), 2**63 - 1)))
+    if hint is float:
+        return struct.pack("!d", draw(st.floats()))
+    if hint is bool:
+        return draw(st.sampled_from([b"\x00", b"\x01", b"\x02", b"\xff"]))
+    if hint is str or hint is bytes:
+        return _prefixed(draw, draw(st.text(max_size=6).map(str.encode) | st.binary(max_size=8)))
+    if hint is Any:
+        return _prefixed(draw, draw(st.sampled_from(_HOSTILE_JSON) | st.binary(max_size=8)))
+    args = get_args(hint)
+    if get_origin(hint) is Union:  # Optional[X]
+        flag = draw(st.sampled_from([0, 1, 1, 2]))
+        inner = [a for a in args if a is not type(None)][0]
+        return bytes([flag]) + (_wire(draw, inner) if flag else b"")
+    if len(args) == 2 and args[1] is Ellipsis:
+        items = [_wire(draw, args[0]) for _ in range(draw(st.integers(0, 3)))]
+        return _u32(draw, len(items)) + b"".join(items)
+    return b"".join(_wire(draw, a) for a in args)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_decode_returns_a_message_or_codec_error(data: st.DataObject) -> None:
+    """Whatever the bytes -- any registered type id over a body laid out
+    for any class (type confusion included), hostile embedded JSON, any
+    version byte, a well-formed v1 JSON frame -- ``decode`` returns a
+    Message or raises CodecError, nothing else."""
+    cls = data.draw(st.sampled_from(ALL_CLASSES))
+    as_cls = data.draw(st.sampled_from((cls, cls) + ALL_CLASSES))
+    version = data.draw(st.sampled_from([2] * 8 + [0, 1, 1, 3, 255]))
+    hints = get_type_hints(cls)
+    if version == 1:  # the retired generation: a JSON array of the fields
+        body = json.dumps(
+            [data.draw(st.sampled_from([0, "", None, {"__bytes__": 5}, []]))
+             for _ in dataclasses.fields(cls)]
+        ).encode()
+    else:
+        body = b"".join(
+            _wire(data.draw, hints[f.name]) for f in dataclasses.fields(cls)
+        )
+    payload = struct.pack("!BH", version, CODEC.type_id_of(as_cls)) + body
+    try:
+        msg = CODEC.decode(memoryview(payload))
+    except CodecError:
+        return
+    assert version == WIRE_VERSION and type(msg) is as_cls
+
+
+def test_hostile_embedded_json_raises_codec_error() -> None:
+    head = struct.pack("!BH", WIRE_VERSION, CLIENT_TYPE_BASE)  # ClientPut
+    assert CODEC.type_id_of(ClientPut) == CLIENT_TYPE_BASE
+    fixed = struct.pack("!qq", -1, 0) + struct.pack("!I", 1) + b"k"
+    for hostile in _HOSTILE_JSON:
+        frame = head + fixed + struct.pack("!I", len(hostile)) + hostile
+        frame += struct.pack("!q", 7)
+        if hostile == b'{"__bytes__":"AAE="}':
+            assert CODEC.decode(frame).value == b"\x00\x01"
+            continue
+        with pytest.raises(CodecError):
+            CODEC.decode(frame)
+
+
+def test_strict_v2_rejects_v1_frames() -> None:
+    """A well-formed frame of the retired JSON generation is refused on
+    its version byte, before anything looks at the body."""
+    v1 = struct.pack("!BH", 1, CLIENT_TYPE_BASE) + b'[-1,0,"k",{"__bytes__":5},7]'
+    with pytest.raises(CodecError, match="unsupported wire version 1"):
+        CODEC.decode(v1)
 
 
 def test_v2_truncations_never_misparse() -> None:
-    """Every proper prefix of a v2 frame raises (variable fields
+    """Every proper prefix of a frame raises (variable fields
     bounds-check explicitly -- memoryview slicing would otherwise
     truncate silently)."""
     msg = RoleHandoff(
@@ -299,7 +392,6 @@ def test_v2_truncations_never_misparse() -> None:
     )
     msg.sender = pack_endpoint("127.0.0.1", 4242)
     payload = CODEC.encode(msg)
-    assert payload[0] == WIRE_V2
     for cut in range(len(payload)):
         with pytest.raises(CodecError):
             CODEC.decode(payload[:cut])

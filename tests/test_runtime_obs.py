@@ -212,6 +212,8 @@ def test_status_verb_carries_uptime_version_and_optional_metrics() -> None:
             plain = await acall(node.host, node.port, ClientStatus())
             assert plain.ok
             assert plain.payload["codec_version"] == WIRE_VERSION
+            # one wire generation: nothing to accept or observe per peer
+            assert set(plain.payload["codec"]) == {"version", "tx_connections"}
             assert plain.payload["uptime_s"] >= 0
             assert "metrics" not in plain.payload
 

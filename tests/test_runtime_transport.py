@@ -1,6 +1,5 @@
 """AioTransport fast path: bounded queues, encode-once fan-out, and
-post-coalescing byte accounting, plus the mixed-version localnet the
-per-connection codec reporting exists for.
+post-coalescing byte accounting.
 """
 
 from __future__ import annotations
@@ -11,17 +10,7 @@ import socket
 
 from repro.obs.registry import MetricsRegistry
 from repro.overlay.messages import FloodQuery, Hello
-from repro.runtime import (
-    WIRE_V1,
-    WIRE_V2,
-    AioTransport,
-    ClientGet,
-    ClientPut,
-    ClientStatus,
-    LocalNet,
-    acall,
-    pack_endpoint,
-)
+from repro.runtime import AioTransport, pack_endpoint
 from repro.runtime.client import runtime_codec
 
 
@@ -103,7 +92,6 @@ def test_backpressure_drops_oldest_and_counts(caplog) -> None:
             info = transport.connection_info()[endpoint]
             assert info["queue_depth"] == 4
             assert info["backpressure_drops"] == 6
-            assert info["tx_codec_version"] == WIRE_V2
         finally:
             await transport.aclose()
 
@@ -189,53 +177,3 @@ def test_tx_bytes_counted_after_coalescing() -> None:
 
     asyncio.run(scenario())
 
-
-def test_mixed_version_localnet_interops_and_reports() -> None:
-    """A v1 peer in a v2 localnet: traffic flows, status tells them apart."""
-
-    async def scenario() -> None:
-        net = LocalNet(t_peers=2, s_peers=1, seed=23, codec_versions=[1, 2, 2])
-        await net.start(join_timeout=20)
-        try:
-            await net.wait_converged(timeout=20)
-            v1_node, v2_node = net.nodes[0], net.nodes[1]
-            assert v1_node.codec.version == WIRE_V1
-            assert v2_node.codec.version == WIRE_V2
-
-            # Cross-version put/get: store through the v1 peer, read it
-            # back through a v2 peer (or vice versa if segments align).
-            reply = await acall(
-                v1_node.host, v1_node.port, ClientPut(key="mix.txt", value="both ways")
-            )
-            assert reply.ok, reply.error
-            remote = net.node_for_key("mix.txt", v1_node)
-            await asyncio.sleep(0.3)
-            reply = await acall(
-                remote.host, remote.port, ClientGet(key="mix.txt"), timeout=15
-            )
-            assert reply.ok, reply.error
-            assert reply.payload["value"] == "both ways"
-
-            # The status verb reports the *per-connection* observed
-            # versions, not just the configured constant.
-            status = await acall(
-                net.bootstrap.host, net.bootstrap.port, ClientStatus()
-            )
-            assert status.ok
-            codec_info = status.payload["codec"]
-            assert codec_info["version"] == WIRE_V2
-            assert sorted(codec_info["accepts"]) == [WIRE_V1, WIRE_V2]
-            rx = codec_info["rx_peer_versions"]
-            v1_ep = f"{v1_node.host}:{v1_node.port}"
-            v2_ep = f"{v2_node.host}:{v2_node.port}"
-            assert rx.get(v1_ep) == WIRE_V1
-            assert rx.get(v2_ep) == WIRE_V2
-            # And per-node status reports what each encodes with.
-            s1 = await acall(v1_node.host, v1_node.port, ClientStatus())
-            assert s1.payload["codec_version"] == WIRE_V1
-            tx = s1.payload["codec"]["tx_connections"]
-            assert any(c["tx_codec_version"] == WIRE_V1 for c in tx.values())
-        finally:
-            await net.stop()
-
-    asyncio.run(scenario())

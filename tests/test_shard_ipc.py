@@ -5,7 +5,7 @@ pinned here in isolation: the :class:`SpscRing` frame discipline
 (wrap-around via PAD markers, publish-after-write, close semantics),
 the struct-packed control/state frames (exact round-trips, malformed
 input always raises), and :class:`ShardFrameCodec`'s delivery envelope
-over wire codec v2 -- property-tested with the same annotation-derived
+over the wire codec -- property-tested with the same annotation-derived
 strategies as ``test_runtime_codec.py``, including the guarantee that
 a truncated frame can never silently misparse.
 """
@@ -20,12 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.messages import FloodQuery, Message, wire_types
-from repro.runtime.client import client_types
 from repro.runtime.codec import CodecError
 from repro.shard.ipc import (
     ENVELOPE,
+    K_BLOB,
     K_MSG,
-    K_PMSG,
     RingClosed,
     ShardFrameCodec,
     SpscRing,
@@ -46,11 +45,11 @@ class TestSpscRing:
     def test_write_read_roundtrip(self):
         ring = SpscRing.over(1024)
         ring.write(K_MSG, b"hello")
-        ring.write(K_PMSG, b"")
+        ring.write(K_BLOB, b"")
         kind, view = ring.read()
         assert (kind, bytes(view)) == (K_MSG, b"hello")
         kind, view = ring.read()
-        assert (kind, bytes(view)) == (K_PMSG, b"")
+        assert (kind, bytes(view)) == (K_BLOB, b"")
         assert ring.try_read() is None
         assert ring.frames_written == ring.frames_read == 2
 
@@ -185,7 +184,7 @@ class TestControlFrames:
 # Delivery codec: property round-trips (same strategies as the wire
 # codec suite, plus the envelope fields)
 # ----------------------------------------------------------------------
-ALL_CLASSES = tuple(wire_types()) + tuple(client_types())
+ALL_CLASSES = tuple(wire_types())  # what a simulation can send across shards
 _ints = st.integers(min_value=-(2**53), max_value=2**53)
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 _text = st.text(max_size=20)
@@ -283,26 +282,24 @@ def test_delivery_truncation_never_misparses(env, msg):
 
 @dataclasses.dataclass(slots=True)
 class OffWire(Message):
-    """Unregistered message: must travel via the pickled fallback."""
+    """Unregistered message: the rings have no second encoding for it."""
 
     mapping: dict = dataclasses.field(default_factory=dict)
 
 
-def test_pickled_fallback_counts_and_roundtrips():
+def test_unregistered_message_raises_no_pickled_frame():
     codec = ShardFrameCodec()
-    msg = OffWire(mapping={"k": [1, 2]})
-    kind, frame = codec.encode_delivery(7.0, 11, 0, 1, msg)
-    assert kind == K_PMSG
-    assert codec.pickled_fallbacks == 1
-    decoded = codec.decode_delivery(kind, frame)
-    assert decoded == (7.0, 11, 0, 1, msg)
+    with pytest.raises(CodecError, match="OffWire"):
+        codec.encode_delivery(7.0, 11, 0, 1, OffWire(mapping={"k": [1, 2]}))
+    _, frame = codec.encode_delivery(7.0, 11, 0, 1, FloodQuery(key="k"))
+    with pytest.raises(CodecError, match="not a delivery frame kind: 4"):
+        codec.decode_delivery(4, frame)  # the retired pickled-body kind
 
 
 def test_registered_messages_avoid_pickle():
     codec = ShardFrameCodec()
     kind, _ = codec.encode_delivery(1.0, 2, 3, 0, FloodQuery(key="k"))
     assert kind == K_MSG
-    assert codec.pickled_fallbacks == 0
 
 
 def test_non_delivery_kind_rejected():

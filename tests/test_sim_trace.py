@@ -73,7 +73,7 @@ def test_multiple_subscribers_same_category():
 
 
 # ----------------------------------------------------------------------
-# Edge paths: listener churn during publish, wants()/version caching
+# Edge paths: listener churn during publish, wants() caching
 # ----------------------------------------------------------------------
 def test_subscriber_can_unsubscribe_itself_during_publish():
     bus = TraceBus()
@@ -130,21 +130,6 @@ def test_active_false_after_last_subscriber_leaves():
     assert not bus.wants("x")
     bus.publish(1.0, "x")
     assert bus.emitted == 0  # back on the no-listener fast path
-
-
-def test_version_bumps_on_every_listener_change():
-    bus = TraceBus()
-    fn = lambda rec: None
-    v0 = bus.version
-    bus.subscribe("x", fn)
-    v1 = bus.version
-    bus.unsubscribe("x", fn)
-    v2 = bus.version
-    bus.start_recording()
-    v3 = bus.version
-    bus.stop_recording()
-    v4 = bus.version
-    assert v0 < v1 < v2 < v3 < v4
 
 
 def test_wants_is_per_category_but_recording_is_conservative():
