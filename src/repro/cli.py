@@ -3,8 +3,9 @@
 `python -m repro <command>` (or the `repro` console script):
 
 * ``repro demo`` -- build a system, run a workload, print the metrics;
-* ``repro experiment <name>`` -- regenerate one paper table/figure
-  (fig3, fig4, fig5, fig6, table2, maintenance) at a chosen scale;
+* ``repro experiment <name>...`` -- regenerate paper tables/figures
+  (fig3, fig4, fig5, fig6, table2, maintenance, ...) at a chosen scale
+  through one executor; ``--out DIR`` also writes ``DIR/<name>.txt``;
 * ``repro sweep`` -- sweep p_s over a grid and print the metric trio
   (latency / failure ratio / connum) per point;
 
@@ -40,8 +41,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import pathlib
 import sys
+import time
 from typing import List, Optional, Tuple
 
 from .core import HybridConfig, HybridSystem
@@ -80,17 +82,29 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--bittorrent", action="store_true")
     demo.add_argument("--cache", action="store_true")
 
-    exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
+    exp = sub.add_parser("experiment", help="regenerate paper tables/figures")
     exp.add_argument(
-        "name",
+        "names",
+        metavar="name",
+        nargs="+",
         choices=[
             "fig3", "fig4", "fig5", "fig6", "table2",
             "maintenance", "comparison", "stress", "churn", "replication",
             "swarm",
         ],
+        help="one or more experiments, run through one executor so cells "
+        "shared between them run once",
     )
     exp.add_argument("--scale", choices=["quick", "medium", "paper"], default="quick")
     exp.add_argument("--seed", type=int, default=0)
+    exp.add_argument(
+        "--out",
+        metavar="DIR",
+        type=pathlib.Path,
+        default=None,
+        help="also write each table to DIR/<name>.txt, stamped with the "
+        "scale and wall time (how results/ is regenerated)",
+    )
     _add_executor_args(exp)
 
     sweep = sub.add_parser("sweep", help="sweep p_s and print the metric trio")
@@ -227,36 +241,15 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         help="recompute every cell instead of using the on-disk cell cache "
         "(~/.cache/repro-cells or $REPRO_CELL_CACHE)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker shards per cell (default: REPRO_SHARDS or 1); the "
-        "sharded run is bit-identical to the single-process run",
-    )
-    parser.add_argument(
-        "--shards-strict",
-        action="store_true",
-        default=None,
-        help="fail instead of silently running a cell single-process "
-        "when its config is not shardable (also: REPRO_SHARDS_STRICT=1)",
-    )
 
 
 def _make_executor(args: argparse.Namespace):
     from .exec import CellCache, CellExecutor
-    from .shard import SHARDS_STRICT_ENV, resolve_shards
 
-    if getattr(args, "shards_strict", None):
-        # Propagated via the environment so pool worker processes --
-        # where run_cell's fallback decision happens -- inherit it.
-        os.environ[SHARDS_STRICT_ENV] = "1"
     return CellExecutor(
         jobs=args.jobs,
         cache=None if args.no_cache else CellCache(),
         progress=sys.stderr.isatty(),
-        shards=resolve_shards(getattr(args, "shards", None)),
     )
 
 
@@ -310,62 +303,79 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _render_experiment(name: str, scale: Scale, executor) -> str:
+    """The table of one named experiment at ``scale`` (seed included)."""
+    seed = scale.seed
+    if name == "fig3":
+        from .experiments import fig3_analysis
+
+        return fig3_analysis.main(points=11)
+    if name == "fig4":
+        from .experiments import fig4_distribution
+
+        return fig4_distribution.main(scale, executor=executor)
+    if name == "fig5":
+        from .experiments import fig5_failure
+
+        return fig5_failure.main(scale, executor=executor)
+    if name == "fig6":
+        from .experiments import fig6_latency
+
+        return fig6_latency.main(scale, executor=executor)
+    if name == "table2":
+        from .experiments import table2_connum
+
+        return table2_connum.main(scale, executor=executor)
+    if name == "maintenance":
+        from .experiments import ext_maintenance
+
+        return ext_maintenance.main(
+            n_peers=scale.n_peers, seed=seed, executor=executor
+        )
+    if name == "comparison":
+        from .experiments import ext_comparison
+
+        return ext_comparison.main(
+            n_peers=scale.n_peers, seed=seed, executor=executor
+        )
+    if name == "stress":
+        from .experiments import ext_stress
+
+        return ext_stress.main(n_peers=scale.n_peers, seed=seed, executor=executor)
+    if name == "churn":
+        from .experiments import ext_churn
+
+        return ext_churn.main(
+            n_peers=min(scale.n_peers, 100), seed=seed, executor=executor
+        )
+    if name == "replication":
+        from .experiments import ext_replication
+
+        return ext_replication.main(
+            n_peers=min(scale.n_peers, 120), seed=seed, executor=executor
+        )
+    from .experiments import ext_swarm
+
+    return ext_swarm.main(n_peers=min(scale.n_peers, 60), seed=seed)
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     scale = {"quick": Scale.quick, "medium": Scale.medium, "paper": Scale.paper}[
         args.scale
     ](seed=args.seed)
     executor = _make_executor(args)
-    if args.name == "fig3":
-        from .experiments import fig3_analysis
-
-        print(fig3_analysis.main(points=11))
-    elif args.name == "fig4":
-        from .experiments import fig4_distribution
-
-        print(fig4_distribution.main(scale, executor=executor))
-    elif args.name == "fig5":
-        from .experiments import fig5_failure
-
-        print(fig5_failure.main(scale, executor=executor))
-    elif args.name == "fig6":
-        from .experiments import fig6_latency
-
-        print(fig6_latency.main(scale, executor=executor))
-    elif args.name == "table2":
-        from .experiments import table2_connum
-
-        print(table2_connum.main(scale, executor=executor))
-    elif args.name == "maintenance":
-        from .experiments import ext_maintenance
-
-        print(ext_maintenance.main(n_peers=scale.n_peers, executor=executor))
-    elif args.name == "comparison":
-        from .experiments import ext_comparison
-
-        print(
-            ext_comparison.main(
-                n_peers=scale.n_peers, seed=args.seed, executor=executor
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+    for name in args.names:
+        t0 = time.perf_counter()
+        text = _render_experiment(name, scale, executor)
+        print(text, flush=True)
+        if args.out is not None:
+            elapsed = time.perf_counter() - t0
+            (args.out / f"{name}.txt").write_text(
+                f"{text}\n\n[scale={args.scale}, {elapsed:.1f}s]\n"
             )
-        )
-    elif args.name == "stress":
-        from .experiments import ext_stress
-
-        print(ext_stress.main(n_peers=scale.n_peers, executor=executor))
-    elif args.name == "churn":
-        from .experiments import ext_churn
-
-        print(ext_churn.main(n_peers=min(scale.n_peers, 100), executor=executor))
-    elif args.name == "replication":
-        from .experiments import ext_replication
-
-        print(
-            ext_replication.main(n_peers=min(scale.n_peers, 120), executor=executor)
-        )
-    else:
-        from .experiments import ext_swarm
-
-        print(ext_swarm.main(n_peers=min(scale.n_peers, 60), seed=args.seed))
-    _report_executor(args.name, executor)
+    _report_executor(" ".join(args.names), executor)
     return 0
 
 

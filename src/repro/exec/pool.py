@@ -34,7 +34,6 @@ place on a TTY).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import sys
 import time
@@ -101,11 +100,6 @@ class CellSpec:
     settle_after_crash: float = 30_000.0
     tag: str = ""
     system_out: Optional[Dict[str, Any]] = field(default=None, compare=False)
-    # Sharded execution (repro.shard).  Deliberately NOT part of the
-    # cache identity (_spec_inputs): the sharded run is bit-identical
-    # to the single-process run, so a cached cell is valid at any
-    # shard count.
-    shards: int = 1
 
     @property
     def label(self) -> str:
@@ -154,7 +148,6 @@ def _cell_worker(spec: CellSpec) -> Tuple[bool, Any, float]:
             spec.scale,
             crash_fraction=spec.crash_fraction,
             settle_after_crash=spec.settle_after_crash,
-            shards=spec.shards,
         )
         return True, result, time.perf_counter() - t0
     except BaseException:
@@ -183,10 +176,8 @@ class CellExecutor:
         progress: bool = False,
         registry: Optional[MetricsRegistry] = None,
         stream: Optional[TextIO] = None,
-        shards: int = 1,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.shards = max(1, int(shards))
         self.cache = cache
         self.progress = progress
         self.stream = stream if stream is not None else sys.stderr
@@ -217,13 +208,6 @@ class CellExecutor:
     def map(self, specs: Sequence[CellSpec]) -> List[CellResult]:
         """Run every cell; return results in submission order."""
         specs = list(specs)
-        if self.shards > 1:
-            # Executor-wide default: cells that did not pin their own
-            # shard count inherit the executor's (CLI --shards).
-            specs = [
-                dataclasses.replace(s, shards=self.shards) if s.shards == 1 else s
-                for s in specs
-            ]
         self.stats.cells_total += len(specs)
         if self.jobs > 1:
             for spec in specs:
@@ -255,7 +239,6 @@ class CellExecutor:
                     crash_fraction=spec.crash_fraction,
                     settle_after_crash=spec.settle_after_crash,
                     system_out=spec.system_out,
-                    shards=spec.shards,
                 )
                 elapsed = time.perf_counter() - t0
                 if self.cache is not None and spec.system_out is None:

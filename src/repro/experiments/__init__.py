@@ -12,8 +12,9 @@ driver declares its cells up front and maps them through a
 :class:`~repro.exec.CellExecutor` (``executor=`` parameter; pass one
 configured with ``jobs > 1`` and a :class:`~repro.exec.CellCache` to
 fan the grid out over worker processes with on-disk memoization -- see
-EXPERIMENTS.md, "Running paper scale fast").  The benchmark suite under
-``benchmarks/`` calls these drivers with ``Scale.quick()``, while
+EXPERIMENTS.md, "Running paper scale fast").  ``repro experiment
+<name>... [--out DIR]`` is the one command that runs them; the tier-1
+tests check each figure's shapes at ``Scale.quick()``, and
 EXPERIMENTS.md records the larger runs.
 """
 

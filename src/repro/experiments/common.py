@@ -11,7 +11,6 @@ one cell of a sweep and returns the standard metric bundle.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -193,51 +192,32 @@ def run_cell(
     With ``shards > 1`` the cell executes on the sharded substrate
     (:mod:`repro.shard`) -- bit-identical metrics, workers in parallel;
     ``system_out`` then receives the shard diagnostics under
-    ``"shard_info"`` instead of a system object.  ``shards_strict``
-    (or ``REPRO_SHARDS_STRICT``) turns the silent single-process
-    fallback for unshardable configs into a raised ValueError.
+    ``"shard_info"`` instead of a system object.  A config the sharded
+    substrate cannot host raises ValueError naming the offending fields.
     """
-    # There is one fork-mode shard transport.  The keyword survives only
-    # because bench/workloads.py (frozen for this change) still passes
-    # shard_backend="shm"; the next benchmark PR drops the argument from
-    # the ledger and then this parameter.
-    if shard_backend not in (None, "shm"):
+    # There is one fork-mode shard transport and no single-process
+    # fallback.  The two keywords survive only because bench/workloads.py
+    # (frozen for this change) still passes shard_backend="shm",
+    # shards_strict=True; the next benchmark PR drops them from the
+    # ledger and then these parameters.
+    if shard_backend not in (None, "shm") or shards_strict not in (None, True):
         raise ValueError(
-            f"unknown shard backend {shard_backend!r}: shm is the only one"
+            f"unsupported shard_backend={shard_backend!r} / "
+            f"shards_strict={shards_strict!r}: shm is the only transport "
+            "and an unshardable cell always raises"
         )
     if shards > 1:
-        from ..shard import (
-            check_shardable,
-            resolve_shards_strict,
-            run_cell_sharded,
-        )
+        from ..shard import run_cell_sharded
 
-        try:
-            check_shardable(config)
-        except ValueError as exc:
-            # Sweep-wide shard settings (--shards / REPRO_SHARDS) must not
-            # break cells the sharded substrate cannot host (heartbeats,
-            # replication, walks): fall back to the single-process path,
-            # which is bit-identical anyway.  The fallback is loud --
-            # the warning names the offending config fields -- and
-            # strict mode forbids it outright.
-            if resolve_shards_strict(shards_strict):
-                raise
-            logging.getLogger("repro.shard").warning(
-                "cell is not shardable (%s); falling back to "
-                "single-process execution", exc,
-            )
-            shards = 1
-        else:
-            info: Dict[str, object] = {}
-            result = run_cell_sharded(
-                config, scale, crash_fraction, settle_after_crash,
-                shards=shards,
-                info_out=info if system_out is not None else None,
-            )
-            if system_out is not None:
-                system_out["shard_info"] = info
-            return result
+        info: Dict[str, object] = {}
+        result = run_cell_sharded(
+            config, scale, crash_fraction, settle_after_crash,
+            shards=shards,
+            info_out=info if system_out is not None else None,
+        )
+        if system_out is not None:
+            system_out["shard_info"] = info
+        return result
     system, pairs = prepare_cell(
         config, scale, crash_fraction, settle_after_crash
     )

@@ -103,8 +103,10 @@ def run(
     return {lifetime: cell for lifetime, cell in zip(lifetimes, cells)}
 
 
-def main(n_peers: int = 80, executor: CellExecutor | None = None) -> str:
-    cells = run(n_peers=n_peers, executor=executor)
+def main(
+    n_peers: int = 80, seed: int = 0, executor: CellExecutor | None = None
+) -> str:
+    cells = run(n_peers=n_peers, seed=seed, executor=executor)
     rows = [
         [
             cell.label,

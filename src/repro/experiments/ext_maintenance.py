@@ -93,12 +93,14 @@ def main(
     n_peers: int = 100,
     churn_events: int = 40,
     ps_values: Sequence[float] = PS_GRID,
+    seed: int = 0,
     executor: CellExecutor | None = None,
 ) -> str:
     cells = run(
         n_peers=n_peers,
         churn_events=churn_events,
         ps_values=ps_values,
+        seed=seed,
         executor=executor,
     )
     rows = [

@@ -96,8 +96,10 @@ def run(
     return {key: cell for key, cell in zip(keys, cells)}
 
 
-def main(n_peers: int = 80, executor: CellExecutor | None = None) -> str:
-    cells = run(n_peers=n_peers, executor=executor)
+def main(
+    n_peers: int = 80, seed: int = 0, executor: CellExecutor | None = None
+) -> str:
+    cells = run(n_peers=n_peers, seed=seed, executor=executor)
     grid = {
         f"k={k}": {
             f"crash={f:.1f}": f"{cells[(k, f)].failure_ratio:.3f}"

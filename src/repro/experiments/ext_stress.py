@@ -90,9 +90,10 @@ def run(
 def main(
     n_peers: int = 100,
     ps_values: Sequence[float] = PS_GRID,
+    seed: int = 0,
     executor: CellExecutor | None = None,
 ) -> str:
-    cells = run(n_peers=n_peers, ps_values=ps_values, executor=executor)
+    cells = run(n_peers=n_peers, ps_values=ps_values, seed=seed, executor=executor)
     rows = []
     for p_s in ps_values:
         for variant in ("base", "binned"):

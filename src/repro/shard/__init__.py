@@ -7,9 +7,10 @@ to the single-process :func:`repro.experiments.common.run_cell`.
 
 Public surface:
 
-* :func:`run_cell_sharded` / :func:`resolve_shards` -- the executor
-  and the ``--shards`` / ``REPRO_SHARDS`` plumbing (plus
-  ``REPRO_SHARDS_STRICT`` via :func:`resolve_shards_strict`);
+* :func:`run_cell_sharded` -- the executor behind
+  ``run_cell(..., shards=N)``, for one hand-run 10^5/10^6 cell (sweeps
+  parallelise across cells instead, via ``CellExecutor(jobs=)``);
+  :func:`check_shardable` raises for the configs it cannot host;
 * :class:`NullMessageSync` -- the lower-bound-timestamp window logic;
 * :class:`SpscRing` / :class:`ShardFrameCodec` -- the shared-memory
   ring transport and struct frame encoding forked workers talk over
@@ -29,12 +30,8 @@ from .ipc import (
 )
 from .partition import partition_snetworks, shard_loads
 from .runner import (
-    SHARDS_ENV,
-    SHARDS_STRICT_ENV,
     check_shardable,
     merge_registries,
-    resolve_shards,
-    resolve_shards_strict,
     run_cell_sharded,
 )
 from .state import CompactPeerState, PeerStub, ShardQueryRegistry
@@ -42,8 +39,6 @@ from .sync import NullMessageSync, ShardSyncError
 from .worker import ShardWorker
 
 __all__ = [
-    "SHARDS_ENV",
-    "SHARDS_STRICT_ENV",
     "CompactPeerState",
     "NullMessageSync",
     "PeerStub",
@@ -58,8 +53,6 @@ __all__ = [
     "check_shardable",
     "merge_registries",
     "partition_snetworks",
-    "resolve_shards",
-    "resolve_shards_strict",
     "run_cell_sharded",
     "shard_loads",
 ]

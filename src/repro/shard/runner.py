@@ -69,40 +69,10 @@ from .sync import NullMessageSync, ShardSyncError
 from .worker import ShardWorker, serve_shm
 
 __all__ = [
-    "SHARDS_ENV",
-    "SHARDS_STRICT_ENV",
-    "resolve_shards",
-    "resolve_shards_strict",
     "check_shardable",
     "run_cell_sharded",
     "merge_registries",
 ]
-
-#: Default shard count for drivers that take ``--shards`` (0/unset = 1).
-SHARDS_ENV = "REPRO_SHARDS"
-
-#: When truthy, an unshardable cell raises instead of silently falling
-#: back to single-process execution (see ``run_cell``).
-SHARDS_STRICT_ENV = "REPRO_SHARDS_STRICT"
-
-
-def resolve_shards(value: Optional[int] = None) -> int:
-    """Shard count from an explicit value or the REPRO_SHARDS variable."""
-    if value is None:
-        raw = os.environ.get(SHARDS_ENV, "").strip()
-        value = int(raw) if raw else 1
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"shard count must be >= 1, got {value}")
-    return value
-
-
-def resolve_shards_strict(value: Optional[bool] = None) -> bool:
-    """Strict-mode flag from an explicit value or REPRO_SHARDS_STRICT."""
-    if value is not None:
-        return bool(value)
-    raw = os.environ.get(SHARDS_STRICT_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no")
 
 
 def check_shardable(config: HybridConfig) -> None:
@@ -529,13 +499,10 @@ def run_cell_sharded(
         raise ValueError("shards must be >= 1")
     check_shardable(config)
     if mode is None:
-        # Daemonic processes (e.g. some pool workers) cannot fork
-        # children; inline mode is the universal fallback.
-        can_fork = (
-            "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
+        mode = (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "inline"
         )
-        mode = "fork" if can_fork else "inline"
     if mode not in ("fork", "inline"):
         raise ValueError(f"unknown shard mode {mode!r}")
 

@@ -2,14 +2,12 @@
 
 Replaces the NS2 simulator used in the paper's evaluation: an event
 heap with a simulated clock (:mod:`~repro.sim.engine`), resettable and
-periodic timers (:mod:`~repro.sim.timers`), generator-based scripted
-processes (:mod:`~repro.sim.process`), named deterministic RNG streams
-(:mod:`~repro.sim.rng`), and a trace bus for metrics and tests
+periodic timers (:mod:`~repro.sim.timers`), named deterministic RNG
+streams (:mod:`~repro.sim.rng`), and a trace bus for metrics and tests
 (:mod:`~repro.sim.trace`).
 """
 
 from .engine import Engine, Event, SimulationError
-from .process import Process
 from .rng import RngRegistry, stable_hash32
 from .timers import PeriodicTimer, Timer
 from .trace import TraceBus, TraceRecord
@@ -18,7 +16,6 @@ __all__ = [
     "Engine",
     "Event",
     "SimulationError",
-    "Process",
     "RngRegistry",
     "stable_hash32",
     "PeriodicTimer",

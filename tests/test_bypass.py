@@ -86,26 +86,28 @@ class TestSemantics:
         assert via_bypass > 0
 
     def test_bypass_reduces_ring_traffic(self):
-        def contacts(bypass: bool):
+        def contacts(bypass: bool, n_peers: int, seed: int, n: int):
             system = build_system(
-                p_s=0.85, n_peers=40, ttl=8, seed=13,
+                p_s=0.85, n_peers=n_peers, ttl=8, seed=seed,
                 bypass_links=bypass, bypass_lifetime=500_000.0,
             )
             peers = [p.address for p in system.alive_peers()]
             system.populate(
-                [(peers[i % len(peers)], f"k{i}", i) for i in range(60)]
+                [(peers[i % len(peers)], f"k{i}", i) for i in range(n)]
             )
             alive = [p.address for p in system.alive_peers()]
             # Repeat the same remote lookups so links get reused.
             for _ in range(3):
                 system.run_lookups(
-                    [(alive[(i * 7) % len(alive)], f"k{i}") for i in range(60)]
+                    [(alive[(i * 7) % len(alive)], f"k{i}") for i in range(n)]
                 )
             stats = system.query_stats()
             assert stats.failure_ratio == 0.0
             return stats.connum
 
-        assert contacts(True) < contacts(False)
+        # A small system, then the bypass ablation at Scale.quick() size.
+        for case in ((40, 13, 60), (120, 34, 400)):
+            assert contacts(True, *case) < contacts(False, *case)
 
     def test_stale_bypass_retries_via_ring(self):
         """Kill a bypass target silently; the lookup must still resolve

@@ -79,14 +79,19 @@ class TestCachingSystem:
         """The future-work goal: "distribute the load among as many
         peers as possible so that no peer is overwhelmed"."""
 
-        def max_load(cache: bool) -> int:
+        def loads(cache: bool, n_peers: int, n_background: int) -> list:
             system = build_system(
-                p_s=0.7, n_peers=40, ttl=8, seed=15, cache_enabled=cache
+                p_s=0.7, n_peers=n_peers, ttl=8, seed=15, cache_enabled=cache
             )
-            hot_key_workload(system)
-            return max(p.answers_served for p in system.alive_peers())
+            hot_key_workload(system, n_background=n_background)
+            return [p.answers_served for p in system.alive_peers()]
 
-        assert max_load(True) < max_load(False)
+        # A small system, then the extension at Scale.quick() size.
+        for case in ((40, 60), (120, 200)):
+            plain, cached = loads(False, *case), loads(True, *case)
+            assert max(cached) < max(plain)
+            # The load moves onto surrogates; it is not merely dropped.
+            assert sum(n > 0 for n in cached) >= sum(n > 0 for n in plain)
 
     def test_repeat_lookups_hit_caches(self):
         system = build_system(p_s=0.7, n_peers=40, ttl=8, cache_enabled=True)

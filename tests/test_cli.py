@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -18,9 +21,15 @@ class TestParser:
 
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "table2", "--scale", "quick"])
-        assert args.name == "table2"
+        assert args.names == ["table2"]
+        args = build_parser().parse_args(["experiment", "fig5", "table2"])
+        assert args.names == ["fig5", "table2"]
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "fig5", "fig99"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment"])
 
     def test_sweep_grid(self):
         args = build_parser().parse_args(["sweep", "--grid", "0.1", "0.5"])
@@ -108,11 +117,38 @@ class TestCommands:
         assert rc == 0
         assert "0.8" in out
 
-    def test_experiment_maintenance(self, capsys):
-        rc = main(["experiment", "maintenance", "--scale", "quick"])
+    def test_experiment_maintenance(self, capsys, tmp_path):
+        # Two names share one run; --out stamps each table into its file.
+        rc = main(["experiment", "fig3", "maintenance", "--scale", "quick",
+                   "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "maintenance" in out
+        assert out.index("Fig. 3a") < out.index("maintenance")
+        for name in ("fig3", "maintenance"):
+            text, stamp = (tmp_path / f"{name}.txt").read_text().split("\n\n[")
+            assert text in out
+            assert re.fullmatch(r"scale=quick, \d+\.\ds\]\n", stamp)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["maintenance", "comparison", "stress", "churn", "replication", "swarm"],
+    )
+    def test_experiment_seed_reaches_run(self, monkeypatch, name):
+        def run(**kwargs):
+            raise SystemExit(kwargs.get("seed"))
+
+        module = importlib.import_module(f"repro.experiments.ext_{name}")
+        monkeypatch.setattr(module, "run", run)
+        with pytest.raises(SystemExit) as reached:
+            main(["experiment", name, "--seed", "5", "--jobs", "1",
+                  "--no-cache"])
+        assert reached.value.code == 5
+
+    def test_experiment_help_has_no_shard_flags(self, capsys):
+        for command in ("experiment", "sweep"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "--shards" not in capsys.readouterr().out
 
     def test_sweep_parallel_matches_serial(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_CACHE", str(tmp_path))

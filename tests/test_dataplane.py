@@ -127,22 +127,29 @@ class TestLookup:
         if local and remote:
             assert sum(local) / len(local) < sum(remote) / len(remote)
 
+    # Cases: a small system, then the ablation at Scale.quick() size.
     def test_tree_flood_contacts_each_peer_once(self):
         """The tree guarantees zero duplicate deliveries (Section 3.2.2)."""
-        system = build_system(p_s=0.8, n_peers=40, ttl=8)
-        populate(system, 100)
-        alive = [p.address for p in system.alive_peers()]
-        system.run_lookups([(alive[(i * 3) % len(alive)], f"k{i}") for i in range(100)])
-        assert system.query_stats().duplicate_contacts == 0
+        for n_peers, seed, n in ((40, 7, 100), (120, 31, 400)):
+            system = build_system(p_s=0.8, n_peers=n_peers, seed=seed, ttl=8)
+            populate(system, n)
+            alive = [p.address for p in system.alive_peers()]
+            system.run_lookups(
+                [(alive[(i * 3) % len(alive)], f"k{i}") for i in range(n)]
+            )
+            assert system.query_stats().duplicate_contacts == 0
 
     def test_mesh_ablation_creates_duplicates(self):
-        system = build_system(
-            p_s=0.8, n_peers=40, ttl=8, mesh_extra_links=2, seed=5
-        )
-        populate(system, 100)
-        alive = [p.address for p in system.alive_peers()]
-        system.run_lookups([(alive[(i * 3) % len(alive)], f"k{i}") for i in range(100)])
-        assert system.query_stats().duplicate_contacts > 0
+        for n_peers, seed, n in ((40, 5, 100), (120, 31, 400)):
+            system = build_system(
+                p_s=0.8, n_peers=n_peers, ttl=8, mesh_extra_links=2, seed=seed
+            )
+            populate(system, n)
+            alive = [p.address for p in system.alive_peers()]
+            system.run_lookups(
+                [(alive[(i * 3) % len(alive)], f"k{i}") for i in range(n)]
+            )
+            assert system.query_stats().duplicate_contacts > 0
 
     def test_connum_grows_with_structured_share(self):
         def connum_at(p_s):
@@ -173,20 +180,23 @@ class TestLookup:
 
 class TestBitTorrentMode:
     def test_bt_lookups_succeed_without_flooding(self):
-        system = build_system(p_s=0.8, n_peers=30, snetwork_style="bittorrent")
-        populate(system, 90)
-        alive = [p.address for p in system.alive_peers()]
-        system.run_lookups([(alive[(i * 11) % len(alive)], f"k{i}") for i in range(90)])
-        stats = system.query_stats()
-        assert stats.failure_ratio == 0.0
-        # Tracker-based resolution contacts far fewer peers than floods.
-        gnutella = build_system(p_s=0.8, n_peers=30)
-        populate(gnutella, 90)
-        alive = [p.address for p in gnutella.alive_peers()]
-        gnutella.run_lookups(
-            [(alive[(i * 11) % len(alive)], f"k{i}") for i in range(90)]
-        )
-        assert stats.connum < gnutella.query_stats().connum
+        def connum(n_peers, seed, n, **kw):
+            system = build_system(p_s=0.8, n_peers=n_peers, seed=seed, **kw)
+            populate(system, n)
+            alive = [p.address for p in system.alive_peers()]
+            system.run_lookups(
+                [(alive[(i * 11) % len(alive)], f"k{i}") for i in range(n)]
+            )
+            stats = system.query_stats()
+            if kw.get("snetwork_style") == "bittorrent":
+                assert stats.failure_ratio == 0.0
+            return stats.connum
+
+        # A small system, then the Section 5.5 ablation at Scale.quick().
+        for n_peers, seed, n, ttl in ((30, 7, 90, 4), (120, 33, 400, 6)):
+            bt = connum(n_peers, seed, n, ttl=ttl, snetwork_style="bittorrent")
+            # Tracker-based resolution contacts far fewer peers than floods.
+            assert bt < connum(n_peers, seed, n, ttl=ttl)
 
     def test_bt_tracker_index_covers_snetwork_items(self):
         system = build_system(p_s=0.8, n_peers=30, snetwork_style="bittorrent")

@@ -1,10 +1,11 @@
-"""Tests for the extension experiments (maintenance cost, comparison)."""
+"""Tests for the extension experiments (maintenance cost, comparison,
+replication)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ext_comparison, ext_maintenance
+from repro.experiments import ext_comparison, ext_maintenance, ext_replication
 
 
 class TestMaintenance:
@@ -26,6 +27,13 @@ class TestMaintenance:
         cell = cells[0.5]
         assert cell.messages > 0
         assert cell.per_event == pytest.approx(cell.messages / 8)
+
+    def test_cost_bottoms_out_at_mid_to_high_ps(self):
+        """Section 3.1 at Scale.quick() size: a U-curve, not a slope."""
+        cells = ext_maintenance.run(n_peers=120, churn_events=30)
+        per_event = {ps: cell.per_event for ps, cell in cells.items()}
+        assert per_event[0.0] > 2 * per_event[0.6]
+        assert min(per_event, key=per_event.get) >= 0.4
 
 
 class TestComparison:
@@ -59,3 +67,21 @@ class TestComparison:
     def test_main_renders(self):
         out = ext_comparison.main(n_peers=50)
         assert "chord" in out and "hybrid" in out
+
+    def test_hybrid_floods_and_maintains_at_a_fraction(self):
+        """The paper's thesis at Scale.quick() size."""
+        scores = ext_comparison.run(n_peers=120, n_keys=400, n_lookups=400)
+        chord = scores["chord"]
+        gnutella = next(s for n, s in scores.items() if n.startswith("gnutella"))
+        hybrid = next(s for n, s in scores.items() if n.startswith("hybrid"))
+        assert hybrid.contacts_per_lookup < 0.25 * gnutella.contacts_per_lookup
+        assert hybrid.maintenance_per_event < 0.25 * chord.maintenance_per_event
+
+
+class TestReplication:
+    def test_one_extra_copy_cuts_crash_loss(self):
+        cells = ext_replication.run(
+            n_peers=80, n_keys=240, n_lookups=240,
+            factors=(1, 2), fractions=(0.2,),
+        )
+        assert cells[(2, 0.2)].failure_ratio < 0.5 * cells[(1, 0.2)].failure_ratio

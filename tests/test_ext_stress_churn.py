@@ -29,6 +29,16 @@ class TestLinkStress:
         out = ext_stress.main(n_peers=50, ps_values=(0.8,))
         assert "hottest link" in out
 
+    def test_binning_relieves_links_from_ps_0_7(self):
+        """Section 5.2's motivation at Scale.quick() size."""
+        cells = ext_stress.run(
+            n_peers=120, n_keys=400, n_lookups=400, ps_values=(0.7, 0.9)
+        )
+        for p_s in (0.7, 0.9):
+            base = cells[(p_s, "base")].summary
+            binned = cells[(p_s, "binned")].summary
+            assert binned.total_transmissions < base.total_transmissions
+
 
 class TestSustainedChurn:
     def test_harsher_churn_more_failures(self):
@@ -62,3 +72,10 @@ class TestSustainedChurn:
     def test_main_renders(self):
         out = ext_churn.main(n_peers=40)
         assert "mean lifetime" in out
+
+    def test_default_lifetimes_harshest_keeps_serving(self):
+        cells = ext_churn.run(n_peers=60, n_keys=180, n_lookups=180)
+        harshest = cells[min(cells)]  # shortest mean lifetime
+        assert harshest.failure_ratio >= cells[max(cells)].failure_ratio
+        # The harshest regime still serves the surviving majority.
+        assert harshest.failure_ratio < 0.5

@@ -73,6 +73,23 @@ class TestRandomWalks:
 
         assert failure(8) <= failure(1)
 
+    def test_richer_walks_buy_success_back(self):
+        """Scale.quick() size: 4 walkers x 12 hops vs 1 walker x 5."""
+
+        def failure(walkers: int, walk_ttl: int) -> float:
+            system = build_system(
+                p_s=0.9, n_peers=120, seed=16, ttl=8,
+                search_mode="walk", walkers=walkers, walk_ttl=walk_ttl,
+                lookup_timeout=10_000.0,
+            )
+            peers = populate(system, 400)
+            system.run_lookups(
+                [(peers[(i * 7) % len(peers)], f"k{i}") for i in range(400)]
+            )
+            return system.query_stats().failure_ratio
+
+        assert failure(4, 12) <= failure(1, 5)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HybridConfig(search_mode="teleport").validate()

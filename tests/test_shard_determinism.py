@@ -26,7 +26,6 @@ from repro.shard import (
     NullMessageSync,
     ShardWorker,
     check_shardable,
-    resolve_shards,
     run_cell_sharded,
 )
 from repro.shard.ipc import RING_BYTES_ENV, SpscRing
@@ -64,9 +63,10 @@ class TestBitIdentity:
     @pytest.mark.parametrize("shards", [2, 3, 4])
     def test_shm_backend_matches_single_process(self, quick_single, shards):
         out = {}
+        # The keywords the frozen ledger passes (sim_shard2).
         sharded = run_cell(
             HybridConfig(p_s=0.3), Scale.quick(), shards=shards,
-            system_out=out,
+            shard_backend="shm", shards_strict=True, system_out=out,
         )
         assert sharded == quick_single
         info = out["shard_info"]
@@ -87,6 +87,15 @@ class TestBitIdentity:
             run_cell(
                 HybridConfig(p_s=0.3), Scale.quick(), shards=2,
                 shard_backend="pipe",
+            )
+
+    def test_shards_strict_false_rejected(self):
+        # Likewise for the ledger's shards_strict=True: False would ask
+        # for the single-process fallback, which no longer exists.
+        with pytest.raises(ValueError, match="shards_strict=False"):
+            run_cell(
+                HybridConfig(p_s=0.3), Scale.quick(), shards=2,
+                shards_strict=False,
             )
 
     def test_shm_spill_path_matches(self, quick_single, monkeypatch):
@@ -135,13 +144,28 @@ class TestCheckShardable:
             check_shardable(HybridConfig(p_s=0.3, **kwargs))
 
     def test_run_cell_falls_back_for_unshardable_config(self):
-        # Sweep-wide --shards / REPRO_SHARDS must not break cells the
-        # sharded substrate rejects (e.g. fig5's heartbeat cells):
-        # run_cell silently runs them single-process instead.
+        # The fallback is explicit now: a cell the sharded substrate
+        # cannot host (e.g. fig5b's heartbeat cells) still runs
+        # single-process when asked to, and shards=2 refuses it instead
+        # of silently running it single-process.
         config = HybridConfig(p_s=0.3, heartbeats_enabled=True)
         single = run_cell(config, Scale.quick())
-        fallback = run_cell(config, Scale.quick(), shards=2)
-        assert fallback == single
+        assert run_cell(config, Scale.quick(), shards=1) == single
+        with pytest.raises(ValueError, match="heartbeats_enabled"):
+            run_cell(config, Scale.quick(), shards=2)
+
+    def test_fallback_warning_names_offending_fields(self, caplog):
+        # No fallback, so no warning: the refusal itself names every
+        # offending field, before anything is built, and logs nothing.
+        config = HybridConfig(
+            p_s=0.3, heartbeats_enabled=True, search_mode="walk"
+        )
+        with caplog.at_level(logging.DEBUG):
+            with pytest.raises(ValueError) as excinfo:
+                run_cell(config, Scale.quick(), shards=2)
+        assert "heartbeats_enabled" in str(excinfo.value)
+        assert "walk" in str(excinfo.value)
+        assert caplog.records == []
 
     def test_run_cell_sharded_rejects_early(self):
         with pytest.raises(ValueError):
@@ -151,34 +175,10 @@ class TestCheckShardable:
                 shards=2,
             )
 
-    def test_fallback_warning_names_offending_fields(self, caplog):
-        config = HybridConfig(p_s=0.3, heartbeats_enabled=True)
-        with caplog.at_level(logging.WARNING, logger="repro.shard"):
-            run_cell(config, Scale.quick(), shards=2)
-        assert any(
-            "heartbeats_enabled" in r.getMessage()
-            and "falling back" in r.getMessage()
-            for r in caplog.records
-        )
-
     def test_strict_flag_forbids_fallback(self):
         config = HybridConfig(p_s=0.3, heartbeats_enabled=True)
         with pytest.raises(ValueError, match="heartbeats_enabled"):
             run_cell(config, Scale.quick(), shards=2, shards_strict=True)
-
-    def test_strict_env_forbids_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS_STRICT", "1")
-        config = HybridConfig(p_s=0.3, search_mode="walk")
-        with pytest.raises(ValueError, match="walk"):
-            run_cell(config, Scale.quick(), shards=2)
-
-    def test_explicit_false_overrides_strict_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS_STRICT", "1")
-        config = HybridConfig(p_s=0.3, heartbeats_enabled=True)
-        single = run_cell(config, Scale.quick())
-        assert run_cell(
-            config, Scale.quick(), shards=2, shards_strict=False
-        ) == single
 
 
 def _shm_segments() -> set:
@@ -244,24 +244,6 @@ class TestWorkerDeath:
         )
         _assert_failed_fork_run_leaks_nothing(OSError, "No space left")
         assert len(made) == 3
-
-
-class TestResolveShards:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "8")
-        assert resolve_shards(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert resolve_shards(None) == 4
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert resolve_shards(None) == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_shards(0)
 
 
 class TestNullMessageSync:
