@@ -19,6 +19,7 @@ Determinism: all randomness flows from named streams of one root seed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -407,7 +408,8 @@ class HybridSystem:
         """
         ring = self.server.ring
         members = ring.members()
-        n, bits = len(members), self.idspace.bits
+        pids = ring.pids
+        n, bits, mask = len(members), self.idspace.bits, self.idspace._mask
         for j, (p_id, address) in enumerate(members):
             peer = self.peers.get(address)
             if peer is None or peer.role != "t" or not peer.alive:
@@ -418,9 +420,11 @@ class HybridSystem:
             suc_pid, suc_addr = members[(j + 1) % n]
             fingers = [(suc_pid, suc_addr)] if suc_addr != address else []
             seen = {address, suc_addr}
-            gap = self.idspace.distance_cw(p_id, suc_pid)
+            gap = (suc_pid - p_id) & mask
             for k in range(gap.bit_length(), bits):
-                f_pid, f_addr = ring.owner_of(self.idspace.finger_start(p_id, k))
+                # ``ring.owner_of(finger_start(p_id, k))``, inlined.
+                i = bisect_left(pids, (p_id + (1 << k)) & mask) % n
+                f_pid, f_addr = members[i]
                 if f_addr not in seen:
                     seen.add(f_addr)
                     fingers.append((f_pid, f_addr))

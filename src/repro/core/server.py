@@ -83,6 +83,11 @@ class RingDirectory:
         """All (p_id, address) pairs in ring order."""
         return list(zip(self._pids, self._addrs))
 
+    @property
+    def pids(self) -> List[int]:
+        """The members' p_ids in ring order (the live list; do not mutate)."""
+        return self._pids
+
     def pid_of(self, address: int) -> Optional[int]:
         return self._by_addr.get(address)
 

@@ -69,12 +69,16 @@ class TNetworkMixin:
         Falls back to the successor, which alone guarantees progress
         (Chord's invariant).
         """
+        mask = self.idspace._mask
+        p_id = self.p_id
         best_addr = self.successor
-        best_dist = self.idspace.distance_cw(self.p_id, self.successor_pid)
-        target_dist = self.idspace.distance_cw(self.p_id, target)
+        # Clockwise distances inlined as in ``owns``; ``best_dist >= 0``
+        # makes ``best_dist < d`` imply the scan's ``0 < d``.
+        best_dist = (self.successor_pid - p_id) & mask
+        target_dist = (target - p_id) & mask
         for f_pid, f_addr in self.fingers:
-            d = self.idspace.distance_cw(self.p_id, f_pid)
-            if 0 < d < target_dist and d > best_dist:
+            d = (f_pid - p_id) & mask
+            if best_dist < d < target_dist:
                 best_dist = d
                 best_addr = f_addr
         return best_addr

@@ -8,14 +8,16 @@ all-pairs shortest paths (latency-weighted Dijkstra via
 * ``latency(u, v)`` -- end-to-end propagation delay of the path, and
 * ``path(u, v)`` -- the node sequence, used for link-stress accounting.
 
-For the paper's scale (1,000 physical nodes) the dense distance matrix
-is ~8 MB and the predecessor matrix ~4 MB; both are computed once per
-experiment.
+For the paper's scale (1,000 physical nodes) the dense :class:`Router`
+computes the distance matrix (~8 MB) and the predecessor matrix (~4 MB)
+once per topology.  Above :data:`DENSE_ROUTER_LIMIT` hosts
+:class:`HierRouter` keeps distances only, and builds predecessors per
+source or stub domain the first time ``path`` walks it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -113,6 +115,26 @@ class Router:
         return min(lat for _, _, lat in self.topology.edges)
 
 
+# Most nodes per block-diagonal stub-domain graph in one scipy call:
+# ~64 domains of 8, whose dense 512 x 512 result is 2 MB.
+_BLOCK_NODES = 512
+
+
+def _undirected(
+    edges: Iterable[Tuple[int, int, float]], index: Dict[int, int], k: int
+) -> csr_matrix:
+    """Symmetric ``k x k`` CSR of ``edges``, nodes renumbered by ``index``."""
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    for u, v, lat in edges:
+        a, b = index[u], index[v]
+        rows.extend((a, b))
+        cols.extend((b, a))
+        vals.extend((lat, lat))
+    return csr_matrix((vals, (rows, cols)), shape=(k, k))
+
+
 class _HierRow:
     """Lazy latency row of a :class:`HierRouter` source host.
 
@@ -161,9 +183,13 @@ class HierRouter:
     ``lat(u, v) = d_D(u, g_D) + w_D  +  T(t_D, t_E)  +  w_E + d_E(g_E, v)``
 
     where ``d_X`` is the all-pairs distance *inside* stub domain ``X``
-    (a <=64-node subgraph), ``g_X``/``w_X`` its gateway node and gateway
-    edge weight, and ``T`` the all-pairs distance over the transit-only
-    subgraph.  Memory is O(n_t^2 + sum |D|^2) instead of O(n^2).
+    (8 nodes by default; :func:`~repro.net.topology.config_for_size`
+    grows domains once the core reaches its cap, to 82 nodes at 10^6
+    hosts), ``g_X``/``w_X`` its gateway node and gateway edge weight, and
+    ``T`` the all-pairs distance over the transit-only subgraph.  Memory
+    is O(n_t^2 + sum |D|^2) instead of O(n^2).  Domains are solved
+    :data:`_BLOCK_NODES` nodes per scipy call; predecessors, which only
+    :meth:`path` (link-stress accounting) reads, are computed on demand.
 
     The decomposition yields the same shortest-path *lengths* as the
     dense router up to IEEE summation association; ``make_router`` only
@@ -184,9 +210,7 @@ class HierRouter:
         self._transit = transit
         t_of = {node: i for i, node in enumerate(transit)}
         n_t = len(transit)
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
+        core_edges: List[Tuple[int, int, float]] = []
         # Per-stub-domain edge lists and the one gateway edge.
         dom_edges: Dict[int, List[Tuple[int, int, float]]] = {}
         gateway: Dict[int, Tuple[int, float]] = {}  # domain -> (gateway node, w)
@@ -194,10 +218,7 @@ class HierRouter:
             u_t = kind[u] is NodeKind.TRANSIT
             v_t = kind[v] is NodeKind.TRANSIT
             if u_t and v_t:
-                a, b = t_of[u], t_of[v]
-                rows.extend((a, b))
-                cols.extend((b, a))
-                vals.extend((lat, lat))
+                core_edges.append((u, v, lat))
             elif u_t != v_t:
                 stub = v if u_t else u
                 d = domain[stub]
@@ -211,13 +232,13 @@ class HierRouter:
                 if domain[u] != domain[v]:  # pragma: no cover - generator invariant
                     raise ValueError("stub edge crosses domains")
                 dom_edges.setdefault(domain[u], []).append((u, v, lat))
-        core = csr_matrix((vals, (rows, cols)), shape=(n_t, n_t))
-        tt_dist, tt_pred = dijkstra(core, directed=False, return_predecessors=True)
+        self._core = _undirected(core_edges, t_of, n_t)
+        tt_dist = dijkstra(self._core, directed=False)
         if np.isinf(tt_dist).any():
             raise ValueError("transit core is not connected")
         self._tt = tt_dist
-        self._tt_pred = tt_pred
         self._tt_rows: Dict[int, List[float]] = {}
+        self._tt_pred: Dict[int, np.ndarray] = {}  # per source, on demand
 
         # --- stub domains ------------------------------------------------
         # Members in node order; intra-domain all-pairs per domain.
@@ -225,45 +246,60 @@ class HierRouter:
         for i in range(n):
             if kind[i] is NodeKind.STUB:
                 members.setdefault(domain[i], []).append(i)
-        self._members = members
-        self._intra: Dict[int, np.ndarray] = {}
-        self._intra_pred: Dict[int, np.ndarray] = {}
-        self._gateway = gateway
-        # Per-host: index of the attachment transit node, and the exact
-        # distance to it (0.0 for transit nodes).
-        tindex = [0] * n
-        to_transit = [0.0] * n
-        for i in range(n):
-            tindex[i] = t_of[attach[i]]
-        for d, mem in members.items():
+        for d in members:
             if d not in gateway:
                 raise ValueError(f"stub domain {d} has no gateway edge")
-            g, w = gateway[d]
-            idx = {node: j for j, node in enumerate(mem)}
-            k = len(mem)
-            drows: List[int] = []
-            dcols: List[int] = []
-            dvals: List[float] = []
-            for u, v, lat in dom_edges.get(d, ()):
-                a, b = idx[u], idx[v]
-                drows.extend((a, b))
-                dcols.extend((b, a))
-                dvals.extend((lat, lat))
-            sub = csr_matrix((dvals, (drows, dcols)), shape=(k, k))
-            dist, pred = dijkstra(sub, directed=False, return_predecessors=True)
-            if np.isinf(dist).any():
-                raise ValueError(f"stub domain {d} is not internally connected")
-            self._intra[d] = dist
-            self._intra_pred[d] = pred
-            grow = dist[idx[g]]
-            for node in mem:
-                to_transit[node] = float(grow[idx[node]]) + w
+        self._members = members
         self._dom_index: Dict[int, Dict[int, int]] = {
             d: {node: j for j, node in enumerate(mem)} for d, mem in members.items()
         }
+        self._dom_edges = dom_edges
+        self._intra: Dict[int, np.ndarray] = {}
+        self._intra_pred: Dict[int, np.ndarray] = {}  # per domain, on demand
+        self._gateway = gateway
+        # Per-host: index of the attachment transit node, and the exact
+        # distance to it (0.0 for transit nodes).
+        tindex = [t_of[attach[i]] for i in range(n)]
+        to_transit = [0.0] * n
+        # Domains go to scipy a block at a time, as one block-diagonal
+        # graph: no path leaves a domain, so each source's run is the
+        # per-domain run, and its diagonal block is that domain's table.
+        block: List[int] = []
+        size = 0
+        for d, mem in members.items():
+            if block and size + len(mem) > _BLOCK_NODES:
+                self._solve_block(block, to_transit)
+                block, size = [], 0
+            block.append(d)
+            size += len(mem)
+        if block:
+            self._solve_block(block, to_transit)
         self._tindex = tindex
         self._to_transit = to_transit
         self._rows: Dict[int, _HierRow] = {}
+
+    def _solve_block(self, block: List[int], to_transit: List[float]) -> None:
+        """All-pairs for the stub domains ``block`` in one scipy call."""
+        at: Dict[int, int] = {}
+        edges: List[Tuple[int, int, float]] = []
+        for d in block:
+            for node in self._members[d]:
+                at[node] = len(at)
+            edges.extend(self._dom_edges.get(d, ()))
+        dist = dijkstra(_undirected(edges, at, len(at)), directed=False)
+        lo = 0
+        for d in block:
+            mem = self._members[d]
+            hi = lo + len(mem)
+            sub = dist[lo:hi, lo:hi].copy()
+            lo = hi
+            if np.isinf(sub).any():
+                raise ValueError(f"stub domain {d} is not internally connected")
+            self._intra[d] = sub
+            g, w = self._gateway[d]
+            grow = sub[self._dom_index[d][g]].tolist()
+            for node, gd in zip(mem, grow):
+                to_transit[node] = gd + w
 
     # ------------------------------------------------------------------
     @property
@@ -313,7 +349,11 @@ class HierRouter:
     def _intra_path(self, d: int, src: int, dst: int) -> List[int]:
         mem = self._members[d]
         idx = self._dom_index[d]
-        pred = self._intra_pred[d]
+        pred = self._intra_pred.get(d)
+        if pred is None:
+            graph = _undirected(self._dom_edges.get(d, ()), idx, len(mem))
+            _, pred = dijkstra(graph, directed=False, return_predecessors=True)
+            self._intra_pred[d] = pred
         nodes = [dst]
         cur = idx[dst]
         s = idx[src]
@@ -325,11 +365,16 @@ class HierRouter:
 
     def _transit_path(self, src_t: int, dst_t: int) -> List[int]:
         transit = self._transit
-        pred = self._tt_pred
+        pred = self._tt_pred.get(src_t)
+        if pred is None:
+            _, pred = dijkstra(
+                self._core, directed=False, indices=src_t, return_predecessors=True
+            )
+            self._tt_pred[src_t] = pred
         nodes = [transit[dst_t]]
         cur = dst_t
         while cur != src_t:
-            cur = int(pred[src_t, cur])
+            cur = int(pred[cur])
             nodes.append(transit[cur])
         nodes.reverse()
         return nodes

@@ -163,28 +163,46 @@ def _connected_random_graph(
     edges: List[Tuple[int, int, float]] = []
     lo, hi = latency_range
 
-    def lat() -> float:
-        return float(rng.uniform(lo, hi))
-
     # Random spanning tree via random attachment order.
     order = list(nodes)
     rng.shuffle(order)
     for i in range(1, len(order)):
         parent = order[int(rng.integers(0, i))]
         a, b = sorted((parent, order[i]))
-        edges.append((a, b, lat()))
-    present = {(a, b) for a, b, _ in edges}
-    # Extra redundancy edges.
+        edges.append((a, b, float(rng.uniform(lo, hi))))
+    # Extra redundancy edges: every non-tree pair, in (i, j) order, draws
+    # one double to decide and an accepted pair one more for its latency
+    # (``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``).  Draw the
+    # most that can be needed in one call, consume it in that order, then
+    # rewind and advance the generator by exactly what was consumed, so
+    # the stream matches scalar draws (``advance`` would drop PCG64's
+    # buffered 32-bit half, which the next bounded ``integers`` reads).
     if extra_edge_prob > 0 and len(order) > 2:
-        for i in range(len(order)):
-            for j in range(i + 1, len(order)):
-                a, b = sorted((order[i], order[j]))
-                if (a, b) in present:
-                    continue
-                if rng.random() < extra_edge_prob:
-                    present.add((a, b))
-                    edges.append((a, b, lat()))
+        tree = {(a, b) for a, b, _ in edges}
+        candidates = [
+            pair
+            for i, u in enumerate(order)
+            for v in order[i + 1:]
+            if (pair := (u, v) if u < v else (v, u)) not in tree
+        ]
+        state = rng.bit_generator.state
+        draws = rng.random(2 * len(candidates)).tolist()
+        span = hi - lo
+        used = 0
+        for a, b in candidates:
+            used += 1
+            if draws[used - 1] < extra_edge_prob:
+                edges.append((a, b, lo + span * draws[used]))
+                used += 1
+        rng.bit_generator.state = state
+        rng.random(used)
     return edges
+
+
+def _pick(seq: List[int], rng: np.random.Generator) -> int:
+    """One uniform member of ``seq``: the draw ``int(rng.choice(seq))``
+    makes, without its per-call array conversion."""
+    return seq[int(rng.integers(0, len(seq)))]
 
 
 def generate_transit_stub(
@@ -233,15 +251,15 @@ def generate_transit_stub(
             j = (i + 1) % ndom
             if ndom == 2 and i == 1:
                 break  # avoid a duplicate link between the only two domains
-            a = int(rng.choice(transit_domains[i]))
-            b = int(rng.choice(transit_domains[j]))
+            a = _pick(transit_domains[i], rng)
+            b = _pick(transit_domains[j], rng)
             u, v = sorted((a, b))
             edges.append((u, v, float(rng.uniform(lo, hi))))
         for i in range(ndom):
             for j in range(i + 2, ndom):
                 if rng.random() < config.extra_edge_prob:
-                    a = int(rng.choice(transit_domains[i]))
-                    b = int(rng.choice(transit_domains[j]))
+                    a = _pick(transit_domains[i], rng)
+                    b = _pick(transit_domains[j], rng)
                     u, v = sorted((a, b))
                     edges.append((u, v, float(rng.uniform(lo, hi))))
 
@@ -261,7 +279,7 @@ def generate_transit_stub(
                         stub, rng, config.extra_edge_prob, config.latencies.intra_stub
                     )
                 )
-                gateway = int(rng.choice(stub))
+                gateway = _pick(stub, rng)
                 u, v = sorted((t_node, gateway))
                 edges.append((u, v, float(rng.uniform(ts_lo, ts_hi))))
                 next_domain += 1
@@ -298,12 +316,14 @@ def config_for_size(
     possible so peer populations can always be placed.
 
     Past ~10^5 nodes the default shape would put tens of thousands of
-    nodes in the transit core, whose all-pairs table is the quadratic
-    term in :class:`~repro.net.routing.HierRouter` memory (and cubic in
-    build time).  When the core would exceed ``max_transit_nodes`` the
-    stub domains grow instead -- their cost is only the sum of squared
-    *domain* sizes -- leaving every paper-scale configuration (which
-    stays far below the cap) byte-for-byte unchanged.
+    nodes in the transit core, whose all-pairs distance table is the
+    quadratic term in :class:`~repro.net.routing.HierRouter` memory and
+    whose all-pairs Dijkstra (n_t runs over the core) dominates its
+    build time.  When the core would exceed ``max_transit_nodes`` the
+    stub domains grow instead -- their cost is the sum of squared
+    *domain* sizes in memory and of per-domain all-pairs runs in time --
+    leaving every paper-scale configuration (which stays far below the
+    cap) byte-for-byte unchanged.
     """
     if target_nodes < 2:
         raise ValueError("target_nodes must be >= 2")

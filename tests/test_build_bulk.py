@@ -9,13 +9,22 @@ the exhaustive algorithm it replaced.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.core import HybridConfig, HybridSystem
 from repro.experiments.common import Scale, run_cell
 from repro.net.routing import HierRouter, Router, make_router
-from repro.net.topology import config_for_size, generate_transit_stub
+from repro.net.topology import (
+    NodeKind,
+    PhysicalTopology,
+    config_for_size,
+    generate_transit_stub,
+)
 
 from .conftest import build_bulk_system, check_ring, check_trees
 
@@ -67,6 +76,91 @@ def test_hier_router_agrees_with_dense():
         want, got = dense.latency_row(src), hier.latency_row(src)
         assert all(abs(got[dst] - want[dst]) <= 1e-9 for dst in range(topology.n))
         assert abs(hier.latency(src, topology.n - 1) - want[topology.n - 1]) <= 1e-9
+
+
+def reference_domains(topology):
+    """Per stub domain: (members, gateway node, gateway weight, one
+    ``dijkstra`` over that domain's own subgraph) -- the per-domain
+    computation the blocked router must reproduce exactly."""
+    kind, domain = topology.kind, topology.domain
+    members, edges, gateway = {}, {}, {}
+    for i in range(topology.n):
+        if kind[i] is NodeKind.STUB:
+            members.setdefault(domain[i], []).append(i)
+    for u, v, lat in topology.edges:
+        u_t, v_t = kind[u] is NodeKind.TRANSIT, kind[v] is NodeKind.TRANSIT
+        if u_t != v_t:
+            stub = v if u_t else u
+            gateway[domain[stub]] = (stub, lat)
+        elif not u_t:
+            edges.setdefault(domain[u], []).append((u, v, lat))
+    out = {}
+    for d, mem in members.items():
+        idx = {node: j for j, node in enumerate(mem)}
+        a = [idx[u] for u, _, _ in edges.get(d, ())]
+        b = [idx[v] for _, v, _ in edges.get(d, ())]
+        vals = [lat for _, _, lat in edges.get(d, ())] * 2
+        k = len(mem)
+        graph = csr_matrix((vals, (a + b, b + a)), shape=(k, k))
+        dist = dijkstra(graph, directed=False)
+        out[d] = (mem, *gateway[d], dist)
+    return out
+
+
+@pytest.mark.parametrize("shape", [
+    config_for_size(25000),
+    config_for_size(20000, max_transit_nodes=64),  # domains grown past 64 nodes
+])
+def test_hier_router_stub_tables_exact(shape):
+    topology = generate_transit_stub(shape, np.random.default_rng(3))
+    router = make_router(topology, dense_limit=0)
+    ref = reference_domains(topology)
+    assert router._intra.keys() == ref.keys()
+    for d, (mem, g, w, dist) in ref.items():
+        assert np.array_equal(router._intra[d], dist)
+        grow = dist[mem.index(g)]
+        for j, node in enumerate(mem):
+            assert router._to_transit[node] == float(grow[j]) + w
+
+
+# (src, dst) pairs on ``config_for_size(1000)``, seed 5 (40 transit nodes,
+# stub domains of 8 from host 40 on) and the digest of their node
+# sequences, taken before predecessors became on-demand.
+PATH_PAIRS = [
+    (40, 47), (47, 40), (0, 39), (45, 3), (3, 45), (45, 45),
+    *((int(a), int(b)) for a, b in np.random.default_rng(11).integers(0, 1000, (44, 2))),
+]
+PATH_GOLDEN = "d1493c1bc8e068ae"
+
+
+def test_hier_router_path_golden():
+    topology = generate_transit_stub(config_for_size(1000), np.random.default_rng(5))
+    router = make_router(topology, dense_limit=0)
+    paths = [router.path(src, dst) for src, dst in PATH_PAIRS]
+    assert paths[5] == [45] and paths[1] == paths[0][::-1]
+    assert hashlib.sha256(repr(paths).encode()).hexdigest()[:16] == PATH_GOLDEN
+
+
+def _two_domains(edges):
+    """Transit 0-1; stub domain 2 = {2, 3}, stub domain 3 = {4, 5}."""
+    return PhysicalTopology(
+        n=6,
+        edges=edges,
+        kind=[NodeKind.TRANSIT] * 2 + [NodeKind.STUB] * 4,
+        domain=[0, 0, 2, 2, 3, 3],
+        transit_attachment=[0, 1, 0, 0, 1, 1],
+    )
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([(0, 1, 10.0), (0, 2, 5.0), (2, 3, 1.0), (1, 4, 5.0)], "3 is not internally connected"),
+    ([(0, 1, 10.0), (0, 2, 5.0), (2, 3, 1.0), (4, 5, 1.0)], "3 has no gateway"),
+    ([(0, 1, 10.0), (0, 2, 5.0), (2, 3, 1.0), (0, 3, 5.0), (1, 4, 5.0), (4, 5, 1.0)],
+     "2 has multiple gateway"),
+])
+def test_hier_router_rejects_malformed_domains(edges, match):
+    with pytest.raises(ValueError, match=match):
+        make_router(_two_domains(edges), dense_limit=0)
 
 
 # ----------------------------------------------------------------------

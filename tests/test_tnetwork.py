@@ -3,9 +3,15 @@ role handoff, load transfer (Sections 3.2.1, 3.3, Table 1)."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import HybridConfig, HybridSystem
+from repro.core.tnetwork import TNetworkMixin
+from repro.overlay.idspace import IdSpace
 
 from .conftest import build_system, check_ring, check_trees
 
@@ -201,3 +207,40 @@ class TestFingerMaintenance:
         alive = [p.address for p in system.alive_peers()]
         system.run_lookups([(alive[(i * 3) % len(alive)], f"k{i}") for i in range(40)])
         assert system.query_stats().failure_ratio == 0.0
+
+
+def scan_closest_preceding(peer, target: int) -> int:
+    """The ``distance_cw`` scan ``closest_preceding`` replaced: kept as
+    its oracle."""
+    best_addr = peer.successor
+    best_dist = peer.idspace.distance_cw(peer.p_id, peer.successor_pid)
+    target_dist = peer.idspace.distance_cw(peer.p_id, target)
+    for f_pid, f_addr in peer.fingers:
+        d = peer.idspace.distance_cw(peer.p_id, f_pid)
+        if 0 < d < target_dist and d > best_dist:
+            best_dist = d
+            best_addr = f_addr
+    return best_addr
+
+
+@st.composite
+def finger_views(draw):
+    """A t-peer's routing view: tiny id spaces make repeated pids,
+    ``successor_pid == p_id`` and ``target == p_id`` common; the finger
+    list is drawn unordered, as ``TPeerUpdate`` can leave it."""
+    bits = draw(st.sampled_from([3, 5, 8, 32]))
+    ids = st.integers(0, (1 << bits) - 1)
+    p_id = draw(ids)
+    fingers = draw(st.lists(st.tuples(ids, st.integers(0, 50)), max_size=12))
+    peer = SimpleNamespace(
+        idspace=IdSpace(bits), p_id=p_id, successor=draw(st.integers(0, 50)),
+        successor_pid=draw(st.one_of(st.just(p_id), ids)), fingers=fingers,
+    )
+    return peer, draw(st.one_of(st.just(p_id), ids))
+
+
+@settings(max_examples=400, deadline=None)
+@given(finger_views())
+def test_closest_preceding_matches_scan(view):
+    peer, target = view
+    assert TNetworkMixin.closest_preceding(peer, target) == scan_closest_preceding(peer, target)
