@@ -17,19 +17,19 @@ they fan out into:
 * the tracker-style data plane when ``snetwork_style == "bittorrent"``.
 
 Lookup metrics (latency / failure ratio / connum) are recorded in the
-shared :class:`~repro.core.lookup.QueryRegistry`.
+shared :class:`~repro.core.lookup.QueryRegistry`; an origin's optional
+``on_verdict`` / ``on_done`` callback is how a caller learns that its
+write or lookup finished.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..overlay.messages import (
-    Ack,
     BTFetch,
     CachePush,
     ReplicaAck,
-    ReplicaPush,
     BTLookup,
     BTLookupReply,
     BTRegister,
@@ -45,18 +45,21 @@ from .config import PLACEMENT_SPREAD, SEARCH_WALK, SNETWORK_BITTORRENT
 
 __all__ = ["DataPlaneMixin"]
 
+#: ``on_done(found, value, holder)``: how a lookup reports its end.
+OnDone = Callable[[bool, Any, int], Any]
+
 
 class _PendingLookup:
     """Origin-side state of one in-flight lookup."""
 
     __slots__ = (
         "timer", "ttl", "attempts", "via_bypass", "bypass_retry_done",
-        "d_id", "key", "local", "span",
+        "d_id", "key", "local", "span", "on_done",
     )
 
     def __init__(
         self, timer: Timer, ttl: int, d_id: int, key: str, local: bool,
-        span: int = -1,
+        span: int, on_done: Optional[OnDone],
     ) -> None:
         self.timer = timer
         self.ttl = ttl
@@ -67,6 +70,7 @@ class _PendingLookup:
         self.key = key
         self.local = local
         self.span = span  # trace span id carried on every query message
+        self.on_done = on_done
 
 
 class DataPlaneMixin:
@@ -75,15 +79,24 @@ class DataPlaneMixin:
     # ==================================================================
     # Public API
     # ==================================================================
-    def store(self, key: str, value: Any) -> int:
+    def store(
+        self, key: str, value: Any,
+        on_verdict: Optional[Callable[[bool, float], Any]] = None,
+    ) -> int:
         """Insert a (key, value) item into the system; returns its d_id.
 
         "The peer generating the data item first hashes the key into
         this space.  If the d_id lies in the range of the current
         s-network, the data item is inserted to its database ...
         otherwise the data item is sent to the t-peer."
+
+        ``on_verdict(committed, latency_ms)``, if given, runs once: when
+        the copy lands (k == 1), or when the owner reaches or gives up on
+        ``write_quorum`` copies (k > 1).  Never if the owner crashes
+        mid-write, so callers bound the wait (:meth:`cancel_write_watch`).
         """
         d_id = self.idspace.hash_key(key)
+        wid = -1 if on_verdict is None else self._watch_write(on_verdict)
         if self.config.replication_factor > 1:
             # Durable path (repro.replica): the owning t-peer anchors
             # the primary copy and fans a ReplicaWrite chain down its
@@ -91,30 +104,25 @@ class DataPlaneMixin:
             # one authoritative holder per item is what makes the
             # anti-entropy digest and failover promotion well-defined.
             if self.role == "t" and self.owns(d_id):
-                self._replica_ingest(key, value, d_id, origin=self.address)
-            else:
-                target = self.t_peer if self.role == "s" else self.ring_next_hop(d_id)
-                self.send(
-                    target,
-                    StoreRequest(key=key, value=value, d_id=d_id, origin=self.address),
-                )
+                self._replica_ingest(key, value, d_id, self.address, origin_wid=wid)
+                return d_id
+        elif self.owns_locally(d_id):
+            self._insert_as_holder(key, value, d_id, self.address, write_id=wid)
             return d_id
-        if self.owns_locally(d_id):
-            self._insert_as_holder(key, value, d_id, origin=self.address)
-        elif self.role == "s":
-            self.send(
-                self.t_peer,
-                StoreRequest(key=key, value=value, d_id=d_id, origin=self.address),
-            )
-        else:
-            self.send(
-                self.ring_next_hop(d_id),
-                StoreRequest(key=key, value=value, d_id=d_id, origin=self.address),
-            )
+        self.send(
+            self.t_peer if self.role == "s" else self.ring_next_hop(d_id),
+            StoreRequest(
+                key=key, value=value, d_id=d_id, origin=self.address, write_id=wid
+            ),
+        )
         return d_id
 
-    def lookup(self, key: str) -> int:
-        """Start a lookup; returns the query id tracked by the registry."""
+    def lookup(self, key: str, on_done: Optional[OnDone] = None) -> int:
+        """Start a lookup; returns the query id tracked by the registry.
+
+        ``on_done(found, value, holder)`` runs once when the lookup ends
+        (before this returns on a local hit); failure is ``(False, None, -1)``.
+        """
         d_id = self.idspace.hash_key(key)
         local = self.owns_locally(d_id)
         rec = self.queries.start(self.address, key, d_id, self.engine.now, local)
@@ -124,10 +132,28 @@ class DataPlaneMixin:
         # message this lookup spawns, so per-hop trace records across
         # peers (or scraped nodes) can be stitched into one span.
         span = ((self.address & 0xFFFFFFFF) << 24) ^ (qid & 0xFFFFFF)
-        pending = _PendingLookup(timer, self.config.ttl, d_id, key, local, span=span)
+        pending = _PendingLookup(timer, self.config.ttl, d_id, key, local, span, on_done)
         self.pending_lookups[qid] = pending
         self._launch_lookup(qid, pending)
         return qid
+
+    def _finish_lookup(
+        self, qid: int, found: bool, value: Any = None, holder: int = -1,
+        hops: int = 0,
+    ) -> Optional[_PendingLookup]:
+        """End a lookup this peer originated; None (and nothing done) if
+        it already ended, e.g. for a late duplicate answer."""
+        pending = self.pending_lookups.pop(qid, None)
+        if pending is None:
+            return None
+        pending.timer.cancel()
+        if found:
+            self.queries.succeed(qid, self.engine.now, holder=holder, hops=hops)
+        else:
+            self.queries.fail(qid, self.engine.now)
+        if pending.on_done is not None:
+            pending.on_done(found, value, holder)
+        return pending
 
     # ==================================================================
     # Lookup driving
@@ -139,9 +165,7 @@ class DataPlaneMixin:
         # then any surrogate copy in the local cache.
         item = self.database.get(key) or self.cache_lookup(key)
         if item is not None:
-            self.queries.succeed(qid, self.engine.now, holder=self.address)
-            pending.timer.cancel()
-            del self.pending_lookups[qid]
+            self._finish_lookup(qid, True, item.value, self.address)
             if self.wants_trace("lookup.done"):
                 self.emit(
                     "lookup.done", query_id=qid, span=pending.span,
@@ -159,7 +183,7 @@ class DataPlaneMixin:
                     )
                 return
             if self.config.search_mode == SEARCH_WALK:
-                self.launch_walkers(qid, key, d_id, span_id=pending.span)
+                self.launch_walkers(qid, key, d_id, self.address, span_id=pending.span)
                 return
             flood = FloodQuery(
                 d_id=d_id, key=key, origin=self.address, query_id=qid,
@@ -214,9 +238,7 @@ class DataPlaneMixin:
                 self.queries.note_reflood(qid)
             self._relaunch(qid, pending)
             return
-        pending.timer.cancel()
-        del self.pending_lookups[qid]
-        self.queries.fail(qid, self.engine.now)
+        self._finish_lookup(qid, False)
         self.emit("lookup.failed", query_id=qid, key=pending.key)
 
     def _relaunch(self, qid: int, pending: _PendingLookup) -> None:
@@ -299,7 +321,7 @@ class DataPlaneMixin:
             return
         if self.config.search_mode == SEARCH_WALK:
             self.launch_walkers(
-                msg.query_id, msg.key, msg.d_id,
+                msg.query_id, msg.key, msg.d_id, msg.origin,
                 span_id=msg.span_id, hops=msg.hop_count + 1,
             )
             return
@@ -376,35 +398,34 @@ class DataPlaneMixin:
         return self.predecessor_pid if self.role == "t" else self.segment_lo
 
     def on_DataFound(self, msg: DataFound) -> None:
-        """Answer arrived at the origin."""
-        pending = self.pending_lookups.pop(msg.query_id, None)
-        if pending is not None:
-            pending.timer.cancel()
-        if self.queries.succeed(
-            msg.query_id, self.engine.now, holder=msg.holder, hops=msg.hops
-        ):
-            if self.wants_trace("lookup.done"):
-                rec = self.queries.get(msg.query_id)
-                self.emit(
-                    "lookup.done",
-                    query_id=msg.query_id,
-                    span=pending.span if pending is not None else -1,
-                    hops=msg.hops,
-                    contacts=rec.contacts if rec is not None else 0,
-                    latency=rec.latency if rec is not None else 0.0,
+        """Answer arrived at the origin (the first one wins)."""
+        pending = self._finish_lookup(
+            msg.query_id, True, msg.value, msg.holder, msg.hops
+        )
+        if pending is None:
+            return
+        if self.wants_trace("lookup.done"):
+            rec = self.queries.get(msg.query_id)
+            self.emit(
+                "lookup.done",
+                query_id=msg.query_id,
+                span=pending.span,
+                hops=msg.hops,
+                contacts=rec.contacts if rec is not None else 0,
+                latency=rec.latency if rec is not None else 0.0,
+            )
+        if self.config.bypass_links and msg.holder_pid != self.p_id:
+            self.add_bypass(msg.holder, msg.holder_pred_pid, msg.holder_pid)
+        if self.config.cache_enabled and msg.holder != self.address:
+            d_id = self.idspace.hash_key(msg.key)
+            self.cache_store(msg.key, msg.value, d_id)
+            if self.role == "s" and not self.owns_locally(d_id):
+                # Seed the s-network's gateway surrogate: future
+                # remote lookups from this network stop at the t-peer.
+                self.send(
+                    self.t_peer,
+                    CachePush(key=msg.key, value=msg.value, d_id=d_id),
                 )
-            if self.config.bypass_links and msg.holder_pid != self.p_id:
-                self.add_bypass(msg.holder, msg.holder_pred_pid, msg.holder_pid)
-            if self.config.cache_enabled and msg.holder != self.address:
-                d_id = self.idspace.hash_key(msg.key)
-                self.cache_store(msg.key, msg.value, d_id)
-                if self.role == "s" and not self.owns_locally(d_id):
-                    # Seed the s-network's gateway surrogate: future
-                    # remote lookups from this network stop at the t-peer.
-                    self.send(
-                        self.t_peer,
-                        CachePush(key=msg.key, value=msg.value, d_id=d_id),
-                    )
 
     def on_CachePush(self, msg: CachePush) -> None:
         """Adopt a surrogate copy pushed by an s-network member."""
@@ -469,25 +490,6 @@ class DataPlaneMixin:
     def on_SpreadStore(self, msg: SpreadStore) -> None:
         self._spread(msg.key, msg.value, msg.d_id, msg.origin, msg.write_id)
 
-    def _push_replicas(self, key: str, value: Any, d_id: int, count: int) -> None:
-        """Hand ``count`` replicas to random children (one hop each)."""
-        if count <= 0:
-            return
-        children = sorted(self.children)
-        if not children:
-            return
-        pick = children[int(self.rng.integers(0, len(children)))]
-        self.send(
-            pick,
-            ReplicaPush(key=key, value=value, d_id=d_id, remaining=count - 1),
-        )
-
-    def on_ReplicaPush(self, msg: ReplicaPush) -> None:
-        """Adopt a durable replica; forward any further copies downward."""
-        self.database.insert(msg.key, msg.value, msg.d_id)
-        if msg.remaining > 0:
-            self._push_replicas(msg.key, msg.value, msg.d_id, msg.remaining)
-
     def _insert_as_holder(
         self, key: str, value: Any, d_id: int, origin: int, write_id: int = -1
     ) -> None:
@@ -543,11 +545,8 @@ class DataPlaneMixin:
         item = self.database.get(key)
         if item is not None:
             if origin == self.address:
-                self.queries.succeed(qid, self.engine.now, holder=self.address)
                 self.answers_served += 1
-                pending = self.pending_lookups.pop(qid, None)
-                if pending is not None:
-                    pending.timer.cancel()
+                self._finish_lookup(qid, True, item.value, self.address)
             else:
                 self._answer(origin, qid, item, hops=hops)
             return
@@ -599,7 +598,4 @@ class DataPlaneMixin:
 
     def _bt_negative(self, qid: int) -> None:
         """Tracker had no holder: fail fast instead of waiting out the timer."""
-        pending = self.pending_lookups.pop(qid, None)
-        if pending is not None:
-            pending.timer.cancel()
-        self.queries.fail(qid, self.engine.now)
+        self._finish_lookup(qid, False)

@@ -21,7 +21,7 @@ experiments use the same trick via its trace files).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -122,13 +122,6 @@ class QueryRegistry:
         self._contacts: List[int] = []
         self._duplicates: List[int] = []
         self.unresolved = 0
-        # Completion watchers, keyed by query id.  The simulator never
-        # registers any (polling its own records between events is
-        # free); the live runtime uses them to resolve a waiting client
-        # connection the instant succeed()/fail() lands, instead of
-        # sleeping on a poll loop.  Guarded by a truthiness check so the
-        # sim hot path pays one falsy-dict test, nothing more.
-        self._watchers: Dict[int, List[Callable[[QueryRecord], None]]] = {}
 
     # ------------------------------------------------------------------
     def start(
@@ -192,8 +185,6 @@ class QueryRegistry:
         rec.holder = holder
         rec.hops = hops
         self.unresolved -= 1
-        if self._watchers:
-            self._notify(query_id, rec)
         return True
 
     def fail(self, query_id: int, time: float) -> bool:
@@ -204,40 +195,9 @@ class QueryRegistry:
         rec.status = FAILED
         rec.end_time = time
         self.unresolved -= 1
-        if self._watchers:
-            self._notify(query_id, rec)
         return True
 
     # ------------------------------------------------------------------
-    def watch(self, query_id: int, callback: Callable[[QueryRecord], None]) -> bool:
-        """Call ``callback(record)`` the moment this lookup completes.
-
-        If the lookup already completed (or was answered synchronously
-        from the local database), the callback fires immediately.
-        Returns False for an unknown/retired query id.  Callbacks run
-        inside succeed()/fail() -- in the live runtime that is the
-        asyncio event loop thread, so setting a Future result directly
-        is safe.
-        """
-        rec = self._records.get(query_id)
-        if rec is None:
-            return False
-        if rec.status != PENDING:
-            callback(rec)
-            return True
-        self._watchers.setdefault(query_id, []).append(callback)
-        return True
-
-    def unwatch(self, query_id: int) -> None:
-        """Drop every watcher for a query id (waiter gave up/cancelled)."""
-        self._watchers.pop(query_id, None)
-
-    def _notify(self, query_id: int, rec: QueryRecord) -> None:
-        callbacks = self._watchers.pop(query_id, None)
-        if callbacks:
-            for callback in callbacks:
-                callback(rec)
-
     def note_reflood(self, query_id: int) -> None:
         rec = self._records.get(query_id)
         if rec is not None:
@@ -253,12 +213,15 @@ class QueryRegistry:
         return list(self._records.values())
 
     def reset(self) -> None:
-        """Drop all records (keeps the id counter monotone)."""
+        """Drop all records (keeps the id counter monotone).
+
+        A live node calls this whenever ``unresolved`` reaches 0, so its
+        records stay bounded by the lookups in flight.
+        """
         self._records.clear()
         self._base = self._next_id
         self._contacts.clear()
         self._duplicates.clear()
-        self._watchers.clear()
         self.unresolved = 0
 
     def stats(self) -> QueryStats:

@@ -48,10 +48,13 @@ class SearchMixin:
     # Random walks
     # ==================================================================
     def launch_walkers(
-        self, qid: int, key: str, d_id: int, span_id: int = -1, hops: int = 0
+        self, qid: int, key: str, d_id: int, origin: int,
+        span_id: int = -1, hops: int = 0,
     ) -> None:
         """Start ``config.walkers`` random walks from this peer.
 
+        A walker that finds the item answers ``origin`` directly (for a
+        remote lookup, the peer that issued it, not this t-peer).
         ``span_id``/``hops`` thread the lookup trace span through: when
         the walk is launched by a remote ring lookup, hops already
         travelled on the ring carry over into the walkers.
@@ -63,7 +66,7 @@ class SearchMixin:
         for i in range(self.config.walkers):
             nxt = targets[int(self.rng.integers(0, len(targets)))]
             walker = WalkQuery(
-                d_id=d_id, key=key, origin=self.address, query_id=qid,
+                d_id=d_id, key=key, origin=origin, query_id=qid,
                 ttl=budget, span_id=span_id,
             )
             walker.hop_count = hops

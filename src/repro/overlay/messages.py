@@ -33,7 +33,7 @@ __all__ = [
     "TJoinSetNeighbors",
     "TJoinNotifySuccessor",
     "TJoinAck",
-    "TLeaveRequest",
+    "TLeaveRequest",  # reserved wire id, never sent
     "TLeaveToPre",
     "TLeaveToSuc",
     "TLeaveAck",
@@ -69,7 +69,7 @@ __all__ = [
     "RejoinRedirect",
     "ServerUpdate",
     "CachePush",
-    "ReplicaPush",
+    "ReplicaPush",  # reserved wire id, never sent
     "BTRegister",
     "BTLookup",
     "BTLookupReply",
@@ -200,7 +200,7 @@ class TJoinAck(Message):
 
 @dataclass(slots=True)
 class TLeaveRequest(Message):
-    """Internal kick-off for a voluntary t-peer leave (self-addressed)."""
+    """Reserved wire id: never sent (``leave()`` starts a t-peer leave)."""
 
 
 @dataclass(slots=True)
@@ -639,21 +639,7 @@ class CachePush(Message):
 
 @dataclass(slots=True)
 class ReplicaPush(Message):
-    """A durable extra copy of an item (replication extension).
-
-    Walks downward like :class:`SpreadStore` but the receiving peer
-    *keeps* the copy instead of coin-flipping, and ``remaining`` further
-    replicas continue from there.
-    """
-
-    key: str = ""
-    value: Any = None
-    d_id: int = 0
-    remaining: int = 0
-
-    # Constant size: a plain class attribute avoids a property call on
-    # the transport hot path.
-    size = CONTROL_SIZE + ITEM_SIZE
+    """Reserved wire id: never sent (``repro.replica`` replicates)."""
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,6 @@ from ..overlay.messages import (
     ReplicaSyncRequest,
     ReplicaSyncResponse,
     ReplicaWrite,
-    StoreRequest,
 )
 from ..sim.timers import PeriodicTimer, Timer
 from .digest import items_in_segment, segment_digest
@@ -111,63 +110,19 @@ class ReplicationMixin:
     # ------------------------------------------------------------------
     # Origin side: tracked writes
     # ------------------------------------------------------------------
-    def store_durable(
-        self, key: str, value: Any, on_verdict: Callable[[bool, float], Any]
-    ) -> Tuple[int, int]:
-        """Store with a durability verdict.
-
-        ``on_verdict(committed, latency_ms)`` runs exactly once: after
-        ``write_quorum`` copies exist, or after the owner exhausts its
-        retries, or never if the owner crashes mid-write (callers bound
-        the wait; see :meth:`cancel_write_watch`).  Returns
-        ``(watch_id, d_id)``.
-        """
-        d_id = self.idspace.hash_key(key)
+    def _watch_write(self, on_verdict: Callable[[bool, float], Any]) -> int:
+        """Track a write :meth:`store` is sending; returns its write id."""
         self._write_watch_seq += 1
         wid = self._write_watch_seq
         self._write_watchers[wid] = (on_verdict, self.engine.now)
-        if not self._replication_on:
-            # k == 1: same routing as :meth:`store` (placement spreading
-            # included), but the landing peer reports back through
-            # ``write_id`` so a daemon can hold its put ack until the
-            # single copy actually exists instead of acking on send.
-            if self.owns_locally(d_id):
-                self._insert_as_holder(
-                    key, value, d_id, origin=self.address, write_id=wid
-                )
-            else:
-                target = self.t_peer if self.role == "s" else self.ring_next_hop(d_id)
-                self.send(
-                    target,
-                    StoreRequest(
-                        key=key, value=value, d_id=d_id,
-                        origin=self.address, write_id=wid,
-                    ),
-                )
-            return wid, d_id
-        if self.role == "t" and self.owns(d_id):
-            self._replica_ingest(key, value, d_id, origin=self.address, origin_wid=wid)
-        elif self.role == "s":
-            self.send(
-                self.t_peer,
-                StoreRequest(
-                    key=key, value=value, d_id=d_id,
-                    origin=self.address, write_id=wid,
-                ),
-            )
-        else:
-            self.send(
-                self.ring_next_hop(d_id),
-                StoreRequest(
-                    key=key, value=value, d_id=d_id,
-                    origin=self.address, write_id=wid,
-                ),
-            )
-        return wid, d_id
+        return wid
 
-    def cancel_write_watch(self, wid: int) -> None:
-        """Drop a verdict callback (origin-side wait timed out)."""
-        self._write_watchers.pop(wid, None)
+    def cancel_write_watch(self, on_verdict: Callable[[bool, float], Any]) -> None:
+        """Drop ``on_verdict`` from every write it awaits (the origin's
+        wait timed out)."""
+        watchers = self._write_watchers
+        for wid in [w for w, (cb, _t) in watchers.items() if cb is on_verdict]:
+            del watchers[wid]
 
     def _write_verdict(self, wid: int, committed: bool) -> None:
         entry = self._write_watchers.pop(wid, None)

@@ -15,10 +15,11 @@ This is the daemon the ``repro node`` CLI verb runs.  It owns:
   request in its own task, replies written **as they resolve** (not in
   arrival order), correlated by the request id the client stamped.
 
-The protocol object itself is the *unmodified* simulator class --
-:class:`RuntimePeer` only adds value capture for ``get`` replies and
-completion hooks (join / lookup) so client waiters resolve on the event
-that completes them instead of polling.
+The protocol object itself is the *unmodified* simulator class: a
+client ``put``/``get`` passes a completion callback to the peer's own
+``store``/``lookup``, and :class:`RuntimePeer` only adds a join hook, so
+every client waiter resolves on the event that completes it instead of
+polling.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import numpy as np
 
 from ..core.config import HybridConfig
 from ..core.hybridpeer import HybridPeer
-from ..core.lookup import PENDING, SUCCESS, QueryRegistry
+from ..core.lookup import QueryRegistry
 from ..obs.bridge import TraceBridge
 from ..obs.prom import handle_http_request
 from ..obs.registry import DEFAULT_CLIENT_LATENCY_MS_BUCKETS, MetricsRegistry
 from ..overlay.idspace import IdSpace
-from ..overlay.messages import DataFound, Message
+from ..overlay.messages import Message
 from ..sim.trace import TraceBus
 from ..swarm import manifest as swarm_manifest
 from .aio_transport import AioTransport, frame_stream
@@ -66,10 +67,6 @@ _HTTP_PREFIXES = (b"GET ", b"HEAD")
 # Bound on the HTTP request head we are willing to buffer.
 _MAX_HTTP_HEAD = 8192
 
-# Sentinel distinguishing "no DataFound value captured for this query"
-# from a legitimately stored None value.
-_NO_VALUE = object()
-
 
 def _query_id_block(address: int) -> int:
     """Start of this node's disjoint query-id block.
@@ -88,28 +85,15 @@ def _query_id_block(address: int) -> int:
 
 
 class RuntimePeer(HybridPeer):
-    """HybridPeer that keeps answer values for the client-facing ``get``.
-
-    The simulator's :class:`QueryRecord` tracks latency and holders but
-    not payloads (the paper's metrics don't need them); a live ``get``
-    does, so the value riding on :class:`DataFound` is stashed per
-    query id before normal processing.
-
-    It also exposes ``join_callbacks``: fired (once each, then cleared)
-    the instant the join handshake completes, so the daemon's
+    """HybridPeer with ``join_callbacks``: fired (once each, then
+    cleared) the instant the join handshake completes, so the daemon's
     :meth:`PeerNode.join` resolves on the completing message instead of
     polling ``joined`` on a timer.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.found_values: Dict[int, Any] = {}
         self.join_callbacks: List[Callable[[], None]] = []
-
-    def on_DataFound(self, msg: DataFound) -> None:
-        if msg.query_id in self.pending_lookups:
-            self.found_values[msg.query_id] = msg.value
-        super().on_DataFound(msg)
 
     def _complete_join(self) -> None:
         super()._complete_join()
@@ -511,62 +495,30 @@ class PeerNode(NodeDaemon):
     PUT_LANDED_WAIT_S = 10.0
 
     async def _do_put(self, msg: ClientPut) -> ClientReply:
-        if not self.peer.joined:
-            return ClientReply(ok=False, error="node has not joined yet")
-        if self.config.replication_factor > 1:
-            return await self._do_put_durable(msg)
-        # k == 1: ok only after the single copy lands at its holder.
-        # Acking on send loses the write if the holder dies with the
-        # store in flight, and lets an immediate lookup crowd outrun a
-        # large value's transfer.  Re-sending after a timeout is
-        # idempotent: same d_id, same routing, insert overwrites.
-        loop = asyncio.get_running_loop()
-        wait_s = self.PUT_LANDED_WAIT_S
-        last_error = "store not acknowledged"
-        for _attempt in range(2):
-            future: asyncio.Future = loop.create_future()
+        """Acknowledge a put only once the write's verdict is in.
 
-            def _landed(committed: bool, latency_ms: float, fut=future) -> None:
-                if not fut.done():
-                    fut.set_result((committed, latency_ms))
-
-            wid, d_id = self.peer.store_durable(msg.key, msg.value, _landed)
-            try:
-                committed, latency_ms = await asyncio.wait_for(future, wait_s)
-            except asyncio.TimeoutError:
-                self.peer.cancel_write_watch(wid)
-                last_error = f"store did not land within {wait_s:.1f}s"
-                continue
-            if committed:
-                return ClientReply(
-                    ok=True,
-                    payload={
-                        "key": msg.key,
-                        "d_id": d_id,
-                        "latency_ms": round(latency_ms, 3),
-                    },
-                )
-            last_error = "store rejected"  # pragma: no cover - k==1 always lands
-        return ClientReply(ok=False, error=f"put {msg.key!r}: {last_error}")
-
-    async def _do_put_durable(self, msg: ClientPut) -> ClientReply:
-        """Quorum-acknowledged put (repro.replica).
-
-        ``ok=True`` is returned only after the owning t-peer reports
+        At k == 1 that is the single copy landing at its holder (acking
+        on send would lose the write if the holder died with the store
+        in flight).  At k > 1 it is the owning t-peer reporting
         ``write_quorum`` copies -- the zero-lost-acknowledged-writes
-        contract.  If the owner goes silent (crashed mid-write), one
-        daemon-side retry re-routes the write after the wait budget,
-        which covers the failover window while a successor assumes the
+        contract.  A silent wait is retried once: re-sending is
+        idempotent (same d_id, same routing, insert overwrites) and
+        covers the failover window while a successor assumes the
         segment.
         """
-        loop = asyncio.get_running_loop()
+        if not self.peer.joined:
+            return ClientReply(ok=False, error="node has not joined yet")
         cfg = self.config
-        # Owner-side retry budget plus routing/failover slack, in s.
-        wait_s = (
-            cfg.replica_ack_timeout * (cfg.replica_write_retries + 1)
-            + 2.0 * cfg.replica_ack_timeout
-        ) / 1000.0
-        last_error = "write not acknowledged by quorum"
+        replicated = cfg.replication_factor > 1
+        if replicated:
+            # Owner-side retry budget plus routing/failover slack, in s.
+            wait_s = (
+                cfg.replica_ack_timeout * (cfg.replica_write_retries + 1)
+                + 2.0 * cfg.replica_ack_timeout
+            ) / 1000.0
+        else:
+            wait_s = self.PUT_LANDED_WAIT_S
+        loop = asyncio.get_running_loop()
         for _attempt in range(2):
             future: asyncio.Future = loop.create_future()
 
@@ -574,83 +526,45 @@ class PeerNode(NodeDaemon):
                 if not fut.done():
                     fut.set_result((committed, latency_ms))
 
-            wid, d_id = self.peer.store_durable(msg.key, msg.value, _verdict)
+            d_id = self.peer.store(msg.key, msg.value, on_verdict=_verdict)
             try:
                 committed, latency_ms = await asyncio.wait_for(future, wait_s)
             except asyncio.TimeoutError:
-                self.peer.cancel_write_watch(wid)
-                last_error = f"no quorum verdict within {wait_s:.1f}s"
+                self.peer.cancel_write_watch(_verdict)
+                error = f"no write verdict within {wait_s:.1f}s"
                 continue
             if committed:
-                return ClientReply(
-                    ok=True,
-                    payload={
-                        "key": msg.key,
-                        "d_id": d_id,
-                        "replicated": True,
-                        "quorum": cfg.write_quorum,
-                        "latency_ms": round(latency_ms, 3),
-                    },
-                )
-            last_error = "quorum not reached"
-        return ClientReply(ok=False, error=f"put {msg.key!r}: {last_error}")
+                payload: Dict[str, Any] = {"key": msg.key, "d_id": d_id}
+                if replicated:
+                    payload["replicated"] = True
+                    payload["quorum"] = cfg.write_quorum
+                payload["latency_ms"] = round(latency_ms, 3)
+                return ClientReply(ok=True, payload=payload)
+            error = "quorum not reached"
+        return ClientReply(ok=False, error=f"put {msg.key!r}: {error}")
 
     async def _do_get(self, msg: ClientGet) -> ClientReply:
         if not self.peer.joined:
             return ClientReply(ok=False, error="node has not joined yet")
-        qid = self.peer.lookup(msg.key)
-        # Event-driven completion: succeed()/fail() fires the watcher
-        # inside the message/timer handler that resolved the lookup, so
-        # the waiting future completes on the same loop iteration --
-        # no polling, no added latency.  The protocol's own
-        # lookup_timeout (plus reflood budget) bounds the wait.
-        rec = self.queries.get(qid)
-        try:
-            if rec is not None and rec.status == PENDING:
-                future: asyncio.Future = asyncio.get_running_loop().create_future()
-                self.queries.watch(
-                    qid, lambda r: future.done() or future.set_result(r)
-                )
-                try:
-                    rec = await future
-                except asyncio.CancelledError:
-                    self.queries.unwatch(qid)
-                    raise
-            if rec is None or rec.status != SUCCESS:
-                return ClientReply(
-                    ok=False, error=f"lookup failed for {msg.key!r}"
-                )
-            value = self.peer.found_values.pop(qid, _NO_VALUE)
-            if value is _NO_VALUE:
-                # No DataFound rode the wire for this query: either the
-                # lookup was answered from this node's own database or
-                # cache (read it directly -- a stored None is still a
-                # found value), or the protocol located a holder whose
-                # value never arrived.  The two used to collapse into
-                # ``value: None``; keep them distinct.
-                item = (
-                    self.peer.database.get(msg.key)
-                    or self.peer.cache_lookup(msg.key)
-                )
-                if item is None and self.config.replication_factor > 1:
-                    # Failover window: we own the key but the repair
-                    # pull hasn't promoted our replica copy yet.
-                    item = self.peer.replicas.get(msg.key)
-                if item is None:
-                    return ClientReply(
-                        ok=False,
-                        error=(
-                            f"holder {rec.holder} resolved for {msg.key!r} "
-                            "but no value arrived (value missing)"
-                        ),
-                    )
-                value = item.value
-            return ClientReply(
-                ok=True,
-                payload={"key": msg.key, "value": value, "holder": rec.holder},
-            )
-        finally:
-            self.peer.found_values.pop(qid, None)
+        # The lookup's completion callback resolves the future inside
+        # the message/timer handler that ended it (or before lookup()
+        # returns, on a local hit); the protocol's lookup_timeout plus
+        # reflood budget bounds the wait.
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+
+        def _done(found: bool, value: Any, holder: int) -> None:
+            if not future.done():
+                future.set_result((found, value, holder))
+
+        self.peer.lookup(msg.key, _done)
+        found, value, holder = await future
+        if not self.queries.unresolved:
+            self.queries.reset()  # records stay bounded by lookups in flight
+        if not found:
+            return ClientReply(ok=False, error=f"lookup failed for {msg.key!r}")
+        return ClientReply(
+            ok=True, payload={"key": msg.key, "value": value, "holder": holder}
+        )
 
     # ------------------------------------------------------------------
     # Bulk transfer (repro.swarm)

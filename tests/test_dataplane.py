@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HybridConfig, HybridSystem
+from repro.overlay.messages import DataFound
 
 from .conftest import build_system
 
@@ -215,3 +216,101 @@ class TestBitTorrentMode:
         assert stats.failures == 1
         # Resolved well before the lookup timeout would have fired.
         assert system.engine.now - start < system.config.lookup_timeout
+
+
+class TestCompletion:
+    """``lookup(key, on_done)`` and ``store(..., on_verdict)`` report the
+    end of an operation at its origin, exactly once."""
+
+    @staticmethod
+    def remote_pair(system, key):
+        """The holder of ``key`` and an s-peer outside its s-network."""
+        (holder,) = [p for p in system.alive_peers() if p.database.get(key)]
+        anchor = holder.address if holder.role == "t" else holder.t_peer
+        asker = next(p for p in system.s_peers() if p.t_peer != anchor)
+        return holder, asker
+
+    def test_local_hit_fires_before_lookup_returns(self):
+        system = build_system(p_s=0.7, n_peers=30)
+        populate(system, 30)
+        holder = next(p for p in system.alive_peers() if len(p.database))
+        item = next(iter(holder.database))
+        calls = []
+        qid = holder.lookup(item.key, lambda *done: calls.append(done))
+        assert calls == [(True, item.value, holder.address)]
+        system.engine.run()
+        assert len(calls) == 1
+        assert system.queries.get(qid).status == "success"
+        assert qid not in holder.pending_lookups
+
+    @pytest.mark.parametrize("value", ["payload", None])
+    def test_remote_answer_carries_the_value(self, value):
+        system = build_system(p_s=0.7, n_peers=30)
+        system.populate([(system.t_peers()[0].address, "item", value)])
+        holder, asker = self.remote_pair(system, "item")
+        calls = []
+        qid = asker.lookup("item", lambda *done: calls.append(done))
+        assert calls == []
+        system.engine.run()
+        assert calls == [(True, value, holder.address)]
+        rec = system.queries.get(qid)
+        assert rec.status == "success" and rec.holder == holder.address
+
+    def test_remote_walk_answers_the_origin(self):
+        system = build_system(
+            p_s=0.7, n_peers=30, search_mode="walk", walkers=6, walk_ttl=24
+        )
+        system.populate([(system.t_peers()[0].address, "item", "v")])
+        holder, asker = self.remote_pair(system, "item")
+        calls = []
+        asker.lookup("item", lambda *done: calls.append(done))
+        system.engine.run()
+        assert calls == [(True, "v", holder.address)]
+
+    def test_late_duplicate_answer_is_ignored(self):
+        system = build_system(p_s=0.7, n_peers=30)
+        system.populate([(system.t_peers()[0].address, "item", 1)])
+        holder, asker = self.remote_pair(system, "item")
+        calls = []
+        qid = asker.lookup("item", lambda *done: calls.append(done))
+        system.engine.run()
+        end_time = system.queries.get(qid).end_time
+        asker.on_DataFound(DataFound(query_id=qid, key="item", value=2, holder=-7))
+        assert calls == [(True, 1, holder.address)]
+        rec = system.queries.get(qid)
+        assert (rec.holder, rec.end_time) == (holder.address, end_time)
+
+    def test_timer_expiry_reports_failure(self):
+        system = build_system(p_s=0.7, n_peers=30)
+        origin = system.s_peers()[0]
+        calls = []
+        qid = origin.lookup("no-such-key", lambda *done: calls.append(done))
+        system.engine.run()
+        assert calls == [(False, None, -1)]
+        assert system.queries.get(qid).status == "failed"
+        assert system.engine.now >= system.config.lookup_timeout
+
+    def test_bittorrent_negative_reports_failure_fast(self):
+        system = build_system(p_s=0.8, n_peers=20, snetwork_style="bittorrent")
+        origin = next(
+            p for p in system.s_peers()
+            if p.owns_locally(p.idspace.hash_key("missing:key"))
+        )
+        calls = []
+        start = system.engine.now
+        origin.lookup("missing:key", lambda *done: calls.append(done))
+        system.engine.run()
+        assert calls == [(False, None, -1)]
+        assert system.engine.now - start < system.config.lookup_timeout
+
+    @pytest.mark.parametrize("placement", ["direct", "spread"])
+    def test_k1_tracked_store_reports_the_landing(self, placement):
+        system = build_system(p_s=0.7, n_peers=30, placement=placement)
+        origin = system.s_peers()[0]
+        verdicts = []
+        for i in range(20):
+            origin.store(f"w{i}", i, on_verdict=lambda ok, lat: verdicts.append(ok))
+        system.engine.run()
+        assert verdicts == [True] * 20
+        assert system.total_items() == 20
+        assert not origin._write_watchers

@@ -114,7 +114,7 @@ def test_replicated_write_materialises_only_what_it_uses():
     system = bulk_system(replication_factor=3, write_quorum=2)
     origin = system.s_peers()[0]
     verdicts = []
-    origin.store_durable("k1", 1, lambda ok, latency: verdicts.append(ok))
+    origin.store("k1", 1, on_verdict=lambda ok, latency: verdicts.append(ok))
     system.engine.run()
     assert verdicts == [True]
 

@@ -211,50 +211,3 @@ def test_get_served_from_replica_store_during_window() -> None:
             await net.stop()
 
     asyncio.run(scenario())
-
-
-def test_daemon_get_falls_back_to_replicas() -> None:
-    """NodeDaemon._do_get's last-resort read: lookup resolved but no
-    DataFound value arrived and the database misses -- the daemon must
-    serve the value from ``peer.replicas`` rather than erroring."""
-
-    async def scenario() -> None:
-        net = LocalNet(
-            t_peers=2, s_peers=1, seed=17,
-            config=fast_config(**REPLICATED),
-        )
-        await net.start(join_timeout=30)
-        await net.wait_converged(timeout=30)
-        try:
-            from repro.runtime import ClientGet as _Get
-
-            daemon = net.nodes[0]
-            peer = daemon.peer
-            peer.replicas.insert("ghost", "replica-only")
-
-            # Emulate a lookup that succeeded remotely but whose value
-            # frame never arrived (the exact shape of the failover
-            # window the fallback exists for).
-            real_lookup = peer.lookup
-
-            def resolved_lookup(key: str) -> int:
-                d_id = peer.idspace.hash_key(key)
-                rec = peer.queries.start(
-                    peer.address, key, d_id, peer.engine.now, True
-                )
-                peer.queries.succeed(
-                    rec.query_id, peer.engine.now, holder=peer.address + 1
-                )
-                return rec.query_id
-
-            peer.lookup = resolved_lookup
-            try:
-                reply = await daemon._do_get(_Get(key="ghost"))
-            finally:
-                peer.lookup = real_lookup
-            assert reply.ok, reply.error
-            assert reply.payload["value"] == "replica-only"
-        finally:
-            await net.stop()
-
-    asyncio.run(scenario())

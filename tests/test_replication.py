@@ -87,7 +87,7 @@ class TestQuorumWrites:
         )
         origin = system.s_peers()[0]
         verdicts = []
-        origin.store_durable("qkey", 42, lambda ok, lat: verdicts.append((ok, lat)))
+        origin.store("qkey", 42, on_verdict=lambda ok, lat: verdicts.append((ok, lat)))
         system.engine.run()
         assert len(verdicts) == 1
         ok, latency = verdicts[0]
@@ -103,7 +103,7 @@ class TestQuorumWrites:
         )
         origin = system.t_peers()[0]
         verdicts = []
-        origin.store_durable("qkey", 1, lambda ok, lat: verdicts.append(ok))
+        origin.store("qkey", 1, on_verdict=lambda ok, lat: verdicts.append(ok))
         system.engine.run()
         assert verdicts == [True]
 
@@ -115,7 +115,7 @@ class TestQuorumWrites:
         system.engine.run()
         only = system.t_peers()[0]
         verdicts = []
-        only.store_durable("qkey", 1, lambda ok, lat: verdicts.append(ok))
+        only.store("qkey", 1, on_verdict=lambda ok, lat: verdicts.append(ok))
         system.engine.run()
         assert verdicts == [False]
         # The primary copy still exists (durability failed, write landed).
