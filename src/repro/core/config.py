@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from ..overlay.idspace import ID_BITS
+
 __all__ = [
     "HybridConfig",
     "SEARCH_FLOOD",
@@ -79,10 +81,6 @@ class HybridConfig:
     delta: int = 3
     ttl: int = 4
 
-    # --- identifier space ---------------------------------------------
-    id_bits: int = 32
-    pid_strategy: str = "random"  # "random" | "hash" (of address)
-
     # --- data plane ----------------------------------------------------
     placement: str = PLACEMENT_SPREAD
     ring_routing: str = ROUTING_LINEAR
@@ -95,7 +93,6 @@ class HybridConfig:
     # On timeout, retry with a grown TTL this many times (Section 3.4:
     # "may choose to increase the TTL value ... and reflood").
     max_refloods: int = 0
-    reflood_ttl_step: int = 2
 
     # --- s-network construction ----------------------------------------
     connect_policy: str = CONNECT_DEGREE
@@ -118,11 +115,6 @@ class HybridConfig:
 
     # --- Section 5 enhancements -----------------------------------------
     heterogeneity_aware: bool = False  # 5.1: fast peers become t-peers
-    # 5.1: degree/capacity gate for connect points.  Calibrated to the
-    # default CapacityModel units (LOW = 0.05): 40 lets a LOW-capacity
-    # peer take ~1 extra child while HIGH-capacity peers fill the whole
-    # delta budget.
-    link_usage_threshold: float = 40.0
     n_landmarks: int = 0  # 5.2: 0 disables binning
     # 5.3: width (in bits) of per-category key bands; 0 = uniform hashing.
     # Interest-based workloads need > 0 so one category maps to one segment.
@@ -169,8 +161,6 @@ class HybridConfig:
     swarm_request_timeout: float = 2_000.0  # ms
     # Popular-data caching (the paper's stated future work, Section 7).
     cache_enabled: bool = False
-    cache_capacity: int = 32  # entries per peer
-    cache_ttl: float = 300_000.0  # ms before an unrefreshed copy expires
 
     # --- misc ------------------------------------------------------------
     server_address: int = 0
@@ -182,10 +172,6 @@ class HybridConfig:
             raise ValueError(f"delta must be >= 1, got {self.delta}")
         if self.ttl < 1:
             raise ValueError(f"ttl must be >= 1, got {self.ttl}")
-        if not (1 <= self.id_bits <= 128):
-            raise ValueError(f"id_bits out of range: {self.id_bits}")
-        if self.pid_strategy not in ("random", "hash"):
-            raise ValueError(f"unknown pid_strategy {self.pid_strategy!r}")
         if self.placement not in (PLACEMENT_DIRECT, PLACEMENT_SPREAD):
             raise ValueError(f"unknown placement {self.placement!r}")
         if self.search_mode not in (SEARCH_FLOOD, SEARCH_WALK):
@@ -198,8 +184,8 @@ class HybridConfig:
             raise ValueError(f"unknown ring_routing {self.ring_routing!r}")
         if self.lookup_timeout <= 0:
             raise ValueError("lookup_timeout must be positive")
-        if self.max_refloods < 0 or self.reflood_ttl_step < 0:
-            raise ValueError("reflood settings must be non-negative")
+        if self.max_refloods < 0:
+            raise ValueError("max_refloods must be non-negative")
         if self.connect_policy not in (CONNECT_STAR, CONNECT_DEGREE, CONNECT_LINK_USAGE):
             raise ValueError(f"unknown connect_policy {self.connect_policy!r}")
         if self.assignment not in (
@@ -224,12 +210,10 @@ class HybridConfig:
                 "neighbor_timeout must exceed hello_period or every peer "
                 "looks crashed between heartbeats"
             )
-        if self.link_usage_threshold <= 0:
-            raise ValueError("link_usage_threshold must be positive")
         if self.n_landmarks < 0:
             raise ValueError("n_landmarks must be >= 0")
-        if self.interest_band_bits < 0 or self.interest_band_bits >= self.id_bits:
-            raise ValueError("interest_band_bits must be in [0, id_bits)")
+        if not (0 <= self.interest_band_bits < ID_BITS):
+            raise ValueError(f"interest_band_bits must be in [0, {ID_BITS})")
         if self.bypass_lifetime <= 0:
             raise ValueError("bypass_lifetime must be positive")
         if self.replication_factor < 1:
@@ -251,10 +235,6 @@ class HybridConfig:
             raise ValueError("swarm_inflight must be >= 1")
         if self.swarm_request_timeout <= 0:
             raise ValueError("swarm_request_timeout must be positive")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
-        if self.cache_ttl <= 0:
-            raise ValueError("cache_ttl must be positive")
         if self.assignment == ASSIGN_BINNED and self.n_landmarks < 1:
             raise ValueError("binned assignment requires n_landmarks >= 1")
 

@@ -45,6 +45,10 @@ from .config import PLACEMENT_SPREAD, SEARCH_WALK, SNETWORK_BITTORRENT
 
 __all__ = ["DataPlaneMixin"]
 
+#: TTL added per reflood (Section 3.4: "increase the TTL value ... and
+#: reflood").
+REFLOOD_TTL_STEP = 2
+
 #: ``on_done(found, value, holder)``: how a lookup reports its end.
 OnDone = Callable[[bool, Any, int], Any]
 
@@ -158,12 +162,17 @@ class DataPlaneMixin:
     # ==================================================================
     # Lookup driving
     # ==================================================================
-    def _launch_lookup(self, qid: int, pending: _PendingLookup) -> None:
+    def _launch_lookup(
+        self, qid: int, pending: _PendingLookup, retry: bool = False
+    ) -> None:
+        """Send (or, on ``retry``, re-send) a lookup the way its first
+        attempt went; a retry skips the own-database/cache check and the
+        bypass shortcut, so it rides the authoritative path."""
         pending.timer.start()
         d_id, key, ttl = pending.d_id, pending.key, pending.ttl
         # Own database first -- every peer "checks its own database" --
         # then any surrogate copy in the local cache.
-        item = self.database.get(key) or self.cache_lookup(key)
+        item = None if retry else self.database.get(key) or self.cache_lookup(key)
         if item is not None:
             self._finish_lookup(qid, True, item.value, self.address)
             if self.wants_trace("lookup.done"):
@@ -196,7 +205,7 @@ class DataPlaneMixin:
             return
         # Remote: try a bypass shortcut first (Section 5.4), else ride
         # the t-network.
-        if self.config.bypass_links:
+        if self.config.bypass_links and not retry:
             target = self.bypass_target_for(d_id)
             if target is not None:
                 pending.via_bypass = True
@@ -234,35 +243,12 @@ class DataPlaneMixin:
                 # Same TTL, but via the t-network this time.
                 pending.bypass_retry_done = True
             else:
-                pending.ttl += self.config.reflood_ttl_step
+                pending.ttl += REFLOOD_TTL_STEP
                 self.queries.note_reflood(qid)
-            self._relaunch(qid, pending)
+            self._launch_lookup(qid, pending, retry=True)
             return
         self._finish_lookup(qid, False)
         self.emit("lookup.failed", query_id=qid, key=pending.key)
-
-    def _relaunch(self, qid: int, pending: _PendingLookup) -> None:
-        """Re-issue the lookup (reflood) with the current TTL."""
-        pending.timer.start()
-        d_id, key, ttl = pending.d_id, pending.key, pending.ttl
-        if pending.local and self.config.snetwork_style != SNETWORK_BITTORRENT:
-            self.seen_queries.add((qid, pending.attempts))
-            flood = FloodQuery(
-                d_id=d_id, key=key, origin=self.address, query_id=qid,
-                ttl=ttl, attempt=pending.attempts, span_id=pending.span,
-            )
-            fanout = self.send_many(self.flood_targets(), flood)
-            if self.wants_trace("flood.fanout"):
-                self.emit("flood.fanout", query_id=qid, span=pending.span, fanout=fanout)
-            return
-        request = LookupRequest(
-            d_id=d_id, key=key, origin=self.address, query_id=qid,
-            ttl=ttl, attempt=pending.attempts, span_id=pending.span,
-        )
-        if self.role == "s":
-            self.send(self.t_peer, request)
-        else:
-            self.send(self.ring_next_hop(d_id), request)
 
     # ==================================================================
     # Lookup message handlers

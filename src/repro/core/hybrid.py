@@ -71,9 +71,9 @@ class HybridSystem:
         self.engine = Engine()
         self.trace = TraceBus()
         if config.interest_band_bits > 0:
-            self.idspace = ClusteredIdSpace(config.id_bits, config.interest_band_bits)
+            self.idspace = ClusteredIdSpace(band_bits=config.interest_band_bits)
         else:
-            self.idspace = IdSpace(config.id_bits)
+            self.idspace = IdSpace()
         # Injectable so the sharded executor can substitute its
         # shard-aware registry before any peer captures the reference.
         self.queries = queries if queries is not None else QueryRegistry()

@@ -143,11 +143,7 @@ class HybridPeer(
         self.database = DataStore(idspace)
 
         # --- popular-data cache (future work, Section 7) ------------------------
-        self.cache: Optional[LruCache] = (
-            LruCache(config.cache_capacity, config.cache_ttl)
-            if config.cache_enabled
-            else None
-        )
+        self.cache: Optional[LruCache] = LruCache() if config.cache_enabled else None
         self.answers_served = 0  # queries this peer answered (db or cache)
 
     # ------------------------------------------------------------------

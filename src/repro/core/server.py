@@ -235,8 +235,6 @@ class BootstrapServer(BasePeer):
     # p_id generation (Section 3.2.1)
     # ------------------------------------------------------------------
     def generate_pid(self, address: int) -> int:
-        if self.config.pid_strategy == "hash":
-            return self.idspace.hash_address(address)
         return int(self.rng.integers(0, self.idspace.size))
 
     # ------------------------------------------------------------------

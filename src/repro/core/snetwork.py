@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Set
 
+from ..enhance.heterogeneity import link_usage
 from ..overlay.messages import (
     LoadTransfer,
     ServerUpdate,
@@ -35,6 +36,12 @@ from ..sim.timers import Timer
 from .config import CONNECT_LINK_USAGE, CONNECT_STAR
 
 __all__ = ["SNetworkMixin"]
+
+#: Section 5.1's link-usage gate for connect points.  Calibrated to the
+#: default CapacityModel units (LOW = 0.05): 40 lets a LOW-capacity peer
+#: take ~1 extra child while HIGH-capacity peers fill the whole delta
+#: budget.
+LINK_USAGE_THRESHOLD = 40.0
 
 
 class SNetworkMixin:
@@ -116,8 +123,7 @@ class SNetworkMixin:
             return False
         if policy == CONNECT_LINK_USAGE:
             # Section 5.1: accept only while degree/capacity stays low.
-            usage = (self.tree_degree() + 1) / self.capacity
-            return usage <= self.config.link_usage_threshold
+            return link_usage(self.tree_degree() + 1, self.capacity) <= LINK_USAGE_THRESHOLD
         return True
 
     def on_SJoinAccept(self, msg: SJoinAccept) -> None:

@@ -16,14 +16,16 @@ This module supplies the design the conclusion sketches:
   the ring.  Surrogates therefore spread with demand: the hotter a key,
   the more s-networks hold a copy.
 * **which data** -- whatever was actually requested (demand-driven), in
-  an LRU cache of ``cache_capacity`` entries per peer.
-* **how long** -- ``cache_ttl`` of simulated time, refreshed on hits
+  an LRU cache of :data:`CACHE_CAPACITY` entries per peer.
+* **how long** -- :data:`CACHE_TTL` of simulated time, refreshed on hits
   ("transmitting a packet through the link will refresh the attached
   timer" is the same pattern the paper uses for bypass links).
 
-:class:`CacheMixin` is mixed into :class:`~repro.core.hybridpeer.HybridPeer`;
-the cache sits in front of the database on every lookup path (origin
-checks, ring t-peers check before forwarding, flood receivers check).
+``HybridConfig.cache_enabled`` is the only knob; size and lifetime are
+these module constants.  :class:`CacheMixin` is mixed into
+:class:`~repro.core.hybridpeer.HybridPeer`; the cache sits in front of
+the database on every lookup path (origin checks, ring t-peers check
+before forwarding, flood receivers check).
 """
 
 from __future__ import annotations
@@ -33,13 +35,18 @@ from typing import Optional, Tuple
 
 from ..core.datastore import DataItem
 
-__all__ = ["LruCache", "CacheMixin"]
+__all__ = ["CACHE_CAPACITY", "CACHE_TTL", "LruCache", "CacheMixin"]
+
+#: Entries per peer.
+CACHE_CAPACITY = 32
+#: Simulated ms before an unrefreshed copy expires.
+CACHE_TTL = 300_000.0
 
 
 class LruCache:
     """A TTL'd LRU cache of data items."""
 
-    def __init__(self, capacity: int, ttl: float) -> None:
+    def __init__(self, capacity: int = CACHE_CAPACITY, ttl: float = CACHE_TTL) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if ttl <= 0:

@@ -16,7 +16,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-__all__ = ["IdSpace", "ClusteredIdSpace"]
+__all__ = ["ID_BITS", "IdSpace", "ClusteredIdSpace"]
+
+#: Width of the simulator's and the live runtime's identifier space.
+ID_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -27,7 +30,7 @@ class IdSpace:
     any simulated population and keeps hashes cheap.
     """
 
-    bits: int = 32
+    bits: int = ID_BITS
 
     def __post_init__(self) -> None:
         if not (1 <= self.bits <= 128):
@@ -51,17 +54,6 @@ class IdSpace:
         truncated to the space size.
         """
         digest = hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
-        return int.from_bytes(digest, "big") % self.size
-
-    def hash_address(self, address: int) -> int:
-        """Hash a peer address (stand-in for an IP) to a ``p_id``.
-
-        One of the server's ``p_id`` generation options in Section 3.2.1
-        ("generate the p_id by hashing the IP address of the new peer").
-        """
-        digest = hashlib.blake2b(
-            address.to_bytes(8, "big", signed=False), digest_size=16
-        ).digest()
         return int.from_bytes(digest, "big") % self.size
 
     # ------------------------------------------------------------------

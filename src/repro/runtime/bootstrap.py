@@ -34,7 +34,7 @@ class BootstrapNode(NodeDaemon):
             host=0,
             engine=self.engine,
             transport=self.transport,
-            idspace=IdSpace(self.config.id_bits),
+            idspace=IdSpace(),
             config=self.config,
             rng=np.random.default_rng(self.seed),
             trace=self.trace,

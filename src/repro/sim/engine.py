@@ -17,6 +17,13 @@ is derived -- heap length minus the cancelled entries still waiting on
 it -- so it is O(1), exact from inside a callback, and costs the
 scheduling and dispatch paths nothing.
 
+One loop executes events: ``Engine._drain`` pops, discards cancelled
+handles, sets the clock and dispatches; every ``run*`` method is a thin
+wrapper choosing its deadline and stop predicate.  The dispatch stays
+inline in that loop, not in a per-event helper: one Python frame per
+event is the difference between the engine and the protocol dominating
+the profile.
+
 Two scheduling tiers:
 
 * :meth:`Engine.schedule_at` / :meth:`Engine.schedule_after` /
@@ -32,6 +39,7 @@ Example
 >>> _ = eng.call_at(5.0, hits.append, "b")
 >>> _ = eng.call_later(1.0, hits.append, "a")
 >>> eng.run()
+2
 >>> hits
 ['a', 'b']
 >>> eng.now
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heapify, heappop, heappush
+from math import inf as _INF, nextafter
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 __all__ = ["Event", "Engine", "SimulationError"]
@@ -126,8 +135,8 @@ class Engine:
     * The clock only moves forward, and only while events execute.
     * Callbacks run synchronously; anything they schedule lands back on
       the same heap.
-    * ``max_events`` guards (in :meth:`run`) catch accidental infinite
-      event cascades in tests.
+    * ``max_events`` guards (every ``run*`` method) catch accidental
+      infinite event cascades in tests.
     * Heap entries are ``(time, seq, fn, args)`` tuples; ``fn is None``
       marks a cancellable :class:`Event` carried in the ``args`` slot.
       ``(time, seq)`` is unique, so tuple comparison never reaches the
@@ -153,7 +162,12 @@ class Engine:
 
     @property
     def events_executed(self) -> int:
-        """Total number of callbacks executed so far."""
+        """Total number of callbacks executed so far.
+
+        Exact between calls.  A ``run*`` method adds its count on exit,
+        so a callback reads the total as of the call's start (:meth:`step`
+        counts its one event before dispatching it).
+        """
         return self._events_executed
 
     @property
@@ -257,10 +271,6 @@ class Engine:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self._now + delay, fn, *args, **kwargs)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (lazy removal)."""
-        event.cancel()
-
     def clear(self) -> None:
         """Drop every pending event; the clock and counters stay.
 
@@ -276,69 +286,104 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    # The dispatch logic is intentionally inlined into each run loop:
-    # one Python frame per event is the difference between the engine
-    # and the protocol dominating the profile.
-
     def step(self) -> bool:
-        """Execute the single next live event.
-
-        Returns
-        -------
-        bool
-            True if an event was executed, False if the heap was empty.
-        """
-        heap = self._heap
-        while heap:
-            time, _seq, fn, args = heappop(heap)
-            if fn is None:
-                ev = args
-                if ev.cancelled:
-                    # lazily discarded; not counted as executed
-                    self._cancelled_on_heap -= 1
-                    continue
-                fn, args = ev.fn, ev.args
-                # Mark fired before invoking so re-entrant inspection via
-                # the handle sees a consistent state.
-                ev.fn = None
-            self._now = time
-            self._events_executed += 1
-            fn(*args)
-            return True
-        return False
+        """Execute the next live event; False if none was pending."""
+        if self.next_event_time() is None:
+            return False
+        time, _seq, fn, args = heappop(self._heap)
+        if fn is None:
+            ev = args
+            fn, args = ev.fn, ev.args
+            ev.fn = None
+        self._now = time
+        self._events_executed += 1
+        fn(*args)
+        return True
 
     def run(self, max_events: int = 50_000_000) -> int:
-        """Run until the heap is exhausted.
+        """Run until the heap is exhausted; returns the events executed.
 
-        Parameters
-        ----------
-        max_events:
-            Safety cap on the number of events executed by this call.
+        Raises :class:`SimulationError` once this call passes
+        ``max_events`` (almost always an event livelock, e.g. a timer
+        rescheduling itself unconditionally); so do the other ``run*``
+        methods.
+        """
+        return self._drain(_INF, None, max_events)
 
-        Returns
-        -------
-        int
-            Number of events executed by this call.
+    def run_while(self, predicate: Callable[[], bool], max_events: int = 50_000_000) -> int:
+        """Run while ``predicate()`` is true and events remain.
 
-        Raises
-        ------
-        SimulationError
-            If the cap is exceeded (almost always an event livelock,
-            e.g. a timer rescheduling itself unconditionally).
+        Useful for "pump the network until this lookup resolves" loops in
+        tests and experiments.  The predicate is tested before
+        every pop, cancelled heads included.
+        """
+        return self._drain(_INF, predicate, max_events)
+
+    def run_until(self, deadline: float, max_events: int = 50_000_000) -> int:
+        """Run events with ``time <= deadline`` and advance the clock.
+
+        The clock is left at ``deadline`` even if the heap empties
+        earlier, matching the common "simulate for T seconds" idiom.
+        """
+        if deadline < self._now:
+            raise SimulationError(
+                f"deadline t={deadline} is before current time t={self._now}"
+            )
+        executed = self._drain(deadline, None, max_events)
+        self._now = deadline
+        return executed
+
+    def run_before(self, deadline: float, max_events: int = 50_000_000) -> int:
+        """Run events with ``time < deadline`` (strictly).
+
+        Unlike :meth:`run_until`, the clock is left at the last executed
+        event rather than advanced to the deadline.  This is the window
+        primitive of the sharded executor: a shard that negotiated a
+        lower-bound timestamp may execute everything strictly below it,
+        but its clock must stay free for the coordinator to align at the
+        barrier (:meth:`pin_clock`).
+        """
+        # The largest float below the deadline makes "<=" strict, so the
+        # loop needs no second comparison.
+        return self._drain(nextafter(deadline, -_INF), None, max_events)
+
+    def _drain(
+        self,
+        until: float = _INF,
+        predicate: Optional[Callable[[], bool]] = None,
+        max_events: int = 50_000_000,
+    ) -> int:
+        """The event loop behind every ``run*`` method.
+
+        Executes events with ``time <= until`` while ``predicate`` (if
+        any) holds.  An entry popped past ``until`` goes back on the
+        heap and ends the call; cancelled handles are discarded as they
+        surface.  Public run methods call this, never one another, so a
+        wrapper around any of them sees each call exactly once.
         """
         heap = self._heap
         pop = heappop
         executed = 0
-        # See run_while for the deferred _events_executed accounting.
+        # _events_executed is maintained via `executed` and written back
+        # on exit (including via a callback raising): callbacks observe
+        # a momentarily stale events_executed, never a wrong clock or
+        # pending_count.
         try:
             while heap:
-                time, _seq, fn, args = pop(heap)
+                if predicate is not None and not predicate():
+                    break
+                time, seq, fn, args = pop(heap)
+                if time > until:
+                    heappush(heap, (time, seq, fn, args))
+                    break
                 if fn is None:
                     ev = args
                     if ev.cancelled:
                         self._cancelled_on_heap -= 1
                         continue
                     fn, args = ev.fn, ev.args
+                    # Fired before it runs, so cancel() from inside the
+                    # callback sees a consistent handle and is a no-op.
                     ev.fn = None
                 self._now = time
                 executed += 1
@@ -351,48 +396,9 @@ class Engine:
             self._events_executed += executed
         return executed
 
-    def run_until(self, deadline: float, max_events: int = 50_000_000) -> int:
-        """Run events with ``time <= deadline`` and advance the clock.
-
-        The clock is left at ``deadline`` even if the heap empties
-        earlier, matching the common "simulate for T seconds" idiom.
-        Each live event is popped exactly once: the loop peeks only at
-        the cheap tuple head, then dispatches the popped entry directly
-        instead of delegating to :meth:`step` (which would re-pop).
-        """
-        if deadline < self._now:
-            raise SimulationError(
-                f"deadline t={deadline} is before current time t={self._now}"
-            )
-        heap = self._heap
-        pop = heappop
-        executed = 0
-        while heap:
-            entry = heap[0]
-            fn = entry[2]
-            if fn is None and entry[3].cancelled:
-                pop(heap)  # lazily discard; costs no dispatch
-                self._cancelled_on_heap -= 1
-                continue
-            if entry[0] > deadline:
-                break
-            pop(heap)
-            args = entry[3]
-            if fn is None:
-                ev = args
-                fn, args = ev.fn, ev.args
-                ev.fn = None
-            self._now = entry[0]
-            self._events_executed += 1
-            executed += 1
-            if executed > max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} before deadline"
-                )
-            fn(*args)
-        self._now = max(self._now, deadline)
-        return executed
-
+    # ------------------------------------------------------------------
+    # Conservative-sync primitives (repro.shard)
+    # ------------------------------------------------------------------
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest live event, or ``None`` if idle.
 
@@ -402,55 +408,10 @@ class Engine:
         the conservative-sync coordinator (see :mod:`repro.shard`).
         """
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2] is None and entry[3].cancelled:
-                heappop(heap)
-                self._cancelled_on_heap -= 1
-                continue
-            return entry[0]
-        return None
-
-    def run_before(self, deadline: float, max_events: int = 50_000_000) -> int:
-        """Run events with ``time < deadline`` (strictly).
-
-        Unlike :meth:`run_until`, the clock is left at the last executed
-        event rather than advanced to the deadline.  This is the window
-        primitive of the sharded executor: a shard that negotiated a
-        lower-bound timestamp may execute everything strictly below it,
-        but its clock must stay free for the coordinator to align at the
-        barrier (:meth:`pin_clock`).
-        """
-        heap = self._heap
-        pop = heappop
-        executed = 0
-        # Deferred _events_executed accounting, as in run_while.
-        try:
-            while heap:
-                entry = heap[0]
-                fn = entry[2]
-                if fn is None and entry[3].cancelled:
-                    pop(heap)  # lazily discard; costs no dispatch
-                    self._cancelled_on_heap -= 1
-                    continue
-                if entry[0] >= deadline:
-                    break
-                pop(heap)
-                args = entry[3]
-                if fn is None:
-                    ev = args
-                    fn, args = ev.fn, ev.args
-                    ev.fn = None
-                self._now = entry[0]
-                executed += 1
-                if executed > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} in run_before"
-                    )
-                fn(*args)
-        finally:
-            self._events_executed += executed
-        return executed
+        while heap and heap[0][2] is None and heap[0][3].cancelled:
+            heappop(heap)
+            self._cancelled_on_heap -= 1
+        return heap[0][0] if heap else None
 
     def pin_clock(self, time: float) -> None:
         """Set the clock to ``time`` without executing anything.
@@ -467,41 +428,3 @@ class Engine:
                 f"cannot pin clock to t={time}: next pending event at t={nxt}"
             )
         self._now = float(time)
-
-    def run_while(
-        self,
-        predicate: Callable[[], bool],
-        max_events: int = 50_000_000,
-    ) -> int:
-        """Run while ``predicate()`` is true and events remain.
-
-        Useful for "pump the network until this lookup resolves" loops in
-        tests and experiment drivers.
-        """
-        heap = self._heap
-        pop = heappop
-        executed = 0
-        # _events_executed is maintained via `executed` and written
-        # back on exit (including via callbacks raising): callbacks
-        # observe a momentarily stale events_executed, never a wrong
-        # clock or pending_count.
-        try:
-            while predicate() and heap:
-                time, _seq, fn, args = pop(heap)
-                if fn is None:
-                    ev = args
-                    if ev.cancelled:
-                        self._cancelled_on_heap -= 1
-                        continue
-                    fn, args = ev.fn, ev.args
-                    ev.fn = None
-                self._now = time
-                executed += 1
-                if executed > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} in run_while"
-                    )
-                fn(*args)
-        finally:
-            self._events_executed += executed
-        return executed

@@ -15,6 +15,7 @@ import numpy as np
 from ..core.config import ASSIGN_INTEREST, HybridConfig
 from ..core.hybrid import HybridSystem
 from ..core.lookup import QueryStats
+from ..overlay.idspace import ID_BITS
 from .keys import KeyWorkload
 
 __all__ = ["ScenarioResult", "standard_sharing", "interest_sharing"]
@@ -88,7 +89,7 @@ def interest_sharing(
         config = config.with_changes(assignment=ASSIGN_INTEREST)
     if config.interest_band_bits == 0:
         config = config.with_changes(
-            interest_band_bits=max(8, config.id_bits // 2 - 4)
+            interest_band_bits=max(8, ID_BITS // 2 - 4)
         )
     system = HybridSystem(config, n_peers=n_peers, seed=seed)
     interests: List[Optional[str]] = [

@@ -72,6 +72,8 @@ class TestParser:
         with pytest.raises(SystemExit):
             _apply_config_overrides(HybridConfig(), ["no_such_field=1"])
         with pytest.raises(SystemExit):
+            _apply_config_overrides(HybridConfig(), ["id_bits=16"])  # retired
+        with pytest.raises(SystemExit):
             _apply_config_overrides(HybridConfig(), ["write_quorum=9"])
         with pytest.raises(SystemExit):
             _apply_config_overrides(HybridConfig(), ["replication_factor"])

@@ -20,8 +20,6 @@ def test_defaults_validate():
         ("p_s", 1.1),
         ("delta", 0),
         ("ttl", 0),
-        ("id_bits", 0),
-        ("pid_strategy", "nope"),
         ("placement", "nope"),
         ("ring_routing", "nope"),
         ("lookup_timeout", 0.0),
@@ -33,7 +31,6 @@ def test_defaults_validate():
         ("hello_period", 0.0),
         ("election_grace", 0.0),
         ("join_retry_timeout", 0.0),
-        ("link_usage_threshold", 0.0),
         ("n_landmarks", -1),
         ("interest_band_bits", 40),
         ("bypass_lifetime", 0.0),

@@ -7,7 +7,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HybridConfig, HybridSystem
-from repro.overlay.messages import DataFound
+from repro.core.hybridpeer import HybridPeer
+from repro.overlay.messages import DataFound, FloodQuery, LookupRequest, WalkQuery
 
 from .conftest import build_system
 
@@ -105,8 +106,7 @@ class TestLookup:
         base_fail = no_retry.query_stats().failure_ratio
 
         retry = build_system(
-            ttl=1, max_refloods=3, reflood_ttl_step=2,
-            lookup_timeout=5_000.0, **base,
+            ttl=1, max_refloods=3, lookup_timeout=5_000.0, **base,
         )
         populate(retry, 150)
         alive = [p.address for p in retry.alive_peers()]
@@ -177,6 +177,67 @@ class TestLookup:
             return stats.connum
 
         assert contacts("finger") < contacts("linear")
+
+
+def count_deliveries(monkeypatch, *kinds):
+    """Count deliveries of each message class through ``HybridPeer``'s
+    dispatch table (build a system first: the table is made on demand)."""
+    counts = {cls: 0 for cls in kinds}
+    table = HybridPeer._dispatch
+    for cls in kinds:
+
+        def counted(peer, msg, real=table[cls.__name__], cls=cls):
+            counts[cls] += 1
+            real(peer, msg)
+
+        monkeypatch.setitem(table, cls, counted)
+        monkeypatch.setitem(table, cls.__name__, counted)
+    return counts
+
+
+def local_key(peer, prefix):
+    """A key whose d_id falls in ``peer``'s own s-network."""
+    return next(
+        key for key in (f"{prefix}{i}" for i in range(10_000))
+        if peer.owns_locally(peer.idspace.hash_key(key))
+    )
+
+
+class TestRetry:
+    """A timed-out lookup retries along the path its first attempt took."""
+
+    def test_bittorrent_local_retry_asks_the_tracker_again(self, monkeypatch):
+        system = build_system(
+            p_s=0.5, n_peers=60, snetwork_style="bittorrent", max_refloods=1
+        )
+        holder = system.s_peers()[0]
+        tracker = system.peers[holder.t_peer]
+        key = local_key(holder, "bt-retry-")
+        system.populate([(holder.address, key, "v")])
+        assert tracker.bt_index[key] == holder.address
+        system.crash_peers([holder.address])
+        counts = count_deliveries(monkeypatch, LookupRequest)
+        calls = []
+        qid = tracker.lookup(key, lambda *done: calls.append(done))
+        system.engine.run()
+        assert calls == [(False, None, -1)]
+        rec = system.queries.get(qid)
+        assert rec.refloods == 1 and rec.contacts == 0
+        # The retry went back to the tracker's index, not around the ring.
+        assert counts[LookupRequest] == 0
+
+    def test_walk_local_retry_sends_walkers(self, monkeypatch):
+        system = build_system(p_s=0.7, n_peers=30, search_mode="walk", max_refloods=1)
+        origin = system.s_peers()[0]
+        counts = count_deliveries(monkeypatch, WalkQuery, FloodQuery)
+        qid = origin.lookup(local_key(origin, "walk-retry-"))
+        system.engine.run_until(system.engine.now + system.config.lookup_timeout / 2)
+        first = counts[WalkQuery]
+        assert first > 0 and system.queries.get(qid).refloods == 0
+        system.engine.run()
+        assert system.queries.get(qid).refloods == 1
+        assert counts[WalkQuery] > first
+        assert counts[FloodQuery] == 0
 
 
 class TestBitTorrentMode:

@@ -23,10 +23,7 @@ from repro.sim.engine import Engine
 from .conftest import build_system
 
 SRC = os.path.dirname(os.path.dirname(sys.modules[Engine.__module__].__file__))
-ENGINE_LOOPS = {
-    fn.__code__
-    for fn in (Engine.run, Engine.run_while, Engine.run_until, Engine.run_before, Engine.step)
-}
+ENGINE_LOOPS = {fn.__code__ for fn in (Engine._drain, Engine.step)}
 
 
 class Hop(NamedTuple):

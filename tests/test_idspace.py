@@ -23,10 +23,6 @@ class TestHashing:
         for key in ("a", "b", "longer-key", ""):
             assert 0 <= s.hash_key(key) < 256
 
-    def test_hash_address_in_range(self):
-        s = IdSpace(8)
-        assert 0 <= s.hash_address(123456789) < 256
-
     def test_pinned_hash_value(self):
         # Stability guard: experiments' data placement must not shift
         # between releases.

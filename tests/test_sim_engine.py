@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Engine, SimulationError
 from repro.sim.timers import PeriodicTimer, Timer
@@ -395,3 +397,98 @@ class TestShardPrimitives:
         engine.run()
         assert hits == ["post-pin"]
         assert engine.now == 3.0
+
+
+# One scheduled event: (time, handle tier?, handle to cancel when it
+# fires, delay of a fast-tier child it schedules).  Few distinct times,
+# so same-time ties are common.
+EVENTS = st.lists(
+    st.tuples(
+        st.integers(0, 6),
+        st.booleans(),
+        st.none() | st.integers(0, 40),
+        st.none() | st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def load(engine, events, precancel):
+    """Schedule ``events``; returns the log each callback appends
+    ``(label, clock)`` to."""
+    log, handles = [], []
+
+    def fire(i, cancel, child):
+        log.append((i, engine.now))
+        if cancel is not None and handles:
+            handles[cancel % len(handles)].cancel()
+        if child is not None:
+            engine.schedule_after(float(child), lambda: log.append((-1 - i, engine.now)))
+
+    for i, (time, handle, cancel, child) in enumerate(events):
+        if handle:
+            handles.append(engine.call_at(float(time), fire, i, cancel, child))
+        else:
+            engine.schedule_at(float(time), fire, (i, cancel, child))
+    for k in precancel:
+        if handles:
+            handles[k % len(handles)].cancel()
+    return log
+
+
+def next_time(engine):
+    nxt = engine.next_event_time()
+    return float("inf") if nxt is None else nxt
+
+
+def drain_in_windows(engine):
+    for end in range(1, 11):
+        engine.run_before(float(end))
+        assert engine.now < end <= next_time(engine)
+        engine.pin_clock(float(end))
+    engine.run()
+
+
+def drain_while_counting(engine, stop_after):
+    calls = []
+    engine.run_while(lambda: calls.append(None) or len(calls) <= stop_after)
+    # Stopped by the predicate's first False, or by an empty heap.
+    assert len(calls) == stop_after + 1 or engine.pending_count == 0
+    engine.run()
+
+
+def drain_by_steps(engine):
+    while engine.step():
+        pass
+
+
+def drain_in_chunks(engine):
+    for deadline in (0.0, 1.0, 2.5, 3.0, 5.5):
+        engine.run_until(deadline)
+        assert engine.now == deadline < next_time(engine)
+    engine.run()
+
+
+@settings(max_examples=300, deadline=None)
+@given(EVENTS, st.lists(st.integers(0, 40), max_size=5), st.integers(0, 40))
+def test_every_run_method_fires_the_same_events(events, precancel, stop_after):
+    """run, run_until, run_before, run_while and step are one loop: any
+    mix of them fires the same callbacks, in the same order, at the same
+    clock values."""
+    drives = [
+        lambda eng: eng.run(),
+        drain_in_chunks,
+        drain_in_windows,
+        lambda eng: drain_while_counting(eng, stop_after),
+        drain_by_steps,
+    ]
+    outcomes = []
+    for drive in drives:
+        engine = Engine()
+        log = load(engine, events, precancel)
+        drive(engine)
+        assert engine.pending_count == 0
+        assert engine.events_executed == len(log)
+        outcomes.append(log)
+    assert all(log == outcomes[0] for log in outcomes[1:])

@@ -45,10 +45,9 @@ class TestSequentialJoin:
 
     def test_pid_conflict_resolved_by_midpoint(self):
         """Forcing every p_id to collide exercises Table 1's check()."""
-        cfg = HybridConfig(p_s=0.0, pid_strategy="hash")
+        cfg = HybridConfig(p_s=0.0)
         system = HybridSystem(cfg, n_peers=5, seed=3)
-        # All peers share one host-address hash?  No -- hash of distinct
-        # addresses differ.  Instead pin the server's generator.
+        # Pin the server's generator so every new p_id collides.
         system.server.generate_pid = lambda address: 1000  # type: ignore[assignment]
         system.build()
         drain(system)
