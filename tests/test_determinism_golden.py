@@ -12,7 +12,8 @@ re-goldened.
 
 The same bundle is pinned at ``Scale.medium()`` (seven times the
 events), and the perf ledger's ``sim_shard2`` workload re-checks the
-quick goldens on every benchmark run.
+quick goldens on every benchmark run.  A third golden covers the
+heartbeat + crash path, which the other two never enter.
 """
 
 from __future__ import annotations
@@ -56,6 +57,30 @@ GOLDEN_MEDIUM = {
 }
 GOLDEN_MEDIUM_EVENTS_EXECUTED = 261_776
 
+# One quick Fig. 5b cell, seed 0: heartbeats on and a fifth of the peers
+# crashed, so detection, elections, rejoins and ring repair all run
+# before the lookups.  The event count is deliberately not pinned: how
+# many timer events liveness takes is an implementation choice, what it
+# detects and when is not.
+HEARTBEAT_CONFIG = HybridConfig(
+    p_s=0.6, heartbeats_enabled=True, lookup_timeout=30_000.0
+)
+HEARTBEAT_CRASH_FRACTION = 0.2
+GOLDEN_HEARTBEAT = {
+    "p_s": 0.6,
+    "failure_ratio": 0.2,
+    "mean_latency": 1792.9873298848138,
+    "median_latency": 1778.8691262811699,
+    "connum": 9608,
+    "mean_contacts": 24.02,
+    "successes": 320,
+    "failures": 80,
+    "n_t_peers": 47,
+    "n_s_peers": 49,
+}
+GOLDEN_HEARTBEAT_SENT = 48_780
+GOLDEN_HEARTBEAT_DROPPED = 124
+
 
 @pytest.fixture(scope="module")
 def quick_cell():
@@ -92,3 +117,16 @@ class TestGoldenMediumCell:
         assert system.engine.events_executed == GOLDEN_MEDIUM_EVENTS_EXECUTED
         assert system.transport.messages_sent == GOLDEN_MEDIUM_EVENTS_EXECUTED
         assert system.transport.messages_dropped == 0
+
+
+class TestGoldenHeartbeatCell:
+    def test_metrics_and_messages_bit_identical(self):
+        out = {}
+        result = run_cell(
+            HEARTBEAT_CONFIG, Scale.quick(),
+            crash_fraction=HEARTBEAT_CRASH_FRACTION, system_out=out,
+        )
+        system = out["system"]
+        assert dataclasses.asdict(result) == GOLDEN_HEARTBEAT
+        assert system.transport.messages_sent == GOLDEN_HEARTBEAT_SENT
+        assert system.transport.messages_dropped == GOLDEN_HEARTBEAT_DROPPED
