@@ -27,8 +27,7 @@ def main() -> None:
         delta=3,
         ttl=6,
         heartbeats_enabled=True,
-        hello_period=1_000.0,       # 1 s heartbeats
-        neighbor_timeout=3_500.0,   # 3.5 s to declare a neighbor dead
+        hello_period=1_000.0,  # 1 s heartbeats; 3.5 s of silence is a crash
         lookup_timeout=30_000.0,
     )
     system = HybridSystem(config, n_peers=150, seed=11)

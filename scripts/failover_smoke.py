@@ -34,7 +34,9 @@ FAILOVER_PUTS = 20
 
 # Same overrides for the server and every node: replicate each segment to
 # 3 peers, ack after 2 copies, and run the failure detector fast enough
-# that detection + election + repair all land well inside the CI timeout.
+# that detection + election + repair all land well inside the CI timeout
+# (a 200 ms HELLO period declares a silent neighbor dead after 700 ms and
+# gives elections 600 ms).
 OVERRIDES = [
     "replication_factor=3",
     "write_quorum=2",
@@ -43,9 +45,6 @@ OVERRIDES = [
     "replica_sync_period=1000",
     "heartbeats_enabled=true",
     "hello_period=200",
-    "neighbor_timeout=700",
-    "ack_suppress=100",
-    "election_grace=600",
     "join_retry_timeout=1500",
     "lookup_timeout=5000",
 ]

@@ -104,12 +104,9 @@ class HybridConfig:
 
     # --- liveness / crash detection (Section 3.2.2) ----------------------
     heartbeats_enabled: bool = False
+    # The one liveness clock: neighbor_timeout, ack_suppress and
+    # election_grace are fixed multiples of it (properties below).
     hello_period: float = 1_000.0  # ms
-    neighbor_timeout: float = 3_500.0  # ms
-    ack_suppress: float = 500.0  # ms
-    # How long the server waits for an s-peer to report a crashed t-peer
-    # before falling back to plain ring excision.
-    election_grace: float = 3_000.0  # ms
     # s-peers retry (re)join walks that got swallowed by a crashed peer.
     join_retry_timeout: float = 5_000.0  # ms
 
@@ -165,6 +162,21 @@ class HybridConfig:
     # --- misc ------------------------------------------------------------
     server_address: int = 0
 
+    @property
+    def neighbor_timeout(self) -> float:
+        """Silence after which a neighbor counts as crashed (ms)."""
+        return 3.5 * self.hello_period
+
+    @property
+    def ack_suppress(self) -> float:
+        """Minimum spacing of one peer's query acknowledgments (ms)."""
+        return 0.5 * self.hello_period
+
+    @property
+    def election_grace(self) -> float:
+        """Server's wait for an s-peer to replace a crashed t-peer (ms)."""
+        return 3.0 * self.hello_period
+
     def validate(self) -> None:
         if not (0.0 <= self.p_s <= 1.0):
             raise ValueError(f"p_s must be in [0, 1], got {self.p_s}")
@@ -199,17 +211,10 @@ class HybridConfig:
             raise ValueError(f"unknown snetwork_style {self.snetwork_style!r}")
         if self.mesh_extra_links < 0:
             raise ValueError("mesh_extra_links must be >= 0")
-        if self.hello_period <= 0 or self.neighbor_timeout <= 0 or self.ack_suppress < 0:
-            raise ValueError("liveness timers must be positive")
-        if self.election_grace <= 0:
-            raise ValueError("election_grace must be positive")
+        if self.hello_period <= 0:
+            raise ValueError("hello_period must be positive")
         if self.join_retry_timeout <= 0:
             raise ValueError("join_retry_timeout must be positive")
-        if self.neighbor_timeout <= self.hello_period:
-            raise ValueError(
-                "neighbor_timeout must exceed hello_period or every peer "
-                "looks crashed between heartbeats"
-            )
         if self.n_landmarks < 0:
             raise ValueError("n_landmarks must be >= 0")
         if not (0 <= self.interest_band_bits < ID_BITS):

@@ -3,8 +3,9 @@
 The paper's liveness machinery, implemented by :class:`LivenessMixin`:
 
 * periodic **HELLO** heartbeats to every neighbor;
-* a **per-neighbor timer**, reset by any HELLO or acknowledgment;
-  expiry means the neighbor crashed;
+* a **deadline per neighbor**, pushed back by any HELLO, acknowledgment
+  or data query from it; one watchdog event per peer declares every
+  neighbor past its deadline crashed;
 * **acknowledgments of data queries** double as liveness proofs, and a
   **suppress timer** throttles them under heavy query load ("peers send
   acknowledgment messages only when the suppress timer is timeout and a
@@ -22,17 +23,21 @@ experiments that crash peers turn them on.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Set
+from typing import Optional, Set
 
 from ..overlay.messages import Ack, CrashReport, Hello, RingRepairRequest
-from ..sim.timers import PeriodicTimer, Timer
+from ..sim.engine import Event
+from ..sim.timers import PeriodicTimer
 
 __all__ = ["LivenessMixin"]
 
 
 class LivenessMixin:
-    """Heartbeats, neighbor timers and crash recovery."""
+    """Heartbeats, neighbor deadlines and crash recovery."""
+
+    # The pending watchdog event, set on the first watch: a peer with
+    # heartbeats off never carries one.
+    _watchdog: Optional[Event] = None
 
     # ------------------------------------------------------------------
     # Heartbeats
@@ -79,34 +84,30 @@ class LivenessMixin:
             self.send_many(targets, Hello())
 
     # ------------------------------------------------------------------
-    # Neighbor watching
+    # Neighbor watching: one deadline per neighbor, one watchdog event
     # ------------------------------------------------------------------
     def watch_neighbor(self, addr: int) -> None:
-        """(Re)arm the crash-detection timer for a neighbor."""
+        """(Re)start the crash-detection countdown for a neighbor."""
         if not self.config.heartbeats_enabled or not self.alive:
             return
         if addr in (-1, self.address):
             return
-        timer = self.neighbor_timers.get(addr)
-        if timer is None:
-            timer = Timer(
-                self.engine,
-                self.config.neighbor_timeout,
-                partial(self._neighbor_timeout, addr),
-            )
-            self.neighbor_timers[addr] = timer
-        timer.start()
+        deadlines = self.neighbor_deadlines
+        deadlines.pop(addr, None)
+        deadline = deadlines[addr] = self.engine.now + self.config.neighbor_timeout
+        # Deadlines only ever grow, so an armed (or firing) watchdog is
+        # never late for this one; an idle one was idle on an empty table.
+        if self._watchdog is None:
+            self._watchdog = self.engine.call_at(deadline, self._check_neighbors)
 
     def unwatch_neighbor(self, addr: int) -> None:
-        timer = self.neighbor_timers.pop(addr, None)
-        if timer is not None:
-            timer.cancel()
+        self.neighbor_deadlines.pop(addr, None)
 
     def note_alive(self, addr: int) -> None:
-        """Fresh evidence that ``addr`` is up: reset its timer."""
-        timer = self.neighbor_timers.get(addr)
-        if timer is not None:
-            timer.reset()
+        """Fresh evidence that ``addr`` is up: push its deadline back."""
+        deadlines = self.neighbor_deadlines
+        if deadlines.pop(addr, None) is not None:
+            deadlines[addr] = self.engine.now + self.config.neighbor_timeout
 
     def note_query_activity(self, sender: int, query_id: int) -> None:
         """A data query arrived: the sender is alive, and per the paper
@@ -114,40 +115,62 @@ class LivenessMixin:
         detection reacts faster when queries are flowing.
 
         Query handlers call this only under
-        ``config.heartbeats_enabled``: with heartbeats off no timer was
-        ever armed (see watch_neighbor) and no ack is owed.
+        ``config.heartbeats_enabled``: with heartbeats off nobody was
+        ever watched (see watch_neighbor) and no ack is owed.
         """
-        timer = self.neighbor_timers.get(sender)  # note_alive, inlined
-        if timer is not None:
-            timer.reset()
+        now = self.engine.now
+        deadlines = self.neighbor_deadlines  # note_alive, inlined
+        if deadlines.pop(sender, None) is not None:
+            deadlines[sender] = now + self.config.neighbor_timeout
         if sender == self.address:
             return
-        if self.engine.now >= self.ack_suppress_until:
-            self.ack_suppress_until = self.engine.now + self.config.ack_suppress
-            self._last_liveness_sent[sender] = self.engine.now
+        if now >= self.ack_suppress_until:
+            self.ack_suppress_until = now + self.config.ack_suppress
+            self._last_liveness_sent[sender] = now
             self.send(sender, Ack(query_id=query_id))
 
+    def _check_neighbors(self) -> None:
+        """The watchdog: every neighbor past its deadline crashed.
+
+        Due neighbors are handled earliest deadline first, ties in
+        last-set order, re-reading the table after each crash reaction
+        (which may watch or unwatch others).  The watchdog then re-arms
+        at the earliest deadline left.
+        """
+        deadlines = self.neighbor_deadlines
+        while deadlines:
+            addr = min(deadlines, key=deadlines.__getitem__)
+            deadline = deadlines[addr]
+            if deadline > self.engine.now:
+                self._watchdog = self.engine.call_at(deadline, self._check_neighbors)
+                return
+            del deadlines[addr]
+            self.emit("crash.detected", suspect=addr)
+            self._handle_neighbor_crash(addr)
+        self._watchdog = None
+
     def _refresh_liveness(self) -> None:
-        """Reconcile timers with the current neighbor set (role changes)."""
+        """Reconcile the watched set with the current neighbors (role changes)."""
         if not self.config.heartbeats_enabled:
             return
         wanted = self._liveness_neighbors()
-        for addr in list(self.neighbor_timers):
-            if addr not in wanted:
-                self.unwatch_neighbor(addr)
+        deadlines = self.neighbor_deadlines
+        for addr in [a for a in deadlines if a not in wanted]:
+            del deadlines[addr]
         for addr in wanted:
-            if addr not in self.neighbor_timers:
+            if addr not in deadlines:
                 self.watch_neighbor(addr)
 
     def stop_liveness(self) -> None:
-        """Cancel every timer this peer owns (departure/crash cleanup)."""
+        """Stop heartbeats and watching (departure/crash cleanup)."""
         if self.hello_timer is not None:
             self.hello_timer.stop()
-        timers = self._touched("neighbor_timers")
-        if timers:
-            for timer in timers.values():
-                timer.cancel()
-            timers.clear()
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+            self._watchdog = None
+        deadlines = self._touched("neighbor_deadlines")
+        if deadlines:
+            deadlines.clear()
 
     # ------------------------------------------------------------------
     # Message handlers
@@ -161,13 +184,6 @@ class LivenessMixin:
     # ------------------------------------------------------------------
     # Crash reactions
     # ------------------------------------------------------------------
-    def _neighbor_timeout(self, addr: int) -> None:
-        if not self.alive:
-            return
-        self.neighbor_timers.pop(addr, None)
-        self.emit("crash.detected", suspect=addr)
-        self._handle_neighbor_crash(addr)
-
     def _handle_neighbor_crash(self, addr: int) -> None:
         self.extra_links.discard(addr)
         self.drop_bypass(addr)

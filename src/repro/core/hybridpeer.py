@@ -18,7 +18,7 @@ tree walk), and the public ``leave`` / ``crash`` lifecycle.
 
 A peer costs what it uses: identity, ring/tree pointers and everything
 read per message are set in ``__init__``; each per-feature container
-(join queue, liveness timers, flood dedup set, pending lookups, bypass
+(join queue, liveness deadlines, flood dedup set, pending lookups, bypass
 table, ...) is a :func:`functools.cached_property` that lands in the
 instance dict on first touch and is an ordinary attribute from then on
 (see DESIGN.md, "Peer state").  Teardown paths go through
@@ -171,8 +171,9 @@ class HybridPeer(
         return set()
 
     @cached_property
-    def neighbor_timers(self) -> Dict[int, Timer]:
-        """Crash-detection timer per watched neighbor."""
+    def neighbor_deadlines(self) -> Dict[int, float]:
+        """Crash deadline per watched neighbor; every update pops and
+        re-inserts, so ties expire in last-set order."""
         return {}
 
     @cached_property

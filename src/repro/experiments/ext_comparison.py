@@ -85,7 +85,7 @@ def _score_chord(
             net.join()
         else:
             alive = [n.node_id for n in net.nodes.values() if n.alive]
-            net.leave(int(rng.integers(0, len(alive))))
+            net.leave(alive[int(rng.integers(0, len(alive)))])
         net.stabilize()
     maintenance = (net.total_maintenance_hops - before) / max(1, churn)
     return SystemScore(

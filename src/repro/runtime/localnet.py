@@ -32,13 +32,12 @@ def fast_config(**overrides: object) -> HybridConfig:
 
     Protocol timeouts are in milliseconds of *protocol* time, which in
     the live runtime is real time -- the simulator's defaults (60 s
-    lookup timeout, 1 s HELLO period) would make tests crawl.
+    lookup timeout, 1 s HELLO period) would make tests crawl.  The
+    liveness timeouts follow ``hello_period`` (350 ms to declare a
+    neighbor dead, 300 ms of election grace).
     """
     base = dict(
         hello_period=100.0,
-        neighbor_timeout=350.0,
-        ack_suppress=50.0,
-        election_grace=300.0,
         join_retry_timeout=800.0,
         lookup_timeout=2_000.0,
         max_refloods=1,

@@ -2,8 +2,9 @@
 
 Protocol code (peers, the bootstrap server, ``Timer`` /
 ``PeriodicTimer``) touches exactly two things on its ``engine``:
-``engine.now`` (milliseconds) and ``engine.call_later(delay, fn, ...)``
-returning a handle with ``cancel()`` / ``pending`` / ``time``.
+``engine.now`` (milliseconds) and ``engine.call_at(time, fn, ...)`` /
+``engine.call_later(delay, fn, ...)`` returning a handle with
+``cancel()`` / ``pending`` / ``time``.
 :class:`LoopEngine` provides that same surface on top of a running
 asyncio event loop, so the unmodified protocol core drives real
 wall-clock timers in the live runtime.
@@ -42,7 +43,7 @@ class LoopEvent:
 
 
 class LoopEngine:
-    """The ``Engine`` timer surface mapped onto ``loop.call_later``.
+    """The ``Engine`` timer surface mapped onto ``loop.call_at``.
 
     ``now`` is milliseconds since this engine was created (protocol
     timeouts are configured in ms).  Outstanding timers are tracked so
@@ -61,13 +62,12 @@ class LoopEngine:
         """Milliseconds elapsed since the engine started."""
         return (self.loop.time() - self._t0) * 1000.0
 
-    def call_later(
-        self, delay: float, fn: Callable[..., Any], *args: Any, **kwargs: Any
+    def call_at(
+        self, time: float, fn: Callable[..., Any], *args: Any, **kwargs: Any
     ) -> LoopEvent:
-        """Schedule ``fn(*args, **kwargs)`` after ``delay`` milliseconds."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        event = LoopEvent(self, self.now + delay)
+        """Schedule ``fn(*args, **kwargs)`` at engine time ``time`` (ms);
+        a time already past fires on the loop's next turn."""
+        event = LoopEvent(self, time)
         if self._closed:
             # Shutdown already started: hand back a dead handle so late
             # protocol callbacks (e.g. from a final message) are inert.
@@ -79,9 +79,17 @@ class LoopEngine:
             self._events.discard(event)
             fn(*args, **kwargs)
 
-        event._handle = self.loop.call_later(delay / 1000.0, _fire)
+        event._handle = self.loop.call_at(self._t0 + time / 1000.0, _fire)
         self._events.add(event)
         return event
+
+    def call_later(
+        self, delay: float, fn: Callable[..., Any], *args: Any, **kwargs: Any
+    ) -> LoopEvent:
+        """Schedule ``fn(*args, **kwargs)`` after ``delay`` milliseconds."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        return self.call_at(self.now + delay, fn, *args, **kwargs)
 
     def close(self) -> None:
         """Cancel every outstanding timer; further schedules are inert."""

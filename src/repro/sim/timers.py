@@ -1,11 +1,10 @@
 """Resettable timers built on the event engine.
 
-The hybrid P2P protocol in the paper is timer-heavy: HELLO heartbeat
-timers, per-neighbor crash-detection timeouts, lookup expiration timers
-with TTL re-flooding, acknowledgment timers, and the acknowledgment
-*suppress* timer of Section 3.2.2.  All of them share the same shape --
-"fire a callback unless reset/cancelled first" -- captured here by
-:class:`Timer`, with :class:`PeriodicTimer` layering repetition on top.
+Lookup expiry with TTL re-flooding, join and rejoin retries and
+load-dump acknowledgments use :class:`Timer` -- "fire a callback unless
+restarted or cancelled first"; the HELLO heartbeat is a
+:class:`PeriodicTimer`.  Per-neighbor crash detection keeps plain
+deadlines behind one watchdog event instead (:mod:`repro.core.failures`).
 """
 
 from __future__ import annotations
@@ -18,11 +17,7 @@ __all__ = ["Timer", "PeriodicTimer"]
 
 
 class Timer:
-    """A one-shot timer that can be reset before it expires.
-
-    Mirrors the paper's neighbor timeout: every HELLO (or acknowledgment)
-    message resets the timer; if it ever fires, the neighbor is declared
-    crashed.
+    """A one-shot timer that can be restarted before it expires.
 
     Parameters
     ----------
@@ -46,18 +41,12 @@ class Timer:
         self.timeout = timeout
         self._on_expire = on_expire
         self._event: Optional[Event] = None
-        self._expired = False
 
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
         """True while the timer is armed and has not fired."""
         return self._event is not None and self._event.pending
-
-    @property
-    def expired(self) -> bool:
-        """True once the timer has fired (until the next start/reset)."""
-        return self._expired
 
     @property
     def deadline(self) -> Optional[float]:
@@ -70,16 +59,7 @@ class Timer:
     def start(self) -> None:
         """Arm the timer ``timeout`` from now (restarts if running)."""
         self.cancel()
-        self._expired = False
         self._event = self._engine.call_later(self.timeout, self._fire)
-
-    def reset(self) -> None:
-        """Push the deadline back to ``now + timeout``.
-
-        Equivalent to :meth:`start`; named separately to match protocol
-        prose ("the timer is reset on receiving a HELLO message").
-        """
-        self.start()
 
     def cancel(self) -> None:
         """Disarm the timer without firing it."""
@@ -89,17 +69,14 @@ class Timer:
 
     def _fire(self) -> None:
         self._event = None
-        self._expired = True
         self._on_expire()
 
 
 class PeriodicTimer:
     """A timer that fires every ``period`` until stopped.
 
-    Used for the HELLO heartbeat broadcast.  Supports :meth:`defer`,
-    which skips/postpones the next scheduled firing -- this implements
-    the paper's bandwidth optimisation where a pending HELLO is cancelled
-    when an acknowledgment message has recently proven liveness.
+    Used for the HELLO heartbeat broadcast and the periodic replica and
+    swarm rounds.
     """
 
     def __init__(
@@ -115,7 +92,6 @@ class PeriodicTimer:
         self._on_tick = on_tick
         self._event: Optional[Event] = None
         self._stopped = True
-        self.ticks = 0
 
     @property
     def running(self) -> bool:
@@ -134,21 +110,8 @@ class PeriodicTimer:
             self._event.cancel()
             self._event = None
 
-    def defer(self) -> None:
-        """Postpone the next tick to a full period from now.
-
-        In the paper, receiving/sending an acknowledgment cancels the
-        scheduled HELLO message to save bandwidth; liveness has already
-        been demonstrated, so the heartbeat restarts its countdown.
-        """
-        if not self._stopped:
-            if self._event is not None:
-                self._event.cancel()
-            self._event = self._engine.call_later(self.period, self._fire)
-
     def _fire(self) -> None:
         self._event = None
-        self.ticks += 1
         self._on_tick()
         # on_tick may have called stop() (or start(), which re-arms).
         if not self._stopped and self._event is None:

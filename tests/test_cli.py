@@ -73,6 +73,9 @@ class TestParser:
             _apply_config_overrides(HybridConfig(), ["no_such_field=1"])
         with pytest.raises(SystemExit):
             _apply_config_overrides(HybridConfig(), ["id_bits=16"])  # retired
+        for derived in ("neighbor_timeout", "ack_suppress", "election_grace"):
+            with pytest.raises(SystemExit, match=derived):  # set hello_period
+                _apply_config_overrides(HybridConfig(), [f"{derived}=700"])
         with pytest.raises(SystemExit):
             _apply_config_overrides(HybridConfig(), ["write_quorum=9"])
         with pytest.raises(SystemExit):

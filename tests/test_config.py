@@ -29,7 +29,6 @@ def test_defaults_validate():
         ("snetwork_style", "nope"),
         ("mesh_extra_links", -1),
         ("hello_period", 0.0),
-        ("election_grace", 0.0),
         ("join_retry_timeout", 0.0),
         ("n_landmarks", -1),
         ("interest_band_bits", 40),
@@ -42,12 +41,18 @@ def test_bad_values_rejected(field, value):
         cfg.validate()
 
 
-def test_neighbor_timeout_must_exceed_hello_period():
-    cfg = dataclasses.replace(
-        HybridConfig(), hello_period=1000.0, neighbor_timeout=500.0
-    )
-    with pytest.raises(ValueError, match="neighbor_timeout"):
-        cfg.validate()
+def test_liveness_timeouts_follow_hello_period():
+    for period, timeout, suppress, grace in (
+        (1_000.0, 3_500.0, 500.0, 3_000.0),  # the simulator's default
+        (200.0, 700.0, 100.0, 600.0),  # scripts/failover_smoke.py
+        (100.0, 350.0, 50.0, 300.0),  # runtime.fast_config
+    ):
+        cfg = HybridConfig(hello_period=period)
+        assert (cfg.neighbor_timeout, cfg.ack_suppress, cfg.election_grace) == (
+            timeout, suppress, grace,
+        )
+    with pytest.raises(TypeError):
+        HybridConfig(neighbor_timeout=700.0)  # derived, not a field
 
 
 def test_binned_assignment_requires_landmarks():

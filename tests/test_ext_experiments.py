@@ -68,6 +68,22 @@ class TestComparison:
         out = ext_comparison.main(n_peers=50)
         assert "chord" in out and "hybrid" in out
 
+    def test_chord_churn_leaves_live_nodes(self, monkeypatch):
+        """Balanced churn (a join, then a leave) ends where it started:
+        every leave must name a live node id."""
+        built = []
+
+        class Recorded(ext_comparison.ChordNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(ext_comparison, "ChordNetwork", Recorded)
+        _topology, router = ext_comparison._common_substrate(60, seed=1)
+        ext_comparison._score_chord(60, 150, 150, churn=10, seed=1, router=router)
+        (net,) = built
+        assert len(net) == 60
+
     def test_hybrid_floods_and_maintains_at_a_fraction(self):
         """The paper's thesis at Scale.quick() size."""
         scores = ext_comparison.run(n_peers=120, n_keys=400, n_lookups=400)

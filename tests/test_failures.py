@@ -1,6 +1,6 @@
 """Crash detection and recovery tests (Section 3.2.2).
 
-Heartbeats, neighbor timers, subtree rejoin, t-peer replacement
+Heartbeats, neighbor deadlines, subtree rejoin, t-peer replacement
 elections at the server, ring repair, and the failure-ratio behaviour
 of Fig. 5b.
 """
@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import HybridConfig, HybridSystem
 from repro.metrics import MembershipLog
+from repro.overlay.messages import Ack, Hello
 
 from .conftest import build_system, check_ring, check_trees
 
@@ -148,7 +149,7 @@ class TestHeartbeatEconomy:
     def test_acks_suppress_hellos(self):
         """Query acknowledgments should replace scheduled HELLOs
         (Section 3.2.2's bandwidth optimisation)."""
-        system = build_system(p_s=0.8, n_peers=20, ack_suppress=200.0, **HB)
+        system = build_system(p_s=0.8, n_peers=20, **HB)
         peers = [p.address for p in system.alive_peers()]
         system.populate([(peers[i % len(peers)], f"k{i}", i) for i in range(40)])
 
@@ -189,12 +190,13 @@ class TestAckSuppressBoundary:
     ``note_query_activity`` compares ``engine.now >= ack_suppress_until``
     -- the boundary is inclusive, so a query landing at precisely the
     expiry tick must behave like an unsuppressed one: acknowledgment
-    sent, neighbor timer reset, and the next scheduled HELLO to that
-    neighbor deferred.
+    sent, neighbor deadline pushed back, and the next scheduled HELLO to
+    that neighbor deferred.  ``ack_suppress`` is half the 1 s HELLO
+    period: 500 ms.
     """
 
     def test_query_at_exact_expiry_acks_resets_and_defers(self):
-        system = build_system(p_s=0.0, n_peers=8, ack_suppress=500.0, **HB)
+        system = build_system(p_s=0.0, n_peers=8, **HB)
         a = system.t_peers()[0]
         b = a.successor
         sent = {"acks": 0}
@@ -218,7 +220,7 @@ class TestAckSuppressBoundary:
         # Land the clock at exactly the expiry instant.
         system.engine.run_until(opened_until)
         assert system.engine.now == opened_until
-        timer = a.neighbor_timers[b]
+        assert b in a.neighbor_deadlines
         acks_before = sent["acks"]
 
         a.note_query_activity(b, query_id=3)
@@ -227,9 +229,8 @@ class TestAckSuppressBoundary:
         assert sent["acks"] == acks_before + 1
         # ... a fresh window opens from the expiry instant ...
         assert a.ack_suppress_until == opened_until + 500.0
-        # ... the neighbor timer restarts its full countdown from now ...
-        assert timer.running
-        assert timer.deadline == system.engine.now + a.config.neighbor_timeout
+        # ... the neighbor's deadline restarts its full countdown from now ...
+        assert a.neighbor_deadlines[b] == system.engine.now + a.config.neighbor_timeout
         # ... and the ack stands in for b's next scheduled HELLO.
         assert a._last_liveness_sent[b] == system.engine.now
         targets = []
@@ -242,7 +243,7 @@ class TestAckSuppressBoundary:
         assert b not in targets
 
     def test_query_one_tick_before_expiry_stays_suppressed(self):
-        system = build_system(p_s=0.0, n_peers=8, ack_suppress=500.0, **HB)
+        system = build_system(p_s=0.0, n_peers=8, **HB)
         a = system.t_peers()[0]
         b = a.successor
         sent = {"acks": 0}
@@ -259,3 +260,106 @@ class TestAckSuppressBoundary:
         a.note_query_activity(b, query_id=2)
         assert sent["acks"] == 1  # still inside the window
         assert a.ack_suppress_until == until  # window not re-opened
+
+
+def sent_by(msg, sender):
+    """``msg`` as if the transport had delivered it from ``sender``."""
+    msg.sender = sender
+    return msg
+
+
+class TestDeadlineTable:
+    """Detection instants of the per-peer deadline table and its watchdog.
+
+    Each test crashes some of one t-peer's ring neighbors and then feeds
+    that peer late evidence from them by hand, so every deadline is
+    known exactly.
+    """
+
+    @staticmethod
+    def detections_by(log, peer):
+        return [
+            (r.time, r.payload["suspect"]) for r in log.of("crash.detected")
+            if r.payload["peer"] == peer.address
+        ]
+
+    def test_last_hello_ack_or_query_plus_timeout_is_the_crash_instant(self):
+        system = build_system(p_s=0.0, n_peers=8, **HB)
+        engine, a = system.engine, system.t_peers()[0]
+        b = a.successor
+        timeout = a.config.neighbor_timeout
+        log = MembershipLog(system.trace)
+        system.peers[b].crash()
+        # A Hello, an Ack and a query still in flight from b each push
+        # its deadline back to a full timeout from their arrival.
+        for evidence in (
+            lambda: a.on_Hello(sent_by(Hello(), b)),
+            lambda: a.on_Ack(sent_by(Ack(query_id=1), b)),
+            lambda: a.note_query_activity(b, query_id=2),
+        ):
+            engine.run_until(engine.now + 2_000.0)
+            evidence()
+            assert a.neighbor_deadlines[b] == engine.now + timeout
+            last = engine.now
+        assert self.detections_by(log, a) == []
+        settle(system, 10_000)
+        assert self.detections_by(log, a) == [(last + timeout, b)]
+        assert b not in a.neighbor_deadlines
+
+    def test_deadlines_that_tie_expire_in_last_set_order(self):
+        system = build_system(p_s=0.0, n_peers=8, **HB)
+        engine, a = system.engine, system.t_peers()[0]
+        log = MembershipLog(system.trace)
+        first, second = list(a.neighbor_deadlines)
+        for addr in (first, second):
+            system.peers[addr].crash()
+        engine.run_until(engine.now + 500.0)
+        # Same instant, reverse of the table's order: second now expires first.
+        a.on_Hello(sent_by(Hello(), second))
+        a.on_Hello(sent_by(Hello(), first))
+        due = engine.now + a.config.neighbor_timeout
+        settle(system, 10_000)
+        assert self.detections_by(log, a)[:2] == [(due, second), (due, first)]
+
+    def test_neighbor_watched_by_a_crash_handler_delays_no_earlier_deadline(self):
+        system = build_system(p_s=0.0, n_peers=8, **HB)
+        engine, a = system.engine, system.t_peers()[0]
+        timeout = a.config.neighbor_timeout
+        log = MembershipLog(system.trace)
+        early, late = a.predecessor, a.successor
+        for addr in (early, late):
+            system.peers[addr].crash()
+        engine.run_until(engine.now + 500.0)
+        a.on_Hello(sent_by(Hello(), late))
+        late_due = engine.now + timeout
+        early_due = a.neighbor_deadlines[early]
+        assert early_due < late_due
+        stranger = next(
+            p.address for p in system.alive_peers()
+            if p.address not in (a.address, early, late)
+        )
+        handled = []
+        real = a._handle_neighbor_crash
+
+        def handle(addr):
+            handled.append(addr)
+            if addr == early:
+                a.watch_neighbor(stranger)  # due a full timeout from now
+            real(addr)
+
+        a._handle_neighbor_crash = handle
+        engine.run_until(early_due)
+        assert handled == [early]
+        assert a.neighbor_deadlines[stranger] == early_due + timeout > late_due
+        assert a._watchdog.time == late_due
+        engine.run_until(late_due)
+        assert self.detections_by(log, a) == [(early_due, early), (late_due, late)]
+
+    def test_stop_liveness_leaves_no_watchdog_pending(self):
+        system = build_system(p_s=0.0, n_peers=8, **HB)
+        a = system.t_peers()[0]
+        watchdog = a._watchdog
+        assert watchdog is not None and watchdog.pending
+        a.stop_liveness()
+        assert not watchdog.pending and a._watchdog is None
+        assert not a.neighbor_deadlines

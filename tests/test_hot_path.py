@@ -35,7 +35,7 @@ class Hop(NamedTuple):
     frames: List[str]  # engine loop (exclusive) -> handler (exclusive)
     calls: List[str]  # every repro function entered, the handler first
     sent: int  # messages this hop put on the transport
-    sender_timeout: Optional[float]  # crash timer for msg.sender: time left after the hop
+    sender_timeout: Optional[float]  # msg.sender's crash deadline: time left after the hop
 
 
 @pytest.fixture
@@ -68,12 +68,12 @@ def probe(monkeypatch):
                     real(peer, msg)
                 finally:
                     sys.setprofile(None)
-                timer = (peer._touched("neighbor_timers") or {}).get(sender)
+                deadline = (peer._touched("neighbor_deadlines") or {}).get(sender)
                 now = system.engine.now
                 hops.append(Hop(
                     peer, msg, sender, now, forwarded, frames[::-1], calls,
                     system.transport.messages_sent - sent0,
-                    timer.deadline - now if timer is not None else None,
+                    deadline - now if deadline is not None else None,
                 ))
 
             monkeypatch.setitem(table, cls, wrapped)
@@ -147,11 +147,13 @@ def test_heartbeats_still_reset_the_timer_and_ack(probe):
     config = system.config
     # Two identical lookups issued in the same instant ride the ring back
     # to back: the first one through a peer is acknowledged, the second
-    # falls inside the suppress window; both reset the sender's timer.
+    # falls inside the suppress window; both push the sender's deadline
+    # back, in place -- no timer object, no heap event.
     _stores, lookups = walk(system, probe, repeat=2)
     by_peer = {}
     for hop in lookups:
-        assert hop.calls.count("note_query_activity") == hop.calls.count("reset") == 1
+        assert hop.calls.count("note_query_activity") == 1
+        assert "call_at" not in hop.calls and "call_later" not in hop.calls
         assert hop.sender_timeout == config.neighbor_timeout
         assert hop.frames == ["receive"]
         by_peer.setdefault(hop.peer.address, []).append(hop)

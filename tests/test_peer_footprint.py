@@ -16,14 +16,14 @@ from .conftest import build_bulk_system
 
 LAZY = {
     "join_queue", "deferred_leaves", "_dump_candidates", "extra_links",
-    "neighbor_timers", "_last_liveness_sent", "seen_queries",
+    "neighbor_deadlines", "_last_liveness_sent", "seen_queries",
     "pending_lookups", "pending_searches", "bt_index", "bypass",
     "replicas", "_replica_pending", "_write_watchers",
     "swarm_pieces", "swarm_meta", "swarm_tracker", "_swarm_downloads",
 }
 # State that leave/crash paths only ever cancel and empty.
 CLEAR_ONLY = {
-    "pending_lookups", "neighbor_timers", "_replica_pending",
+    "pending_lookups", "neighbor_deadlines", "_replica_pending",
     "_write_watchers", "_swarm_downloads",
 }
 
@@ -56,6 +56,7 @@ def test_idle_peer_carries_no_feature_state():
     peer = system.peers[1]
     assert peer._replica_write_seq == peer._write_watch_seq == 0
     assert peer._replica_sync_timer is None and peer.swarm_integrity_failures == 0
+    assert peer._watchdog is None and "_watchdog" not in vars(peer)
     assert system.total_replicas() == 0
     assert materialised(system) == {}
 

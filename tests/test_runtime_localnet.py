@@ -16,6 +16,7 @@ import pytest
 
 from repro.runtime import ClientGet, ClientPut, ClientStatus, LocalNet, acall
 from repro.runtime.localnet import fast_config
+from repro.runtime.loop_engine import LoopEngine
 
 
 async def _booted_net() -> LocalNet:
@@ -121,3 +122,21 @@ def test_fast_config_overrides() -> None:
     cfg = fast_config(lookup_timeout=123.0)
     assert cfg.lookup_timeout == 123.0
     assert cfg.hello_period == 100.0
+
+
+def test_loop_engine_call_at_keeps_the_absolute_time() -> None:
+    """The liveness watchdog arms at a stored deadline: the live handle
+    carries that exact time and fires once the loop's clock reaches it."""
+
+    async def scenario() -> None:
+        engine = LoopEngine()
+        fired = []
+        due = engine.now + 20.0
+        event = engine.call_at(due, lambda: fired.append(engine.now))
+        assert event.time == due and event.pending
+        await asyncio.sleep(0.1)
+        assert not event.pending and len(fired) == 1
+        assert fired[0] >= due - 0.001  # the loop's clock resolution, in ms
+        engine.close()
+
+    asyncio.run(scenario())

@@ -327,15 +327,17 @@ class TestPoppedHandleEdges:
 
     def test_periodic_timer_stop_inside_tick(self, engine):
         timer_box = {}
+        ticks = []
 
         def tick():
-            if timer_box["t"].ticks == 2:
+            ticks.append(engine.now)
+            if len(ticks) == 2:
                 timer_box["t"].stop()
 
         timer_box["t"] = PeriodicTimer(engine, 1.0, tick)
         timer_box["t"].start()
         engine.run()
-        assert timer_box["t"].ticks == 2
+        assert ticks == [1.0, 2.0]
         assert engine.pending_count == 0
 
 

@@ -14,22 +14,22 @@ class TestTimer:
         t.start()
         engine.run()
         assert fired == [5.0]
-        assert t.expired
+        assert not t.running
 
-    def test_reset_pushes_deadline(self, engine):
+    def test_restart_pushes_deadline(self, engine):
         fired = []
         t = Timer(engine, 5.0, lambda: fired.append(engine.now))
         t.start()
-        engine.call_at(3.0, t.reset)  # heartbeat arrives at t=3
+        engine.call_at(3.0, t.start)  # restarted while running at t=3
         engine.run()
         assert fired == [8.0]
 
-    def test_repeated_resets_keep_postponing(self, engine):
+    def test_repeated_restarts_keep_postponing(self, engine):
         fired = []
         t = Timer(engine, 4.0, lambda: fired.append(engine.now))
         t.start()
         for at in (2.0, 4.0, 6.0):
-            engine.call_at(at, t.reset)
+            engine.call_at(at, t.start)
         engine.run()
         assert fired == [10.0]
 
@@ -40,7 +40,7 @@ class TestTimer:
         engine.call_at(2.0, t.cancel)
         engine.run()
         assert fired == []
-        assert not t.expired
+        assert not t.running
 
     def test_deadline_property(self, engine):
         t = Timer(engine, 5.0, lambda: None)
@@ -88,36 +88,26 @@ class TestPeriodicTimer:
         assert ticks == [1.0, 2.0]
 
     def test_stop_from_within_callback(self, engine):
-        t = PeriodicTimer(engine, 1.0, lambda: t.stop())
+        ticks = []
+
+        def tick():
+            ticks.append(engine.now)
+            t.stop()
+
+        t = PeriodicTimer(engine, 1.0, tick)
         t.start()
         engine.run()
-        assert t.ticks == 1
+        assert ticks == [1.0]
         assert not t.running
-
-    def test_defer_skips_scheduled_tick(self, engine):
-        # The paper's HELLO suppression: an ack at t=1.5 defers the
-        # HELLO scheduled for t=2 out to t=3.5.
-        ticks = []
-        t = PeriodicTimer(engine, 2.0, lambda: ticks.append(engine.now))
-        t.start()
-        engine.call_at(1.5, t.defer)
-        engine.run_until(6.0)
-        t.stop()
-        assert ticks == [3.5, 5.5]
-
-    def test_defer_when_stopped_is_noop(self, engine):
-        t = PeriodicTimer(engine, 2.0, lambda: None)
-        t.defer()
-        assert not t.running
-        assert engine.pending_count == 0
 
     def test_invalid_period_rejected(self, engine):
         with pytest.raises(ValueError):
             PeriodicTimer(engine, -1.0, lambda: None)
 
     def test_tick_counter(self, engine):
-        t = PeriodicTimer(engine, 1.0, lambda: None)
+        ticks = []
+        t = PeriodicTimer(engine, 1.0, lambda: ticks.append(1))
         t.start()
         engine.run_until(4.5)
         t.stop()
-        assert t.ticks == 4
+        assert len(ticks) == 4
