@@ -65,8 +65,9 @@ class Scale:
     def large(cls, seed: int = 0) -> "Scale":
         """10^5 peers: the first point past the paper's reach.
 
-        Requires the bulk build; pair with ``shards > 1`` (see
-        :mod:`repro.shard`) to spread the lookup phase across cores.
+        Requires the bulk build.  Run it single-process: ``shards > 1``
+        was measured slower than one process at every scale (the lookup
+        phase it spreads is a few percent of a 10^5 cell).
         """
         return cls(
             n_peers=100_000, n_keys=20_000, n_lookups=5_000,

@@ -5,7 +5,7 @@ into the plain-text format every Prometheus-compatible scraper speaks;
 ``handle_http_request`` implements the tiny request router the node
 daemons mount on their existing listen port (the framed protocol and
 HTTP are disambiguated by sniffing the first bytes of a connection --
-see ``NodeDaemon._serve_conn``).  No sockets here: this module is pure
+see ``repro.runtime.aio_transport.FrameConnection``).  No sockets here: this module is pure
 bytes-in/bytes-out so it is trivially testable.
 """
 

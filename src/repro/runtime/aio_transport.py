@@ -9,40 +9,47 @@ overlay address, and here that address *is* the destination endpoint
 
 Design notes
 ------------
-* **Per-peer connection pooling** -- one outbound connection per
-  destination address, opened lazily on first send and reused until it
-  fails or the transport closes.
-* **Write coalescing** -- ``send`` only appends the frame to the
-  destination's queue; a per-connection writer task drains the whole
-  queue into a single ``write`` + ``drain``.  Bursts (floods, dumps)
-  become one syscall instead of one per message.  ``bytes_sent`` (and
-  the ``repro_wire_bytes_total{direction="tx"}`` counter) is bumped
-  *after* the coalesced batch is written and drained, so it counts
-  actual socket writes -- frames sitting in a queue, or dropped before
-  the write, never inflate it.
-* **Encode-once broadcast** -- ``send_many`` builds one frame and
-  enqueues the same ``bytes`` object to every remote destination,
-  mirroring the simulator's ``Transport.send_many``.  On a fanout-``k``
-  flood the codec runs once, not ``k`` times.
-* **Bounded queues with backpressure accounting** -- each destination
-  queue holds at most ``max_queue`` frames.  When a burst outruns the
-  socket, the *oldest* queued frame is dropped to admit the new one
-  (newest frames carry the freshest protocol state) and
-  ``repro_tx_backpressure_total{dest=...}`` is bumped; current depth
-  across all queues is exported as the ``repro_tx_queue_depth`` gauge.
-  Burst floods therefore degrade by shedding load instead of growing
-  unbounded buffers.
-* **Retry with exponential backoff** -- connects (and the frames queued
-  behind them) are retried up to ``max_retries`` times with
-  exponentially growing delays; connect and drain are both bounded by
-  ``op_timeout``.  After the retries are exhausted the address is
-  marked failed and subsequent sends drop, mirroring the simulator's
-  drop-to-dead-peer behaviour (``is_reachable`` turns False, which is
-  what the bootstrap server's crash arbitration keys off).
+* **One framed connection, on callbacks** -- :class:`FrameConnection`
+  is the ``asyncio.Protocol`` behind every live TCP connection: this
+  transport's peer links, a daemon's inbound connections and a client's
+  connection.  No task reads or writes: ``data_received`` slices every
+  complete frame out of the buffer and dispatches it in the callback.
+* **Write coalescing** -- ``send`` appends the frame to the
+  connection's queue; one ``loop.call_soon`` per loop turn hands the
+  whole queue to the socket transport in one ``write``, so bursts
+  (floods, dumps, pipelined client replies) cost one syscall.
+  ``bytes_sent`` and ``repro_wire_bytes_total{direction="tx"}`` count
+  each coalesced batch as it is handed over; queued or evicted frames
+  never count.
+* **Flow control** -- ``pause_writing`` holds the flushes and starts an
+  ``op_timeout`` stall timer; ``resume_writing`` cancels it.  A link
+  still paused when it fires is aborted.
+* **Encode-once broadcast** -- ``send_many`` enqueues the same frame
+  ``bytes`` to every remote destination.
+* **Bounded queues** -- a destination queue holds at most ``max_queue``
+  frames; beyond that the *oldest* is evicted (newest frames carry the
+  freshest protocol state) and counted in
+  ``repro_tx_backpressure_total{dest=...}``.  ``repro_tx_queue_depth``
+  is the current depth over all queues.
+* **Reconnect with exponential backoff** -- a peer link outlives its
+  sockets.  When one dies, the frames its socket transport may not have
+  sent go back to the head of the queue (``repro_frames_retried_total``;
+  handlers tolerate duplicates), and while frames wait a connect
+  coroutine -- the only one here, alive only while the link is down --
+  makes ``max_retries`` attempts with doubling delays, each bounded by
+  ``op_timeout``.  Then the address is marked failed and later sends
+  drop (``is_reachable`` turns False, which the bootstrap server's crash
+  arbitration keys off).  Links are one-way, so a FIN ends one and the
+  next send reconnects.
+* **Accounting as in the simulator** -- ``messages_sent`` counts every
+  attempt and ``messages_dropped`` those that never reached a live
+  actor (dead source or destination, unreachable, evicted, queued at
+  close); the receiving actor counts ``messages_delivered``.
+* **Loud rejects** -- an oversized or undecodable inbound frame ends its
+  connection; those and frames of the wrong kind count in
+  ``repro_inbound_rejected_total{reason}``, one WARNING per endpoint.
 * **Loopback** -- sends to an actor registered on *this* transport
-  bypass TCP and are dispatched via ``loop.call_soon``, preserving the
-  simulator's semantics that a peer never talks to itself over the
-  network in a blocking way.
+  bypass TCP through ``loop.call_soon``.
 """
 
 from __future__ import annotations
@@ -50,77 +57,205 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Set
 
 from ..obs.registry import MetricsRegistry
 from ..overlay.messages import Message
 from ..overlay.transport import Actor, TransportBase
 from .codec import MAX_FRAME, CodecError, MessageCodec, _LEN, format_endpoint, unpack_endpoint
 
-__all__ = ["AioTransport", "frame_stream"]
+__all__ = ["AioTransport", "FrameConnection"]
 
 logger = logging.getLogger("repro.runtime.transport")
 
+# An inbound connection is sniffed by its first 4 bytes: these prefixes
+# mean a plain-text HTTP request (scraper hitting /metrics or /healthz);
+# anything else is a big-endian frame length.  No protocol frame can
+# alias them -- as a length either would exceed MAX_FRAME by ~100x.
+_HTTP_PREFIXES = (b"GET ", b"HEAD")
 
-async def frame_stream(reader: asyncio.StreamReader, initial: bytes = b""):
-    """Yield every frame payload on ``reader`` as a :class:`memoryview`.
+# Bound on the HTTP request head we are willing to buffer.
+_MAX_HTTP_HEAD = 8192
 
-    The per-frame hot loop for inbound protocol connections.  Rather
-    than awaiting the event loop twice per frame (length, then body),
-    this reads the socket in large chunks and slices all complete
-    frames out of each chunk -- under a flood burst the remote writer
-    coalesces dozens of frames per segment, so this collapses dozens of
-    awaits into one.  Yielded views alias the chunk buffer (``bytes``,
-    so later buffer turnover cannot invalidate them); each is consumed
-    by ``decode`` before the generator is advanced, making the whole rx
-    path copy-free after the socket read.
 
-    ``initial`` seeds the buffer with bytes already consumed from the
-    stream (the daemon's HTTP-vs-frame sniff).  Ends on EOF; trailing
-    bytes that do not form a complete frame are discarded.  A length
-    prefix beyond :data:`MAX_FRAME` raises :class:`CodecError`.
+class FrameConnection(asyncio.Protocol):
+    """One TCP connection carrying length-prefixed codec frames.
+
+    ``owner`` supplies ``codec``, ``registry`` and ``reject_warned`` and
+    two hooks: ``frame_received(conn, msg, nbytes)`` for every decoded
+    frame and ``connection_closed(conn, exc)`` when the socket is gone.
+    With ``http`` set, the first 4 bytes are sniffed: an HTTP request
+    gets ``http(request_line)`` written back, then the connection closes.
     """
-    buf = bytes(initial)
-    pos = 0
-    while True:
-        n = len(buf)
-        if n - pos >= _LEN.size:
-            mv = memoryview(buf)
-            while n - pos >= _LEN.size:
-                (length,) = _LEN.unpack_from(buf, pos)
-                if length > MAX_FRAME:
-                    raise CodecError(f"incoming frame too large: {length} bytes")
-                body_start = pos + _LEN.size
-                if n - body_start < length:
-                    break
-                yield mv[body_start : body_start + length]
-                pos = body_start + length
-        try:
-            chunk = await reader.read(_READ_CHUNK)
-        except (OSError, ConnectionError):
-            return
-        if not chunk:
-            return
-        # One chunk-level concat per read; frames inside are sliced,
-        # never copied.
-        buf = buf[pos:] + chunk
-        pos = 0
 
-
-_READ_CHUNK = 256 * 1024
-
-
-class _Conn:
-    """Outbound connection state for one destination address."""
-
-    __slots__ = ("queue", "wakeup", "task", "failed", "connects")
-
-    def __init__(self) -> None:
+    def __init__(self, owner: Any, loop: asyncio.AbstractEventLoop, op_timeout: float,
+                 http: Optional[Callable[[str], bytes]] = None) -> None:
+        self.owner = owner
+        self.loop = loop
+        self.op_timeout = op_timeout
+        self.http = http
+        self.transport: Optional[asyncio.Transport] = None
         self.queue: Deque[bytes] = deque()
-        self.wakeup = asyncio.Event()
-        self.task: Optional[asyncio.Task] = None
+        # Frames handed over that may still sit in the socket transport's
+        # buffer, oldest first, and their bytes: what a dead link resends.
+        self.unflushed: Deque[bytes] = deque()
+        self.unflushed_bytes = 0
+        self.buf = b""
+        self.paused = False
+        self.flushing: Optional[asyncio.Handle] = None
+        self.stall: Optional[asyncio.TimerHandle] = None
+        self.error: Optional[BaseException] = None
+
+    # ------------------------------------------------------------------
+    # Send side
+    # ------------------------------------------------------------------
+    def send(self, frame: bytes) -> None:
+        """Queue one frame; the socket write happens once per loop turn."""
+        self.queue.append(frame)
+        self._kick()
+
+    def _kick(self) -> None:
+        if self.flushing is None and self.transport is not None and not self.paused:
+            self.flushing = self.loop.call_soon(self._flush)
+
+    def _flush(self) -> int:
+        """Hand the whole queue to the socket transport in one write."""
+        self.flushing = None
+        transport, queue = self.transport, self.queue
+        if transport is None or transport.is_closing() or self.paused or not queue:
+            return 0
+        data = b"".join(queue)
+        transport.write(data)
+        # The socket transport holds the newest ``held`` bytes written;
+        # a write that failed (peer reset) leaves all of them unsent.
+        held = (self.unflushed_bytes + len(data) if transport.is_closing()
+                else transport.get_write_buffer_size())
+        unflushed = self.unflushed
+        if held:
+            unflushed.extend(queue)
+            self.unflushed_bytes += len(data)
+            while self.unflushed_bytes - len(unflushed[0]) >= held:
+                self.unflushed_bytes -= len(unflushed.popleft())
+        elif unflushed:
+            unflushed.clear()
+            self.unflushed_bytes = 0
+        queue.clear()
+        return len(data)
+
+    def abort(self) -> None:
+        if self.transport is not None:
+            self.transport.abort()
+
+    def reject(self, reason: str, exc: Optional[CodecError] = None) -> None:
+        """Count one refused inbound frame; with ``exc``, end the connection."""
+        owner = self.owner
+        if owner.registry is not None:
+            owner.registry.counter(
+                "repro_inbound_rejected_total",
+                "Inbound frames refused: oversized, undecodable or foreign", ("reason",),
+            ).labels(reason).inc()
+        peer = self.transport.get_extra_info("peername") if self.transport else None
+        endpoint = f"{peer[0]}:{peer[1]}" if peer else "?"
+        if endpoint not in owner.reject_warned:
+            owner.reject_warned.add(endpoint)
+            logger.warning("rejected %s frame from %s (further rejects from this endpoint "
+                           "are counted but not logged)", reason, endpoint)
+        if exc is not None:
+            self.error = exc
+            self.abort()
+
+    # ------------------------------------------------------------------
+    # asyncio.Protocol callbacks
+    # ------------------------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        if self.queue:  # frames queued while the link was down
+            self._kick()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+        self.buf = b""
+        self.resume_writing()  # drop a pause and its stall timer
+        error, self.error = self.error, None
+        self.owner.connection_closed(self, error or exc)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.stall = self.loop.call_later(self.op_timeout, self.abort)
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.stall is not None:
+            self.stall.cancel()
+            self.stall = None
+        self._kick()
+
+    def eof_received(self) -> None:
+        # An HTTP client may half-close after its request; everything
+        # else (links are one-way) just ends: returning None closes.
+        if self.http is not None and self.buf[:4] in _HTTP_PREFIXES:
+            self._answer_http()
+
+    def data_received(self, data: bytes) -> None:
+        buf = self.buf + data if self.buf else data
+        if self.http is not None and self._sniffing(buf):
+            return
+        owner = self.owner
+        view = memoryview(buf)
+        n = len(buf)
+        pos = 0
+        while n - pos >= 4:
+            (length,) = _LEN.unpack_from(buf, pos)
+            if length > MAX_FRAME:
+                self.reject("oversized", CodecError(f"incoming frame too large: {length} bytes"))
+                return
+            end = pos + 4 + length
+            if end > n:
+                break
+            try:
+                msg = owner.codec.decode(view[pos + 4 : end])
+            except CodecError as exc:
+                self.reject("undecodable", exc)
+                return
+            owner.frame_received(self, msg, end - pos)
+            pos = end
+        self.buf = buf[pos:]
+
+    def _sniffing(self, buf: bytes) -> bool:
+        """True while ``buf`` is an HTTP request (or too short to tell)."""
+        if len(buf) >= 4 and buf[:4] not in _HTTP_PREFIXES:
+            self.http = None  # a frame stream: sniffed once, for good
+            return False
+        self.buf = buf
+        if len(buf) >= 4 and (b"\r\n\r\n" in buf or len(buf) >= _MAX_HTTP_HEAD):
+            self._answer_http()
+        return True
+
+    def _answer_http(self) -> None:
+        request_line = self.buf.split(b"\r\n", 1)[0].decode("latin-1", "replace")
+        self.buf = b""
+        self.transport.write(self.http(request_line))
+        self.transport.close()
+
+
+class _PeerLink(FrameConnection):
+    """The outbound link to one destination; it outlives its sockets."""
+
+    def __init__(self, owner: "AioTransport", address: int) -> None:
+        super().__init__(owner, owner.loop, owner.op_timeout)
+        self.address = address
         self.failed = False
         self.connects = 0  # successful connects (>1 means reconnects)
+        self.dialing: Optional[asyncio.Task] = None
+
+    def _flush(self) -> int:
+        nbytes = super()._flush()
+        if nbytes:
+            owner = self.owner
+            owner.bytes_sent += nbytes
+            if owner._wire_bytes_tx is not None:
+                owner._wire_bytes_tx.inc(nbytes)
+        return nbytes
 
 
 class AioTransport(TransportBase):
@@ -133,7 +268,8 @@ class AioTransport(TransportBase):
     loop:
         Event loop to schedule on; defaults to the running loop.
     op_timeout:
-        Seconds allowed for one connect attempt or one drain.
+        Seconds allowed for one connect attempt, or for a link to stay
+        paused by the socket's flow control before it is aborted.
     max_retries:
         Connect attempts before a destination is declared unreachable.
     backoff_base:
@@ -183,8 +319,9 @@ class AioTransport(TransportBase):
         self.backpressure_by_dest: Dict[int, int] = {}
         self._drop_warned: Set[int] = set()
         self._backpressure_warned: Set[int] = set()
+        self.reject_warned: Set[str] = set()
         self._actors: Dict[int, Actor] = {}
-        self._conns: Dict[int, _Conn] = {}
+        self._conns: Dict[int, _PeerLink] = {}
         self._closing = False
         self.registry = registry
         self._frames_fam = None
@@ -205,26 +342,19 @@ class AioTransport(TransportBase):
                 "Wire payload bytes moved, by direction",
                 labelnames=("direction",),
             ).labels("tx")
+            dest = ("dest",)
             self._dropped_fam = registry.counter(
                 "repro_frames_dropped_total",
-                "Frames dropped after connect retries were exhausted",
-                labelnames=("dest",),
-            )
+                "Frames dropped after connect retries were exhausted", dest)
             self._retried_fam = registry.counter(
                 "repro_frames_retried_total",
-                "Frames re-queued after a connection died mid-write",
-                labelnames=("dest",),
-            )
+                "Frames re-queued after a connection died mid-write", dest)
             self._reconnects_fam = registry.counter(
                 "repro_transport_reconnects_total",
-                "Successful re-connects to a previously connected destination",
-                labelnames=("dest",),
-            )
+                "Successful re-connects to a previously connected destination", dest)
             self._backpressure_fam = registry.counter(
                 "repro_tx_backpressure_total",
-                "Oldest-frame drops forced by a full outbound queue",
-                labelnames=("dest",),
-            )
+                "Oldest-frame drops forced by a full outbound queue", dest)
             registry.gauge(
                 "repro_tx_queue_depth",
                 "Frames currently queued for transmission, all destinations",
@@ -256,7 +386,9 @@ class AioTransport(TransportBase):
     # Send surface (called synchronously by protocol code)
     # ------------------------------------------------------------------
     def send(self, src: Actor, dst_address: int, msg: Message) -> bool:
+        self.messages_sent += 1
         if not src.alive or self._closing:
+            self.messages_dropped += 1
             return False
         msg.sender = src.address
         local = self._actors.get(dst_address)
@@ -265,7 +397,6 @@ class AioTransport(TransportBase):
                 self.messages_dropped += 1
                 return False
             self.loop.call_soon(local.receive, msg)
-            self.messages_sent += 1
             if self._frames_fam is not None:
                 self._count_tx(type(msg))
             return True
@@ -283,22 +414,29 @@ class AioTransport(TransportBase):
     def send_many(self, src: Actor, dst_addresses: Iterable[int], msg: Message) -> int:
         """Fan out one message; the frame is encoded exactly once."""
         if not src.alive or self._closing:
+            attempted = sum(1 for _ in dst_addresses)
+            self.messages_sent += attempted
+            self.messages_dropped += attempted
             return 0
         msg.sender = src.address
         frame: Optional[bytes] = None
         delivered = 0
         for dst in dst_addresses:
+            self.messages_sent += 1
             local = self._actors.get(dst)
             if local is not None:
                 if local.alive:
                     self.loop.call_soon(local.receive, msg)
-                    self.messages_sent += 1
                     delivered += 1
                 else:
                     self.messages_dropped += 1
                 continue
             if frame is None:
-                frame = self.codec.frame(msg)
+                try:
+                    frame = self.codec.frame(msg)
+                except CodecError:
+                    self.messages_dropped += 1
+                    raise
             if self._enqueue(dst, frame):
                 delivered += 1
         if delivered and self._frames_fam is not None:
@@ -312,6 +450,14 @@ class AioTransport(TransportBase):
             self._tx_children[msg_type] = child
         child.inc(amount)
 
+    @staticmethod
+    def _bump(by_dest: Dict[int, int], family: Any, dst_address: int, count: int) -> int:
+        """Add ``count`` to one per-destination counter; return its total."""
+        total = by_dest[dst_address] = by_dest.get(dst_address, 0) + count
+        if family is not None:
+            family.labels(format_endpoint(dst_address)).inc(count)
+        return total
+
     def _note_dropped(self, dst_address: int, count: int) -> None:
         """Account frames lost to an unreachable destination.
 
@@ -322,39 +468,31 @@ class AioTransport(TransportBase):
         if count <= 0:
             return
         self.messages_dropped += count
-        total = self.dropped_by_dest.get(dst_address, 0) + count
-        self.dropped_by_dest[dst_address] = total
-        endpoint = format_endpoint(dst_address)
-        if self._dropped_fam is not None:
-            self._dropped_fam.labels(endpoint).inc(count)
+        total = self._bump(self.dropped_by_dest, self._dropped_fam, dst_address, count)
         if dst_address not in self._drop_warned:
             self._drop_warned.add(dst_address)
             logger.warning(
                 "dropping frames to unreachable %s after %d connect attempts "
                 "(%d dropped so far; further drops to this destination are "
                 "counted but not logged)",
-                endpoint, self.max_retries, total,
+                format_endpoint(dst_address), self.max_retries, total,
             )
 
     def _enqueue(self, dst_address: int, frame: bytes) -> bool:
-        conn = self._conns.get(dst_address)
-        if conn is None:
-            conn = _Conn()
-            self._conns[dst_address] = conn
-        if conn.failed:
+        link = self._conns.get(dst_address)
+        if link is None:
+            link = self._conns[dst_address] = _PeerLink(self, dst_address)
+        if link.failed:
             self._note_dropped(dst_address, 1)
             return False
-        conn.queue.append(frame)
-        if len(conn.queue) > self.max_queue:
-            conn.queue.popleft()
+        link.send(frame)
+        if len(link.queue) > self.max_queue:
+            link.queue.popleft()
             self._note_backpressure(dst_address, 1)
-        conn.wakeup.set()
-        if conn.task is None or conn.task.done():
-            conn.task = self.loop.create_task(
-                self._writer(dst_address, conn),
-                name=f"aio-transport-writer-{dst_address}",
+        if link.transport is None and link.dialing is None:
+            link.dialing = self.loop.create_task(
+                self._dial(link), name=f"aio-transport-dial-{dst_address}"
             )
-        self.messages_sent += 1
         return True
 
     def tx_queue_depth(self) -> int:
@@ -378,132 +516,88 @@ class AioTransport(TransportBase):
         if count <= 0:
             return
         self.messages_dropped += count
-        total = self.backpressure_by_dest.get(dst_address, 0) + count
-        self.backpressure_by_dest[dst_address] = total
-        endpoint = format_endpoint(dst_address)
-        if self._backpressure_fam is not None:
-            self._backpressure_fam.labels(endpoint).inc(count)
+        total = self._bump(
+            self.backpressure_by_dest, self._backpressure_fam, dst_address, count
+        )
         if dst_address not in self._backpressure_warned:
             self._backpressure_warned.add(dst_address)
             logger.warning(
                 "outbound queue to %s full (%d frames); dropping oldest "
                 "(%d shed so far; further backpressure drops to this "
                 "destination are counted but not logged)",
-                endpoint, self.max_queue, total,
+                format_endpoint(dst_address), self.max_queue, total,
             )
 
     # ------------------------------------------------------------------
-    # Writer task: one per live destination
+    # Peer-link hooks (FrameConnection owner)
     # ------------------------------------------------------------------
-    async def _writer(self, dst_address: int, conn: _Conn) -> None:
-        host, port = unpack_endpoint(dst_address)
-        reader: Optional[asyncio.StreamReader] = None
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            while not self._closing:
-                if not conn.queue:
-                    conn.wakeup.clear()
-                    await conn.wakeup.wait()
-                    continue
-                if writer is not None and reader is not None and reader.at_eof():
-                    # Remote dropped the connection (FIN seen).  Protocol
-                    # connections are one-way, so any EOF means dead --
-                    # without this check the first write after the drop
-                    # would be silently discarded by the remote's RST
-                    # instead of raising.
-                    self._abort(writer)
-                    writer = None
-                if writer is None or writer.is_closing():
-                    reader, writer = await self._connect(dst_address, host, port, conn)
-                    if writer is None:
-                        return  # marked failed; queued frames dropped
-                    conn.connects += 1
-                    if conn.connects > 1:
-                        self.reconnects_by_dest[dst_address] = (
-                            self.reconnects_by_dest.get(dst_address, 0) + 1
-                        )
-                        if self._reconnects_fam is not None:
-                            self._reconnects_fam.labels(
-                                format_endpoint(dst_address)
-                            ).inc()
-                batch = list(conn.queue)
-                conn.queue.clear()
-                data = b"".join(batch)
-                try:
-                    writer.write(data)
-                    await asyncio.wait_for(writer.drain(), self.op_timeout)
-                    # Post-coalescing accounting: this is the size of
-                    # the actual socket write that just drained, not
-                    # the sum of frames ever enqueued.
-                    self.bytes_sent += len(data)
-                    if self._wire_bytes_tx is not None:
-                        self._wire_bytes_tx.inc(len(data))
-                except (OSError, asyncio.TimeoutError):
-                    # Connection died mid-write: put the batch back and
-                    # reconnect (frames may be duplicated at the far
-                    # end, which the protocol tolerates -- dispatch is
-                    # idempotent for every message type).  Sends may
-                    # have landed behind the batch meanwhile, so
-                    # re-bound the merged queue, oldest first.
-                    conn.queue.extendleft(reversed(batch))
-                    overflow = len(conn.queue) - self.max_queue
-                    if overflow > 0:
-                        for _ in range(overflow):
-                            conn.queue.popleft()
-                        self._note_backpressure(dst_address, overflow)
-                    self.retried_by_dest[dst_address] = (
-                        self.retried_by_dest.get(dst_address, 0) + len(batch)
-                    )
-                    if self._retried_fam is not None:
-                        self._retried_fam.labels(format_endpoint(dst_address)).inc(
-                            len(batch)
-                        )
-                    self._abort(writer)
-                    writer = None
-        finally:
-            if writer is not None:
-                self._abort(writer)
+    def frame_received(self, link: _PeerLink, msg: Message, nbytes: int) -> None:
+        link.reject("foreign")  # links are one-way: nothing comes back
 
-    async def _connect(
-        self, dst_address: int, host: str, port: int, conn: _Conn
-    ) -> Tuple[Optional[asyncio.StreamReader], Optional[asyncio.StreamWriter]]:
+    def connection_closed(self, link: _PeerLink, exc: Optional[BaseException]) -> None:
+        """A link died: re-queue what it may not have sent; redial if anything waits."""
+        if self._closing:
+            return
+        if link.unflushed:
+            retried = len(link.unflushed)
+            link.queue.extendleft(reversed(link.unflushed))
+            link.unflushed.clear()
+            link.unflushed_bytes = 0
+            self._bump(self.retried_by_dest, self._retried_fam, link.address, retried)
+            # Sends may have landed behind them: re-bound, oldest first.
+            overflow = len(link.queue) - self.max_queue
+            for _ in range(overflow):
+                link.queue.popleft()
+            self._note_backpressure(link.address, overflow)
+        if link.queue and link.dialing is None:
+            link.dialing = self.loop.create_task(
+                self._dial(link), name=f"aio-transport-dial-{link.address}"
+            )
+
+    async def _dial(self, link: _PeerLink) -> None:
+        """Connect with exponential backoff; runs only while the link is down."""
+        host, port = unpack_endpoint(link.address)
         delay = self.backoff_base
-        for attempt in range(self.max_retries):
-            if self._closing:
-                return None, None
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), self.op_timeout
-                )
-                return reader, writer
-            except (OSError, asyncio.TimeoutError):
-                if attempt + 1 < self.max_retries:
+        try:
+            for attempt in range(self.max_retries):
+                if attempt:
                     await asyncio.sleep(delay)
                     delay = min(delay * 2, 2.0)
-        conn.failed = True
-        dropped = len(conn.queue)
-        conn.queue.clear()
-        self._note_dropped(dst_address, dropped)
-        return None, None
-
-    @staticmethod
-    def _abort(writer: asyncio.StreamWriter) -> None:
-        try:
-            writer.transport.abort()
-        except Exception:
-            pass
+                try:
+                    await asyncio.wait_for(
+                        self.loop.create_connection(lambda: link, host, port),
+                        self.op_timeout,
+                    )
+                except (OSError, asyncio.TimeoutError):
+                    continue
+                link.connects += 1
+                if link.connects > 1:
+                    self._bump(
+                        self.reconnects_by_dest, self._reconnects_fam, link.address, 1
+                    )
+                return
+            link.failed = True
+            dropped = len(link.queue)
+            link.queue.clear()
+            self._note_dropped(link.address, dropped)
+        finally:
+            link.dialing = None
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
     async def aclose(self) -> None:
-        """Stop all writer tasks and drop every pooled connection."""
+        """Abort every link and stop every connect attempt; the sockets
+        are closed on return.  Frames still queued count as dropped."""
         self._closing = True
-        tasks = [c.task for c in self._conns.values() if c.task is not None]
-        for conn in self._conns.values():
-            conn.wakeup.set()
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        tasks = []
+        for link in self._conns.values():
+            self.messages_dropped += len(link.queue)
+            link.queue.clear()
+            link.abort()
+            if link.dialing is not None:
+                link.dialing.cancel()
+                tasks.append(link.dialing)
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.sleep(0)  # one loop turn: the aborted sockets close
         self._conns.clear()

@@ -23,12 +23,13 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
+from ..obs.registry import MetricsRegistry
 from ..overlay.messages import Message
 from ..swarm import manifest as swarm_manifest
 from .codec import CLIENT_TYPE_BASE, CodecError, MessageCodec, default_codec
-from .aio_transport import frame_stream
+from .aio_transport import FrameConnection
 
 __all__ = [
     "ClientPut",
@@ -207,13 +208,12 @@ def runtime_codec() -> MessageCodec:
 class ClientConnection:
     """One persistent TCP connection multiplexing concurrent client ops.
 
-    Requests are assigned connection-scoped ids and written to the
-    socket immediately; a single background reader task completes the
-    matching future as each :class:`ClientReply` lands -- in whatever
-    order the node resolves them.  Many coroutines may call
-    :meth:`request` concurrently on the same connection; nothing is
-    serialized but the socket writes themselves (each frame is one
-    ``write`` call, so frames never interleave).
+    Requests are assigned connection-scoped ids and queued on a
+    :class:`~repro.runtime.aio_transport.FrameConnection` (requests made
+    in one loop turn leave in one write); its ``data_received`` callback
+    completes the matching future as each :class:`ClientReply` lands --
+    in whatever order the node resolves them.  Many coroutines may call
+    :meth:`request` concurrently on the same connection.
 
     Use as an async context manager, or ``connect()`` / ``aclose()``
     explicitly::
@@ -224,11 +224,13 @@ class ClientConnection:
             )
 
     On EOF, a decode error, or :meth:`aclose`, every in-flight future
-    is failed with :class:`ConnectionError` -- futures never leak.
+    is failed with :class:`ConnectionError` -- futures never leak.  A
+    frame that is not a reply is skipped and counted in ``registry``'s
+    ``repro_inbound_rejected_total{reason="foreign"}``.
 
     ``retry=True`` adds a single bounded reconnect-and-retry for the
     *idempotent* verbs (:class:`ClientGet` / :class:`ClientStatus`):
-    when such a request fails with :class:`ConnectionError` (reader
+    when such a request fails with :class:`ConnectionError` (connection
     died, node restarted, failover handoff), the connection is reopened
     once and the request re-sent.  Off by default -- puts and any
     explicit ``aclose()`` never retry, so non-idempotent operations are
@@ -250,11 +252,11 @@ class ClientConnection:
         self.timeout = timeout
         self.retry = retry
         self.codec = codec if codec is not None else runtime_codec()
+        self.registry = MetricsRegistry()  # inbound rejects on this connection
+        self.reject_warned: Set[str] = set()
         self._ids = itertools.count(1)  # 0 is the uncorrelated sentinel
         self._pending: Dict[int, asyncio.Future] = {}
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
+        self._conn: Optional[FrameConnection] = None
         self._closed = False
         self._user_closed = False  # aclose() called: never reconnect
         self._conn_gen = 0  # bumped per successful reconnect
@@ -262,18 +264,18 @@ class ClientConnection:
 
     # ------------------------------------------------------------------
     async def connect(self, timeout: Optional[float] = None) -> "ClientConnection":
-        """Open the socket and start the reply reader; idempotent."""
-        if self._writer is not None:
+        """Open the socket; idempotent."""
+        if self._conn is not None:
             return self
         if self._closed:
             raise ConnectionError("connection already closed")
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
+        loop = asyncio.get_running_loop()
+        conn = FrameConnection(self, loop, self.timeout)
+        await asyncio.wait_for(
+            loop.create_connection(lambda: conn, self.host, self.port),
             self.timeout if timeout is None else timeout,
         )
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_replies(), name=f"client-conn-{self.host}:{self.port}"
-        )
+        self._conn = conn
         return self
 
     async def __aenter__(self) -> "ClientConnection":
@@ -310,21 +312,21 @@ class ClientConnection:
     async def _request_once(
         self, msg: Message, timeout: Optional[float] = None
     ) -> ClientReply:
-        if self._writer is None or self._closed:
-            raise ConnectionError(
-                f"connection to {self.host}:{self.port} is not open"
-            )
+        conn = self._conn
+        if conn is None or self._closed:
+            raise ConnectionError(f"connection to {self.host}:{self.port} is not open")
         rid = next(self._ids)
         msg.request_id = rid
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        future: asyncio.Future = conn.loop.create_future()
         self._pending[rid] = future
+        expiry = conn.loop.call_later(
+            self.timeout if timeout is None else timeout, _expire, future
+        )
         try:
-            self._writer.write(self.codec.frame(msg))
-            await self._writer.drain()
-            return await asyncio.wait_for(
-                future, self.timeout if timeout is None else timeout
-            )
+            conn.send(self.codec.frame(msg))
+            return await future
         finally:
+            expiry.cancel()
             self._pending.pop(rid, None)
 
     async def _ensure_reconnected(self, gen: int) -> None:
@@ -332,8 +334,8 @@ class ClientConnection:
 
         Serialised behind a lock so concurrent failing requests share
         one reconnect: whoever arrives first (matching generation)
-        tears down the dead reader/writer and dials again; later
-        arrivals see the bumped generation and return immediately.
+        drops the dead connection and dials again; later arrivals see
+        the bumped generation and return immediately.
         """
         async with self._reconnect_lock:
             if self._user_closed:
@@ -342,51 +344,42 @@ class ClientConnection:
                 )
             if self._conn_gen != gen:
                 return  # someone else already reconnected
-            task, self._reader_task = self._reader_task, None
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-            writer, self._writer = self._writer, None
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (OSError, ConnectionError):
-                    pass
-            self._reader = None
+            self._drop_connection()
             self._closed = False
             await self.connect()
             self._conn_gen += 1
 
-    async def _read_replies(self) -> None:
-        assert self._reader is not None
-        error: Optional[BaseException] = None
-        try:
-            async for payload in frame_stream(self._reader):
-                reply = self.codec.decode(payload)
-                if not isinstance(reply, ClientReply):
-                    continue  # foreign frame on a client connection: skip
-                future = self._pending.pop(reply.request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(reply)
-        except CodecError as exc:
+    # ------------------------------------------------------------------
+    # FrameConnection owner hooks
+    # ------------------------------------------------------------------
+    def frame_received(self, conn: FrameConnection, reply: Message, nbytes: int) -> None:
+        if not isinstance(reply, ClientReply):
+            conn.reject("foreign")
+            return
+        future = self._pending.pop(reply.request_id, None)
+        if future is not None and not future.done():
+            future.set_result(reply)
+
+    def connection_closed(self, conn: FrameConnection, exc: Optional[BaseException]) -> None:
+        if conn is not self._conn:
+            return  # one this object already dropped
+        # The reply stream is gone, so the connection is unusable: mark
+        # it closed so later request() calls fail fast instead of
+        # queueing into a dead socket and timing out.
+        self._closed = True
+        if isinstance(exc, CodecError):
             # An undecodable body or an oversized length prefix: the
-            # stream cannot be resynchronised, so the connection is dead.
+            # stream cannot be resynchronised.
             error = ConnectionError(f"undecodable reply frame: {exc}")
             error.__cause__ = exc
-        except (OSError, ConnectionError, asyncio.CancelledError) as exc:
-            error = exc
-        finally:
-            # The reply stream is gone, so the connection is unusable:
-            # mark it closed so later request() calls fail fast instead
-            # of writing into a dead socket and timing out.
-            self._closed = True
-            if self._writer is not None:
-                self._writer.close()
-            self._fail_pending(error)
+            exc = error
+        self._fail_pending(exc)
+
+    def _drop_connection(self) -> None:
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.abort()
+        self._fail_pending(None)
 
     def _fail_pending(self, cause: Optional[BaseException]) -> None:
         """Fail every in-flight future (connection is gone)."""
@@ -397,7 +390,7 @@ class ClientConnection:
             f"{self.host}:{self.port} closed with "
             f"{len(pending)} request(s) in flight"
         )
-        if cause is not None and not isinstance(cause, asyncio.CancelledError):
+        if cause is not None:
             exc.__cause__ = cause
         for future in pending.values():
             if not future.done():
@@ -407,26 +400,16 @@ class ClientConnection:
     async def aclose(self) -> None:
         """Close the socket; in-flight requests get ConnectionError.
 
-        Idempotent, and safe after the reader task already declared the
-        connection dead (each teardown step checks its own state).
+        Idempotent, and safe after the connection already died.
         """
         self._closed = True
         self._user_closed = True
-        task, self._reader_task = self._reader_task, None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        writer, self._writer = self._writer, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-        self._fail_pending(None)
+        self._drop_connection()
+
+
+def _expire(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,11 @@ This is the daemon the ``repro node`` CLI verb runs.  It owns:
   lookup timers) onto ``loop.call_later``;
 * an :class:`~repro.runtime.aio_transport.AioTransport` for outbound
   protocol frames;
-* the inbound dispatch loop: protocol frames go straight to
-  ``peer.receive``; client verbs (:mod:`repro.runtime.client`) are
-  answered with a :class:`ClientReply` on the same connection -- each
-  request in its own task, replies written **as they resolve** (not in
-  arrival order), correlated by the request id the client stamped.
+* the inbound connections (``FrameConnection`` callbacks): protocol
+  frames go straight to ``peer.receive``; client verbs
+  (:mod:`repro.runtime.client`) are answered with a :class:`ClientReply`
+  on the same connection -- each request in its own task, replies queued
+  **as they resolve** (not in arrival order), correlated by request id.
 
 The protocol object itself is the *unmodified* simulator class: a
 client ``put``/``get`` passes a completion callback to the peer's own
@@ -39,7 +39,7 @@ from ..overlay.idspace import IdSpace
 from ..overlay.messages import Message
 from ..sim.trace import TraceBus
 from ..swarm import manifest as swarm_manifest
-from .aio_transport import AioTransport, frame_stream
+from .aio_transport import AioTransport, FrameConnection
 from .client import (
     CLIENT_REQUEST_TYPES,
     ClientGet,
@@ -53,20 +53,10 @@ from .client import (
     ClientStatus,
     runtime_codec,
 )
-from .codec import WIRE_VERSION, CodecError, pack_endpoint
+from .codec import WIRE_VERSION, pack_endpoint
 from .loop_engine import LoopEngine
 
 __all__ = ["RuntimePeer", "NodeDaemon", "PeerNode"]
-
-# An inbound connection is sniffed by its first 4 bytes: these prefixes
-# mean a plain-text HTTP request (scraper hitting /metrics or /healthz);
-# anything else is a big-endian frame length.  No protocol frame can
-# alias them -- as a length either would exceed MAX_FRAME by ~100x.
-_HTTP_PREFIXES = (b"GET ", b"HEAD")
-
-# Bound on the HTTP request head we are willing to buffer.
-_MAX_HTTP_HEAD = 8192
-
 
 def _query_id_block(address: int) -> int:
     """Start of this node's disjoint query-id block.
@@ -149,15 +139,13 @@ class NodeDaemon:
             "Wire payload bytes moved, by direction",
             labelnames=("direction",),
         ).labels("rx")
-        # Inbound connections stay open as long as the remote's pooled
-        # transport wants them; tracked so stop() can reap them all.
-        self._inbound: Dict[asyncio.Task, asyncio.StreamWriter] = {}
-        # Client ops currently being resolved (each is its own task, so
-        # one slow lookup never blocks the other requests pipelined on
-        # the same connection).  The set mirrors the per-connection
-        # tracking so stop() can reap stragglers.
+        # Inbound connections (open as long as the remote's pool wants),
+        # each mapped to its client requests still resolving -- a task
+        # per request, so one slow lookup never blocks those pipelined
+        # behind it; tracked so stop() can reap them all.
+        self._inbound: Dict[FrameConnection, Set[asyncio.Task]] = {}
+        self.reject_warned: Set[str] = set()
         self._client_inflight = 0
-        self._client_tasks: Set[asyncio.Task] = set()
         self._client_latency_fam = self.registry.histogram(
             "repro_client_op_latency_ms",
             "Client verb service time (request decoded -> reply written)",
@@ -173,14 +161,11 @@ class NodeDaemon:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the listening socket and bring the protocol actor up."""
-        loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._serve_conn, self.host, self.port
-        )
+        loop = self._loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(self._accept, self.host, self.port)
         if self.port == 0:  # ephemeral: learn what the kernel picked
             self.port = self._server.sockets[0].getsockname()[1]
         self.address = pack_endpoint(self.host, self.port)
-        self._loop = loop
         self._started_at = loop.time()
         self.engine = LoopEngine(loop)
         self.transport = AioTransport(self.codec, loop, registry=self.registry)
@@ -205,9 +190,16 @@ class NodeDaemon:
 
     async def stop(self) -> None:
         """Tear down: listener, inbound conns, timers, outbound pool."""
+        inbound, self._inbound = self._inbound, {}
         if self._server is not None:
             self._server.close()
+            for conn in inbound:
+                conn.abort()
+            # Since 3.12 wait_closed() waits for the aborted connections;
+            # before, one loop turn closes them.  Either way none is open
+            # once stop() returns, so no peer writes into a dying socket.
             await self._server.wait_closed()
+            await asyncio.sleep(0)
             self._server = None
         if self.actor is not None:
             self.actor.alive = False
@@ -215,96 +207,45 @@ class NodeDaemon:
             self.engine.close()
         if self.transport is not None:
             await self.transport.aclose()
-        inbound = dict(self._inbound)
-        self._inbound.clear()
-        for task, writer in inbound.items():
-            try:
-                writer.transport.abort()
-            except Exception:
-                pass
-            task.cancel()
-        if inbound:
-            await asyncio.gather(*inbound, return_exceptions=True)
         # Client ops still resolving (their connections just died):
         # cancel and await so teardown leaves no dangling tasks.
-        client_tasks = list(self._client_tasks)
-        self._client_tasks.clear()
-        for reply_task in client_tasks:
-            reply_task.cancel()
-        if client_tasks:
-            await asyncio.gather(*client_tasks, return_exceptions=True)
+        tasks = [task for replies in inbound.values() for task in replies]
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
 
     # ------------------------------------------------------------------
-    # Inbound
+    # Inbound (FrameConnection owner)
     # ------------------------------------------------------------------
-    async def _serve_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._inbound[task] = writer
-        # Client requests in flight on *this* connection; cancelled when
-        # the connection dies so an abandoned get cannot leak its task.
-        replies: Set[asyncio.Task] = set()
-        try:
-            # Sniff the first 4 bytes: an HTTP verb means a scraper (or
-            # a human with curl) is on the line; anything else is the
-            # length prefix of a protocol frame.
-            try:
-                head: Optional[bytes] = await reader.readexactly(4)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                head = None
-            if head is None:
-                return
-            if head in _HTTP_PREFIXES:
-                await self._serve_http(reader, writer, head)
-                return
-            # Buffered frame loop: under a flood burst the remote's
-            # write coalescing lands dozens of frames per TCP segment,
-            # and frame_stream slices them all out of one read.
-            async for payload in frame_stream(reader, initial=head):
-                try:
-                    msg = self.codec.decode(payload)
-                except CodecError:
-                    break  # corrupt/foreign stream: drop the connection
-                self._count_rx(type(msg), len(payload) + 4)
-                if isinstance(msg, CLIENT_REQUEST_TYPES):
-                    # Pipelining: each request resolves in its own task
-                    # and writes its reply when done -- a slow get never
-                    # holds up the ops queued behind it, and replies may
-                    # legitimately leave out of order (the request id
-                    # correlates them client-side).
-                    reply_task = asyncio.ensure_future(
-                        self._answer_client(msg, writer)
-                    )
-                    replies.add(reply_task)
-                    self._client_tasks.add(reply_task)
-                    reply_task.add_done_callback(replies.discard)
-                    reply_task.add_done_callback(self._client_tasks.discard)
-                elif self.actor is not None and self.actor.alive:
-                    self.actor.receive(msg)
-        except CodecError:
-            pass  # oversized frame: drop the connection
-        except (OSError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._inbound.pop(task, None)
-            for reply_task in list(replies):
-                reply_task.cancel()
-            try:
-                # close() is enough here -- awaiting wait_closed() inside
-                # a task that stop() may have just cancelled would raise
-                # CancelledError out of the finally block.
-                writer.close()
-            except (OSError, ConnectionError):
-                pass
+    def _accept(self) -> FrameConnection:
+        conn = FrameConnection(
+            self, self._loop, self.transport.op_timeout,
+            http=lambda line: handle_http_request(line, self.registry, self.health_snapshot),
+        )
+        self._inbound[conn] = set()
+        return conn
 
-    async def _answer_client(
-        self, msg: Message, writer: asyncio.StreamWriter
-    ) -> None:
-        """Resolve one client verb and write its correlated reply."""
-        loop = self._loop if self._loop is not None else asyncio.get_running_loop()
+    def frame_received(self, conn: FrameConnection, msg: Message, nbytes: int) -> None:
+        self._count_rx(type(msg), nbytes)
+        if isinstance(msg, CLIENT_REQUEST_TYPES):
+            # Pipelining: each request resolves in its own task, so
+            # replies may leave out of order (request ids correlate them).
+            replies = self._inbound[conn]
+            task = self._loop.create_task(self._answer_client(msg, conn))
+            replies.add(task)
+            task.add_done_callback(replies.discard)
+        else:
+            self.actor.receive(msg)  # a dead actor counts the drop
+
+    def connection_closed(self, conn: FrameConnection, exc: Optional[BaseException]) -> None:
+        # An abandoned request must not leak its task.
+        for task in self._inbound.pop(conn, ()):
+            task.cancel()
+
+    async def _answer_client(self, msg: Message, conn: FrameConnection) -> None:
+        """Resolve one client verb and queue its correlated reply."""
+        loop = self._loop
         t0 = loop.time()
         self._client_inflight += 1
         try:
@@ -316,11 +257,7 @@ class NodeDaemon:
                 reply = ClientReply(ok=False, error=f"internal error: {exc!r}")
             reply.request_id = msg.request_id
             self._observe_client_latency(type(msg), (loop.time() - t0) * 1e3)
-            try:
-                writer.write(self.codec.frame(reply))
-                await writer.drain()
-            except (OSError, ConnectionError):
-                pass  # client went away; nothing to answer
+            conn.send(self.codec.frame(reply))
         finally:
             self._client_inflight -= 1
 
@@ -339,23 +276,6 @@ class NodeDaemon:
             self._rx_children[msg_type] = child
         child.inc()
         self._rx_bytes.inc(nbytes)
-
-    async def _serve_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, head: bytes
-    ) -> None:
-        """Answer one HTTP request (scrape endpoint) and close."""
-        data = head
-        while b"\r\n\r\n" not in data and len(data) < _MAX_HTTP_HEAD:
-            chunk = await reader.read(1024)
-            if not chunk:
-                break
-            data += chunk
-        request_line = data.split(b"\r\n", 1)[0].decode("latin-1", "replace")
-        response = handle_http_request(
-            request_line, self.registry, self.health_snapshot
-        )
-        writer.write(response)
-        await writer.drain()
 
     def health_snapshot(self) -> Dict[str, Any]:
         """The ``/healthz`` body; subclasses add role-specific liveness."""

@@ -11,12 +11,14 @@ and cover the loadgen aggregation helpers.
 from __future__ import annotations
 
 import asyncio
+import logging
 import struct
 
 import pytest
 
 from repro.core.lookup import QueryRegistry, SUCCESS
 from repro.loadgen import LoadResult, LoadSpec, VerbStats
+from repro.overlay.messages import Hello
 from repro.runtime import (
     ClientConnection,
     ClientGet,
@@ -25,6 +27,7 @@ from repro.runtime import (
     CodecError,
     LocalNet,
 )
+from repro.runtime.aio_transport import FrameConnection
 from repro.runtime.client import runtime_codec
 from repro.runtime.localnet import fast_config
 from repro.runtime.node import _query_id_block
@@ -34,16 +37,22 @@ from repro.runtime.node import _query_id_block
 # Fake servers speaking the real codec with scripted reply behaviour
 # ----------------------------------------------------------------------
 class _FakeServer:
-    """Accepts client verbs; subclasses decide when/how to reply."""
+    """Accepts client verbs on the runtime's own framed connection;
+    subclasses decide when/how to reply, frame by frame."""
 
     def __init__(self) -> None:
         self.codec = runtime_codec()
+        self.registry = None
+        self.reject_warned: set = set()
         self.server: asyncio.AbstractServer | None = None
         self.host = "127.0.0.1"
         self.port = 0
 
     async def start(self) -> "_FakeServer":
-        self.server = await asyncio.start_server(self._serve, self.host, 0)
+        loop = asyncio.get_running_loop()
+        self.server = await loop.create_server(
+            lambda: FrameConnection(self, loop, 10.0), self.host, 0
+        )
         self.port = self.server.sockets[0].getsockname()[1]
         return self
 
@@ -53,18 +62,11 @@ class _FakeServer:
             await self.server.wait_closed()
             self.server = None
 
-    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        from repro.runtime.aio_transport import frame_stream
-
-        try:
-            await self.handle(frame_stream(reader), writer)
-        except (OSError, ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-
-    async def handle(self, frames, writer) -> None:
+    def frame_received(self, conn: FrameConnection, msg, nbytes: int) -> None:
         raise NotImplementedError
+
+    def connection_closed(self, conn: FrameConnection, exc) -> None:
+        pass
 
 
 class _ReverseBatchServer(_FakeServer):
@@ -73,23 +75,20 @@ class _ReverseBatchServer(_FakeServer):
     def __init__(self, batch: int = 8) -> None:
         super().__init__()
         self.batch = batch
+        self.pending: list = []
 
-    async def handle(self, frames, writer) -> None:
-        pending = []
-        async for payload in frames:
-            msg = self.codec.decode(payload)
-            pending.append(msg)
-            if len(pending) < self.batch:
-                continue
-            for req in reversed(pending):
-                reply = ClientReply(
-                    ok=True,
-                    payload={"key": req.key, "rid": req.request_id},
-                    request_id=req.request_id,
-                )
-                writer.write(self.codec.frame(reply))
-            await writer.drain()
-            pending.clear()
+    def frame_received(self, conn, msg, nbytes) -> None:
+        self.pending.append(msg)
+        if len(self.pending) < self.batch:
+            return
+        for req in reversed(self.pending):
+            reply = ClientReply(
+                ok=True,
+                payload={"key": req.key, "rid": req.request_id},
+                request_id=req.request_id,
+            )
+            conn.send(self.codec.frame(reply))
+        self.pending.clear()
 
 
 class _DropAfterServer(_FakeServer):
@@ -99,29 +98,32 @@ class _DropAfterServer(_FakeServer):
         super().__init__()
         self.answer = answer
         self.total = total
+        self.seen = 0
 
-    async def handle(self, frames, writer) -> None:
-        seen = 0
-        async for payload in frames:
-            msg = self.codec.decode(payload)
-            seen += 1
-            if seen <= self.answer:
-                reply = ClientReply(
-                    ok=True, payload=msg.key, request_id=msg.request_id
-                )
-                writer.write(self.codec.frame(reply))
-                await writer.drain()
-            if seen == self.total:
-                return  # close with (total - answer) requests unanswered
+    def frame_received(self, conn, msg, nbytes) -> None:
+        self.seen += 1
+        if self.seen <= self.answer:
+            reply = ClientReply(ok=True, payload=msg.key, request_id=msg.request_id)
+            conn.send(self.codec.frame(reply))
+        if self.seen == self.total:
+            # Close with (total - answer) requests unanswered, after the
+            # queued replies' flush (scheduled earlier, so it runs first).
+            conn.loop.call_soon(conn.transport.close)
+
+
+class _StrayFrameServer(_FakeServer):
+    """Precedes every reply with a protocol frame a client never expects."""
+
+    def frame_received(self, conn, msg, nbytes) -> None:
+        conn.send(self.codec.frame(Hello()))
+        conn.send(self.codec.frame(ClientReply(ok=True, request_id=msg.request_id)))
 
 
 class _OversizedPrefixServer(_FakeServer):
     """Answers every request with a length prefix beyond MAX_FRAME."""
 
-    async def handle(self, frames, writer) -> None:
-        async for _ in frames:
-            writer.write(struct.pack("!I", 0x7FFFFFFF))
-            await writer.drain()
+    def frame_received(self, conn, msg, nbytes) -> None:
+        conn.send(struct.pack("!I", 0x7FFFFFFF))
 
 
 # ----------------------------------------------------------------------
@@ -183,18 +185,41 @@ def test_oversized_length_prefix_fails_requests_and_closes_cleanly() -> None:
         server = await _OversizedPrefixServer().start()
         try:
             async with ClientConnection(server.host, server.port) as conn:
-                reader_task = conn._reader_task
                 with pytest.raises(ConnectionError) as info:
                     await conn.request(ClientGet(key="k"), timeout=10)
                 assert str(0x7FFFFFFF) in str(info.value.__cause__)
                 assert isinstance(info.value.__cause__.__cause__, CodecError)
-                # the reader ended on its own, with nothing to re-raise
-                assert reader_task.done() and reader_task.exception() is None
+                # the connection ended on its own, and said why
+                assert conn._conn.transport is None
+                rejected = conn.registry.snapshot()["repro_inbound_rejected_total"]
+                assert [(s["labels"], s["value"]) for s in rejected["samples"]] == [
+                    ({"reason": "oversized"}, 1.0)
+                ]
             # leaving the block ran aclose(): it returned
         finally:
             await server.stop()
 
     asyncio.run(scenario())
+
+
+def test_foreign_frames_are_skipped_and_counted(caplog) -> None:
+    caplog.set_level(logging.WARNING, logger="repro.runtime.transport")
+
+    async def scenario() -> None:
+        server = await _StrayFrameServer().start()
+        try:
+            async with ClientConnection(server.host, server.port) as conn:
+                for _ in range(3):
+                    assert (await conn.request(ClientGet(key="k"), timeout=10)).ok
+                rejected = conn.registry.snapshot()["repro_inbound_rejected_total"]
+                assert [(s["labels"], s["value"]) for s in rejected["samples"]] == [
+                    ({"reason": "foreign"}, 3.0)
+                ]
+        finally:
+            await server.stop()
+
+    asyncio.run(scenario())
+    assert len([r for r in caplog.records if "rejected foreign" in r.getMessage()]) == 1
 
 
 # ----------------------------------------------------------------------

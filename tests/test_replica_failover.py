@@ -136,8 +136,8 @@ def test_client_retry_survives_connection_loss() -> None:
             await asyncio.sleep(0.3)
 
             # Kill the client's inbound connection server-side.
-            for writer in list(node._inbound.values()):
-                writer.transport.abort()
+            for inbound in list(node._inbound):
+                inbound.abort()
             await asyncio.sleep(0.1)
 
             # The get fails over the dead socket, reconnects, retries.
@@ -145,8 +145,8 @@ def test_client_retry_survives_connection_loss() -> None:
             assert reply.ok and reply.payload["value"] == "v1"
 
             # A put on a freshly-killed connection must NOT auto-retry.
-            for writer in list(node._inbound.values()):
-                writer.transport.abort()
+            for inbound in list(node._inbound):
+                inbound.abort()
             await asyncio.sleep(0.1)
             with pytest.raises(ConnectionError):
                 await conn.request(ClientPut(key="r2", value="v2"), timeout=10.0)

@@ -14,6 +14,7 @@ import asyncio
 
 import pytest
 
+from repro.overlay.messages import Hello
 from repro.runtime import ClientGet, ClientPut, ClientStatus, LocalNet, acall
 from repro.runtime.localnet import fast_config
 from repro.runtime.loop_engine import LoopEngine
@@ -85,8 +86,8 @@ def test_localnet_survives_connection_drop() -> None:
             # retry/backoff path.
             dropped = 0
             for daemon in [net.bootstrap, *net.nodes]:
-                for writer in list(daemon._inbound.values()):
-                    writer.transport.abort()
+                for inbound in list(daemon._inbound):
+                    inbound.abort()
                     dropped += 1
             assert dropped > 0, "expected live pooled connections to drop"
             await asyncio.sleep(0.1)
@@ -98,6 +99,57 @@ def test_localnet_survives_connection_drop() -> None:
         finally:
             await net.stop()
         _assert_no_leftover_tasks()
+
+    asyncio.run(scenario())
+
+
+def test_every_send_is_delivered_or_dropped() -> None:
+    """The simulator's accounting, live: ``messages_sent`` counts every
+    attempt and each attempt ends delivered or dropped, summed over all
+    daemons once the net is quiet -- including sends to a stopped node
+    (before and after its link is marked failed), from a stopped node,
+    and frames that reach a crashed actor over TCP."""
+
+    async def scenario() -> None:
+        net = await _booted_net()
+        daemons = [net.bootstrap, *net.nodes]
+        a, b, _, gone = net.nodes
+        loop = asyncio.get_running_loop()
+
+        async def quiet_balance() -> int:
+            """Σ sent - delivered - dropped, once it settles (or after 5 s)."""
+            deadline = loop.time() + 5
+            while True:
+                balance = sum(
+                    d.transport.messages_sent - d.transport.messages_delivered
+                    - d.transport.messages_dropped
+                    for d in daemons
+                )
+                if not balance or loop.time() > deadline:
+                    return balance
+                await asyncio.sleep(0.05)
+
+        try:
+            assert await quiet_balance() == 0
+            await gone.stop()
+            # Let links to it read the FIN first: a frame written into a
+            # half-closed TCP connection is lost below any accounting.
+            await asyncio.sleep(0.1)
+            a.transport.send(a.peer, gone.address, Hello())
+            assert await quiet_balance() == 0
+            assert a.transport.dropped_by_dest[gone.address] == 1
+            # The link is marked failed now: this one drops at once.
+            assert a.transport.send(a.peer, gone.address, Hello()) is False
+            assert await quiet_balance() == 0
+            assert gone.transport.send(gone.peer, a.address, Hello()) is False
+            assert await quiet_balance() == 0
+            b.peer.alive = False  # crashed, but its socket still accepts
+            dropped = b.transport.messages_dropped
+            a.transport.send(a.peer, b.address, Hello())
+            assert await quiet_balance() == 0
+            assert b.transport.messages_dropped == dropped + 1
+        finally:
+            await net.stop()
 
     asyncio.run(scenario())
 

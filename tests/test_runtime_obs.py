@@ -14,9 +14,17 @@ import asyncio
 import json
 import logging
 import socket
+import struct
 
 from repro.obs import CONTENT_TYPE_PROM, MetricsRegistry, TraceBridge
-from repro.runtime import ClientGet, ClientPut, ClientStatus, LocalNet, acall
+from repro.runtime import (
+    ClientConnection,
+    ClientGet,
+    ClientPut,
+    ClientStatus,
+    LocalNet,
+    acall,
+)
 from repro.runtime.aio_transport import AioTransport
 from repro.runtime.client import runtime_codec
 from repro.runtime.codec import WIRE_VERSION, pack_endpoint
@@ -307,8 +315,8 @@ def test_transport_counts_reconnects_in_registry() -> None:
             # Abort every pooled inbound connection; the next frame on
             # each outbound pool reconnects and must be counted.
             for daemon in [net.bootstrap, *net.nodes]:
-                for writer in list(daemon._inbound.values()):
-                    writer.transport.abort()
+                for inbound in list(daemon._inbound):
+                    inbound.abort()
             await asyncio.sleep(0.1)
             putter = net.nodes[0]
             reply = await acall(
@@ -333,3 +341,43 @@ def test_transport_counts_reconnects_in_registry() -> None:
             await net.stop()
 
     asyncio.run(scenario())
+
+
+def test_garbage_inbound_is_counted_closed_and_contained(caplog) -> None:
+    """An oversized or undecodable frame closes only its own connection,
+    counts in repro_inbound_rejected_total{reason} and logs one WARNING
+    per remote endpoint; the node keeps serving everyone else."""
+    caplog.set_level(logging.WARNING, logger="repro.runtime.transport")
+
+    async def scenario() -> None:
+        net = LocalNet(t_peers=1, s_peers=0, seed=41)
+        await net.start(join_timeout=20)
+        try:
+            node = net.nodes[0]
+            async with ClientConnection(node.host, node.port) as bystander:
+                assert (await bystander.request(ClientStatus())).ok
+                garbage = {
+                    "oversized": struct.pack("!I", 0x7FFFFFFF),
+                    "undecodable": struct.pack("!I", 3) + b"\x09\x09\x09",
+                }
+                for reason, data in garbage.items():
+                    reader, writer = await asyncio.open_connection(node.host, node.port)
+                    writer.write(data)
+                    try:
+                        assert await asyncio.wait_for(reader.read(), 10) == b""
+                    except ConnectionResetError:
+                        pass  # closed either way
+                    writer.close()
+                    snap = node.registry.snapshot()
+                    assert _counter_total(
+                        snap, "repro_inbound_rejected_total", reason=reason
+                    ) == 1.0
+                # The bystander's connection never noticed.
+                assert (await bystander.request(ClientStatus())).ok
+        finally:
+            await net.stop()
+
+    asyncio.run(scenario())
+    warnings = [r.getMessage() for r in caplog.records if "rejected" in r.getMessage()]
+    assert len(warnings) == 2, warnings
+    assert "oversized" in warnings[0] and "undecodable" in warnings[1]
