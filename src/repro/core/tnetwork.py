@@ -414,7 +414,14 @@ class TNetworkMixin:
         self._depart()
 
     def on_FingerSubstitute(self, msg: FingerSubstitute) -> None:
-        """Swap ``old`` for ``new`` in our pointers; forward if circulating."""
+        """Swap ``old`` for ``new`` in our pointers; forward if circulating.
+
+        A circulating substitute starts at ``new`` (the substitute on a
+        role handoff, the leaver's successor on a leave) and stops at
+        the t-peer whose successor is ``new``: one lap of the ring.
+        ``new`` is on the ring in both cases; ``origin`` is not (a
+        leaver has already left), so it cannot be the stop rule.
+        """
         if self.role != "t":
             return
         if self.successor == msg.old:
@@ -430,7 +437,7 @@ class TNetworkMixin:
             self.successor,
         ):
             self.watch_neighbor(msg.new)
-        if msg.circulate and self.successor not in (msg.origin, self.address):
+        if msg.circulate and self.successor not in (msg.new, self.address):
             self.send(self.successor, msg)
 
     def on_TLeaveToPre(self, msg: TLeaveToPre) -> None:

@@ -9,10 +9,16 @@ all-pairs shortest paths (latency-weighted Dijkstra via
 * ``path(u, v)`` -- the node sequence, used for link-stress accounting.
 
 For the paper's scale (1,000 physical nodes) the dense :class:`Router`
-computes the distance matrix (~8 MB) and the predecessor matrix (~4 MB)
-once per topology.  Above :data:`DENSE_ROUTER_LIMIT` hosts
-:class:`HierRouter` keeps distances only, and builds predecessors per
-source or stub domain the first time ``path`` walks it.
+computes the distance matrix (~12 MB at 1,250 hosts) once per topology.
+Above :data:`DENSE_ROUTER_LIMIT` hosts :class:`HierRouter` keeps a
+hierarchical decomposition instead.  Both keep distances only and build
+predecessors per source (or stub domain) the first time ``path`` walks
+it: only link-stress accounting reads paths.
+
+Latency rows are zero-copy, read-only ``memoryview`` slices of the
+float64 tables: ``row[dst]`` is a plain Python ``float`` holding the very
+IEEE double the matrix stores, so delays -- and therefore event ordering
+-- do not depend on how a row is read.
 """
 
 from __future__ import annotations
@@ -32,6 +38,18 @@ __all__ = ["Router", "HierRouter", "make_router", "DENSE_ROUTER_LIMIT"]
 DENSE_ROUTER_LIMIT = 4096
 
 
+def _row_view(matrix: np.ndarray, i: int) -> memoryview:
+    """Row ``i`` of a C-contiguous float64 matrix as a flat, read-only view.
+
+    Slicing one flat ``memoryview`` costs one object (~200 B) and no
+    copy; ``memoryview(matrix[i])`` would add an ndarray view (~500 B).
+    Read-only because a write would land in the router's table.
+    """
+    k = matrix.shape[1]
+    flat = memoryview(matrix).toreadonly().cast("B").cast("d")
+    return flat[i * k : (i + 1) * k]
+
+
 class Router:
     """All-pairs latency routing table for a :class:`PhysicalTopology`."""
 
@@ -46,18 +64,12 @@ class Router:
             cols.extend((v, u))
             vals.extend((lat, lat))
         graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        dist, pred = dijkstra(
-            graph, directed=False, return_predecessors=True
-        )
+        dist = dijkstra(graph, directed=False)
         if np.isinf(dist).any():
             raise ValueError("physical topology is not connected")
+        self._graph = graph
         self._dist = dist
-        self._pred = pred
-        # Lazily materialized plain-list rows of the distance matrix.
-        # Scalar numpy indexing costs ~10x a list index on the transport
-        # hot path; ``tolist`` yields the exact same IEEE doubles, so
-        # delays (and therefore event ordering) are bit-identical.
-        self._rows: dict[int, List[float]] = {}
+        self._pred: Dict[int, np.ndarray] = {}  # per source, on demand
 
     @property
     def n(self) -> int:
@@ -65,22 +77,16 @@ class Router:
 
     def latency(self, src: int, dst: int) -> float:
         """Propagation delay (ms) of the shortest path ``src -> dst``."""
-        row = self._rows.get(src)
-        if row is None:
-            row = self._rows[src] = self._dist[src].tolist()
-        return row[dst]
+        return self._dist.item(src, dst)
 
-    def latency_row(self, src: int) -> List[float]:
-        """Row ``src`` of the latency matrix as a plain list (cached).
+    def latency_row(self, src: int) -> memoryview:
+        """Row ``src`` of the latency matrix as a zero-copy view.
 
-        One vectorized slice + ``tolist`` per source host, then O(1)
-        C-level indexing per destination -- the bulk-delay primitive
-        behind :meth:`Transport.send_many`.  Treat as read-only.
+        ``row[dst]`` is a C-level index returning a plain ``float`` --
+        the bulk-delay primitive behind :meth:`Transport.send_many`,
+        which caches one view per source host.
         """
-        row = self._rows.get(src)
-        if row is None:
-            row = self._rows[src] = self._dist[src].tolist()
-        return row
+        return _row_view(self._dist, src)
 
     def latency_matrix(self) -> np.ndarray:
         """The full (n, n) latency matrix (a view; do not mutate)."""
@@ -90,10 +96,16 @@ class Router:
         """Node sequence of the shortest path, inclusive of endpoints."""
         if src == dst:
             return [src]
+        pred = self._pred.get(src)
+        if pred is None:
+            _, pred = dijkstra(
+                self._graph, directed=False, indices=src, return_predecessors=True
+            )
+            self._pred[src] = pred
         nodes = [dst]
         cur = dst
         while cur != src:
-            cur = int(self._pred[src, cur])
+            cur = int(pred[cur])
             if cur < 0:  # pragma: no cover - connectivity checked in init
                 raise ValueError(f"no path {src} -> {dst}")
             nodes.append(cur)
@@ -136,36 +148,45 @@ def _undirected(
 
 
 class _HierRow:
-    """Lazy latency row of a :class:`HierRouter` source host.
+    """Latency row of a :class:`HierRouter` source host.
 
-    Quacks like the plain list :meth:`Router.latency_row` returns --
-    ``row[dst]`` -- without materializing n doubles per source.  For a
-    same-stub-domain destination the intra-domain distance applies;
-    everything else decomposes over the single gateway edge of each stub
-    domain (see :class:`HierRouter`).
+    Quacks like the view :meth:`Router.latency_row` returns --
+    ``row[dst]`` is a plain ``float`` -- without materializing n doubles
+    per source.  It holds views, not copies: the source's stub domain
+    index (shared by every member) and that domain's intra-distance row
+    for same-domain destinations, and the transit row of the source's
+    attachment point for everything else, which decomposes over the
+    single gateway edge of each stub domain (see :class:`HierRouter`).
     """
 
-    __slots__ = ("_base", "_tt", "_tindex", "_to_transit", "_local")
+    __slots__ = ("_base", "_tt", "_tindex", "_to_transit", "_index", "_local")
 
     def __init__(
         self,
         base: float,
-        tt: List[float],
+        tt: memoryview,
         tindex: List[int],
         to_transit: List[float],
-        local: Dict[int, float],
+        index: Dict[int, int],
+        local: Optional[memoryview],
     ) -> None:
         self._base = base
         self._tt = tt
         self._tindex = tindex
         self._to_transit = to_transit
+        self._index = index
         self._local = local
 
     def __getitem__(self, dst: int) -> float:
-        d = self._local.get(dst)
-        if d is not None:
-            return d
+        j = self._index.get(dst)
+        if j is not None:
+            return self._local[j]  # type: ignore[index]
         return self._base + self._tt[self._tindex[dst]] + self._to_transit[dst]
+
+
+# A transit source has no stub domain: every destination, itself
+# included (0.0 + T(t, t) + 0.0), takes the decomposed sum.
+_NO_DOMAIN: Dict[int, int] = {}
 
 
 class HierRouter:
@@ -237,7 +258,6 @@ class HierRouter:
         if np.isinf(tt_dist).any():
             raise ValueError("transit core is not connected")
         self._tt = tt_dist
-        self._tt_rows: Dict[int, List[float]] = {}
         self._tt_pred: Dict[int, np.ndarray] = {}  # per source, on demand
 
         # --- stub domains ------------------------------------------------
@@ -276,7 +296,6 @@ class HierRouter:
             self._solve_block(block, to_transit)
         self._tindex = tindex
         self._to_transit = to_transit
-        self._rows: Dict[int, _HierRow] = {}
 
     def _solve_block(self, block: List[int], to_transit: List[float]) -> None:
         """All-pairs for the stub domains ``block`` in one scipy call."""
@@ -306,34 +325,18 @@ class HierRouter:
     def n(self) -> int:
         return self.topology.n
 
-    def _tt_row(self, ti: int) -> List[float]:
-        row = self._tt_rows.get(ti)
-        if row is None:
-            row = self._tt_rows[ti] = self._tt[ti].tolist()
-        return row
-
     def latency_row(self, src: int) -> _HierRow:
-        """Lazy row object supporting ``row[dst]`` (cached per source)."""
-        row = self._rows.get(src)
-        if row is not None:
-            return row
+        """Row object supporting ``row[dst]``; views only, so not cached."""
         topo = self.topology
-        local: Dict[int, float] = {}
         if topo.kind[src] is NodeKind.STUB:
             d = topo.domain[src]
-            idx = self._dom_index[d]
-            drow = self._intra[d][idx[src]]
-            for node, j in idx.items():
-                local[node] = float(drow[j])
+            index = self._dom_index[d]
+            local: Optional[memoryview] = _row_view(self._intra[d], index[src])
             base = self._to_transit[src]
         else:
-            local[src] = 0.0
-            base = 0.0
-        row = _HierRow(
-            base, self._tt_row(self._tindex[src]), self._tindex, self._to_transit, local
-        )
-        self._rows[src] = row
-        return row
+            index, local, base = _NO_DOMAIN, None, 0.0
+        tt = _row_view(self._tt, self._tindex[src])
+        return _HierRow(base, tt, self._tindex, self._to_transit, index, local)
 
     def latency(self, src: int, dst: int) -> float:
         """Propagation delay (ms) of the shortest path ``src -> dst``."""
@@ -414,7 +417,7 @@ def make_router(
 ):
     """Pick the routing implementation for a topology's size.
 
-    Dense :class:`Router` (exact, list-indexed rows) up to
+    Dense :class:`Router` (exact, one matrix view per row) up to
     ``dense_limit`` hosts; :class:`HierRouter` beyond.  The default
     limit keeps every existing experiment scale -- and therefore all
     golden determinism baselines -- on the dense implementation.

@@ -19,11 +19,12 @@ Two delivery paths share one delay model:
   computation is inlined and feeds the engine's no-handle fast tier.
 * :meth:`Transport.send_many` -- one message fanned out to many
   destinations (floods, tree broadcasts).  Propagation delays come from
-  a single cached row slice of the router's latency matrix and all
+  a single cached row view of the router's latency matrix and all
   deliveries are bulk-inserted into the event heap in one call.
 
 Both paths memoize per-address access capacities (invalidated on
-``register``/``unregister``) and per-source-host latency rows, and both
+``register``/``unregister``) and per-source-host latency rows (the only
+row cache; a row is a view of the router's table, not a copy), and both
 preserve the exact delay values and sequence-number assignment order of
 the equivalent loop of single sends -- deterministic runs stay
 bit-identical.
@@ -32,7 +33,7 @@ bit-identical.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Iterable, List, Optional, Protocol
+from typing import Callable, Dict, Iterable, Optional, Protocol, Sequence
 
 from ..net.routing import Router
 from ..net.stress import LinkStress
@@ -157,7 +158,7 @@ class Transport(TransportBase):
         self.min_latency = min_latency
         self._actors: Dict[int, Actor] = {}
         self._cap_cache: Dict[int, float] = {}
-        self._rows: Dict[int, List[float]] = {}
+        self._rows: Dict[int, Sequence[float]] = {}  # src host -> latency row view
         # Memoized end-to-end delays keyed by (src addr, dst addr,
         # size): overlay links are traversed over and over (every ring
         # walk crosses the same edges), and the delay of a link is a
@@ -293,7 +294,7 @@ class Transport(TransportBase):
     def send_many(self, src: Actor, dst_addresses: Iterable[int], msg: Message) -> int:
         """Fan ``msg`` out from ``src`` to every address in ``dst_addresses``.
 
-        The flood/broadcast primitive: one latency-matrix row slice
+        The flood/broadcast primitive: one latency-matrix row view
         supplies all propagation delays and the deliveries are inserted
         into the event heap in a single batch.  Destinations are
         processed in iteration order, so counters, delays, and event

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from repro.net import (
     NodeKind,
@@ -11,6 +15,11 @@ from repro.net import (
     TransitStubConfig,
     generate_transit_stub,
 )
+from repro.net.routing import HierRouter, make_router
+from repro.net.topology import config_for_size
+from repro.overlay.messages import Hello
+from repro.overlay.transport import Transport
+from repro.sim import Engine
 
 
 def tiny_topology() -> PhysicalTopology:
@@ -81,3 +90,121 @@ class TestRouter:
         for a, b in [(0, topo.n - 1), (3, 7), (1, topo.n // 2)]:
             total = sum(weights[e] for e in r.path_edges(a, b))
             assert total == pytest.approx(r.latency(a, b))
+
+
+# ----------------------------------------------------------------------
+# Rows are views of the float64 tables; predecessors are per source
+# ----------------------------------------------------------------------
+def sized_topology(n_peers: int, seed: int) -> PhysicalTopology:
+    """The topology a ``HybridSystem`` of ``n_peers`` peers runs on."""
+    return generate_transit_stub(config_for_size(n_peers + 1), np.random.default_rng(seed))
+
+
+@pytest.fixture(scope="module")
+def quick_topology():
+    return sized_topology(120, 3)
+
+
+@pytest.fixture(scope="module")
+def paper_topology():
+    return sized_topology(1000, 0)
+
+
+def bits(x: float) -> str:
+    return float.hex(x)
+
+
+def hier_reference(hier: HierRouter, src: int, dst: int) -> float:
+    """The decomposition read entry by entry from the router's tables."""
+    topo = hier.topology
+    if src == dst:
+        return 0.0
+    if topo.kind[src] is NodeKind.STUB and topo.domain[src] == topo.domain[dst]:
+        index = hier._dom_index[topo.domain[src]]
+        return float(hier._intra[topo.domain[src]][index[src], index[dst]])
+    tt = float(hier._tt[hier._tindex[src], hier._tindex[dst]])
+    return hier._to_transit[src] + tt + hier._to_transit[dst]
+
+
+class TestRowsAreExact:
+    def test_dense_rows_are_the_matrix(self, quick_topology):
+        router = make_router(quick_topology)
+        assert isinstance(router, Router)
+        matrix = router.latency_matrix()
+        for src in range(router.n):
+            row = router.latency_row(src)
+            for dst in range(router.n):
+                want = bits(float(matrix[src, dst]))
+                got, single = row[dst], router.latency(src, dst)
+                assert type(got) is float and type(single) is float
+                assert bits(got) == bits(single) == want
+        with pytest.raises(TypeError):
+            router.latency_row(0)[1] = 0.0  # a write would land in the table
+
+    def test_hier_rows_are_the_decomposition(self, quick_topology):
+        router = make_router(quick_topology, dense_limit=0)
+        assert isinstance(router, HierRouter)
+        for src in range(router.n):
+            row = router.latency_row(src)
+            for dst in range(router.n):
+                got, single = row[dst], router.latency(src, dst)
+                assert type(got) is float and type(single) is float
+                assert bits(got) == bits(single) == bits(hier_reference(router, src, dst))
+
+    @pytest.mark.parametrize("which", ["quick_topology", "paper_topology"])
+    def test_paths_match_the_all_pairs_predecessors(self, which, request):
+        topology = request.getfixturevalue(which)
+        router = Router(topology)
+        _, pred = dijkstra(router._graph, directed=False, return_predecessors=True)
+
+        def walk(src: int, dst: int) -> list:
+            nodes = [dst]
+            while nodes[-1] != src:
+                nodes.append(int(pred[src, nodes[-1]]))
+            return nodes[::-1]
+
+        n = topology.n
+        for src in range(n):
+            for dst in range(src % 7, n, 7):
+                assert router.path(src, dst) == walk(src, dst)
+
+
+class TestFootprint:
+    def test_fresh_router_holds_distances_only(self, paper_topology):
+        router = Router(paper_topology)
+        arrays = [v for v in vars(router).values() if isinstance(v, np.ndarray)]
+        assert [a.dtype for a in arrays] == [np.float64]
+        router.path(0, router.n - 1)
+        assert [p.shape for p in router._pred.values()] == [(router.n,)]
+
+    def test_row_cache_copies_no_row(self, paper_topology):
+        """One read per source host through the transport's row cache
+        keeps views, not n-entry lists (~50 MB of lists at this size)."""
+        router = Router(paper_topology)
+        engine = Engine()
+        transport = Transport(engine, router=router)
+
+        class Host:
+            alive = True
+
+            def __init__(self, host: int) -> None:
+                self.address = self.host = host
+
+            def receive(self, msg) -> None:
+                pass
+
+        hosts = [Host(h) for h in range(router.n)]
+        for h in hosts:
+            transport.register(h)
+        msg = Hello()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for h in hosts:
+                transport.send(h, (h.host + 1) % router.n, msg)
+            engine.run()  # what stays: rows and the delay memo, not the heap
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(transport._rows) == router.n
+        assert grown < 1_000_000, f"{grown / 1e6:.1f} MB for {router.n} rows"

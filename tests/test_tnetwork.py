@@ -207,6 +207,25 @@ class TestFingerMaintenance:
         system.run_lookups([(alive[(i * 3) % len(alive)], f"k{i}") for i in range(40)])
         assert system.query_stats().failure_ratio == 0.0
 
+    def test_triangle_leave_settles(self):
+        """A t-peer with no s-network leaves by the triangle and sends a
+        circulating FingerSubstitute; it must stop after one lap instead
+        of circling a ring its origin (the leaver) is no longer on."""
+        system = HybridSystem(HybridConfig(p_s=0.0, ring_routing="finger"), n_peers=20, seed=0)
+        system.build()
+        drain(system)
+        leaver = system.t_peers()[3]
+        system.leave_peers([leaver.address])
+        assert system.engine.run(max_events=200_000) < 1_000
+        assert not leaver.alive
+        check_ring(system)
+        for p in system.t_peers():
+            assert leaver.address not in {a for _, a in p.fingers}
+        alive = [p.address for p in system.alive_peers()]
+        system.populate([(alive[i % len(alive)], f"k{i}", i) for i in range(40)])
+        system.run_lookups([(alive[(i * 7) % len(alive)], f"k{i}") for i in range(40)])
+        assert system.query_stats().failure_ratio == 0.0
+
 
 def scan_closest_preceding(peer, target: int) -> int:
     """The ``distance_cw`` scan ``closest_preceding`` replaced: kept as
