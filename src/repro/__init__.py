@@ -12,8 +12,6 @@ evaluation relied on, rebuilt in pure Python:
 * :mod:`repro.overlay` -- ID space, messages, transport;
 * :mod:`repro.core` -- the hybrid system itself;
 * :mod:`repro.enhance` -- Section 5 enhancements;
-* :mod:`repro.baselines` -- pure Chord-like and pure Gnutella-like
-  comparators;
 * :mod:`repro.analysis` -- Section 4 closed-form models (Fig. 3);
 * :mod:`repro.workloads` -- key/churn/scenario generators;
 * :mod:`repro.metrics` -- distribution and report helpers;

@@ -421,6 +421,13 @@ class TNetworkMixin:
         the t-peer whose successor is ``new``: one lap of the ring.
         ``new`` is on the ring in both cases; ``origin`` is not (a
         leaver has already left), so it cannot be the stop rule.
+
+        A handoff keeps the ring position, so a finger naming ``old``
+        keeps its p_id and points at ``new``.  A leave (``origin ==
+        old``) does not: the successor sits at a later p_id, and a
+        finger keeping the leaver's p_id would let ``closest_preceding``
+        overshoot a target in between, forever.  Such fingers are
+        dropped; the successor fallback still guarantees progress.
         """
         if self.role != "t":
             return
@@ -428,9 +435,13 @@ class TNetworkMixin:
             self.successor = msg.new
         if self.predecessor == msg.old:
             self.predecessor = msg.new
-        self.fingers = [
-            (pid, msg.new if addr == msg.old else addr) for pid, addr in self.fingers
-        ]
+        if msg.origin == msg.old:
+            self.fingers = [f for f in self.fingers if f[1] != msg.old]
+        else:
+            self.fingers = [
+                (pid, msg.new if addr == msg.old else addr)
+                for pid, addr in self.fingers
+            ]
         self.unwatch_neighbor(msg.old)
         if msg.old in (self.predecessor, self.successor) or msg.new in (
             self.predecessor,

@@ -24,7 +24,7 @@ from ..core.hybrid import HybridSystem
 from ..exec import CellExecutor
 from ..metrics.report import format_table
 
-__all__ = ["MaintenanceCell", "run", "main"]
+__all__ = ["MaintenanceCell", "churn_messages", "run", "main"]
 
 PS_GRID: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9)
 
@@ -44,30 +44,32 @@ class MaintenanceCell:
         return self.messages / total if total else 0.0
 
 
+def churn_messages(system: HybridSystem, events: int, rng) -> int:
+    """Alternate joins and graceful leaves (victims drawn from ``rng``),
+    draining the engine after each; return the messages they sent."""
+    before = system.transport.messages_sent
+    for i in range(events):
+        if i % 2 == 0:
+            system.add_peer()
+        else:
+            alive = [p.address for p in system.alive_peers()]
+            system.leave_peers([int(alive[int(rng.integers(0, len(alive)))])])
+        system.engine.run()
+    return system.transport.messages_sent - before
+
+
 def _maintenance_cell(args: tuple) -> MaintenanceCell:
     """Drive churn_events alternating joins/leaves at one p_s."""
     p_s, n_peers, churn_events, seed = args
     system = HybridSystem(HybridConfig(p_s=p_s), n_peers=n_peers, seed=seed)
     system.build()
     system.engine.run()
-    rng = system.rngs.stream("maintenance")
-    before = system.transport.messages_sent
-    joins = leaves = 0
-    for i in range(churn_events):
-        if i % 2 == 0:
-            system.add_peer()
-            joins += 1
-        else:
-            alive = [p.address for p in system.alive_peers()]
-            victim = int(alive[int(rng.integers(0, len(alive)))])
-            system.leave_peers([victim])
-            leaves += 1
-        system.engine.run()
+    messages = churn_messages(system, churn_events, system.rngs.stream("maintenance"))
     return MaintenanceCell(
         p_s=p_s,
-        joins=joins,
-        leaves=leaves,
-        messages=system.transport.messages_sent - before,
+        joins=(churn_events + 1) // 2,
+        leaves=churn_events // 2,
+        messages=messages,
     )
 
 

@@ -226,6 +226,43 @@ class TestFingerMaintenance:
         system.run_lookups([(alive[(i * 7) % len(alive)], f"k{i}") for i in range(40)])
         assert system.query_stats().failure_ratio == 0.0
 
+    def test_leave_keeps_finger_pids_true(self):
+        """A leave drops the fingers naming the leaver rather than
+        pointing them at its successor under the leaver's p_id."""
+        system = HybridSystem(HybridConfig(p_s=0.0, ring_routing="finger"), n_peers=120, seed=0)
+        system.build()
+        drain(system)
+        rng = system.rngs.stream("churncheck")
+        alive = [p.address for p in system.alive_peers()]
+        system.leave_peers([int(alive[int(rng.integers(0, len(alive)))])])
+        drain(system)
+        assert_finger_pids_true(system)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_churn_settles(self, seed):
+        """Alternating joins and leaves on a finger ring: a join whose
+        p_id falls just past a departed peer must not cycle the fingers."""
+        system = HybridSystem(HybridConfig(p_s=0.0, ring_routing="finger"), n_peers=120, seed=seed)
+        system.build()
+        drain(system)
+        rng = system.rngs.stream("churncheck")
+        for i in range(30):
+            if i % 2 == 0:
+                system.add_peer(wait=False)
+            else:
+                alive = [p.address for p in system.alive_peers()]
+                system.leave_peers([int(alive[int(rng.integers(0, len(alive)))])], wait=False)
+            assert system.engine.run(max_events=200_000) < 1_000
+            assert_finger_pids_true(system)
+        check_ring(system)
+
+
+def assert_finger_pids_true(system):
+    """Every live t-peer's (p_id, address) finger names that peer's p_id."""
+    for p in system.t_peers():
+        for pid, addr in p.fingers:
+            assert system.peers[addr].p_id == pid, (p.address, pid, addr)
+
 
 def scan_closest_preceding(peer, target: int) -> int:
     """The ``distance_cw`` scan ``closest_preceding`` replaced: kept as
