@@ -13,12 +13,15 @@ re-goldened.
 The same bundle is pinned at ``Scale.medium()`` (seven times the
 events), and the perf ledger's ``sim_shard2`` workload re-checks the
 quick goldens on every benchmark run.  A third golden covers the
-heartbeat + crash path, which the other two never enter.
+heartbeat + crash path, which the other two never enter.  One more
+quick cell per optional feature, and a digest of a swarm flash crowd,
+pin every feature path the default cells skip.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -130,3 +133,121 @@ class TestGoldenHeartbeatCell:
         assert dataclasses.asdict(result) == GOLDEN_HEARTBEAT
         assert system.transport.messages_sent == GOLDEN_HEARTBEAT_SENT
         assert system.transport.messages_dropped == GOLDEN_HEARTBEAT_DROPPED
+
+
+# One quick cell per feature, seed 0, p_s 0.6: every feature path
+# (bypass, cache, walks, tracker, mesh, direct placement, replication,
+# and a combination) pinned at the result bundle plus the transport's
+# sent/dropped counts.  The two crash cells also run heartbeats.
+FEATURE_CELLS = {
+    "bypass": (
+        HybridConfig(p_s=0.6, bypass_links=True), 0.0,
+        {"mean_latency": 1760.1483886343904, "median_latency": 1771.930932769632,
+         "connum": 9411, "mean_contacts": 23.5275},
+        21_519, 0,
+    ),
+    "cache": (
+        HybridConfig(p_s=0.6, cache_enabled=True), 0.0,
+        {"mean_latency": 1640.5600205046119, "median_latency": 1543.295306565764,
+         "connum": 8693, "mean_contacts": 21.7325},
+        20_631, 0,
+    ),
+    "walk": (
+        HybridConfig(p_s=0.6, search_mode="walk"), 0.0,
+        {"mean_latency": 1831.756918474615, "median_latency": 1814.0305975327792,
+         "connum": 10864, "mean_contacts": 27.16},
+        23_211, 0,
+    ),
+    "bittorrent": (
+        HybridConfig(p_s=0.6, snetwork_style="bittorrent"), 0.0,
+        {"mean_latency": 1866.1109900909987, "median_latency": 1877.5303596812737,
+         "connum": 9695, "mean_contacts": 24.2375},
+        21_828, 0,
+    ),
+    "mesh": (
+        HybridConfig(p_s=0.6, mesh_extra_links=2), 0.0,
+        {"mean_latency": 1828.8169776779496, "median_latency": 1814.0305975327792,
+         "connum": 9834, "mean_contacts": 24.585},
+        21_632, 0,
+    ),
+    "direct": (
+        HybridConfig(p_s=0.6, placement="direct"), 0.0,
+        {"mean_latency": 1807.3127238377524, "median_latency": 1791.7894496239533,
+         "connum": 9493, "mean_contacts": 23.7325},
+        20_996, 0,
+    ),
+    "replication": (
+        HybridConfig(
+            p_s=0.6, replication_factor=3, write_quorum=2,
+            replica_sync_period=2_000.0, heartbeats_enabled=True,
+            lookup_timeout=30_000.0,
+        ), 0.2,
+        {"mean_latency": 1748.963291141938, "median_latency": 1693.57199897206,
+         "connum": 9343, "mean_contacts": 23.3575,
+         "n_t_peers": 47, "n_s_peers": 49},
+        44_439, 153,
+    ),
+    "combined": (
+        HybridConfig(
+            p_s=0.6, bypass_links=True, cache_enabled=True,
+            replication_factor=2, heartbeats_enabled=True,
+            lookup_timeout=30_000.0,
+        ), 0.2,
+        {"failure_ratio": 0.0025, "mean_latency": 1812.2525836147315,
+         "median_latency": 1501.1616946511785, "connum": 7902,
+         "mean_contacts": 19.755, "successes": 399, "failures": 1,
+         "n_t_peers": 47, "n_s_peers": 49},
+        48_245, 129,
+    ),
+}
+# Shared by every feature cell unless the cell's own dict overrides it.
+FEATURE_DEFAULTS = {
+    "p_s": 0.6, "failure_ratio": 0.0, "successes": 400, "failures": 0,
+    "n_t_peers": 48, "n_s_peers": 72,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FEATURE_CELLS))
+def test_feature_cell_bit_identical(name):
+    config, crash, fields, sent, dropped = FEATURE_CELLS[name]
+    out = {}
+    result = run_cell(config, Scale.quick(), crash_fraction=crash, system_out=out)
+    system = out["system"]
+    assert dataclasses.asdict(result) == {**FEATURE_DEFAULTS, **fields}
+    assert system.transport.messages_sent == sent
+    assert system.transport.messages_dropped == dropped
+
+
+# sha256 of the repr of test_swarm.test_sim_crowd_is_deterministic's
+# ``swarm.piece`` event list: the swarm path, pinned across commits.
+GOLDEN_SWARM_PIECE_DIGEST = (
+    "dd38810225b64be725866b8b2c31486236ea03bb762ae951e62b699b3b5b7acb"
+)
+
+
+def test_swarm_crowd_digest():
+    from repro.core.hybrid import HybridSystem
+
+    config = HybridConfig(
+        p_s=0.7, swarm_enabled=True, swarm_piece_size=1_000,
+        swarm_inflight=4, swarm_request_timeout=250.0,
+    )
+    system = HybridSystem(config, n_peers=14, seed=9)
+    system.build()
+    s_peers = sorted(system.s_peers(), key=lambda p: p.address)
+    publisher, fetchers = s_peers[0], s_peers[1:4]
+    events: list = []
+    system.trace.subscribe(
+        "swarm.piece",
+        lambda rec: events.append((rec.time, tuple(sorted(rec.payload.items())))),
+    )
+    data = bytes(i % 17 for i in range(9_500))
+    manifest = publisher.swarm_publish("det", data)
+    system.settle(1_000.0)
+    done: list = []
+    for peer in fetchers:
+        peer.swarm_fetch(manifest, lambda d, info: done.append(d == data))
+    system.engine.run_while(lambda: len(done) < len(fetchers), 5_000_000)
+    assert done == [True, True, True]
+    digest = hashlib.sha256(repr(events).encode()).hexdigest()
+    assert digest == GOLDEN_SWARM_PIECE_DIGEST
