@@ -1,5 +1,4 @@
-"""Data insertion and lookup (Section 3.4) plus the BitTorrent-style
-s-network variant (Section 5.5).
+"""Data insertion and lookup (Section 3.4).
 
 :class:`DataPlaneMixin` implements the two public operations --
 ``store(key, value)`` and ``lookup(key)`` -- and every message handler
@@ -13,8 +12,10 @@ they fan out into:
   stores everything, causing the imbalance of Fig. 4a-c) and *spread*
   (recursive random spreading over directly connected s-peers,
   Fig. 4d-f);
-* origin-side lookup timers with optional TTL-growing refloods;
-* the tracker-style data plane when ``snetwork_style == "bittorrent"``.
+* origin-side lookup timers with optional TTL-growing refloods.
+
+The segment search is one method, ``_search_segment`` (the flood; the
+walk and tracker mixins of :mod:`repro.core.search` override it).
 
 Lookup metrics (latency / failure ratio / connum) are recorded in the
 shared :class:`~repro.core.lookup.QueryRegistry`; an origin's optional
@@ -24,24 +25,21 @@ write or lookup finished.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..overlay.messages import (
-    BTFetch,
-    CachePush,
-    ReplicaAck,
-    BTLookup,
-    BTLookupReply,
-    BTRegister,
     DataFound,
     FloodQuery,
     LookupRequest,
+    ReplicaAck,
     SpreadStore,
-    StoreAck,
     StoreRequest,
 )
 from ..sim.timers import Timer
-from .config import PLACEMENT_SPREAD, SEARCH_WALK, SNETWORK_BITTORRENT
+from .config import PLACEMENT_SPREAD
+from .datastore import DataItem
 
 __all__ = ["DataPlaneMixin"]
 
@@ -53,32 +51,31 @@ REFLOOD_TTL_STEP = 2
 OnDone = Callable[[bool, Any, int], Any]
 
 
+@dataclass(slots=True)
 class _PendingLookup:
     """Origin-side state of one in-flight lookup."""
 
-    __slots__ = (
-        "timer", "ttl", "attempts", "via_bypass", "bypass_retry_done",
-        "d_id", "key", "local", "span", "on_done",
-    )
-
-    def __init__(
-        self, timer: Timer, ttl: int, d_id: int, key: str, local: bool,
-        span: int, on_done: Optional[OnDone],
-    ) -> None:
-        self.timer = timer
-        self.ttl = ttl
-        self.attempts = 0
-        self.via_bypass = False  # the initial send used a bypass link
-        self.bypass_retry_done = False
-        self.d_id = d_id
-        self.key = key
-        self.local = local
-        self.span = span  # trace span id carried on every query message
-        self.on_done = on_done
+    timer: Timer
+    ttl: int
+    d_id: int
+    key: str
+    local: bool
+    span: int  # trace span id carried on every query message
+    on_done: Optional[OnDone]
+    attempts: int = 0
+    via_bypass: bool = False  # the initial send used a bypass link
+    bypass_retry_done: bool = False
 
 
 class DataPlaneMixin:
     """store/lookup operations and their message handlers."""
+
+    _write_watch_seq = 0
+
+    @cached_property
+    def _write_watchers(self) -> Dict[int, Tuple[Callable[[bool, float], Any], float]]:
+        """Origin side: callbacks awaiting a write's verdict."""
+        return {}
 
     # ==================================================================
     # Public API
@@ -101,25 +98,53 @@ class DataPlaneMixin:
         """
         d_id = self.idspace.hash_key(key)
         wid = -1 if on_verdict is None else self._watch_write(on_verdict)
-        if self.config.replication_factor > 1:
-            # Durable path (repro.replica): the owning t-peer anchors
-            # the primary copy and fans a ReplicaWrite chain down its
-            # k-1 ring successors.  Placement spreading is bypassed --
-            # one authoritative holder per item is what makes the
-            # anti-entropy digest and failover promotion well-defined.
-            if self.role == "t" and self.owns(d_id):
-                self._replica_ingest(key, value, d_id, self.address, origin_wid=wid)
-                return d_id
-        elif self.owns_locally(d_id):
-            self._insert_as_holder(key, value, d_id, self.address, write_id=wid)
-            return d_id
-        self.send(
-            self.t_peer if self.role == "s" else self.ring_next_hop(d_id),
-            StoreRequest(
-                key=key, value=value, d_id=d_id, origin=self.address, write_id=wid
-            ),
-        )
+        if not self._store_locally(key, value, d_id, wid):
+            self.send(
+                self.t_peer if self.role == "s" else self.ring_next_hop(d_id),
+                StoreRequest(
+                    key=key, value=value, d_id=d_id, origin=self.address, write_id=wid
+                ),
+            )
         return d_id
+
+    def _store_locally(self, key: str, value: Any, d_id: int, wid: int) -> bool:
+        """Insert an item of this peer's own s-network here; False if
+        ``d_id`` belongs elsewhere."""
+        if self.owns_locally(d_id):
+            self._insert_as_holder(key, value, d_id, self.address, write_id=wid)
+            return True
+        return False
+
+    # ------------------------------------------------------------------
+    # Write verdicts: a k == 1 put's ack that its copy landed (the
+    # replication mixin reuses them for quorum verdicts)
+    # ------------------------------------------------------------------
+    def _watch_write(self, on_verdict: Callable[[bool, float], Any]) -> int:
+        """Track a write :meth:`store` is sending; returns its write id."""
+        self._write_watch_seq += 1
+        wid = self._write_watch_seq
+        self._write_watchers[wid] = (on_verdict, self.engine.now)
+        return wid
+
+    def cancel_write_watch(self, on_verdict: Callable[[bool, float], Any]) -> None:
+        """Drop ``on_verdict`` from every write it awaits (the origin's
+        wait timed out)."""
+        watchers = self._write_watchers
+        for wid in [w for w, (cb, _t) in watchers.items() if cb is on_verdict]:
+            del watchers[wid]
+
+    def _write_verdict(self, wid: int, committed: bool) -> None:
+        entry = self._write_watchers.pop(wid, None)
+        if entry is None:
+            return
+        on_verdict, started = entry
+        latency = self.engine.now - started
+        self.emit("replica.commit", committed=committed, latency=latency)
+        on_verdict(committed, latency)
+
+    def on_ReplicaAck(self, msg: ReplicaAck) -> None:
+        """The verdict on a write this peer originated."""
+        self._write_verdict(msg.write_id, msg.committed)
 
     def lookup(self, key: str, on_done: Optional[OnDone] = None) -> int:
         """Start a lookup; returns the query id tracked by the registry.
@@ -169,63 +194,57 @@ class DataPlaneMixin:
         attempt went; a retry skips the own-database/cache check and the
         bypass shortcut, so it rides the authoritative path."""
         pending.timer.start()
-        d_id, key, ttl = pending.d_id, pending.key, pending.ttl
-        # Own database first -- every peer "checks its own database" --
-        # then any surrogate copy in the local cache.
-        item = None if retry else self.database.get(key) or self.cache_lookup(key)
-        if item is not None:
-            self._finish_lookup(qid, True, item.value, self.address)
-            if self.wants_trace("lookup.done"):
-                self.emit(
-                    "lookup.done", query_id=qid, span=pending.span,
-                    hops=0, contacts=0, latency=0.0,
-                )
-            return
-        if pending.local:
-            if self.config.snetwork_style == SNETWORK_BITTORRENT:
-                if self.role == "t":
-                    self._bt_resolve(qid, key, origin=self.address)
-                else:
-                    self.send(
-                        self.t_peer,
-                        BTLookup(d_id=d_id, key=key, origin=self.address, query_id=qid),
+        d_id, key = pending.d_id, pending.key
+        if not retry:
+            # Own database first -- every peer "checks its own
+            # database" -- then any surrogate copy in the local cache.
+            item = self.database.get(key)
+            if item is None and self.cache is not None:
+                item = self.cache.get(key, self.engine.now)
+            if item is not None:
+                self._finish_lookup(qid, True, item.value, self.address)
+                if self.wants_trace("lookup.done"):
+                    self.emit(
+                        "lookup.done", query_id=qid, span=pending.span,
+                        hops=0, contacts=0, latency=0.0,
                     )
                 return
-            if self.config.search_mode == SEARCH_WALK:
-                self.launch_walkers(qid, key, d_id, self.address, span_id=pending.span)
-                return
-            flood = FloodQuery(
-                d_id=d_id, key=key, origin=self.address, query_id=qid,
-                ttl=ttl, attempt=pending.attempts, span_id=pending.span,
+        if pending.local:
+            self._search_segment(
+                qid, key, d_id, self.address, pending.ttl, pending.attempts,
+                pending.span,
             )
-            self.seen_queries.add((qid, pending.attempts))
-            fanout = self.send_many(self.flood_targets(), flood)
-            if self.wants_trace("flood.fanout"):
-                self.emit("flood.fanout", query_id=qid, span=pending.span, fanout=fanout)
-            return
-        # Remote: try a bypass shortcut first (Section 5.4), else ride
-        # the t-network.
-        if self.config.bypass_links and not retry:
-            target = self.bypass_target_for(d_id)
-            if target is not None:
-                pending.via_bypass = True
-                self.queries.note_bypass(qid)
-                self.send(
-                    target,
-                    FloodQuery(
-                        d_id=d_id, key=key, origin=self.address, query_id=qid,
-                        ttl=ttl, attempt=pending.attempts, span_id=pending.span,
-                    ),
-                )
-                return
+        else:
+            self._lookup_remote(qid, pending, retry)
+
+    def _lookup_remote(self, qid: int, pending: _PendingLookup, retry: bool) -> None:
+        """Send a lookup for another s-network's item along the t-network."""
         request = LookupRequest(
-            d_id=d_id, key=key, origin=self.address, query_id=qid,
-            ttl=ttl, attempt=pending.attempts, span_id=pending.span,
+            d_id=pending.d_id, key=pending.key, origin=self.address, query_id=qid,
+            ttl=pending.ttl, attempt=pending.attempts, span_id=pending.span,
         )
         if self.role == "s":
             self.send(self.t_peer, request)
         else:
-            self.send(self.ring_next_hop(d_id), request)
+            self.send(self.ring_next_hop(pending.d_id), request)
+
+    def _search_segment(
+        self, qid: int, key: str, d_id: int, origin: int, ttl: int,
+        attempt: int, span: int, hops: int = 0,
+    ) -> None:
+        """Search this peer's own s-network for ``key`` on behalf of
+        ``origin`` (this peer, or the remote origin whose lookup reached
+        the owning t-peer after ``hops`` ring hops): a TTL flood down
+        the tree.  The walk and tracker strategies override it."""
+        flood = FloodQuery(
+            d_id=d_id, key=key, origin=origin, query_id=qid,
+            ttl=ttl, attempt=attempt, span_id=span,
+        )
+        flood.hop_count = hops
+        self.seen_queries.add((qid, attempt))
+        fanout = self.send_many(self.flood_targets(), flood)
+        if self.wants_trace("flood.fanout"):
+            self.emit("flood.fanout", query_id=qid, span=span, fanout=fanout)
 
     def _lookup_expired(self, qid: int) -> None:
         pending = self.pending_lookups.get(qid)
@@ -269,16 +288,14 @@ class DataPlaneMixin:
             self.send(self.t_peer, msg)
             return
         self.queries.contact(msg.query_id)
-        if self.config.heartbeats_enabled:
+        if self._liveness:
             self.note_query_activity(msg.sender, msg.query_id)
         if self.cache is not None:
             cached = self.cache.get(msg.key, self.engine.now)
             if cached is not None:
                 # Surrogate copy: answer without riding the rest of the
                 # ring (the caching scheme's load diversion).
-                self.cache_hit_answer(
-                    msg.origin, msg.query_id, cached, hops=msg.hop_count + 1
-                )
+                self._answer(msg.origin, msg.query_id, cached, hops=msg.hop_count + 1)
                 return
         # self.owns(msg.d_id), inlined: one test per ring hop.
         pred = self.predecessor_pid
@@ -292,38 +309,18 @@ class DataPlaneMixin:
             nxt = self.ring_next_hop(msg.d_id) if self.fingers else self.successor
             self.transport.send(self, nxt, msg)
             return
-        item = self.database.get(msg.key)
-        if item is None and self.config.replication_factor > 1:
-            # Failover window: ownership reached us before the repair
-            # pull finished -- serve reads from the replica copy.
-            item = self.replicas.get(msg.key)
+        item = self._read_owned(msg.key)
         if item is not None:
             self._answer(msg.origin, msg.query_id, item, hops=msg.hop_count + 1)
             return
-        if self.config.snetwork_style == SNETWORK_BITTORRENT:
-            self._bt_resolve(
-                msg.query_id, msg.key, origin=msg.origin, hops=msg.hop_count + 1
-            )
-            return
-        if self.config.search_mode == SEARCH_WALK:
-            self.launch_walkers(
-                msg.query_id, msg.key, msg.d_id, msg.origin,
-                span_id=msg.span_id, hops=msg.hop_count + 1,
-            )
-            return
-        flood = FloodQuery(
-            d_id=msg.d_id, key=msg.key, origin=msg.origin,
-            query_id=msg.query_id, ttl=msg.ttl, attempt=msg.attempt,
-            span_id=msg.span_id,
+        self._search_segment(
+            msg.query_id, msg.key, msg.d_id, msg.origin, msg.ttl, msg.attempt,
+            msg.span_id, hops=msg.hop_count + 1,
         )
-        flood.hop_count = msg.hop_count + 1
-        self.seen_queries.add((msg.query_id, msg.attempt))
-        fanout = self.send_many(self.flood_targets(), flood)
-        if self.wants_trace("flood.fanout"):
-            self.emit(
-                "flood.fanout", query_id=msg.query_id, span=msg.span_id,
-                fanout=fanout,
-            )
+
+    def _read_owned(self, key: str) -> Optional[DataItem]:
+        """The owning t-peer's copy of ``key``, if it holds one."""
+        return self.database.get(key)
 
     def on_FloodQuery(self, msg: FloodQuery) -> None:
         """Gnutella-style flood step inside the s-network tree."""
@@ -335,7 +332,7 @@ class DataPlaneMixin:
             return
         self.seen_queries.add(seen_key)
         self.queries.contact(msg.query_id)
-        if self.config.heartbeats_enabled:
+        if self._liveness:
             self.note_query_activity(msg.sender, msg.query_id)
         trace = self.trace
         if trace is not None and "lookup.hop" in trace.wanted:
@@ -383,14 +380,16 @@ class DataPlaneMixin:
     def _segment_lower_bound(self) -> int:
         return self.predecessor_pid if self.role == "t" else self.segment_lo
 
-    def on_DataFound(self, msg: DataFound) -> None:
-        """Answer arrived at the origin (the first one wins)."""
+    def on_DataFound(self, msg: DataFound) -> Optional[_PendingLookup]:
+        """Answer arrived at the origin (the first one wins).
+
+        Returns the lookup it ended, None for a late duplicate: the
+        bypass and cache mixins learn from first answers only.
+        """
         pending = self._finish_lookup(
             msg.query_id, True, msg.value, msg.holder, msg.hops
         )
-        if pending is None:
-            return
-        if self.wants_trace("lookup.done"):
+        if pending is not None and self.wants_trace("lookup.done"):
             rec = self.queries.get(msg.query_id)
             self.emit(
                 "lookup.done",
@@ -400,23 +399,7 @@ class DataPlaneMixin:
                 contacts=rec.contacts if rec is not None else 0,
                 latency=rec.latency if rec is not None else 0.0,
             )
-        if self.config.bypass_links and msg.holder_pid != self.p_id:
-            self.add_bypass(msg.holder, msg.holder_pred_pid, msg.holder_pid)
-        if self.config.cache_enabled and msg.holder != self.address:
-            d_id = self.idspace.hash_key(msg.key)
-            self.cache_store(msg.key, msg.value, d_id)
-            if self.role == "s" and not self.owns_locally(d_id):
-                # Seed the s-network's gateway surrogate: future
-                # remote lookups from this network stop at the t-peer.
-                self.send(
-                    self.t_peer,
-                    CachePush(key=msg.key, value=msg.value, d_id=d_id),
-                )
-
-    def on_CachePush(self, msg: CachePush) -> None:
-        """Adopt a surrogate copy pushed by an s-network member."""
-        if self.config.cache_enabled:
-            self.cache_store(msg.key, msg.value, msg.d_id)
+        return pending
 
     # ==================================================================
     # Store handlers
@@ -436,19 +419,17 @@ class DataPlaneMixin:
             nxt = self.ring_next_hop(msg.d_id) if self.fingers else self.successor
             self.transport.send(self, nxt, msg)
             return
-        if self.config.replication_factor > 1:
-            # Durable path (repro.replica): primary copy here, then the
-            # k-successor chain; tracked when the origin asked for a
-            # quorum verdict (write_id >= 0).
-            self._replica_ingest(
-                msg.key, msg.value, msg.d_id, msg.origin, origin_wid=msg.write_id
-            )
-        elif self.config.placement == PLACEMENT_SPREAD:
-            self._spread(msg.key, msg.value, msg.d_id, msg.origin, msg.write_id)
+        self._store_at_owner(msg.key, msg.value, msg.d_id, msg.origin, msg.write_id)
+
+    def _store_at_owner(
+        self, key: str, value: Any, d_id: int, origin: int, write_id: int
+    ) -> None:
+        """The owning t-peer places a remote store (Section 3.4's two
+        placement schemes)."""
+        if self.config.placement == PLACEMENT_SPREAD:
+            self._spread(key, value, d_id, origin, write_id)
         else:
-            self._insert_as_holder(
-                msg.key, msg.value, msg.d_id, msg.origin, write_id=msg.write_id
-            )
+            self._insert_as_holder(key, value, d_id, origin, write_id=write_id)
 
     def _spread(
         self, key: str, value: Any, d_id: int, origin: int, write_id: int = -1
@@ -479,19 +460,13 @@ class DataPlaneMixin:
     def _insert_as_holder(
         self, key: str, value: Any, d_id: int, origin: int, write_id: int = -1
     ) -> None:
-        """Final insertion at this peer, plus variant bookkeeping.
+        """Final insertion at this peer.
 
         ``write_id >= 0`` means the origin's daemon is holding a client
         put ack until the copy exists somewhere (the k == 1 analogue of
         the quorum verdict): report back the moment the insert lands.
         """
-        self.database.insert(key, value, d_id)
-        self.emit("data.stored", key=key, d_id=d_id)
-        if self.config.snetwork_style == SNETWORK_BITTORRENT:
-            if self.role == "t":
-                self.bt_index[key] = self.address
-            else:
-                self.send(self.t_peer, BTRegister(key=key, d_id=d_id, holder=self.address))
+        self._hold(key, value, d_id)
         if write_id >= 0:
             if origin in (-1, self.address):
                 self._write_verdict(write_id, True)
@@ -503,85 +478,8 @@ class DataPlaneMixin:
                         committed=True, final=True,
                     ),
                 )
-        if self.config.bypass_links and origin not in (-1, self.address):
-            self.send(
-                origin,
-                StoreAck(
-                    key=key,
-                    holder=self.address,
-                    holder_pid=self.p_id,
-                    holder_pred_pid=self._segment_lower_bound(),
-                ),
-            )
 
-    def on_StoreAck(self, msg: StoreAck) -> None:
-        """Bypass rule 2: link up with the holder of our remote insert."""
-        if self.config.bypass_links and msg.holder_pid != self.p_id:
-            self.add_bypass(msg.holder, msg.holder_pred_pid, msg.holder_pid)
-
-    # ==================================================================
-    # BitTorrent-style data plane (Section 5.5)
-    # ==================================================================
-    def on_BTRegister(self, msg: BTRegister) -> None:
-        if self.role == "t":
-            self.bt_index[msg.key] = msg.holder
-
-    def _bt_resolve(self, qid: int, key: str, origin: int, hops: int = 0) -> None:
-        """Tracker t-peer answers from its index (no flooding)."""
-        item = self.database.get(key)
-        if item is not None:
-            if origin == self.address:
-                self.answers_served += 1
-                self._finish_lookup(qid, True, item.value, self.address)
-            else:
-                self._answer(origin, qid, item, hops=hops)
-            return
-        holder = self.bt_index.get(key, -1)
-        if origin == self.address:
-            if holder == -1:
-                self._bt_negative(qid)
-            else:
-                self.send(holder, BTFetch(key=key, origin=self.address, query_id=qid))
-        else:
-            self.send(origin, BTLookupReply(query_id=qid, key=key, holder=holder))
-
-    def on_BTLookup(self, msg: BTLookup) -> None:
-        self.queries.contact(msg.query_id)
-        if self.config.heartbeats_enabled:
-            self.note_query_activity(msg.sender, msg.query_id)
-        trace = self.trace
-        if trace is not None and "lookup.hop" in trace.wanted:
-            self.emit(
-                "lookup.hop", span=-1, query_id=msg.query_id,
-                hop=msg.hop_count + 1, kind="bt",
-            )
-        if self.role != "t":
-            msg.hop_count += 1
-            self.send(self.t_peer, msg)
-            return
-        self._bt_resolve(msg.query_id, msg.key, msg.origin, hops=msg.hop_count + 1)
-
-    def on_BTLookupReply(self, msg: BTLookupReply) -> None:
-        """Origin: fetch from the holder the tracker named."""
-        if msg.holder == -1:
-            self._bt_negative(msg.query_id)
-            return
-        if msg.query_id in self.pending_lookups:
-            self.send(msg.holder, BTFetch(key=msg.key, origin=self.address, query_id=msg.query_id))
-
-    def on_BTFetch(self, msg: BTFetch) -> None:
-        self.queries.contact(msg.query_id)
-        trace = self.trace
-        if trace is not None and "lookup.hop" in trace.wanted:
-            self.emit(
-                "lookup.hop", span=-1, query_id=msg.query_id,
-                hop=msg.hop_count + 1, kind="bt",
-            )
-        item = self.database.get(msg.key)
-        if item is not None:
-            self._answer(msg.origin, msg.query_id, item, hops=msg.hop_count + 1)
-        # A lost item (crash) yields silence; the origin's timer fails it.
-
-    def _bt_negative(self, qid: int) -> None:
-        """Tracker had no holder: fail fast instead of waiting out the timer."""
-        self._finish_lookup(qid, False)
+    def _hold(self, key: str, value: Any, d_id: int) -> None:
+        """This peer becomes the holder of an item."""
+        self.database.insert(key, value, d_id)
+        self.emit("data.stored", key=key, d_id=d_id)

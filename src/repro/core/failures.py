@@ -18,12 +18,14 @@ The paper's liveness machinery, implemented by :class:`LivenessMixin`:
   ring neighbor died ask the server for repair.
 
 Heartbeats are off by default (``HybridConfig.heartbeats_enabled``);
-experiments that crash peers turn them on.
+experiments that crash peers turn them on, and only then is
+:class:`LivenessMixin` part of the peer class.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from functools import cached_property
+from typing import Dict, Optional, Set
 
 from ..overlay.messages import Ack, CrashReport, Hello, RingRepairRequest
 from ..sim.engine import Event
@@ -35,17 +37,26 @@ __all__ = ["LivenessMixin"]
 class LivenessMixin:
     """Heartbeats, neighbor deadlines and crash recovery."""
 
-    # The pending watchdog event, set on the first watch: a peer with
-    # heartbeats off never carries one.
+    _liveness = True
+    # Class defaults the first write shadows.
+    hello_timer: Optional[PeriodicTimer] = None
+    ack_suppress_until = float("-inf")
     _watchdog: Optional[Event] = None
 
-    # ------------------------------------------------------------------
-    # Heartbeats
-    # ------------------------------------------------------------------
-    def start_heartbeats(self) -> None:
-        """Begin HELLO broadcasting and neighbor watching (if enabled)."""
-        if not self.config.heartbeats_enabled:
-            return
+    @cached_property
+    def neighbor_deadlines(self) -> Dict[int, float]:
+        """Crash deadline per watched neighbor; every update pops and
+        re-inserts, so ties expire in last-set order."""
+        return {}
+
+    @cached_property
+    def _last_liveness_sent(self) -> Dict[int, float]:
+        """Per-neighbor time of the last ack/HELLO we sent (bandwidth
+        optimisation: a fresh ack cancels that neighbor's next HELLO)."""
+        return {}
+
+    def _serving(self, old_t: int = -1, crashed: bool = False) -> None:
+        """Begin HELLO broadcasting and neighbor watching."""
         if self.hello_timer is None:
             self.hello_timer = PeriodicTimer(
                 self.engine, self.config.hello_period, self._send_hellos
@@ -53,7 +64,19 @@ class LivenessMixin:
         if not self.hello_timer.running:
             self.hello_timer.start()
         self._refresh_liveness()
+        super()._serving(old_t, crashed)
 
+    def _stopping(self) -> None:
+        self.stop_liveness()
+        super()._stopping()
+
+    def _neighbor_gone(self, addr: int, crashed: bool = False) -> None:
+        self.neighbor_deadlines.pop(addr, None)
+        super()._neighbor_gone(addr, crashed)
+
+    # ------------------------------------------------------------------
+    # Heartbeats
+    # ------------------------------------------------------------------
     def _liveness_neighbors(self) -> Set[int]:
         """Everyone this peer heartbeats: tree links + ring pointers."""
         neighbors = self.tree_neighbors()
@@ -88,9 +111,7 @@ class LivenessMixin:
     # ------------------------------------------------------------------
     def watch_neighbor(self, addr: int) -> None:
         """(Re)start the crash-detection countdown for a neighbor."""
-        if not self.config.heartbeats_enabled or not self.alive:
-            return
-        if addr in (-1, self.address):
+        if not self.alive or addr in (-1, self.address):
             return
         deadlines = self.neighbor_deadlines
         deadlines.pop(addr, None)
@@ -99,9 +120,6 @@ class LivenessMixin:
         # never late for this one; an idle one was idle on an empty table.
         if self._watchdog is None:
             self._watchdog = self.engine.call_at(deadline, self._check_neighbors)
-
-    def unwatch_neighbor(self, addr: int) -> None:
-        self.neighbor_deadlines.pop(addr, None)
 
     def note_alive(self, addr: int) -> None:
         """Fresh evidence that ``addr`` is up: push its deadline back."""
@@ -114,9 +132,8 @@ class LivenessMixin:
         we acknowledge it (suppressed under heavy load) so that crash
         detection reacts faster when queries are flowing.
 
-        Query handlers call this only under
-        ``config.heartbeats_enabled``: with heartbeats off nobody was
-        ever watched (see watch_neighbor) and no ack is owed.
+        Query handlers call this only when ``self._liveness`` (this
+        mixin is in the peer class).
         """
         now = self.engine.now
         deadlines = self.neighbor_deadlines  # note_alive, inlined
@@ -151,8 +168,6 @@ class LivenessMixin:
 
     def _refresh_liveness(self) -> None:
         """Reconcile the watched set with the current neighbors (role changes)."""
-        if not self.config.heartbeats_enabled:
-            return
         wanted = self._liveness_neighbors()
         deadlines = self.neighbor_deadlines
         for addr in [a for a in deadlines if a not in wanted]:
@@ -185,8 +200,7 @@ class LivenessMixin:
     # Crash reactions
     # ------------------------------------------------------------------
     def _handle_neighbor_crash(self, addr: int) -> None:
-        self.extra_links.discard(addr)
-        self.drop_bypass(addr)
+        self._neighbor_gone(addr, crashed=True)
         if self.role == "t":
             if addr in self.children:
                 # A child's subtree will rejoin through us by itself.

@@ -42,7 +42,7 @@ from ..sim.engine import Engine
 from ..sim.rng import RngRegistry
 from ..sim.trace import TraceBus
 from .config import ROUTING_FINGER, HybridConfig
-from .hybridpeer import HybridPeer
+from .hybridpeer import HybridPeer, peer_class
 from .lookup import QueryRegistry, QueryStats
 from .server import BootstrapServer
 
@@ -135,6 +135,8 @@ class HybridSystem:
             landmarks=self.landmarks,
         )
         self.transport.register(self.server)
+        # The core peer plus the features this config turns on.
+        self.peer_class = peer_class(config)
         self.peers: Dict[int, HybridPeer] = {}
         self._next_address = 1
         self._stored_count = 0
@@ -191,7 +193,7 @@ class HybridSystem:
         coordinate = None
         if self.landmarks:
             coordinate = coordinate_of(self.router, host, self.landmarks)
-        peer = HybridPeer(
+        peer = self.peer_class(
             address=address,
             host=host,
             engine=self.engine,
@@ -222,6 +224,17 @@ class HybridSystem:
         s-network cannot exist before its anchor -- then s-peers.
         Every join runs through the full message protocol.
         """
+        for peer, _role in self._create_peers(interests):
+            peer.begin_join()
+            self.engine.run_while(lambda: not peer.joined)
+            if not peer.joined:
+                raise RuntimeError(f"peer {peer.address} failed to join")
+        self._finish_build()
+
+    def _create_peers(
+        self, interests: Optional[Sequence[Optional[str]]]
+    ) -> List[Tuple[HybridPeer, str]]:
+        """Every peer with its pre-assigned role, t-peers first."""
         if self.built:
             raise RuntimeError("system already built")
         if interests is not None and len(interests) != self.n_peers:
@@ -235,7 +248,7 @@ class HybridSystem:
         )
         order = sorted(range(self.n_peers), key=lambda i: (roles[i] != "t", i))
         self.server.preassigned_roles = {}
-        peers_in_order: List[HybridPeer] = []
+        created = []
         for i in order:
             peer = self._new_peer(
                 host=self._peer_hosts[i],
@@ -243,12 +256,10 @@ class HybridSystem:
                 interest=interests[i] if interests is not None else None,
             )
             self.server.preassigned_roles[peer.address] = roles[i]
-            peers_in_order.append(peer)
-        for peer in peers_in_order:
-            peer.begin_join()
-            self.engine.run_while(lambda: not peer.joined)
-            if not peer.joined:
-                raise RuntimeError(f"peer {peer.address} failed to join")
+            created.append((peer, roles[i]))
+        return created
+
+    def _finish_build(self) -> None:
         if self.config.ring_routing == ROUTING_FINGER:
             self.install_fingers()
         if self.config.mesh_extra_links > 0:
@@ -272,36 +283,17 @@ class HybridSystem:
         Requires heartbeats off: liveness timers are armed by the join
         protocol this path skips.
         """
-        if self.built:
-            raise RuntimeError("system already built")
         if self.config.heartbeats_enabled:
             raise ValueError("build_bulk requires heartbeats_enabled=False")
-        if interests is not None and len(interests) != self.n_peers:
-            raise ValueError("interests must have one entry per peer")
         import heapq as _heapq
         from collections import deque
 
         from .config import ASSIGN_BALANCED, CONNECT_STAR
 
-        capacities = [self.capacities.capacity(1 + i) for i in range(self.n_peers)]
-        roles = assign_roles(
-            capacities,
-            self.config.p_s,
-            self.rngs.stream("roles"),
-            self.config.heterogeneity_aware,
-        )
-        order = sorted(range(self.n_peers), key=lambda i: (roles[i] != "t", i))
-        self.server.preassigned_roles = {}
         t_list: List[HybridPeer] = []
         s_list: List[HybridPeer] = []
-        for i in order:
-            peer = self._new_peer(
-                host=self._peer_hosts[i],
-                capacity=capacities[i],
-                interest=interests[i] if interests is not None else None,
-            )
-            self.server.preassigned_roles[peer.address] = roles[i]
-            (t_list if roles[i] == "t" else s_list).append(peer)
+        for peer, role in self._create_peers(interests):
+            (t_list if role == "t" else s_list).append(peer)
         if not t_list:
             raise ValueError("build_bulk needs at least one t-peer")
 
@@ -375,12 +367,7 @@ class HybridSystem:
             self.server.s_counts[anchor] = self.server.s_counts.get(anchor, 0) + 1
             self.server.s_count += 1
             self.server.joins_served += 1
-
-        if self.config.ring_routing == ROUTING_FINGER:
-            self.install_fingers()
-        if self.config.mesh_extra_links > 0:
-            self._wire_mesh()
-        self.built = True
+        self._finish_build()
 
     def add_peer(self, interest: Optional[str] = None, wait: bool = True) -> HybridPeer:
         """Dynamically join one more peer (role decided by the server)."""
@@ -450,11 +437,7 @@ class HybridSystem:
                     if other == addr or other in peer.tree_neighbors():
                         continue
                     peer.extra_links.add(other)
-                    target = self.peers.get(other, self.peers.get(t_addr))
-                    if other == t_addr:
-                        target = self.peers[t_addr]
-                    if target is not None:
-                        target.extra_links.add(addr)
+                    self.peers[other].extra_links.add(addr)
 
     # ------------------------------------------------------------------
     # Data plane driving

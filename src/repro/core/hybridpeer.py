@@ -1,44 +1,47 @@
-"""The hybrid peer: one class, two roles.
+"""The hybrid peer: one class, two roles, composed from its config.
 
 A :class:`HybridPeer` is an s-peer or a t-peer -- and may change role
 over its lifetime (promotion on t-peer leave/crash), which is exactly
-why the paper's design keeps the t-network cheap to maintain.  All
-protocol behaviour lives in the role mixins:
+why the paper's design keeps the t-network cheap to maintain.  The core
+protocol lives in the role mixins:
 
 * :class:`~repro.core.tnetwork.TNetworkMixin` -- ring membership/routing,
 * :class:`~repro.core.snetwork.SNetworkMixin` -- tree membership,
-* :class:`~repro.core.dataplane.DataPlaneMixin` -- store/lookup,
-* :class:`~repro.core.failures.LivenessMixin` -- heartbeats and crash
-  recovery,
-* :class:`~repro.enhance.bypass.BypassMixin` -- Section 5.4 shortcuts.
+* :class:`~repro.core.dataplane.DataPlaneMixin` -- store/lookup (flood),
+  and :class:`~repro.core.search.SearchMixin` -- prefix search.
 
-This module owns the *state* those mixins operate on, the join entry
+Each optional feature is a mixin too (:data:`FEATURES`); :func:`peer_class`
+adds exactly the ones a config turns on, so a feature that is off has no
+handler, state or branch (its messages reach ``unhandled``).  The core
+reaches features through six no-op lifecycle hooks that the mixins
+extend: their own part first, then ``super()``.
+
+This module owns the *state* the core operates on, the join entry
 point (contact the server, then run the t-join ring walk or the s-join
 tree walk), and the public ``leave`` / ``crash`` lifecycle.
 
 A peer costs what it uses: identity, ring/tree pointers and everything
 read per message are set in ``__init__``; each per-feature container
-(join queue, liveness deadlines, flood dedup set, pending lookups, bypass
-table, ...) is a :func:`functools.cached_property` that lands in the
-instance dict on first touch and is an ordinary attribute from then on
-(see DESIGN.md, "Peer state").  Teardown paths go through
-:meth:`HybridPeer._touched` so clearing state never creates it.
+(join queue, flood dedup set, pending lookups, ...) is a
+:func:`functools.cached_property` that lands in the instance dict on
+first touch and is an ordinary attribute from then on (see DESIGN.md,
+"Peer state").  Teardown paths go through :meth:`HybridPeer._touched`
+so clearing state never creates it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..enhance.bypass import BypassLink, BypassMixin
+from ..enhance.bypass import BypassMixin
 from ..enhance.caching import CacheMixin, LruCache
 from ..overlay.idspace import IdSpace
 from ..overlay.messages import (
     LoadTransfer,
-    Message,
     ServerJoin,
     ServerJoinReply,
     ServerUpdate,
@@ -51,33 +54,28 @@ from ..overlay.transport import Transport
 from ..replica import ReplicationMixin
 from ..swarm import SwarmMixin
 from ..sim.engine import Engine
-from ..sim.timers import PeriodicTimer, Timer
+from ..sim.timers import Timer
 from ..sim.trace import TraceBus
-from .config import HybridConfig
+from .config import SEARCH_WALK, SNETWORK_BITTORRENT, HybridConfig
 from .datastore import DataStore
 from .dataplane import DataPlaneMixin
 from .failures import LivenessMixin
 from .lookup import QueryRegistry
-from .search import PartialSearch, SearchMixin
-from .snetwork import SNetworkMixin
+from .search import PartialSearch, SearchMixin, TrackerMixin, WalkMixin
+from .snetwork import MeshMixin, SNetworkMixin
 from .tnetwork import TNetworkMixin
 
-__all__ = ["HybridPeer"]
+__all__ = ["FEATURES", "HybridPeer", "peer_class"]
 
 
-class HybridPeer(
-    TNetworkMixin,
-    SNetworkMixin,
-    DataPlaneMixin,
-    SearchMixin,
-    LivenessMixin,
-    ReplicationMixin,
-    SwarmMixin,
-    BypassMixin,
-    CacheMixin,
-    BasePeer,
-):
-    """A peer of the hybrid system (role "t" or "s")."""
+class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, BasePeer):
+    """A peer of the hybrid system (role "t" or "s"), no optional feature."""
+
+    # What a per-hop handler tests for a feature that is off (one
+    # attribute load each); the feature's mixin overrides it.
+    _liveness = False  # LivenessMixin: acknowledge data queries
+    cache: Optional[LruCache] = None  # CacheMixin
+    extra_links: FrozenSet[int] = frozenset()  # MeshMixin
 
     def __init__(
         self,
@@ -135,20 +133,12 @@ class HybridPeer(
         self.segment_lo = -1
         self._rejoin_timer: Optional[Timer] = None
 
-        # --- liveness ------------------------------------------------------
-        self.hello_timer: Optional[PeriodicTimer] = None
-        self.ack_suppress_until = float("-inf")
-
         # --- data plane -----------------------------------------------------
         self.database = DataStore(idspace)
-
-        # --- popular-data cache (future work, Section 7) ------------------------
-        self.cache: Optional[LruCache] = LruCache() if config.cache_enabled else None
         self.answers_served = 0  # queries this peer answered (db or cache)
 
     # ------------------------------------------------------------------
-    # Per-feature state, created on first use (replica and swarm state
-    # live on their mixins the same way)
+    # State created on first use (feature mixins declare theirs alike)
     # ------------------------------------------------------------------
     @cached_property
     def join_queue(self) -> Deque[TJoinRequest]:
@@ -166,23 +156,6 @@ class HybridPeer(
         return []
 
     @cached_property
-    def extra_links(self) -> Set[int]:
-        """Mesh ablation only: intra-s-network links beside the tree."""
-        return set()
-
-    @cached_property
-    def neighbor_deadlines(self) -> Dict[int, float]:
-        """Crash deadline per watched neighbor; every update pops and
-        re-inserts, so ties expire in last-set order."""
-        return {}
-
-    @cached_property
-    def _last_liveness_sent(self) -> Dict[int, float]:
-        """Per-neighbor time of the last ack/HELLO we sent (bandwidth
-        optimisation: a fresh ack cancels that neighbor's next HELLO)."""
-        return {}
-
-    @cached_property
     def seen_queries(self) -> Set[Tuple[int, int]]:
         """Flood / walk dedup: ``(query id, attempt)`` already handled."""
         return set()
@@ -195,16 +168,6 @@ class HybridPeer(
     @cached_property
     def pending_searches(self) -> Dict[int, PartialSearch]:
         """Partial searches this peer originated."""
-        return {}
-
-    @cached_property
-    def bt_index(self) -> Dict[str, int]:
-        """BitTorrent-style s-networks: the t-peer's key -> holder index."""
-        return {}
-
-    @cached_property
-    def bypass(self) -> Dict[int, BypassLink]:
-        """Bypass links (Section 5.4)."""
         return {}
 
     def _touched(self, name: str) -> Any:
@@ -248,12 +211,7 @@ class HybridPeer(
 
     def _bootstrap_ring(self, p_id: int) -> None:
         """First peer of the system: a single-member ring."""
-        self.role = "t"
-        self.p_id = p_id
-        self.t_peer = self.address
-        self.predecessor, self.predecessor_pid = self.address, p_id
-        self.successor, self.successor_pid = self.address, p_id
-        self.segment_lo = p_id
+        self._take_position(p_id, self.address, -1, self.address, -1)
         self._complete_join()
         self.send(
             self.server_address,
@@ -264,8 +222,7 @@ class HybridPeer(
         self.joined = True
         self.join_latency = self.engine.now - self.join_request_time
         self.emit("join.complete", role=self.role, latency=self.join_latency)
-        self.start_heartbeats()
-        self.start_replica_sync()
+        self._serving()
 
     # ------------------------------------------------------------------
     # Leave / crash
@@ -348,9 +305,7 @@ class HybridPeer(
 
     def _cancel_timers(self) -> None:
         """Stop every timer this peer owns and drop what they guarded."""
-        self.stop_liveness()
-        self.replica_shutdown()
-        self.swarm_shutdown()
+        self._stopping()
         self._cancel_rejoin_retry()
         if self._handoff_timer is not None:
             self._handoff_timer.cancel()
@@ -359,6 +314,9 @@ class HybridPeer(
             for pending in pending_lookups.values():
                 pending.timer.cancel()
             pending_lookups.clear()
+        watchers = self._touched("_write_watchers")
+        if watchers:
+            watchers.clear()
 
     def _depart(self) -> None:
         """Final exit after all departure messages went out."""
@@ -375,8 +333,57 @@ class HybridPeer(
         self.emit("peer.crashed", role=self.role)
 
     # ------------------------------------------------------------------
-    def unhandled(self, msg: Message) -> None:
-        raise NotImplementedError(
-            f"peer {self.address} (role {self.role}) has no handler for "
-            f"{type(msg).__name__}"
+    # Lifecycle hooks: the core's only way to reach a feature
+    # ------------------------------------------------------------------
+    def _serving(self, old_t: int = -1, crashed: bool = False) -> None:
+        """Joined, or took over ``old_t``'s ring position (``crashed``:
+        by promotion)."""
+
+    def _stopping(self) -> None:
+        """Leave or crash: stop feature timers, drop what they guarded."""
+
+    def _ring_moved(self, old_lo: int, old_suc: int, failover: bool = True) -> None:
+        """The segment grew down from ``old_lo``, or the successor was
+        ``old_suc`` (``failover``: after a crash)."""
+
+    def _neighbor_gone(self, addr: int, crashed: bool = False) -> None:
+        """``addr`` left, or was declared ``crashed``."""
+
+    def watch_neighbor(self, addr: int) -> None:
+        """(Re)start the crash countdown for a neighbor."""
+
+    def _refresh_liveness(self) -> None:
+        """Reconcile the watched neighbors with the current ones."""
+
+
+#: The optional features, (name, mixin, is it on), in MRO order: a tuple,
+#: never a set, so no MRO depends on PYTHONHASHSEED.  The order fixes the
+#: order of effects where mixins extend one method -- liveness starts
+#: before replication; on a found item the bypass rule runs before the
+#: cache (own part after super()) -- and puts the tracker ahead of walks.
+FEATURES: Tuple[Tuple[str, type, Callable[[HybridConfig], bool]], ...] = (
+    ("liveness", LivenessMixin, lambda c: c.heartbeats_enabled),
+    ("replication", ReplicationMixin, lambda c: c.replication_factor > 1),
+    ("swarm", SwarmMixin, lambda c: c.swarm_enabled),
+    ("cache", CacheMixin, lambda c: c.cache_enabled),
+    ("bypass", BypassMixin, lambda c: c.bypass_links),
+    ("mesh", MeshMixin, lambda c: c.mesh_extra_links > 0),
+    ("tracker", TrackerMixin, lambda c: c.snetwork_style == SNETWORK_BITTORRENT),
+    ("walk", WalkMixin, lambda c: c.search_mode == SEARCH_WALK),
+)
+
+_composed: Dict[Tuple[type, Tuple[str, ...]], type] = {}
+
+
+def peer_class(config: HybridConfig, base: type = HybridPeer) -> type:
+    """``base`` plus the mixins of the features ``config`` turns on:
+    ``base`` itself if none, else one class per feature set, reused."""
+    on = [(name, mixin) for name, mixin, enabled in FEATURES if enabled(config)]
+    key = (base, tuple(name for name, _mixin in on))
+    if on and key not in _composed:
+        _composed[key] = type(
+            f"{base.__name__}[{'+'.join(key[1])}]",
+            (*(mixin for _name, mixin in on), base),
+            {"__module__": base.__module__, "__doc__": base.__doc__},
         )
+    return _composed[key] if on else base

@@ -1,6 +1,6 @@
 """Alternative s-network search primitives.
 
-Two extensions the paper names but does not evaluate:
+Three extensions the paper names but does not evaluate:
 
 * **random walks** (Section 1: unstructured networks "use flooding or
   random walks to look up data items") -- ``search_mode="walk"`` sends
@@ -14,98 +14,44 @@ Two extensions the paper names but does not evaluate:
   its timer expires.  Unlike exact lookups there is no single holder,
   which is exactly why the paper pairs this with interest-based
   s-networks (the category's data all lives in one network).
+* **BitTorrent-style s-networks** (Section 5.5) -- "the t-peer acts as
+  a tracker": holders register their items with it, and it resolves a
+  lookup from its index instead of a flood.
 
-Both are implemented by :class:`SearchMixin` on the hybrid peer.
+:class:`SearchMixin`'s prefix search is part of every peer.
+:class:`WalkMixin` (``search_mode="walk"``) and :class:`TrackerMixin`
+(``snetwork_style="bittorrent"``) replace the flood as the data plane's
+``_search_segment`` and are composed into a peer class only when on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Dict, Optional
 
-from ..overlay.messages import PartialQuery, PartialResult, WalkQuery
+from ..overlay.messages import (
+    BTFetch, BTLookup, BTLookupReply, BTRegister, PartialQuery, PartialResult, WalkQuery,
+)
 from ..sim.timers import Timer
 
-__all__ = ["SearchMixin", "PartialSearch"]
+__all__ = ["SearchMixin", "PartialSearch", "TrackerMixin", "WalkMixin"]
 
 
+@dataclass(slots=True)
 class PartialSearch:
     """Origin-side state of one partial (prefix) search."""
 
-    __slots__ = ("timer", "prefix", "matches", "holders", "done")
-
-    def __init__(self, timer: Timer, prefix: str) -> None:
-        self.timer = timer
-        self.prefix = prefix
-        self.matches: Dict[str, Any] = {}
-        self.holders: set = set()
-        self.done = False
+    timer: Timer
+    prefix: str
+    matches: Dict[str, Any] = field(default_factory=dict)
+    holders: set = field(default_factory=set)
+    done: bool = False
 
 
 class SearchMixin:
-    """Random-walk lookups and prefix search."""
+    """Prefix search (Section 5.3)."""
 
-    # ==================================================================
-    # Random walks
-    # ==================================================================
-    def launch_walkers(
-        self, qid: int, key: str, d_id: int, origin: int,
-        span_id: int = -1, hops: int = 0,
-    ) -> None:
-        """Start ``config.walkers`` random walks from this peer.
-
-        A walker that finds the item answers ``origin`` directly (for a
-        remote lookup, the peer that issued it, not this t-peer).
-        ``span_id``/``hops`` thread the lookup trace span through: when
-        the walk is launched by a remote ring lookup, hops already
-        travelled on the ring carry over into the walkers.
-        """
-        targets = sorted(self.flood_targets())
-        if not targets:
-            return
-        budget = self.config.walk_ttl
-        for i in range(self.config.walkers):
-            nxt = targets[int(self.rng.integers(0, len(targets)))]
-            walker = WalkQuery(
-                d_id=d_id, key=key, origin=origin, query_id=qid,
-                ttl=budget, span_id=span_id,
-            )
-            walker.hop_count = hops
-            self.send(nxt, walker)
-
-    def on_WalkQuery(self, msg: WalkQuery) -> None:
-        """One walker step: check, then wander on."""
-        self.queries.contact(msg.query_id)
-        if self.config.heartbeats_enabled:
-            self.note_query_activity(msg.sender, msg.query_id)
-        trace = self.trace
-        if trace is not None and "lookup.hop" in trace.wanted:
-            self.emit(
-                "lookup.hop", span=msg.span_id, query_id=msg.query_id,
-                hop=msg.hop_count + 1, kind="walk",
-            )
-        item = self.database.get(msg.key) or self.cache_lookup(msg.key)
-        if item is not None:
-            self._answer(msg.origin, msg.query_id, item, hops=msg.hop_count + 1)
-            return
-        if msg.ttl <= 1:
-            return
-        candidates = sorted(self.flood_targets(exclude=msg.sender))
-        if not candidates:
-            # Dead end (leaf): step back through the sender.
-            candidates = [msg.sender] if msg.sender != -1 else []
-        if not candidates:
-            return
-        nxt = candidates[int(self.rng.integers(0, len(candidates)))]
-        fwd = WalkQuery(
-            d_id=msg.d_id, key=msg.key, origin=msg.origin,
-            query_id=msg.query_id, ttl=msg.ttl - 1, span_id=msg.span_id,
-        )
-        fwd.hop_count = msg.hop_count + 1
-        self.send(nxt, fwd)
-
-    # ==================================================================
-    # Partial / keyword search (Section 5.3)
-    # ==================================================================
     def search(self, prefix: str, timeout: Optional[float] = None) -> int:
         """Prefix search in this peer's own s-network; returns a query id.
 
@@ -153,7 +99,7 @@ class SearchMixin:
             return
         self.seen_queries.add(seen_key)
         self.queries.contact(msg.query_id)
-        if self.config.heartbeats_enabled:
+        if self._liveness:
             self.note_query_activity(msg.sender, msg.query_id)
         matches = tuple(
             (item.key, item.value)
@@ -203,3 +149,159 @@ class SearchMixin:
     def search_done(self, qid: int) -> bool:
         state = self.pending_searches.get(qid)
         return state is not None and state.done
+
+
+class WalkMixin:
+    """Random-walk lookups: the s-network search of ``search_mode="walk"``."""
+
+    def _search_segment(
+        self, qid: int, key: str, d_id: int, origin: int, ttl: int,
+        attempt: int, span: int, hops: int = 0,
+    ) -> None:
+        """Start ``config.walkers`` random walks from this peer.
+
+        A walker that finds the item answers ``origin`` directly (for a
+        remote lookup, the peer that issued it, not this t-peer).
+        ``span``/``hops`` thread the lookup trace span through: when
+        the walk is launched by a remote ring lookup, hops already
+        travelled on the ring carry over into the walkers.
+        """
+        targets = sorted(self.flood_targets())
+        if not targets:
+            return
+        budget = self.config.walk_ttl
+        for i in range(self.config.walkers):
+            nxt = targets[int(self.rng.integers(0, len(targets)))]
+            walker = WalkQuery(
+                d_id=d_id, key=key, origin=origin, query_id=qid,
+                ttl=budget, span_id=span,
+            )
+            walker.hop_count = hops
+            self.send(nxt, walker)
+
+    def on_WalkQuery(self, msg: WalkQuery) -> None:
+        """One walker step: check, then wander on."""
+        self.queries.contact(msg.query_id)
+        if self._liveness:
+            self.note_query_activity(msg.sender, msg.query_id)
+        trace = self.trace
+        if trace is not None and "lookup.hop" in trace.wanted:
+            self.emit(
+                "lookup.hop", span=msg.span_id, query_id=msg.query_id,
+                hop=msg.hop_count + 1, kind="walk",
+            )
+        item = self.database.get(msg.key)
+        if item is None and self.cache is not None:
+            item = self.cache.get(msg.key, self.engine.now)
+        if item is not None:
+            self._answer(msg.origin, msg.query_id, item, hops=msg.hop_count + 1)
+            return
+        if msg.ttl <= 1:
+            return
+        candidates = sorted(self.flood_targets(exclude=msg.sender))
+        if not candidates:
+            # Dead end (leaf): step back through the sender.
+            candidates = [msg.sender] if msg.sender != -1 else []
+        if not candidates:
+            return
+        nxt = candidates[int(self.rng.integers(0, len(candidates)))]
+        fwd = WalkQuery(
+            d_id=msg.d_id, key=msg.key, origin=msg.origin,
+            query_id=msg.query_id, ttl=msg.ttl - 1, span_id=msg.span_id,
+        )
+        fwd.hop_count = msg.hop_count + 1
+        self.send(nxt, fwd)
+
+
+class TrackerMixin:
+    """BitTorrent-style s-networks: holders register with the t-peer,
+    which resolves lookups from its index instead of a flood."""
+
+    @cached_property
+    def bt_index(self) -> Dict[str, int]:
+        """The t-peer's key -> holder index."""
+        return {}
+
+    def _hold(self, key: str, value: Any, d_id: int) -> None:
+        super()._hold(key, value, d_id)
+        if self.role == "t":
+            self.bt_index[key] = self.address
+        else:
+            self.send(self.t_peer, BTRegister(key=key, d_id=d_id, holder=self.address))
+
+    def _search_segment(
+        self, qid: int, key: str, d_id: int, origin: int, ttl: int,
+        attempt: int, span: int, hops: int = 0,
+    ) -> None:
+        """Ask the tracker t-peer instead of flooding."""
+        if self.role == "t":
+            self._bt_resolve(qid, key, origin, hops=hops)
+        else:
+            self.send(
+                self.t_peer,
+                BTLookup(d_id=d_id, key=key, origin=origin, query_id=qid),
+            )
+
+    def on_BTRegister(self, msg: BTRegister) -> None:
+        if self.role == "t":
+            self.bt_index[msg.key] = msg.holder
+
+    def _bt_resolve(self, qid: int, key: str, origin: int, hops: int = 0) -> None:
+        """Tracker t-peer answers from its index (no flooding)."""
+        item = self.database.get(key)
+        if item is not None:
+            if origin == self.address:
+                self.answers_served += 1
+                self._finish_lookup(qid, True, item.value, self.address)
+            else:
+                self._answer(origin, qid, item, hops=hops)
+            return
+        holder = self.bt_index.get(key, -1)
+        if origin == self.address:
+            if holder == -1:
+                self._bt_negative(qid)
+            else:
+                self.send(holder, BTFetch(key=key, origin=self.address, query_id=qid))
+        else:
+            self.send(origin, BTLookupReply(query_id=qid, key=key, holder=holder))
+
+    def on_BTLookup(self, msg: BTLookup) -> None:
+        self.queries.contact(msg.query_id)
+        if self._liveness:
+            self.note_query_activity(msg.sender, msg.query_id)
+        trace = self.trace
+        if trace is not None and "lookup.hop" in trace.wanted:
+            self.emit(
+                "lookup.hop", span=-1, query_id=msg.query_id,
+                hop=msg.hop_count + 1, kind="bt",
+            )
+        if self.role != "t":
+            msg.hop_count += 1
+            self.send(self.t_peer, msg)
+            return
+        self._bt_resolve(msg.query_id, msg.key, msg.origin, hops=msg.hop_count + 1)
+
+    def on_BTLookupReply(self, msg: BTLookupReply) -> None:
+        """Origin: fetch from the holder the tracker named."""
+        if msg.holder == -1:
+            self._bt_negative(msg.query_id)
+            return
+        if msg.query_id in self.pending_lookups:
+            self.send(msg.holder, BTFetch(key=msg.key, origin=self.address, query_id=msg.query_id))
+
+    def on_BTFetch(self, msg: BTFetch) -> None:
+        self.queries.contact(msg.query_id)
+        trace = self.trace
+        if trace is not None and "lookup.hop" in trace.wanted:
+            self.emit(
+                "lookup.hop", span=-1, query_id=msg.query_id,
+                hop=msg.hop_count + 1, kind="bt",
+            )
+        item = self.database.get(msg.key)
+        if item is not None:
+            self._answer(msg.origin, msg.query_id, item, hops=msg.hop_count + 1)
+        # A lost item (crash) yields silence; the origin's timer fails it.
+
+    def _bt_negative(self, qid: int) -> None:
+        """Tracker had no holder: fail fast instead of waiting out the timer."""
+        self._finish_lookup(qid, False)

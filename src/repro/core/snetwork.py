@@ -14,12 +14,13 @@
   timers so walks swallowed by a concurrent crash are not lost.
 
 The resulting topology is a tree ("we use a tree instead of a mesh due
-to bandwidth efficiency consideration"); the mesh ablation adds extra
-links at build time in :mod:`repro.core.hybrid`.
+to bandwidth efficiency consideration"); the mesh ablation
+(:class:`MeshMixin`) adds extra links at build time in :mod:`repro.core.hybrid`.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Set
 
 from ..enhance.heterogeneity import link_usage
@@ -35,7 +36,7 @@ from ..overlay.messages import (
 from ..sim.timers import Timer
 from .config import CONNECT_LINK_USAGE, CONNECT_STAR
 
-__all__ = ["SNetworkMixin"]
+__all__ = ["SNetworkMixin", "MeshMixin"]
 
 #: Section 5.1's link-usage gate for connect points.  Calibrated to the
 #: default CapacityModel units (LOW = 0.05): 40 lets a LOW-capacity peer
@@ -60,17 +61,13 @@ class SNetworkMixin:
         """Where a flood fans out: tree links plus mesh-ablation links."""
         # union() copies even when there is nothing to add; the copy's
         # iteration order is the fan-out order the goldens pin.
-        targets = self.tree_neighbors().union(self._touched("extra_links") or ())
+        targets = self.tree_neighbors().union(self.extra_links)
         targets.discard(exclude)
         targets.discard(self.address)
         return targets
 
     def tree_degree(self) -> int:
         return len(self.children) + (1 if self.cp != -1 else 0)
-
-    def _child_capacity(self) -> int:
-        """How many more children this peer may accept."""
-        return self.config.delta - self.tree_degree()
 
     def owns_locally(self, d_id: int) -> bool:
         """Is ``d_id`` served by this peer's own s-network?"""
@@ -119,8 +116,8 @@ class SNetworkMixin:
             # A leaf must take the first child even if the degree cap or
             # link-usage frowns; otherwise the walk would dead-end.
             return True
-        if self._child_capacity() <= 0:
-            return False
+        if self.tree_degree() >= self.config.delta:
+            return False  # no spare degree for another child
         if policy == CONNECT_LINK_USAGE:
             # Section 5.1: accept only while degree/capacity stays low.
             return link_usage(self.tree_degree() + 1, self.capacity) <= LINK_USAGE_THRESHOLD
@@ -168,8 +165,7 @@ class SNetworkMixin:
     def on_SLeaveNotify(self, msg: SLeaveNotify) -> None:
         """A tree neighbor left: drop the link; rejoin if it was our cp."""
         self.children.discard(msg.leaver)
-        self.extra_links.discard(msg.leaver)
-        self.unwatch_neighbor(msg.leaver)
+        self._neighbor_gone(msg.leaver)
         if self.cp == msg.leaver:
             self.cp = -1
             self._start_rejoin()
@@ -233,3 +229,16 @@ class SNetworkMixin:
             self.cp = msg.new_t
             self.watch_neighbor(msg.new_t)
         self.send_many([c for c in self.children if c != msg.sender], msg)
+
+
+class MeshMixin:
+    """Mesh ablation: intra-s-network links beside the tree."""
+
+    @cached_property
+    def extra_links(self) -> Set[int]:
+        """Extra links of this peer, wired at build time."""
+        return set()
+
+    def _neighbor_gone(self, addr: int, crashed: bool = False) -> None:
+        self.extra_links.discard(addr)
+        super()._neighbor_gone(addr, crashed)

@@ -24,6 +24,7 @@ from typing import List, Tuple
 from ..overlay.messages import (
     CollectLoad,
     FingerSubstitute,
+    LoadTransferAck,
     RingNotify,
     SegmentGrow,
     LoadTransfer,
@@ -41,6 +42,7 @@ from ..overlay.messages import (
     TLeaveToSuc,
     TPeerUpdate,
 )
+from ..sim.timers import Timer
 from .config import ROUTING_FINGER
 
 __all__ = ["TNetworkMixin"]
@@ -100,6 +102,18 @@ class TNetworkMixin:
         """
         self.fingers = list(entries)
 
+    def _take_position(
+        self, p_id: int, pred: int, pred_pid: int, suc: int, suc_pid: int
+    ) -> None:
+        """Become the t-peer at ring position ``p_id``; a neighbor that
+        is this peer itself (a one-member ring) takes ``p_id`` too."""
+        self.role, self.p_id, self.t_peer, self.cp = "t", p_id, self.address, -1
+        self.predecessor = pred
+        self.predecessor_pid = p_id if pred == self.address else pred_pid
+        self.successor = suc
+        self.successor_pid = p_id if suc == self.address else suc_pid
+        self.segment_lo = self.predecessor_pid
+
     # ------------------------------------------------------------------
     # Join triangle (Fig. 2 left)
     # ------------------------------------------------------------------
@@ -149,12 +163,7 @@ class TNetworkMixin:
 
     def on_TJoinSetNeighbors(self, msg: TJoinSetNeighbors) -> None:
         """New peer's side of the triangle: adopt pointers, notify suc."""
-        self.role = "t"
-        self.p_id = msg.assigned_pid
-        self.t_peer = self.address
-        self.predecessor, self.predecessor_pid = msg.pre, msg.pre_pid
-        self.successor, self.successor_pid = msg.suc, msg.suc_pid
-        self.segment_lo = msg.pre_pid
+        self._take_position(msg.assigned_pid, msg.pre, msg.pre_pid, msg.suc, msg.suc_pid)
         self.send(
             msg.suc,
             TJoinNotifySuccessor(
@@ -213,15 +222,7 @@ class TNetworkMixin:
         Every peer of this s-network participates, so the instruction is
         flooded down the tree via :class:`CollectLoad`.
         """
-        items = self.database.extract_segment(lo, hi)
-        if items:
-            self.send(
-                target,
-                LoadTransfer(
-                    items=tuple((i.key, i.value, i.d_id) for i in items),
-                    reason="join",
-                ),
-            )
+        self._send_segment(lo, hi, target)
         collect = CollectLoad(new_address=target, new_pid=hi, pred_pid=lo)
         self.send_many(self.children, collect)
 
@@ -230,16 +231,17 @@ class TNetworkMixin:
         # The segment of this s-network shrank: its lower bound is now
         # the new t-peer's p_id.
         self.segment_lo = msg.new_pid
-        items = self.database.extract_segment(msg.pred_pid, msg.new_pid)
+        self._send_segment(msg.pred_pid, msg.new_pid, msg.new_address)
+        self.send_many([c for c in self.children if c != msg.sender], msg)
+
+    def _send_segment(self, lo: int, hi: int, target: int) -> None:
+        """Move this peer's items in ``(lo, hi]`` to ``target``."""
+        items = self.database.extract_segment(lo, hi)
         if items:
             self.send(
-                msg.new_address,
-                LoadTransfer(
-                    items=tuple((i.key, i.value, i.d_id) for i in items),
-                    reason="join",
-                ),
+                target,
+                LoadTransfer(items=tuple((i.key, i.value, i.d_id) for i in items), reason="join"),
             )
-        self.send_many([c for c in self.children if c != msg.sender], msg)
 
     def on_LoadTransfer(self, msg: LoadTransfer) -> None:
         if msg.transfer_id >= 0 and self.departing:
@@ -250,8 +252,6 @@ class TNetworkMixin:
         for key, value, d_id in msg.items:
             self.database.insert(key, value, d_id)
         if msg.transfer_id >= 0:
-            from ..overlay.messages import LoadTransferAck
-
             ack_to = msg.origin if msg.origin != -1 else msg.sender
             self.send(ack_to, LoadTransferAck(transfer_id=msg.transfer_id))
 
@@ -276,18 +276,19 @@ class TNetworkMixin:
             )
             self._depart()
             return
+        self._hand_over()
+
+    def _hand_over(self) -> None:
+        """Promote an s-peer (role handoff), or with none left start the
+        leave triangle; a timer retries either if nobody answers."""
         if self.children:
             self._handoff_role()
-        else:
-            self.send(
-                self.predecessor,
-                TLeaveToPre(
-                    leaver=self.address,
-                    suc=self.successor,
-                    suc_pid=self.successor_pid,
-                ),
-            )
-            self._arm_handoff_retry()  # retry if pre never answers
+            return
+        self.send(
+            self.predecessor,
+            TLeaveToPre(leaver=self.address, suc=self.successor, suc_pid=self.successor_pid),
+        )
+        self._arm_handoff_retry()
 
     def _handoff_role(self) -> None:
         """Promote a random s-peer of our own s-network (Table 1).
@@ -316,8 +317,6 @@ class TNetworkMixin:
         self._arm_handoff_retry()
 
     def _arm_handoff_retry(self) -> None:
-        from ..sim.timers import Timer
-
         if self._handoff_timer is None:
             self._handoff_timer = Timer(
                 self.engine, self.config.join_retry_timeout, self._handoff_retry
@@ -332,33 +331,18 @@ class TNetworkMixin:
         self.children.discard(self.handoff_target)
         self.handoff_target = -1
         self.emit("t.handoff.retry")
-        if self.children:
-            self._handoff_role()
-        else:
-            self.send(
-                self.predecessor,
-                TLeaveToPre(
-                    leaver=self.address,
-                    suc=self.successor,
-                    suc_pid=self.successor_pid,
-                ),
-            )
-            self._arm_handoff_retry()  # the triangle can wedge the same way
+        self._hand_over()
 
     def on_RoleHandoff(self, msg: RoleHandoff) -> None:
         """Chosen s-peer becomes the t-peer at the same ring position."""
         old_t = msg.sender
-        self.role = "t"
-        self.p_id = msg.p_id
-        self.t_peer = self.address
-        self.cp = -1
         if msg.predecessor == old_t:  # old peer was the only ring member
-            self.predecessor, self.predecessor_pid = self.address, msg.p_id
-            self.successor, self.successor_pid = self.address, msg.p_id
+            self._take_position(msg.p_id, self.address, -1, self.address, -1)
         else:
-            self.predecessor, self.predecessor_pid = msg.predecessor, msg.predecessor_pid
-            self.successor, self.successor_pid = msg.successor, msg.successor_pid
-        self.segment_lo = self.predecessor_pid
+            self._take_position(
+                msg.p_id, msg.predecessor, msg.predecessor_pid,
+                msg.successor, msg.successor_pid,
+            )
         self.fingers = list(msg.fingers)
         self.children.update(msg.s_neighbors)
         for key, value, d_id in msg.items:
@@ -371,11 +355,7 @@ class TNetworkMixin:
             ),
         )
         self._announce_substitution(old_t)
-        self._refresh_liveness()
-        # The leaver's replica store (copies for predecessor segments)
-        # departs with it; our anti-entropy probes from those owners
-        # refill ours.  Our own segment's holders are unchanged.
-        self.start_replica_sync()
+        self._serving(old_t)
         self.emit("t.handoff", old=old_t, p_id=self.p_id)
 
     def _announce_substitution(self, old_t: int) -> None:
@@ -404,14 +384,15 @@ class TNetworkMixin:
         """Old t-peer: hand over queued control work, then depart."""
         if self._handoff_timer is not None:
             self._handoff_timer.cancel()
-        new_t = msg.sender
-        for queued in self.join_queue:
-            self.send(new_t, queued)
-        self.join_queue.clear()
-        for deferred in self.deferred_leaves:
-            self.send(new_t, deferred)
-        self.deferred_leaves.clear()
+        self._pass_control_queues(msg.sender)
         self._depart()
+
+    def _pass_control_queues(self, target: int) -> None:
+        """Hand queued joins and deferred leaves to ``target``."""
+        for queued in (*self.join_queue, *self.deferred_leaves):
+            self.send(target, queued)
+        self.join_queue.clear()
+        self.deferred_leaves.clear()
 
     def on_FingerSubstitute(self, msg: FingerSubstitute) -> None:
         """Swap ``old`` for ``new`` in our pointers; forward if circulating.
@@ -442,7 +423,7 @@ class TNetworkMixin:
                 (pid, msg.new if addr == msg.old else addr)
                 for pid, addr in self.fingers
             ]
-        self.unwatch_neighbor(msg.old)
+        self._neighbor_gone(msg.old)
         if msg.old in (self.predecessor, self.successor) or msg.new in (
             self.predecessor,
             self.successor,
@@ -487,7 +468,7 @@ class TNetworkMixin:
         grow = SegmentGrow(new_lo=msg.pre_pid)
         self.send_many(self.children, grow)
         self._refresh_liveness()  # also unwatches the leaver
-        self.replica_absorb_segment(msg.pre_pid, old_lo, failover=False)
+        self._ring_moved(old_lo, self.successor, failover=False)
         self.send(msg.leaver, TLeaveAck())
 
     def on_TLeaveAck(self, msg: TLeaveAck) -> None:
@@ -508,12 +489,7 @@ class TNetworkMixin:
             self.server_address,
             ServerUpdate(kind="t_leave", address=self.address, p_id=self.p_id),
         )
-        for queued in self.join_queue:
-            self.send(self.predecessor, queued)
-        self.join_queue.clear()
-        for deferred in self.deferred_leaves:
-            self.send(self.predecessor, deferred)
-        self.deferred_leaves.clear()
+        self._pass_control_queues(self.predecessor)
         # Table 1's loaddump, acked: successor first, predecessor as the
         # fallback recipient.
         self._depart_with_load([self.successor, self.predecessor], reason="leave")
@@ -526,25 +502,13 @@ class TNetworkMixin:
         if self.role == "t":
             return  # stale duplicate
         old_t = msg.crashed
-        self.role = "t"
-        self.p_id = msg.p_id
-        self.t_peer = self.address
-        self.cp = -1
-        if msg.predecessor == self.address:
-            self.predecessor, self.predecessor_pid = self.address, msg.p_id
-        else:
-            self.predecessor, self.predecessor_pid = msg.predecessor, msg.predecessor_pid
-        if msg.successor == self.address:
-            self.successor, self.successor_pid = self.address, msg.p_id
-        else:
-            self.successor, self.successor_pid = msg.successor, msg.successor_pid
-        self.segment_lo = self.predecessor_pid
+        self._take_position(
+            msg.p_id, msg.predecessor, msg.predecessor_pid, msg.successor, msg.successor_pid
+        )
         self._announce_substitution(old_t)
-        self._refresh_liveness()
         self.emit("t.promotion", crashed=old_t, p_id=self.p_id)
-        # Our database starts empty at the crashed peer's position:
-        # pull the segment from its surviving replica holders.
-        self.replica_handle_promotion(old_t)
+        # Our database starts empty at the crashed peer's position.
+        self._serving(old_t, crashed=True)
 
     def on_RingRepairReply(self, msg: RingRepairReply) -> None:
         """Adopt the server's authoritative ring pointers and assert
@@ -562,12 +526,7 @@ class TNetworkMixin:
             self.watch_neighbor(msg.successor)
             self.send(msg.successor, RingNotify(p_id=self.p_id, claim="pred"))
         self.segment_lo = self.predecessor_pid
-        if self.predecessor_pid != old_lo:
-            # A crashed predecessor was excised: its segment is ours now
-            # and our replica copies of it become primary.
-            self.replica_absorb_segment(self.predecessor_pid, old_lo)
-        elif self.successor != old_suc:
-            self.replica_chain_changed()
+        self._ring_moved(old_lo, old_suc)
 
     def on_RingNotify(self, msg: RingNotify) -> None:
         """A neighbor asserts its ring position (Chord's notify rule).

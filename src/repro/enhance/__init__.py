@@ -5,7 +5,7 @@ landmark binning (:mod:`~repro.enhance.binning`), and bypass links
 (:mod:`~repro.enhance.bypass`).  Interest-based s-networks live in the
 server's assignment policy (:mod:`repro.core.server`) and the workload
 generator (:mod:`repro.workloads.keys`); the BitTorrent-style s-network
-is a data-plane mode (:mod:`repro.core.dataplane`).
+is a search strategy (:mod:`repro.core.search`).
 """
 
 from .binning import choose_landmarks, coordinate_of, prefix_similarity

@@ -27,7 +27,10 @@ failed (see :meth:`~repro.core.dataplane.DataPlaneMixin._lookup_expired`).
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import cached_property
+from typing import Any, Dict, Optional
+
+from ..overlay.messages import DataFound, FloodQuery, StoreAck
 
 __all__ = ["BypassLink", "BypassMixin"]
 
@@ -46,10 +49,64 @@ class BypassLink:
 class BypassMixin:
     """Bypass-link table management and lookup routing."""
 
+    @cached_property
+    def bypass(self) -> Dict[int, BypassLink]:
+        """Live shortcuts: remote peer -> its segment."""
+        return {}
+
+    def _lookup_remote(self, qid: int, pending: Any, retry: bool) -> None:
+        """Try a bypass shortcut first (Section 5.4), else ride the
+        t-network; a retry always takes the t-network."""
+        target = None if retry else self.bypass_target_for(pending.d_id)
+        if target is None:
+            super()._lookup_remote(qid, pending, retry)
+            return
+        pending.via_bypass = True
+        self.queries.note_bypass(qid)
+        self.send(
+            target,
+            FloodQuery(
+                d_id=pending.d_id, key=pending.key, origin=self.address,
+                query_id=qid, ttl=pending.ttl, attempt=pending.attempts,
+                span_id=pending.span,
+            ),
+        )
+
+    def _insert_as_holder(
+        self, key: str, value: Any, d_id: int, origin: int, write_id: int = -1
+    ) -> None:
+        super()._insert_as_holder(key, value, d_id, origin, write_id)
+        if origin not in (-1, self.address):
+            # Rule 2's other half: tell the inserter who holds its item.
+            self.send(
+                origin,
+                StoreAck(
+                    key=key,
+                    holder=self.address,
+                    holder_pid=self.p_id,
+                    holder_pred_pid=self._segment_lower_bound(),
+                ),
+            )
+
+    def on_StoreAck(self, msg: StoreAck) -> None:
+        """Bypass rule 2: link up with the holder of our remote insert."""
+        if msg.holder_pid != self.p_id:
+            self.add_bypass(msg.holder, msg.holder_pred_pid, msg.holder_pid)
+
+    def on_DataFound(self, msg: DataFound) -> Any:
+        """Bypass rule 3: link up with the holder of a found item."""
+        pending = super().on_DataFound(msg)
+        if pending is not None and msg.holder_pid != self.p_id:
+            self.add_bypass(msg.holder, msg.holder_pred_pid, msg.holder_pid)
+        return pending
+
+    def _neighbor_gone(self, addr: int, crashed: bool = False) -> None:
+        if crashed:
+            self.bypass.pop(addr, None)
+        super()._neighbor_gone(addr, crashed)
+
     def add_bypass(self, addr: int, lo: int, hi: int) -> None:
         """Rules 1-3: add/refresh a shortcut to ``addr`` (segment (lo, hi])."""
-        if not self.config.bypass_links:
-            return
         if addr in (-1, self.address) or hi == self.p_id:
             return  # self or same s-network: the tree already covers it
         self._prune_bypass()
@@ -75,10 +132,6 @@ class BypassMixin:
                 link.expires_at = self.engine.now + self.config.bypass_lifetime
                 return addr
         return None
-
-    def drop_bypass(self, addr: int) -> None:
-        """Remove a link (neighbor crashed or notified departure)."""
-        self.bypass.pop(addr, None)
 
     def _prune_bypass(self) -> None:
         now = self.engine.now

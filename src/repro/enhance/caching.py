@@ -22,18 +22,19 @@ This module supplies the design the conclusion sketches:
   timer" is the same pattern the paper uses for bypass links).
 
 ``HybridConfig.cache_enabled`` is the only knob; size and lifetime are
-these module constants.  :class:`CacheMixin` is mixed into
-:class:`~repro.core.hybridpeer.HybridPeer`; the cache sits in front of
-the database on every lookup path (origin checks, ring t-peers check
-before forwarding, flood receivers check).
+these module constants.  With :class:`CacheMixin` in the peer class the
+cache sits in front of the database on every lookup path (origin checks,
+ring t-peers check before forwarding, flood receivers check).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Any, Optional, Tuple
 
 from ..core.datastore import DataItem
+from ..overlay.messages import CachePush, DataFound
 
 __all__ = ["CACHE_CAPACITY", "CACHE_TTL", "LruCache", "CacheMixin"]
 
@@ -96,22 +97,31 @@ class LruCache:
 class CacheMixin:
     """Demand-driven caching hooks for the hybrid peer."""
 
-    def cache_lookup(self, key: str) -> Optional[DataItem]:
-        """Check the local cache (None when caching is disabled)."""
-        if self.cache is None:
-            return None
-        return self.cache.get(key, self.engine.now)
+    @cached_property
+    def cache(self) -> LruCache:
+        """This peer's surrogate copies."""
+        return LruCache()
 
     def cache_store(self, key: str, value, d_id: int) -> None:
         """Adopt an item as a surrogate copy."""
-        if self.cache is None:
-            return
         self.cache.put(DataItem(key, value, d_id), self.engine.now)
         self.emit("cache.fill", key=key)
 
-    def cache_hit_answer(
-        self, origin: int, qid: int, item: DataItem, hops: int = 0
-    ) -> None:
-        """Answer a query from cache (counts as served by us)."""
-        self.answers_served += 1
-        self._answer(origin, qid, item, hops=hops)
+    def on_DataFound(self, msg: DataFound) -> Any:
+        """The origin caches what it found elsewhere."""
+        pending = super().on_DataFound(msg)
+        if pending is not None and msg.holder != self.address:
+            d_id = self.idspace.hash_key(msg.key)
+            self.cache_store(msg.key, msg.value, d_id)
+            if self.role == "s" and not self.owns_locally(d_id):
+                # Seed the s-network's gateway surrogate: future
+                # remote lookups from this network stop at the t-peer.
+                self.send(
+                    self.t_peer,
+                    CachePush(key=msg.key, value=msg.value, d_id=d_id),
+                )
+        return pending
+
+    def on_CachePush(self, msg: CachePush) -> None:
+        """Adopt a surrogate copy pushed by an s-network member."""
+        self.cache_store(msg.key, msg.value, msg.d_id)

@@ -1,10 +1,9 @@
 """The replication protocol: quorum writes, anti-entropy, failover.
 
-:class:`ReplicationMixin` is composed into
-:class:`~repro.core.hybridpeer.HybridPeer` and is entirely inert at
-``replication_factor == 1`` (the paper's exact behaviour, and what the
-determinism golden test pins down).  At ``k > 1`` every t-peer plays
-two parts:
+:class:`ReplicationMixin` is composed into the peer class only at
+``replication_factor > 1`` (at 1 the peer is the paper's, exactly what
+the determinism golden test pins down).  Then every t-peer plays two
+parts:
 
 * **owner** of its own segment ``(pred_pid, p_id]`` -- holds the
   primary copy of each item in ``self.database`` and fans a
@@ -37,8 +36,9 @@ the segment, and the new owner re-replicates down its own chain.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..core.datastore import DataStore
 from ..overlay.messages import (
@@ -53,28 +53,20 @@ from .digest import items_in_segment, segment_digest
 __all__ = ["ReplicationMixin"]
 
 
+@dataclass(slots=True)
 class _PendingReplicaWrite:
     """Owner-side state of one tracked write awaiting its quorum."""
 
-    __slots__ = (
-        "key", "value", "d_id", "origin", "origin_wid",
-        "needed", "chain", "acks", "attempts", "timer",
-    )
-
-    def __init__(
-        self, key: str, value: Any, d_id: int, origin: int,
-        origin_wid: int, needed: int, chain: int,
-    ) -> None:
-        self.key = key
-        self.value = value
-        self.d_id = d_id
-        self.origin = origin
-        self.origin_wid = origin_wid
-        self.needed = needed  # replica acks still required (own copy counted out)
-        self.chain = chain  # replica holders addressed per attempt
-        self.acks: set = set()
-        self.attempts = 0
-        self.timer: Optional[Timer] = None
+    key: str
+    value: Any
+    d_id: int
+    origin: int
+    origin_wid: int
+    needed: int  # replica acks still required (own copy counted out)
+    chain: int  # replica holders addressed per attempt
+    acks: set = field(default_factory=set)
+    attempts: int = 0
+    timer: Optional[Timer] = None
 
 
 class ReplicationMixin:
@@ -85,7 +77,6 @@ class ReplicationMixin:
     # class defaults (a peer that never replicates carries none of it)
     # ------------------------------------------------------------------
     _replica_write_seq = 0
-    _write_watch_seq = 0
     _replica_sync_timer: Optional[PeriodicTimer] = None
 
     @cached_property
@@ -98,40 +89,58 @@ class ReplicationMixin:
         """Owner side: tracked writes awaiting their quorum."""
         return {}
 
-    @cached_property
-    def _write_watchers(self) -> Dict[int, Tuple[Callable[[bool, float], Any], float]]:
-        """Origin side: callbacks awaiting a durability verdict."""
-        return {}
-
-    @property
-    def _replication_on(self) -> bool:
-        return self.config.replication_factor > 1
-
     # ------------------------------------------------------------------
-    # Origin side: tracked writes
+    # Lifecycle hooks and data-plane steps: one authoritative holder per
+    # item, the owning t-peer (placement spreading is bypassed -- that
+    # is what makes the digest and failover promotion well-defined)
     # ------------------------------------------------------------------
-    def _watch_write(self, on_verdict: Callable[[bool, float], Any]) -> int:
-        """Track a write :meth:`store` is sending; returns its write id."""
-        self._write_watch_seq += 1
-        wid = self._write_watch_seq
-        self._write_watchers[wid] = (on_verdict, self.engine.now)
-        return wid
+    def _serving(self, old_t: int = -1, crashed: bool = False) -> None:
+        # A handoff's leaver takes its replica store along; anti-entropy
+        # probes from those owners refill ours.  A promotion starts with
+        # an empty database: pull the segment from its replica set (an
+        # empty digest makes every holder answer with its full copy).
+        if crashed:
+            self.emit("replica.failover", kind="promotion", crashed=old_t, p_id=self.p_id)
+        self.start_replica_sync()
+        if crashed:
+            self.replica_resync_now()
+        super()._serving(old_t, crashed)
 
-    def cancel_write_watch(self, on_verdict: Callable[[bool, float], Any]) -> None:
-        """Drop ``on_verdict`` from every write it awaits (the origin's
-        wait timed out)."""
-        watchers = self._write_watchers
-        for wid in [w for w, (cb, _t) in watchers.items() if cb is on_verdict]:
-            del watchers[wid]
+    def _stopping(self) -> None:
+        """Cancel every replica timer (leave/crash path)."""
+        if self._replica_sync_timer is not None:
+            self._replica_sync_timer.stop()
+        writes = self._touched("_replica_pending")
+        if writes:
+            for pending in writes.values():
+                if pending.timer is not None:
+                    pending.timer.cancel()
+            writes.clear()
+        super()._stopping()
 
-    def _write_verdict(self, wid: int, committed: bool) -> None:
-        entry = self._write_watchers.pop(wid, None)
-        if entry is None:
-            return
-        on_verdict, started = entry
-        latency = self.engine.now - started
-        self.emit("replica.commit", committed=committed, latency=latency)
-        on_verdict(committed, latency)
+    def _ring_moved(self, old_lo: int, old_suc: int, failover: bool = True) -> None:
+        if self.predecessor_pid != old_lo:  # our copies of it become primary
+            self.replica_absorb_segment(self.predecessor_pid, old_lo, failover)
+        elif self.successor != old_suc:
+            self.replica_resync_now()  # new successor: refresh its copies
+        super()._ring_moved(old_lo, old_suc, failover)
+
+    def _store_locally(self, key: str, value: Any, d_id: int, wid: int) -> bool:
+        if self.role == "t" and self.owns(d_id):
+            self._replica_ingest(key, value, d_id, self.address, origin_wid=wid)
+            return True
+        return False
+
+    def _store_at_owner(
+        self, key: str, value: Any, d_id: int, origin: int, write_id: int
+    ) -> None:
+        self._replica_ingest(key, value, d_id, origin, origin_wid=write_id)
+
+    def _read_owned(self, key: str) -> Any:
+        # Failover window: ownership reached us before the repair pull
+        # finished -- serve reads from the replica copy.
+        item = self.database.get(key)
+        return item if item is not None else self.replicas.get(key)
 
     # ------------------------------------------------------------------
     # Owner side: ingest + fan-out
@@ -228,7 +237,7 @@ class ReplicationMixin:
     def on_ReplicaAck(self, msg: ReplicaAck) -> None:
         if msg.final:
             # Owner's verdict arriving back at the write's origin.
-            self._write_verdict(msg.write_id, msg.committed)
+            super().on_ReplicaAck(msg)
             return
         pending = self._replica_pending.get(msg.write_id)
         if pending is None:
@@ -279,13 +288,8 @@ class ReplicationMixin:
     # Anti-entropy
     # ------------------------------------------------------------------
     def start_replica_sync(self) -> None:
-        """Arm the periodic digest exchange (owner role, k > 1)."""
-        if (
-            not self._replication_on
-            or self.config.replica_sync_period <= 0
-            or self.role != "t"
-            or not self.alive
-        ):
+        """Arm the periodic digest exchange (owner role)."""
+        if self.config.replica_sync_period <= 0 or self.role != "t" or not self.alive:
             return
         if self._replica_sync_timer is None:
             self._replica_sync_timer = PeriodicTimer(
@@ -296,30 +300,13 @@ class ReplicationMixin:
         if not self._replica_sync_timer.running:
             self._replica_sync_timer.start()
 
-    def stop_replica_sync(self) -> None:
-        if self._replica_sync_timer is not None:
-            self._replica_sync_timer.stop()
-
-    def replica_shutdown(self) -> None:
-        """Cancel every replica timer (leave/crash path)."""
-        self.stop_replica_sync()
-        writes = self._touched("_replica_pending")
-        if writes:
-            for pending in writes.values():
-                if pending.timer is not None:
-                    pending.timer.cancel()
-            writes.clear()
-        watchers = self._touched("_write_watchers")
-        if watchers:
-            watchers.clear()
-
     def _replica_sync_tick(self) -> None:
         if self.role == "t" and self.alive:
             self.replica_resync_now()
 
     def replica_resync_now(self) -> None:
         """One anti-entropy round: digest our segment down the chain."""
-        if not self._replication_on or self.role != "t":
+        if self.role != "t":
             return
         if self.successor in (-1, self.address):
             return
@@ -397,21 +384,8 @@ class ReplicationMixin:
         self.emit("replica.lag", items=len(behind), replica=msg.sender)
 
     # ------------------------------------------------------------------
-    # Failover hooks (called from the Section 4 crash machinery)
+    # Failover (the Section 4 crash machinery, through the hooks above)
     # ------------------------------------------------------------------
-    def replica_handle_promotion(self, crashed: int) -> None:
-        """We were promoted into a crashed t-peer's ring position with
-        an empty database: pull the whole segment from its replica set."""
-        if not self._replication_on:
-            return
-        self.emit(
-            "replica.failover", kind="promotion", crashed=crashed, p_id=self.p_id
-        )
-        self.start_replica_sync()
-        # Empty-db digest never matches a non-empty holder, so every
-        # surviving holder answers with its full copy of the segment.
-        self.replica_resync_now()
-
     def replica_absorb_segment(
         self, new_lo: int, old_lo: int, failover: bool = True
     ) -> None:
@@ -423,7 +397,7 @@ class ReplicationMixin:
         our copies just closes the window until it lands) -- no
         ``replica.failover`` event in that case.
         """
-        if not self._replication_on or new_lo == old_lo:
+        if new_lo == old_lo:
             return
         promoted = self.replicas.extract_segment(new_lo, old_lo)
         for item in promoted:
@@ -437,8 +411,3 @@ class ReplicationMixin:
         # Re-replicate the widened segment down our own chain (our
         # successors never held the absorbed range at depth k-1).
         self.replica_resync_now()
-
-    def replica_chain_changed(self) -> None:
-        """Our successor changed (crash repair): refresh its copies."""
-        if self._replication_on:
-            self.replica_resync_now()

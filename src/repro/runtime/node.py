@@ -15,8 +15,9 @@ This is the daemon the ``repro node`` CLI verb runs.  It owns:
   on the same connection -- each request in its own task, replies queued
   **as they resolve** (not in arrival order), correlated by request id.
 
-The protocol object itself is the *unmodified* simulator class: a
-client ``put``/``get`` passes a completion callback to the peer's own
+The protocol object itself is the *unmodified* simulator class, composed
+the same way (:func:`~repro.core.hybridpeer.peer_class`): a client
+``put``/``get`` passes a completion callback to the peer's own
 ``store``/``lookup``, and :class:`RuntimePeer` only adds a join hook, so
 every client waiter resolves on the event that completes it instead of
 polling.
@@ -30,13 +31,14 @@ from typing import Any, Callable, Dict, List, Optional, Set
 import numpy as np
 
 from ..core.config import HybridConfig
-from ..core.hybridpeer import HybridPeer
+from ..core.hybridpeer import HybridPeer, peer_class
 from ..core.lookup import QueryRegistry
 from ..obs.bridge import TraceBridge
 from ..obs.prom import handle_http_request
 from ..obs.registry import DEFAULT_CLIENT_LATENCY_MS_BUCKETS, MetricsRegistry
 from ..overlay.idspace import IdSpace
 from ..overlay.messages import Message
+from ..replica import ReplicationMixin
 from ..sim.trace import TraceBus
 from ..swarm import manifest as swarm_manifest
 from .aio_transport import AioTransport, FrameConnection
@@ -74,6 +76,11 @@ def _query_id_block(address: int) -> int:
     return (h & 0x3FFFFFFF) << 32
 
 
+def _tracker_holders(peer: HybridPeer) -> int:
+    tracker = peer._touched("swarm_tracker")  # never created unless swarming
+    return tracker.holder_count() if tracker is not None else 0
+
+
 class RuntimePeer(HybridPeer):
     """HybridPeer with ``join_callbacks``: fired (once each, then
     cleared) the instant the join handshake completes, so the daemon's
@@ -90,6 +97,15 @@ class RuntimePeer(HybridPeer):
         callbacks, self.join_callbacks = self.join_callbacks, []
         for callback in callbacks:
             callback()
+
+    def unhandled(self, msg: Message) -> None:
+        """A message for a feature this node runs without: counted, dropped."""
+        registry = self.transport.registry
+        if registry is not None:
+            registry.counter(
+                "repro_inbound_rejected_total",
+                "Inbound frames refused: oversized, undecodable or foreign", ("reason",),
+            ).labels("unhandled").inc()
 
 
 class NodeDaemon:
@@ -330,7 +346,7 @@ class PeerNode(NodeDaemon):
         # The listen address is final here (ephemeral port resolved by
         # start()), so the registry can claim this node's id block.
         self.queries.rebase(_query_id_block(self.address))
-        return RuntimePeer(
+        return peer_class(self.config, RuntimePeer)(
             address=self.address,
             host=0,
             engine=self.engine,
@@ -356,11 +372,11 @@ class PeerNode(NodeDaemon):
         self.registry.gauge(
             "repro_replica_keys",
             "Replica copies this peer holds for other segments",
-        ).set_function(lambda: float(len(peer.replicas)))
+        ).set_function(lambda: float(len(peer._touched("replicas") or ())))
         self.registry.gauge(
             "repro_swarm_holders",
             "Distinct holders registered with this peer's swarm tracker",
-        ).set_function(lambda: float(peer.swarm_tracker.holder_count()))
+        ).set_function(lambda: float(_tracker_holders(peer)))
 
     @property
     def peer(self) -> RuntimePeer:
@@ -429,7 +445,7 @@ class PeerNode(NodeDaemon):
         if not self.peer.joined:
             return ClientReply(ok=False, error="node has not joined yet")
         cfg = self.config
-        replicated = cfg.replication_factor > 1
+        replicated = isinstance(self.peer, ReplicationMixin)
         if replicated:
             # Owner-side retry budget plus routing/failover slack, in s.
             wait_s = (
@@ -651,13 +667,13 @@ class PeerNode(NodeDaemon):
             "predecessor": p.predecessor,
             "successor": p.successor,
             "keys_stored": len(p.database),
-            "replica_keys": len(p.replicas),
+            "replica_keys": len(p._touched("replicas") or ()),
             "swarm": {
                 "enabled": self.config.swarm_enabled,
-                "contents_held": len(p.swarm_pieces),
-                "contents_tracked": len(p.swarm_tracker),
-                "tracker_holders": p.swarm_tracker.holder_count(),
-                "integrity_failures": p.swarm_integrity_failures,
+                "contents_held": len(p._touched("swarm_pieces") or ()),
+                "contents_tracked": len(p._touched("swarm_tracker") or ()),
+                "tracker_holders": _tracker_holders(p),
+                "integrity_failures": getattr(p, "swarm_integrity_failures", 0),
             },
             "messages_received": p.messages_received,
             "uptime_s": round(self.uptime(), 3),

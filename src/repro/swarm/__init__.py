@@ -14,9 +14,9 @@ package implements the full data plane on top of that sketch:
 - :mod:`protocol` -- :class:`SwarmMixin`, the peer-side protocol: the
   same code drives the simulator and the live asyncio runtime.
 
-Disabled by default (``swarm_enabled=False``): the mixin allocates pure
-state and sends no messages, so the determinism golden is bit-identical
-to the pre-swarm system.
+Disabled by default (``swarm_enabled=False``): no peer class then has
+the mixin, so the determinism golden is bit-identical to the pre-swarm
+system.
 """
 
 from .manifest import (

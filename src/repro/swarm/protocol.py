@@ -1,7 +1,8 @@
 """SwarmMixin: the peer-side swarm protocol (sim and live).
 
-Mixed into :class:`~repro.core.hybridpeer.HybridPeer` alongside the
-replication mixin, this implements both halves of tracker mode:
+Composed into the peer class under ``swarm_enabled=True`` (see
+:func:`~repro.core.hybridpeer.peer_class`), this implements both halves
+of tracker mode:
 
 - **tracker** (segment-owning t-peer): answers
   :class:`~repro.overlay.messages.AnnounceRequest` with the known holder
@@ -17,13 +18,14 @@ replication mixin, this implements both halves of tracker mode:
 Everything is deterministic: piece/holder selection is a pure function
 (:func:`~repro.swarm.pieces.rarest_first` salted by the peer address),
 and the periodic re-announce tick rides the shared engine timers.  With
-``swarm_enabled=False`` (the default) nothing ever runs -- no messages,
-no timers, no RNG draws, and none of the state below is even created --
-so the determinism golden is bit-identical.
+``swarm_enabled=False`` (the default) no peer class has this mixin: no
+handler, no state, no messages -- so the determinism golden is
+bit-identical.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -36,7 +38,7 @@ from ..overlay.messages import (
 )
 from ..sim.timers import PeriodicTimer
 from . import manifest as mf
-from .pieces import bitmap_all, bitmap_get, bitmap_new, bitmap_set, rarest_first
+from .pieces import bitmap_get, bitmap_new, bitmap_set, rarest_first
 from .tracker import SwarmTracker
 
 __all__ = ["SwarmMixin"]
@@ -46,40 +48,29 @@ __all__ = ["SwarmMixin"]
 _PUMP_BUDGET = 32
 
 
+@dataclass(slots=True)
 class _SwarmDownload:
     """Book-keeping for one in-progress content fetch."""
 
-    __slots__ = (
-        "content",
-        "d_id",
-        "manifest",
-        "n_pieces",
-        "have",
-        "requested",  # piece -> (holder, sent_at)
-        "holder_maps",  # holder -> bytearray bitmap
-        "inflight",  # holder -> outstanding request count
-        "callbacks",
-        "timer",
-        "started_at",
-        "integrity_failures",
-        "done",
+    content: str
+    d_id: int
+    manifest: Dict[str, Any]
+    started_at: float
+    n_pieces: int = field(init=False)
+    have: Set[int] = field(default_factory=set)
+    # piece -> (holder, sent_at)
+    requested: Dict[int, Tuple[int, float]] = field(default_factory=dict)
+    holder_maps: Dict[int, bytearray] = field(default_factory=dict)  # holder -> bitmap
+    inflight: Dict[int, int] = field(default_factory=dict)  # holder -> requests out
+    callbacks: List[Callable[[Optional[bytes], Dict[str, Any]], None]] = field(
+        default_factory=list
     )
+    timer: Optional[PeriodicTimer] = None
+    integrity_failures: int = 0
+    done: bool = False
 
-    def __init__(self, content: str, d_id: int, manifest: Dict[str, Any],
-                 started_at: float) -> None:
-        self.content = content
-        self.d_id = d_id
-        self.manifest = manifest
-        self.n_pieces = len(manifest["pieces"])
-        self.have: Set[int] = set()
-        self.requested: Dict[int, Tuple[int, float]] = {}
-        self.holder_maps: Dict[int, bytearray] = {}
-        self.inflight: Dict[int, int] = {}
-        self.callbacks: List[Callable[[Optional[bytes], Dict[str, Any]], None]] = []
-        self.timer: Optional[PeriodicTimer] = None
-        self.started_at = started_at
-        self.integrity_failures = 0
-        self.done = False
+    def __post_init__(self) -> None:
+        self.n_pieces = len(self.manifest["pieces"])
 
 
 class SwarmMixin:
@@ -109,11 +100,7 @@ class SwarmMixin:
     def _swarm_downloads(self) -> Dict[str, _SwarmDownload]:
         return {}
 
-    @property
-    def _swarm_on(self) -> bool:
-        return self.config.swarm_enabled
-
-    def swarm_shutdown(self) -> None:
+    def _stopping(self) -> None:
         """Cancel download timers and drop swarm state (depart/crash)."""
         downloads = self._touched("_swarm_downloads")
         if downloads:
@@ -121,6 +108,7 @@ class SwarmMixin:
                 if dl.timer is not None:
                     dl.timer.stop()
             downloads.clear()
+        super()._stopping()
 
     # ------------------------------------------------------------------
     # Publishing / seeding
@@ -296,21 +284,22 @@ class SwarmMixin:
         of ``d_id`` handles it.  The owner handles its own messages
         locally instead of dialling itself.
         """
-        if self.role == "t" and self.owns(msg.d_id):
+        if not self._swarm_forward(msg):
             msg.sender = self.address
             self.receive(msg)
-            return
+
+    def _swarm_forward(self, msg) -> bool:
+        """Pass a tracker-bound message on unless this peer owns its d_id."""
         if self.role != "t":
             self.send(self.t_peer, msg)
-            return
-        self.send(self.ring_next_hop(msg.d_id), msg)
+        elif not self.owns(msg.d_id):
+            self.send(self.ring_next_hop(msg.d_id), msg)
+        else:
+            return False
+        return True
 
     def on_AnnounceRequest(self, msg: AnnounceRequest) -> None:
-        if self.role != "t":
-            self.send(self.t_peer, msg)
-            return
-        if not self.owns(msg.d_id):
-            self.send(self.ring_next_hop(msg.d_id), msg)
+        if self._swarm_forward(msg):
             return
         self.swarm_tracker.announce(msg.content, msg.origin, msg.n_pieces, msg.have)
         if self.wants_trace("swarm.holders"):
@@ -344,11 +333,7 @@ class SwarmMixin:
         self._swarm_pump(dl)
 
     def on_HaveAnnounce(self, msg: HaveAnnounce) -> None:
-        if self.role != "t":
-            self.send(self.t_peer, msg)
-            return
-        if not self.owns(msg.d_id):
-            self.send(self.ring_next_hop(msg.d_id), msg)
+        if self._swarm_forward(msg):
             return
         self.swarm_tracker.have(msg.content, msg.holder, msg.piece, msg.n_pieces)
         if self.wants_trace("swarm.holders"):
@@ -423,12 +408,3 @@ class SwarmMixin:
             self._swarm_finish(dl)
         else:
             self._swarm_pump(dl)
-
-    # ------------------------------------------------------------------
-    # Seeding a full bitmap helper (used by tests / the node daemon)
-    # ------------------------------------------------------------------
-    def swarm_full_bitmap(self, content: str) -> bytes:
-        meta = self.swarm_meta.get(content)
-        if meta is None:
-            return b""
-        return bytes(bitmap_all(len(meta["pieces"])))

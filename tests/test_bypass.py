@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HybridConfig, HybridSystem
+from repro.core import HybridConfig, HybridPeer, HybridSystem
 
 from .conftest import build_system
 
@@ -45,7 +45,9 @@ class TestLinkCreation:
     def test_disabled_by_default(self):
         system = build_system(p_s=0.8, n_peers=30)
         populate_and_lookup(system, n=60, rounds=1)
-        assert all(not p.bypass for p in system.alive_peers())
+        # Off means not composed: no table, and a StoreAck would be loud.
+        assert system.peer_class is HybridPeer
+        assert all(not hasattr(p, "bypass") for p in system.alive_peers())
 
 
 class TestExpiry:

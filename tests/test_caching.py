@@ -127,3 +127,26 @@ class TestCachingSystem:
         assert rec.status == "success"
         assert rec.holder == origin.address  # answered by itself
         assert rec.contacts == 0
+
+
+def test_cache_hit_counts_one_answer():
+    """A t-peer answering a ring lookup from its cache serves it once."""
+    system = build_system(p_s=0.7, n_peers=40, ttl=8, cache_enabled=True)
+    members = {}
+    for s_peer in system.s_peers():
+        members.setdefault(s_peer.t_peer, []).append(s_peer)
+    gateway, (first, second, *_rest) = next(
+        (system.peers[t], peers) for t, peers in members.items() if len(peers) >= 2
+    )
+    key = next(
+        k for k in (f"far{i}" for i in range(10_000))
+        if not gateway.owns(system.idspace.hash_key(k))
+    )
+    system.populate([(system.t_peers()[0].address, key, "v")])
+    system.run_lookups([(first.address, key)])
+    system.engine.run()  # the CachePush that seeds the gateway's cache
+    assert gateway.cache.keys() == [key]
+    served = gateway.answers_served
+    system.run_lookups([(second.address, key)])
+    assert system.query_stats().successes == 2
+    assert gateway.answers_served == served + 1

@@ -7,7 +7,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HybridConfig, HybridSystem
-from repro.core.hybridpeer import HybridPeer
 from repro.overlay.messages import DataFound, FloodQuery, LookupRequest, WalkQuery
 
 from .conftest import build_system
@@ -179,11 +178,11 @@ class TestLookup:
         assert contacts("finger") < contacts("linear")
 
 
-def count_deliveries(monkeypatch, *kinds):
-    """Count deliveries of each message class through ``HybridPeer``'s
-    dispatch table (build a system first: the table is made on demand)."""
+def count_deliveries(monkeypatch, system, *kinds):
+    """Count deliveries of each message class through the dispatch table
+    of ``system``'s peer class (made by its first peer)."""
     counts = {cls: 0 for cls in kinds}
-    table = HybridPeer._dispatch
+    table = type(system.alive_peers()[0])._dispatch
     for cls in kinds:
 
         def counted(peer, msg, real=table[cls.__name__], cls=cls):
@@ -216,7 +215,7 @@ class TestRetry:
         system.populate([(holder.address, key, "v")])
         assert tracker.bt_index[key] == holder.address
         system.crash_peers([holder.address])
-        counts = count_deliveries(monkeypatch, LookupRequest)
+        counts = count_deliveries(monkeypatch, system, LookupRequest)
         calls = []
         qid = tracker.lookup(key, lambda *done: calls.append(done))
         system.engine.run()
@@ -229,7 +228,7 @@ class TestRetry:
     def test_walk_local_retry_sends_walkers(self, monkeypatch):
         system = build_system(p_s=0.7, n_peers=30, search_mode="walk", max_refloods=1)
         origin = system.s_peers()[0]
-        counts = count_deliveries(monkeypatch, WalkQuery, FloodQuery)
+        counts = count_deliveries(monkeypatch, system, WalkQuery, FloodQuery)
         qid = origin.lookup(local_key(origin, "walk-retry-"))
         system.engine.run_until(system.engine.now + system.config.lookup_timeout / 2)
         first = counts[WalkQuery]

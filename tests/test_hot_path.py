@@ -40,11 +40,11 @@ class Hop(NamedTuple):
 
 @pytest.fixture
 def probe(monkeypatch):
-    """Wrap the two ring-hop handlers in ``HybridPeer``'s dispatch table."""
+    """Wrap the two ring-hop handlers in the peer class's dispatch table."""
 
     def install(system) -> List[Hop]:
         hops: List[Hop] = []
-        table = HybridPeer._dispatch
+        table = type(system.t_peers()[0])._dispatch
         for cls in (StoreRequest, LookupRequest):
 
             def wrapped(peer, msg, real=table[cls.__name__]):

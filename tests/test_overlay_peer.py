@@ -133,14 +133,16 @@ class TestTaxonomyHygiene:
                 obj()  # constructible with defaults
 
     def test_message_names_match_handler_convention(self):
-        """Every HybridPeer handler must name a real message class."""
-        from repro.core.hybridpeer import HybridPeer
+        """Every handler of every peer composition must name a real
+        message class."""
+        from .test_peer_composition import every_peer_class
 
         message_names = {
             name
             for name in messages_mod.__all__
             if isinstance(getattr(messages_mod, name), type)
         }
-        for attr in dir(HybridPeer):
-            if attr.startswith("on_"):
-                assert attr[3:] in message_names, f"{attr} has no message class"
+        for combo, cls in every_peer_class():
+            for attr in dir(cls):
+                if attr.startswith("on_"):
+                    assert attr[3:] in message_names, f"{combo}: {attr} has no message class"

@@ -1,4 +1,6 @@
-"""A peer costs what it uses: per-feature state appears on first use.
+"""A peer costs what it uses: per-feature state appears on first use,
+and a feature that is off has no state at all (its mixin is not in the
+peer's class).
 
 Attribute *counts*, not bytes, so every assertion repeats exactly.
 """
@@ -10,17 +12,34 @@ from functools import cached_property
 import pytest
 
 from repro.core import HybridSystem
-from repro.core.hybridpeer import HybridPeer
+from repro.core.failures import LivenessMixin
+from repro.core.hybridpeer import FEATURES, HybridPeer
+from repro.core.search import WalkMixin
+from repro.core.snetwork import MeshMixin
+from repro.enhance.bypass import BypassMixin
+from repro.enhance.caching import CacheMixin
+from repro.core.search import TrackerMixin
+from repro.replica import ReplicationMixin
+from repro.swarm import SwarmMixin
 
-from .conftest import build_bulk_system
+from .conftest import build_bulk_system, build_system
 
-LAZY = {
-    "join_queue", "deferred_leaves", "_dump_candidates", "extra_links",
-    "neighbor_deadlines", "_last_liveness_sent", "seen_queries",
-    "pending_lookups", "pending_searches", "bt_index", "bypass",
-    "replicas", "_replica_pending", "_write_watchers",
-    "swarm_pieces", "swarm_meta", "swarm_tracker", "_swarm_downloads",
+# The containers each class creates on first use.
+LAZY_BY_CLASS = {
+    HybridPeer: {
+        "join_queue", "deferred_leaves", "_dump_candidates", "seen_queries",
+        "pending_lookups", "pending_searches", "_write_watchers",
+    },
+    LivenessMixin: {"neighbor_deadlines", "_last_liveness_sent"},
+    ReplicationMixin: {"replicas", "_replica_pending"},
+    SwarmMixin: {"swarm_pieces", "swarm_meta", "swarm_tracker", "_swarm_downloads"},
+    CacheMixin: {"cache"},
+    BypassMixin: {"bypass"},
+    MeshMixin: {"extra_links"},
+    TrackerMixin: {"bt_index"},
+    WalkMixin: set(),
 }
+LAZY = set().union(*LAZY_BY_CLASS.values())
 # State that leave/crash paths only ever cancel and empty.
 CLEAR_ONLY = {
     "pending_lookups", "neighbor_deadlines", "_replica_pending",
@@ -38,27 +57,47 @@ def materialised(system: HybridSystem) -> dict:
     return {a: names for a, names in found.items() if names}
 
 
+def _cached_properties(cls, names) -> set:
+    return {name for name in names if isinstance(getattr(cls, name), cached_property)}
+
+
 def test_lazy_names_are_the_cached_properties():
-    declared = {
-        name for name in dir(HybridPeer)
-        if isinstance(getattr(HybridPeer, name), cached_property)
-    }
-    assert declared == LAZY
+    assert _cached_properties(HybridPeer, dir(HybridPeer)) == LAZY_BY_CLASS[HybridPeer]
+    assert {mixin for _name, mixin, _on in FEATURES} == set(LAZY_BY_CLASS) - {HybridPeer}
+    for _name, mixin, _on in FEATURES:
+        assert _cached_properties(mixin, vars(mixin)) == LAZY_BY_CLASS[mixin], mixin
 
 
 def test_idle_peer_carries_no_feature_state():
     system = bulk_system(ring_routing="finger")
     assert materialised(system) == {}
     for peer in system.peers.values():
-        assert len(vars(peer)) <= 46
+        assert type(peer) is HybridPeer
+        assert len(vars(peer)) <= 43
         assert "_dispatch" not in vars(peer)
-    # The scalar companions read as their class defaults.
+    # The scalar companions read as their class defaults; features that
+    # are off have none.
     peer = system.peers[1]
-    assert peer._replica_write_seq == peer._write_watch_seq == 0
-    assert peer._replica_sync_timer is None and peer.swarm_integrity_failures == 0
-    assert peer._watchdog is None and "_watchdog" not in vars(peer)
+    assert peer._write_watch_seq == 0 and peer.cache is None
+    assert not peer.extra_links and not peer._liveness
+    for name in ("_replica_write_seq", "_replica_sync_timer",
+                 "swarm_integrity_failures", "_watchdog", "hello_timer"):
+        assert not hasattr(peer, name), name
     assert system.total_replicas() == 0
     assert materialised(system) == {}
+
+
+def test_off_features_leave_no_state_on_crash_and_leave():
+    # Heartbeats on, bypass links and the mesh ablation off: crash
+    # recovery and an s-peer leave tell every neighbour, and none of
+    # them may grow a bypass table or a mesh-link set.
+    system = build_system(p_s=0.7, n_peers=60, seed=1, heartbeats_enabled=True)
+    system.crash_peers([system.t_peers()[3].address])
+    system.settle(20_000.0)
+    system.leave_peers([system.s_peers()[5].address])
+    system.settle(20_000.0)
+    for peer in system.peers.values():
+        assert not {"bypass", "extra_links"} & set(vars(peer)), peer.address
 
 
 @pytest.mark.parametrize("role", ["t", "s"])

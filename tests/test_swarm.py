@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.config import HybridConfig
 from repro.core.hybrid import HybridSystem
+from repro.swarm import SwarmMixin
 from repro.swarm import manifest as mf
 from repro.swarm.pieces import (
     bitmap_all,
@@ -281,10 +282,11 @@ def test_swarm_disabled_allocates_nothing_active() -> None:
     system = HybridSystem(config, n_peers=10, seed=1)
     system.build()
     for peer in system.alive_peers():
-        assert peer.swarm_pieces == {}
-        assert len(peer.swarm_tracker) == 0
-        assert peer._swarm_downloads == {}
-        assert not peer._swarm_on
+        # Off means not composed: no swarm state, handlers or API.
+        assert not isinstance(peer, SwarmMixin)
+        for name in ("swarm_pieces", "swarm_tracker", "_swarm_downloads",
+                     "swarm_fetch", "on_PieceRequest"):
+            assert not hasattr(peer, name), name
 
 
 def test_config_validates_swarm_knobs() -> None:
