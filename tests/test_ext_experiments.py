@@ -1,5 +1,5 @@
 """Tests for the extension experiments (maintenance cost, comparison,
-replication)."""
+replication, swarm)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import functools
 
 import pytest
 
-from repro.experiments import ext_comparison, ext_maintenance, ext_replication
+from repro.experiments import ext_comparison, ext_maintenance, ext_replication, ext_swarm
 
 
 class TestMaintenance:
@@ -105,3 +105,18 @@ class TestReplication:
             factors=(1, 2), fractions=(0.2,),
         )
         assert cells[(2, 0.2)].failure_ratio < 0.5 * cells[(1, 0.2)].failure_ratio
+
+
+class TestSwarm:
+    def test_flash_crowd_load_leaves_the_publisher(self):
+        """Section 5.5's one claim, at the quick CLI size (N = 60):
+        every fetcher that lands a piece becomes a source for it, so the
+        publisher serves less than the whole transfer -- and a smaller
+        share the bigger the crowd -- with every piece hash-verified."""
+        cells = ext_swarm.run(n_peers=60, seed=0)
+        assert [cell.fetchers for cell in cells] == [4, 8, 16]
+        shares = [cell.publisher_share for cell in cells]
+        assert all(0.0 < share < 1.0 for share in shares)
+        assert shares[0] > shares[1] > shares[2]
+        assert all(cell.max_peer_tx < cell.naive_max_tx for cell in cells)
+        assert [cell.integrity_failures for cell in cells] == [0, 0, 0]
