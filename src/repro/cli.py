@@ -24,7 +24,7 @@ Live-runtime verbs (real TCP; see :mod:`repro.runtime`):
   HOST:PORT`` -- store/fetch through a running node;
 * ``repro put-file KEY FILE`` / ``repro get-file KEY`` -- chunked bulk
   transfer over the tracker-mode swarm plane (needs nodes started with
-  ``--set swarm_enabled=true``; every piece is hash-verified);
+  ``--set snetwork_style=bittorrent``; every piece is hash-verified);
 * ``repro status --node HOST:PORT`` -- JSON snapshot of a node or the
   bootstrap directory (``--pretty`` indents, ``--metrics`` folds in the
   node's metrics-registry snapshot);

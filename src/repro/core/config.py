@@ -97,6 +97,8 @@ class HybridConfig:
     # --- s-network construction ----------------------------------------
     connect_policy: str = CONNECT_DEGREE
     assignment: str = ASSIGN_BALANCED
+    # "bittorrent" (Section 5.5): the t-peer is the s-network's tracker,
+    # for lookups and bulk content alike (repro.swarm).
     snetwork_style: str = SNETWORK_GNUTELLA
     # Ablation: number of extra non-tree links per s-peer (0 = pure tree,
     # the paper's design; >0 approximates a Gnutella mesh).
@@ -143,10 +145,7 @@ class HybridConfig:
     # repair after failover still runs).
     replica_sync_period: float = 0.0  # ms
     # --- repro.swarm: tracker-mode chunked bulk transfer (Section 5.5) --
-    # Off by default: like replication_factor=1, the disabled state is
-    # bit-identical to the pre-swarm system (pure state allocation, no
-    # messages or timers).
-    swarm_enabled: bool = False
+    # Read only in a BitTorrent-style s-network (snetwork_style above).
     # Bytes per piece for the live runtime's put-file split; the sim
     # uses explicit piece counts, not byte sizes.
     swarm_piece_size: int = 65536

@@ -15,7 +15,7 @@ they fan out into:
 * origin-side lookup timers with optional TTL-growing refloods.
 
 The segment search is one method, ``_search_segment`` (the flood; the
-walk and tracker mixins of :mod:`repro.core.search` override it).
+walk mixin and the BitTorrent-style swarm tracker override it).
 
 Lookup metrics (latency / failure ratio / connum) are recorded in the
 shared :class:`~repro.core.lookup.QueryRegistry`; an origin's optional

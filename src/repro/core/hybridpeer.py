@@ -61,7 +61,7 @@ from .datastore import DataStore
 from .dataplane import DataPlaneMixin
 from .failures import LivenessMixin
 from .lookup import QueryRegistry
-from .search import PartialSearch, SearchMixin, TrackerMixin, WalkMixin
+from .search import PartialSearch, SearchMixin, WalkMixin
 from .snetwork import MeshMixin, SNetworkMixin
 from .tnetwork import TNetworkMixin
 
@@ -360,15 +360,15 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
 #: never a set, so no MRO depends on PYTHONHASHSEED.  The order fixes the
 #: order of effects where mixins extend one method -- liveness starts
 #: before replication; on a found item the bypass rule runs before the
-#: cache (own part after super()) -- and puts the tracker ahead of walks.
+#: cache (own part after super()) -- and puts the swarm tracker (a
+#: BitTorrent-style s-network's search) ahead of walks.
 FEATURES: Tuple[Tuple[str, type, Callable[[HybridConfig], bool]], ...] = (
     ("liveness", LivenessMixin, lambda c: c.heartbeats_enabled),
     ("replication", ReplicationMixin, lambda c: c.replication_factor > 1),
-    ("swarm", SwarmMixin, lambda c: c.swarm_enabled),
+    ("swarm", SwarmMixin, lambda c: c.snetwork_style == SNETWORK_BITTORRENT),
     ("cache", CacheMixin, lambda c: c.cache_enabled),
     ("bypass", BypassMixin, lambda c: c.bypass_links),
     ("mesh", MeshMixin, lambda c: c.mesh_extra_links > 0),
-    ("tracker", TrackerMixin, lambda c: c.snetwork_style == SNETWORK_BITTORRENT),
     ("walk", WalkMixin, lambda c: c.search_mode == SEARCH_WALK),
 )
 

@@ -1,6 +1,6 @@
 """Alternative s-network search primitives.
 
-Three extensions the paper names but does not evaluate:
+Two extensions the paper names but does not evaluate:
 
 * **random walks** (Section 1: unstructured networks "use flooding or
   random walks to look up data items") -- ``search_mode="walk"`` sends
@@ -14,28 +14,23 @@ Three extensions the paper names but does not evaluate:
   its timer expires.  Unlike exact lookups there is no single holder,
   which is exactly why the paper pairs this with interest-based
   s-networks (the category's data all lives in one network).
-* **BitTorrent-style s-networks** (Section 5.5) -- "the t-peer acts as
-  a tracker": holders register their items with it, and it resolves a
-  lookup from its index instead of a flood.
 
 :class:`SearchMixin`'s prefix search is part of every peer.
-:class:`WalkMixin` (``search_mode="walk"``) and :class:`TrackerMixin`
-(``snetwork_style="bittorrent"``) replace the flood as the data plane's
-``_search_segment`` and are composed into a peer class only when on.
+:class:`WalkMixin` (``search_mode="walk"``) replaces the flood as the
+data plane's ``_search_segment`` and is composed into a peer class only
+when on.  (Section 5.5's BitTorrent-style s-network resolves lookups
+from the swarm tracker: :class:`~repro.swarm.protocol.SwarmMixin`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Dict, Optional
 
-from ..overlay.messages import (
-    BTFetch, BTLookup, BTLookupReply, BTRegister, PartialQuery, PartialResult, WalkQuery,
-)
+from ..overlay.messages import PartialQuery, PartialResult, WalkQuery
 from ..sim.timers import Timer
 
-__all__ = ["SearchMixin", "PartialSearch", "TrackerMixin", "WalkMixin"]
+__all__ = ["SearchMixin", "PartialSearch", "WalkMixin"]
 
 
 @dataclass(slots=True)
@@ -211,97 +206,3 @@ class WalkMixin:
         )
         fwd.hop_count = msg.hop_count + 1
         self.send(nxt, fwd)
-
-
-class TrackerMixin:
-    """BitTorrent-style s-networks: holders register with the t-peer,
-    which resolves lookups from its index instead of a flood."""
-
-    @cached_property
-    def bt_index(self) -> Dict[str, int]:
-        """The t-peer's key -> holder index."""
-        return {}
-
-    def _hold(self, key: str, value: Any, d_id: int) -> None:
-        super()._hold(key, value, d_id)
-        if self.role == "t":
-            self.bt_index[key] = self.address
-        else:
-            self.send(self.t_peer, BTRegister(key=key, d_id=d_id, holder=self.address))
-
-    def _search_segment(
-        self, qid: int, key: str, d_id: int, origin: int, ttl: int,
-        attempt: int, span: int, hops: int = 0,
-    ) -> None:
-        """Ask the tracker t-peer instead of flooding."""
-        if self.role == "t":
-            self._bt_resolve(qid, key, origin, hops=hops)
-        else:
-            self.send(
-                self.t_peer,
-                BTLookup(d_id=d_id, key=key, origin=origin, query_id=qid),
-            )
-
-    def on_BTRegister(self, msg: BTRegister) -> None:
-        if self.role == "t":
-            self.bt_index[msg.key] = msg.holder
-
-    def _bt_resolve(self, qid: int, key: str, origin: int, hops: int = 0) -> None:
-        """Tracker t-peer answers from its index (no flooding)."""
-        item = self.database.get(key)
-        if item is not None:
-            if origin == self.address:
-                self.answers_served += 1
-                self._finish_lookup(qid, True, item.value, self.address)
-            else:
-                self._answer(origin, qid, item, hops=hops)
-            return
-        holder = self.bt_index.get(key, -1)
-        if origin == self.address:
-            if holder == -1:
-                self._bt_negative(qid)
-            else:
-                self.send(holder, BTFetch(key=key, origin=self.address, query_id=qid))
-        else:
-            self.send(origin, BTLookupReply(query_id=qid, key=key, holder=holder))
-
-    def on_BTLookup(self, msg: BTLookup) -> None:
-        self.queries.contact(msg.query_id)
-        if self._liveness:
-            self.note_query_activity(msg.sender, msg.query_id)
-        trace = self.trace
-        if trace is not None and "lookup.hop" in trace.wanted:
-            self.emit(
-                "lookup.hop", span=-1, query_id=msg.query_id,
-                hop=msg.hop_count + 1, kind="bt",
-            )
-        if self.role != "t":
-            msg.hop_count += 1
-            self.send(self.t_peer, msg)
-            return
-        self._bt_resolve(msg.query_id, msg.key, msg.origin, hops=msg.hop_count + 1)
-
-    def on_BTLookupReply(self, msg: BTLookupReply) -> None:
-        """Origin: fetch from the holder the tracker named."""
-        if msg.holder == -1:
-            self._bt_negative(msg.query_id)
-            return
-        if msg.query_id in self.pending_lookups:
-            self.send(msg.holder, BTFetch(key=msg.key, origin=self.address, query_id=msg.query_id))
-
-    def on_BTFetch(self, msg: BTFetch) -> None:
-        self.queries.contact(msg.query_id)
-        trace = self.trace
-        if trace is not None and "lookup.hop" in trace.wanted:
-            self.emit(
-                "lookup.hop", span=-1, query_id=msg.query_id,
-                hop=msg.hop_count + 1, kind="bt",
-            )
-        item = self.database.get(msg.key)
-        if item is not None:
-            self._answer(msg.origin, msg.query_id, item, hops=msg.hop_count + 1)
-        # A lost item (crash) yields silence; the origin's timer fails it.
-
-    def _bt_negative(self, qid: int) -> None:
-        """Tracker had no holder: fail fast instead of waiting out the timer."""
-        self._finish_lookup(qid, False)

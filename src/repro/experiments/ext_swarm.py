@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..core.config import HybridConfig
+from ..core.config import SNETWORK_BITTORRENT, HybridConfig
 from ..core.hybrid import HybridSystem
 from ..metrics.report import format_table
 
@@ -62,7 +62,7 @@ def _flash_crowd(
 ) -> SwarmCell:
     config = HybridConfig(
         p_s=p_s,
-        swarm_enabled=True,
+        snetwork_style=SNETWORK_BITTORRENT,
         swarm_piece_size=1_000,
         swarm_inflight=4,
     )

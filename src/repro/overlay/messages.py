@@ -70,10 +70,10 @@ __all__ = [
     "ServerUpdate",
     "CachePush",
     "ReplicaPush",  # reserved wire id, never sent
-    "BTRegister",
-    "BTLookup",
+    "BTRegister",  # reserved wire id, never sent
+    "BTLookup",  # reserved wire id, never sent
     "BTLookupReply",
-    "BTFetch",
+    "BTFetch",  # reserved wire id, never sent
     # repro.replica: k-successor segment replication (appended in PR 7;
     # wire ids derive from position, so new classes only ever go here)
     "ReplicaWrite",
@@ -643,43 +643,29 @@ class ReplicaPush(Message):
 
 
 # ----------------------------------------------------------------------
-# BitTorrent-style s-network (Section 5.5)
+# BitTorrent-style s-network (Section 5.5): lookups resolve from the
+# swarm tracker; only its miss has a message of its own
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class BTRegister(Message):
-    """s-peer reports a newly stored item to its tracker t-peer."""
-
-    key: str = ""
-    d_id: int = 0
-    holder: int = -1
+    """Reserved wire id: never sent (holders send ``HaveAnnounce``)."""
 
 
 @dataclass(slots=True)
 class BTLookup(Message):
-    """Lookup sent directly to the tracker t-peer (no flooding)."""
-
-    d_id: int = 0
-    key: str = ""
-    origin: int = -1
-    query_id: int = -1
+    """Reserved wire id: never sent (s-peers send ``LookupRequest``)."""
 
 
 @dataclass(slots=True)
 class BTLookupReply(Message):
-    """Tracker's answer: which peer holds the item (-1 = not found)."""
+    """The tracker knows no holder: the origin fails the lookup now."""
 
     query_id: int = -1
-    key: str = ""
-    holder: int = -1
 
 
 @dataclass(slots=True)
 class BTFetch(Message):
-    """Origin fetches the item directly from the holder."""
-
-    key: str = ""
-    origin: int = -1
-    query_id: int = -1
+    """Reserved wire id: never sent (the tracker forwards a ``FloodQuery``)."""
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ from ..overlay.idspace import IdSpace
 from ..overlay.messages import Message
 from ..replica import ReplicationMixin
 from ..sim.trace import TraceBus
+from ..swarm import SwarmMixin
 from ..swarm import manifest as swarm_manifest
 from .aio_transport import AioTransport, FrameConnection
 from .client import (
@@ -506,11 +507,11 @@ class PeerNode(NodeDaemon):
     # Bulk transfer (repro.swarm)
     # ------------------------------------------------------------------
     def _swarm_gate(self) -> Optional[ClientReply]:
-        if not self.config.swarm_enabled:
+        if not isinstance(self.peer, SwarmMixin):
             return ClientReply(
                 ok=False,
                 error="swarm mode is disabled (start the node with "
-                "--set swarm_enabled=true)",
+                "--set snetwork_style=bittorrent)",
             )
         if not self.peer.joined:
             return ClientReply(ok=False, error="node has not joined yet")
@@ -669,7 +670,7 @@ class PeerNode(NodeDaemon):
             "keys_stored": len(p.database),
             "replica_keys": len(p._touched("replicas") or ()),
             "swarm": {
-                "enabled": self.config.swarm_enabled,
+                "enabled": isinstance(p, SwarmMixin),
                 "contents_held": len(p._touched("swarm_pieces") or ()),
                 "contents_tracked": len(p._touched("swarm_tracker") or ()),
                 "tracker_holders": _tracker_holders(p),

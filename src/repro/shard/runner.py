@@ -95,8 +95,6 @@ def check_shardable(config: HybridConfig) -> None:
         problems.append("search_mode == 'walk'")
     if config.snetwork_style == SNETWORK_BITTORRENT:
         problems.append("snetwork_style == 'bittorrent'")
-    if getattr(config, "swarm_enabled", False):
-        problems.append("swarm_enabled")
     if problems:
         raise ValueError(
             "configuration not supported by the sharded executor: "

@@ -14,9 +14,9 @@ package implements the full data plane on top of that sketch:
 - :mod:`protocol` -- :class:`SwarmMixin`, the peer-side protocol: the
   same code drives the simulator and the live asyncio runtime.
 
-Disabled by default (``swarm_enabled=False``): no peer class then has
-the mixin, so the determinism golden is bit-identical to the pre-swarm
-system.
+Composed only into a BitTorrent-style s-network
+(``snetwork_style="bittorrent"``), whose lookups resolve from the same
+tracker; under the default Gnutella style no peer class has the mixin.
 """
 
 from .manifest import (

@@ -1,13 +1,15 @@
-"""SwarmMixin: the peer-side swarm protocol (sim and live).
+"""SwarmMixin: the peer-side tracker protocol (sim and live).
 
-Composed into the peer class under ``swarm_enabled=True`` (see
-:func:`~repro.core.hybridpeer.peer_class`), this implements both halves
-of tracker mode:
+Composed into the peer class under ``snetwork_style="bittorrent"`` (see
+:func:`~repro.core.hybridpeer.peer_class`): Section 5.5's "the t-peer
+works as the tracker", for stored items and bulk content alike.
 
-- **tracker** (segment-owning t-peer): answers
-  :class:`~repro.overlay.messages.AnnounceRequest` with the known holder
-  set and keeps per-holder piece bitmaps fresh from
-  :class:`~repro.overlay.messages.HaveAnnounce` updates.
+- **tracker** (segment-owning t-peer): keeps per-holder piece bitmaps
+  fresh from :class:`~repro.overlay.messages.HaveAnnounce` updates and
+  answers :class:`~repro.overlay.messages.AnnounceRequest` with them.
+- **lookups**: a stored item is a one-piece content its s-peer holder
+  announces.  The tracker forwards a lookup to one known holder as a
+  one-hop ``FloodQuery`` instead of flooding, or fails it at once.
 - **downloader/seeder** (any peer): announces, selects pieces
   rarest-first across the advertised holders with a per-holder inflight
   cap, verifies every received piece against the manifest hash, streams
@@ -17,10 +19,9 @@ of tracker mode:
 
 Everything is deterministic: piece/holder selection is a pure function
 (:func:`~repro.swarm.pieces.rarest_first` salted by the peer address),
-and the periodic re-announce tick rides the shared engine timers.  With
-``swarm_enabled=False`` (the default) no peer class has this mixin: no
-handler, no state, no messages -- so the determinism golden is
-bit-identical.
+and the periodic re-announce tick rides the shared engine timers.  A
+Gnutella-style s-network (the default) has no handler, state or message
+of this mixin.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..overlay.messages import (
     AnnounceRequest,
     AnnounceResponse,
+    BTLookupReply,
+    FloodQuery,
     HaveAnnounce,
+    LookupRequest,
     PieceRequest,
     PieceResponse,
 )
@@ -148,6 +152,60 @@ class SwarmMixin:
             have=have,
         )
         self._swarm_to_tracker(msg)
+
+    # ------------------------------------------------------------------
+    # Stored items: one-piece contents, the tracker resolves lookups
+    # ------------------------------------------------------------------
+    def _hold(self, key: str, value: Any, d_id: int) -> None:
+        super()._hold(key, value, d_id)
+        if self.role != "t":  # a t-peer reads its own items first
+            self._swarm_register(key, d_id)
+
+    def _swarm_register(self, key: str, d_id: int) -> None:
+        self._swarm_to_tracker(HaveAnnounce(
+            content=key, d_id=d_id, holder=self.address, piece=0, n_pieces=1
+        ))
+
+    def _swarm_reregister(self) -> None:
+        """A new t-peer knows none of this s-peer's items: announce them."""
+        if self.role == "s":
+            for item in self.database:
+                self._swarm_register(item.key, item.d_id)
+
+    def on_TPeerUpdate(self, msg) -> None:
+        super().on_TPeerUpdate(msg)
+        self._swarm_reregister()
+
+    def on_RejoinRedirect(self, msg) -> None:
+        super().on_RejoinRedirect(msg)
+        self._swarm_reregister()
+
+    def _search_segment(
+        self, qid: int, key: str, d_id: int, origin: int, ttl: int,
+        attempt: int, span: int, hops: int = 0,
+    ) -> None:
+        """Ask the tracker, not the tree: an s-peer passes the lookup to
+        its t-peer, which sends it on to the first holder it knows."""
+        if self.role != "t":
+            self.send(self.t_peer, LookupRequest(
+                d_id=d_id, key=key, origin=origin, query_id=qid,
+                ttl=ttl, attempt=attempt, span_id=span,
+            ))
+        elif holders := self.swarm_tracker.holders_for(key, limit=1):
+            query = FloodQuery(
+                d_id=d_id, key=key, origin=origin, query_id=qid,
+                ttl=1, attempt=attempt, span_id=span,
+            )
+            query.hop_count = hops
+            self.send(holders[0][0], query)
+        elif origin == self.address:
+            self._finish_lookup(qid, False)
+        else:
+            self.send(origin, BTLookupReply(query_id=qid))
+
+    def on_BTLookupReply(self, msg: BTLookupReply) -> None:
+        """No holder known: fail fast instead of waiting out the timer."""
+        self._finish_lookup(msg.query_id, False)
 
     # ------------------------------------------------------------------
     # Fetching

@@ -5,7 +5,8 @@ owner of a content id keeps, per content, every announced holder's
 piece bitmap.  Downloaders announce (full query) and then stream
 :class:`~repro.overlay.messages.HaveAnnounce` updates as pieces arrive,
 so the tracker's availability view stays fresh without re-announcing
-whole bitmaps.
+whole bitmaps.  A stored item is a one-piece content under its key:
+its s-peer holders announce piece 0, and lookups resolve from here.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ class SwarmTracker:
         if bm is None:
             bm = entry.holders[holder] = bitmap_new(entry.n_pieces)
         bitmap_set(bm, piece)
-
-    def forget_peer(self, holder: int) -> None:
-        """Drop every registration of a departed/crashed holder."""
-        for entry in self._contents.values():
-            entry.holders.pop(holder, None)
 
     # ------------------------------------------------------------------
     def holders_for(

@@ -7,7 +7,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HybridConfig, HybridSystem
-from repro.overlay.messages import DataFound, FloodQuery, LookupRequest, WalkQuery
+from repro.experiments.common import Scale, run_cell
+from repro.overlay.messages import (
+    BTLookupReply, DataFound, FloodQuery, LookupRequest, WalkQuery,
+)
 
 from .conftest import build_system
 
@@ -194,6 +197,11 @@ def count_deliveries(monkeypatch, system, *kinds):
     return counts
 
 
+def known_holders(t_peer, key):
+    """The holders of ``key`` that ``t_peer``'s swarm tracker knows."""
+    return [addr for addr, _bitmap in t_peer.swarm_tracker.holders_for(key)]
+
+
 def local_key(peer, prefix):
     """A key whose d_id falls in ``peer``'s own s-network."""
     return next(
@@ -213,7 +221,7 @@ class TestRetry:
         tracker = system.peers[holder.t_peer]
         key = local_key(holder, "bt-retry-")
         system.populate([(holder.address, key, "v")])
-        assert tracker.bt_index[key] == holder.address
+        assert known_holders(tracker, key) == [holder.address]
         system.crash_peers([holder.address])
         counts = count_deliveries(monkeypatch, system, LookupRequest)
         calls = []
@@ -264,8 +272,60 @@ class TestBitTorrentMode:
         populate(system, 90)
         peers = {p.address: p for p in system.alive_peers()}
         for t in system.t_peers():
-            for key, holder in t.bt_index.items():
-                assert key in peers[holder].database
+            for key in t.swarm_tracker.contents():
+                for holder in known_holders(t, key):
+                    assert key in peers[holder].database
+
+    def test_remote_lookup_has_no_reply_leg(self, monkeypatch):
+        """The tracker forwards a remote lookup to the holder, which
+        answers the origin: no BTLookupReply leg when the item exists."""
+        system = build_system(p_s=0.8, n_peers=30, snetwork_style="bittorrent")
+        holder = system.s_peers()[0]
+        key = local_key(holder, "bt-remote-")
+        system.populate([(holder.address, key, "v")])
+        asker = next(p for p in system.s_peers() if p.t_peer != holder.t_peer)
+        counts = count_deliveries(
+            monkeypatch, system, BTLookupReply, FloodQuery, DataFound
+        )
+        calls = []
+        asker.lookup(key, lambda *done: calls.append(done))
+        system.engine.run()
+        assert calls == [(True, "v", holder.address)]
+        assert counts == {BTLookupReply: 0, FloodQuery: 1, DataFound: 1}
+
+    def test_tracker_follows_items_across_t_peer_leaves(self):
+        """Three t-peers leave gracefully; each hands its role to one of
+        its s-peers, whose s-network re-announces its items to it.  Every
+        lookup still resolves, and every item an s-peer holds is known
+        to its t-peer's tracker."""
+        system = build_system(p_s=0.8, n_peers=40, snetwork_style="bittorrent")
+        populate(system, 200)
+        system.leave_peers(sorted(p.address for p in system.t_peers())[:3])
+        system.engine.run()
+        peers = {p.address: p for p in system.alive_peers()}
+        alive = sorted(peers)
+        system.run_lookups(
+            [(alive[(i * 11) % len(alive)], f"k{i}") for i in range(200)]
+        )
+        assert system.query_stats().failures == 0
+        unknown = [
+            item.key for p in system.s_peers() for item in p.database
+            if p.address not in known_holders(peers[p.t_peer], item.key)
+        ]
+        assert unknown == []
+
+    def test_crashes_fail_no_more_lookups_than_the_flood(self):
+        """The quick Fig. 5b crash cell (a fifth of the peers crash,
+        heartbeats on): tracker resolution loses no more lookups than
+        flooding the same s-networks."""
+        def failures(style):
+            config = HybridConfig(
+                p_s=0.6, heartbeats_enabled=True, lookup_timeout=30_000.0,
+                snetwork_style=style,
+            )
+            return run_cell(config, Scale.quick(seed=2), crash_fraction=0.2).failures
+
+        assert failures("bittorrent") <= failures("gnutella")
 
     def test_bt_negative_reply_fails_fast(self):
         system = build_system(p_s=0.8, n_peers=20, snetwork_style="bittorrent")

@@ -160,9 +160,9 @@ FEATURE_CELLS = {
     ),
     "bittorrent": (
         HybridConfig(p_s=0.6, snetwork_style="bittorrent"), 0.0,
-        {"mean_latency": 1866.1109900909987, "median_latency": 1877.5303596812737,
+        {"mean_latency": 1828.8169776779496, "median_latency": 1814.0305975327792,
          "connum": 9695, "mean_contacts": 24.2375},
-        21_828, 0,
+        21_624, 0,
     ),
     "mesh": (
         HybridConfig(p_s=0.6, mesh_extra_links=2), 0.0,
@@ -229,7 +229,7 @@ def test_swarm_crowd_digest():
     from repro.core.hybrid import HybridSystem
 
     config = HybridConfig(
-        p_s=0.7, swarm_enabled=True, swarm_piece_size=1_000,
+        p_s=0.7, snetwork_style="bittorrent", swarm_piece_size=1_000,
         swarm_inflight=4, swarm_request_timeout=250.0,
     )
     system = HybridSystem(config, n_peers=14, seed=9)

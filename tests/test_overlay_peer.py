@@ -146,3 +146,23 @@ class TestTaxonomyHygiene:
             for attr in dir(cls):
                 if attr.startswith("on_"):
                     assert attr[3:] in message_names, f"{combo}: {attr} has no message class"
+
+    def test_only_reserved_wire_ids_have_no_handler(self):
+        """Every message is handled by the server or by the peer with
+        every feature on, except the reserved wire ids: kept so no
+        other id moves, and never sent."""
+        from repro.core.hybridpeer import peer_class
+        from repro.core.server import BootstrapServer
+
+        from .test_peer_composition import FEATURE_KWARGS, config_with
+
+        handled = {
+            attr[3:]
+            for cls in (BootstrapServer, peer_class(config_with(*FEATURE_KWARGS)))
+            for attr in dir(cls)
+            if attr.startswith("on_")
+        }
+        unhandled = {cls.__name__ for cls in messages_mod.wire_types()} - handled
+        assert unhandled == {
+            "TLeaveRequest", "ReplicaPush", "BTRegister", "BTLookup", "BTFetch",
+        }

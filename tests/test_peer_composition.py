@@ -30,11 +30,10 @@ from .conftest import build_system
 FEATURE_KWARGS = {
     "liveness": {"heartbeats_enabled": True},
     "replication": {"replication_factor": 2},
-    "swarm": {"swarm_enabled": True},
+    "swarm": {"snetwork_style": "bittorrent"},
     "cache": {"cache_enabled": True},
     "bypass": {"bypass_links": True},
     "mesh": {"mesh_extra_links": 1},
-    "tracker": {"snetwork_style": "bittorrent"},
     "walk": {"search_mode": "walk"},
 }
 MIXINS = {name: mixin for name, mixin, _on in FEATURES}
@@ -48,7 +47,7 @@ def config_with(*names: str) -> HybridConfig:
 
 
 def every_peer_class():
-    """(feature names, class) for all 2**8 feature sets (the handler-name
+    """(feature names, class) for all 2**7 feature sets (the handler-name
     hygiene test in test_overlay_peer.py runs over these)."""
     names = list(FEATURE_KWARGS)
     for r in range(len(names) + 1):
@@ -58,8 +57,8 @@ def every_peer_class():
 
 def test_features_are_the_configurable_ones():
     assert list(MIXINS) == list(FEATURE_KWARGS)
-    # The tracker strategy must win over walks when both are on.
-    assert list(MIXINS).index("tracker") < list(MIXINS).index("walk")
+    # The tracker's search must win over walks when both are on.
+    assert list(MIXINS).index("swarm") < list(MIXINS).index("walk")
 
 
 def test_default_config_is_the_core():
@@ -96,9 +95,8 @@ def test_default_peer_has_only_core_handlers():
     off = {
         "Hello", "Ack", "ReplicaWrite", "ReplicaSyncRequest",
         "ReplicaSyncResponse", "AnnounceRequest", "AnnounceResponse",
-        "HaveAnnounce", "PieceRequest", "PieceResponse", "BTRegister",
-        "BTLookup", "BTLookupReply", "BTFetch", "WalkQuery", "CachePush",
-        "StoreAck",
+        "HaveAnnounce", "PieceRequest", "PieceResponse", "BTLookupReply",
+        "WalkQuery", "CachePush", "StoreAck",
     }
     assert not handlers & off
     everything = {
@@ -133,7 +131,7 @@ def test_live_peer_counts_and_drops_an_off_feature_message():
 
 # Feature flags: the config fields that pick the peer class.
 FLAGS = (
-    "heartbeats_enabled", "replication_factor", "swarm_enabled", "cache_enabled",
+    "heartbeats_enabled", "replication_factor", "cache_enabled",
     "bypass_links", "mesh_extra_links", "search_mode", "snetwork_style",
 )
 # Who may read them: the composition, each owning mixin's module, and
@@ -144,14 +142,11 @@ FLAG_READERS = {
     "core/failures.py": {"heartbeats_enabled"},
     "replica/__init__.py": {"replication_factor"},
     "replica/protocol.py": {"replication_factor"},
-    "swarm/protocol.py": {"swarm_enabled"},
     "enhance/caching.py": {"cache_enabled"},
     "enhance/bypass.py": {"bypass_links"},
     "core/snetwork.py": {"mesh_extra_links"},
-    "core/search.py": {"search_mode", "snetwork_style"},
     "core/hybrid.py": {"heartbeats_enabled", "mesh_extra_links"},
     "shard/runner.py": set(FLAGS),
-    "runtime/node.py": {"swarm_enabled"},  # the swarm gate
     "cli.py": set(FLAGS),
 }
 

@@ -18,7 +18,6 @@ from repro.core.search import WalkMixin
 from repro.core.snetwork import MeshMixin
 from repro.enhance.bypass import BypassMixin
 from repro.enhance.caching import CacheMixin
-from repro.core.search import TrackerMixin
 from repro.replica import ReplicationMixin
 from repro.swarm import SwarmMixin
 
@@ -36,7 +35,6 @@ LAZY_BY_CLASS = {
     CacheMixin: {"cache"},
     BypassMixin: {"bypass"},
     MeshMixin: {"extra_links"},
-    TrackerMixin: {"bt_index"},
     WalkMixin: set(),
 }
 LAZY = set().union(*LAZY_BY_CLASS.values())

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.overlay import messages as messages_mod
 from repro.overlay.messages import (
     FloodQuery,
     Hello,
@@ -162,6 +163,18 @@ def test_type_ids_stable() -> None:
     a, b = default_codec(), default_codec()
     for cls in wire_types():
         assert a.type_id_of(cls) == b.type_id_of(cls)
+
+
+def test_section_5_5_wire_ids_pinned() -> None:
+    """The four ``BT*`` ids (three of them reserved, never sent) and the
+    five swarm messages keep their ids: no name may leave ``__all__``."""
+    pinned = {
+        "BTRegister": 43, "BTLookup": 44, "BTLookupReply": 45, "BTFetch": 46,
+        "AnnounceRequest": 51, "AnnounceResponse": 52, "HaveAnnounce": 53,
+        "PieceRequest": 54, "PieceResponse": 55,
+    }
+    ids = {name: CODEC.type_id_of(getattr(messages_mod, name)) for name in pinned}
+    assert ids == pinned
 
 
 # ----------------------------------------------------------------------

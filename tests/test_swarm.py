@@ -182,22 +182,12 @@ def test_tracker_announce_have_and_ranking() -> None:
     assert tracker.n_pieces("c1") == 8
 
 
-def test_tracker_forget_peer_drops_all_registrations() -> None:
-    tracker = SwarmTracker()
-    tracker.announce("c1", 10, 4, bytes(bitmap_all(4)))
-    tracker.announce("c2", 10, 4, bytes(bitmap_all(4)))
-    tracker.announce("c2", 20, 4, bytes(bitmap_all(4)))
-    tracker.forget_peer(10)
-    assert tracker.holder_count("c1") == 0
-    assert [a for a, _ in tracker.holders_for("c2")] == [20]
-
-
 # ----------------------------------------------------------------------
 # Simulated flash crowd
 # ----------------------------------------------------------------------
 def _swarm_system(n_peers: int = 16, seed: int = 3) -> HybridSystem:
     config = HybridConfig(
-        p_s=0.7, swarm_enabled=True, swarm_piece_size=1_000,
+        p_s=0.7, snetwork_style="bittorrent", swarm_piece_size=1_000,
         swarm_inflight=4, swarm_request_timeout=250.0,
     )
     system = HybridSystem(config, n_peers=n_peers, seed=seed)
@@ -278,7 +268,7 @@ def test_sim_crowd_is_deterministic() -> None:
 
 def test_swarm_disabled_allocates_nothing_active() -> None:
     config = HybridConfig()
-    assert config.swarm_enabled is False
+    assert config.snetwork_style == "gnutella"
     system = HybridSystem(config, n_peers=10, seed=1)
     system.build()
     for peer in system.alive_peers():

@@ -24,7 +24,7 @@ from repro.runtime import (
 from repro.runtime.localnet import fast_config
 
 SWARM = dict(
-    swarm_enabled=True,
+    snetwork_style="bittorrent",
     swarm_piece_size=8192,
     swarm_request_timeout=400.0,
 )
