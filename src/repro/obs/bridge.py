@@ -72,7 +72,7 @@ def declare_protocol_metrics(registry: MetricsRegistry) -> dict:
         ),
         "hop_events": registry.counter(
             "repro_lookup_hop_events_total",
-            "Per-hop lookup trace events, by hop kind (ring/flood/walk/bt)",
+            "Per-hop lookup trace events, by hop kind (ring/flood/walk)",
             labelnames=("kind",),
         ),
         "fanout": registry.histogram(
