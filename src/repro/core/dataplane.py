@@ -304,8 +304,7 @@ class DataPlaneMixin:
         if not (span == 0 or 0 < ((msg.d_id - pred) & mask) <= span):
             msg.hop_count += 1
             # ring_next_hop, inlined for the plain successor walk; and
-            # transport.send called directly (Python to Python), not
-            # through the pre-bound ``self.send`` partial.
+            # transport.send called directly, not through ``self.send``.
             nxt = self.ring_next_hop(msg.d_id) if self.fingers else self.successor
             self.transport.send(self, nxt, msg)
             return
@@ -414,8 +413,7 @@ class DataPlaneMixin:
         span = (self.p_id - pred) & mask
         if not (span == 0 or 0 < ((msg.d_id - pred) & mask) <= span):
             # ring_next_hop, inlined for the plain successor walk; and
-            # transport.send called directly (Python to Python), not
-            # through the pre-bound ``self.send`` partial.
+            # transport.send called directly, not through ``self.send``.
             nxt = self.ring_next_hop(msg.d_id) if self.fingers else self.successor
             self.transport.send(self, nxt, msg)
             return

@@ -35,6 +35,8 @@ class DataStore:
     ``store`` semantics).
     """
 
+    __slots__ = ("_idspace", "_items")
+
     def __init__(self, idspace: IdSpace) -> None:
         self._idspace = idspace
         self._items: Dict[str, DataItem] = {}

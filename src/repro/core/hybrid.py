@@ -148,8 +148,8 @@ class HybridSystem:
         """Dismantle a finished system so its memory is freed right away.
 
         System, transport, engine heap, trace bus and peers reference
-        each other in cycles (every peer holds a ``send`` partial bound
-        to itself, every armed timer its owner), so a dropped system
+        each other in cycles (the transport's actor table holds every
+        peer, every armed timer its owner), so a dropped system
         would otherwise sit there until the next full collection --
         several cells later in a sweep worker.  Closing cuts the
         cycles; plain reference counting then frees the graph as the

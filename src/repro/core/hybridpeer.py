@@ -21,8 +21,9 @@ point (contact the server, then run the t-join ring walk or the s-join
 tree walk), and the public ``leave`` / ``crash`` lifecycle.
 
 A peer costs what it uses: identity, ring/tree pointers and everything
-read per message are set in ``__init__``; each per-feature container
-(join queue, flood dedup set, pending lookups, ...) is a
+read per message are set in ``__init__``; idle lifecycle state is a
+class default until first written; each per-feature container (join
+queue, flood dedup set, pending lookups, ...) is a
 :func:`functools.cached_property` that lands in the instance dict on
 first touch and is an ordinary attribute from then on (see DESIGN.md,
 "Peer state").  Teardown paths go through :meth:`HybridPeer._touched`
@@ -77,6 +78,22 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
     cache: Optional[LruCache] = None  # CacheMixin
     extra_links: FrozenSet[int] = frozenset()  # MeshMixin
 
+    # Idle in a steady-state cell: read from the class until first written.
+    interest: Optional[str] = None
+    coordinate: Optional[Tuple[int, ...]] = None
+    join_request_time = float("nan")
+    joining = False
+    pending_join: Optional[Tuple[int, int]] = None
+    leaving = False
+    want_leave = False
+    handoff_target = -1
+    _handoff_timer: Optional[Timer] = None
+    _rejoin_timer: Optional[Timer] = None
+    # Departure-time load dump (acked + retried; see _depart_with_load).
+    _dump_pending_id = -1
+    _dump_next_id = 0
+    _dump_timer: Optional[Timer] = None
+
     def __init__(
         self,
         address: int,
@@ -97,14 +114,10 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
         self.rng = rng
         self.queries = queries
         self.capacity = capacity
-        self.interest = interest
-        self.coordinate = coordinate
-        self.server_address = config.server_address
 
         # --- lifecycle -------------------------------------------------
         self.role: str = "new"
         self.joined = False
-        self.join_request_time = float("nan")
         self.join_latency = float("nan")
 
         # --- ring state (role "t") --------------------------------------
@@ -114,28 +127,35 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
         self.successor = -1
         self.successor_pid = -1
         self.fingers: List[Tuple[int, int]] = []
-        self.joining = False
-        self.pending_join: Optional[Tuple[int, int]] = None
-        self.leaving = False
-        self.want_leave = False
-        self.handoff_target = -1
-        self._handoff_timer: Optional[Timer] = None
-        # Departure-time load dump (acked + retried; see _depart_with_load).
-        self._dump_pending_id = -1
-        self._dump_next_id = 0
-        self._dump_timer: Optional[Timer] = None
-        self._dump_reason = "leave"
 
         # --- tree state --------------------------------------------------
         self.t_peer = -1
         self.cp = -1
         self.children: Set[int] = set()
         self.segment_lo = -1
-        self._rejoin_timer: Optional[Timer] = None
 
         # --- data plane -----------------------------------------------------
         self.database = DataStore(idspace)
         self.answers_served = 0  # queries this peer answered (db or cache)
+
+        if "_keys_reserved" not in type(self).__dict__:
+            # CPython fixes a class's shared instance keys with its first
+            # few instances; a name past them costs a peer a ~1.6 KB dict.
+            # Enter the lookup path's containers, then the optional names
+            # (these may spill, the core ones not; DESIGN.md, "Peer state").
+            for name in ("pending_lookups", "seen_queries"):
+                setattr(self, name, None)
+                delattr(self, name)
+            type(self)._keys_reserved = True
+        if interest is not None:
+            self.interest = interest
+        if coordinate is not None:
+            self.coordinate = coordinate
+
+    @property
+    def server_address(self) -> int:
+        """The well-known bootstrap server's address."""
+        return self.config.server_address
 
     # ------------------------------------------------------------------
     # State created on first use (feature mixins declare theirs alike)
@@ -148,11 +168,6 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
     @cached_property
     def deferred_leaves(self) -> List[TLeaveToPre]:
         """Successor leaves deferred while a join is in progress."""
-        return []
-
-    @cached_property
-    def _dump_candidates(self) -> List[int]:
-        """Recipients still to try for the departure-time load dump."""
         return []
 
     @cached_property
@@ -241,7 +256,7 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
         """True while a departure-time load dump is awaiting its ack."""
         return self._dump_pending_id >= 0
 
-    def _depart_with_load(self, candidates: List[int], reason: str) -> None:
+    def _depart_with_load(self, candidates: List[int]) -> None:
         """Hand the database to the first candidate that acknowledges,
         then depart.
 
@@ -254,13 +269,12 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
         if len(self.database) == 0:
             self._depart()
             return
-        # Last resort: the bootstrap server relays the dump to whoever
-        # currently owns the items' segment (every cached pointer may be
-        # stale after heavy concurrent churn).
+        # Recipients still to try.  Last resort: the bootstrap server
+        # relays the dump to whoever currently owns the items' segment
+        # (every cached pointer may be stale after heavy concurrent churn).
         self._dump_candidates = [
             c for c in candidates if c not in (-1, self.address)
         ] + [self.server_address]
-        self._dump_reason = reason
         self._try_dump()
 
     def _try_dump(self) -> None:
@@ -276,7 +290,7 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
                 target,
                 LoadTransfer(
                     items=tuple((i.key, i.value, i.d_id) for i in self.database),
-                    reason=self._dump_reason,
+                    reason="leave",
                     transfer_id=tid,
                     origin=self.address,
                 ),
@@ -299,9 +313,7 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
     def on_LoadTransferAck(self, msg) -> None:
         if msg.transfer_id == self._dump_pending_id:
             self._dump_pending_id = -1
-            if self._dump_timer is not None:
-                self._dump_timer.cancel()
-            self._depart()
+            self._depart()  # cancels the dump timer
 
     def _cancel_timers(self) -> None:
         """Stop every timer this peer owns and drop what they guarded."""

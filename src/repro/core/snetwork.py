@@ -160,7 +160,7 @@ class SNetworkMixin:
         if order:
             first = int(self.rng.integers(0, len(order)))
             order = order[first:] + order[:first]
-        self._depart_with_load(order + [self.t_peer], reason="leave")
+        self._depart_with_load(order + [self.t_peer])
 
     def on_SLeaveNotify(self, msg: SLeaveNotify) -> None:
         """A tree neighbor left: drop the link; rejoin if it was our cp."""

@@ -492,7 +492,7 @@ class TNetworkMixin:
         self._pass_control_queues(self.predecessor)
         # Table 1's loaddump, acked: successor first, predecessor as the
         # fallback recipient.
-        self._depart_with_load([self.successor, self.predecessor], reason="leave")
+        self._depart_with_load([self.successor, self.predecessor])
 
     # ------------------------------------------------------------------
     # Crash recovery hooks (promotion and ring repair)

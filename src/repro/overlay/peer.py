@@ -9,7 +9,6 @@ runtime's peer all inherit from it.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Optional
 
 from ..sim.engine import Engine
@@ -63,9 +62,6 @@ class BasePeer:
         self.messages_received = 0
         if "_dispatch" not in type(self).__dict__:
             self._build_dispatch()
-        # Shadow the send() method with a pre-bound partial: one less
-        # Python frame on the hottest call path in the system.
-        self.send = partial(transport.send, self)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -82,12 +78,8 @@ class BasePeer:
 
     # ------------------------------------------------------------------
     def send(self, dst_address: int, msg: Message) -> bool:
-        """Send a message through the transport.
-
-        Instances shadow this with a bound partial of the same
-        signature (see ``__init__``); the method remains as the
-        documented interface.
-        """
+        """Send a message through the transport (ring hops call
+        ``transport.send`` directly: one Python frame less)."""
         return self.transport.send(self, dst_address, msg)
 
     def send_many(self, dst_addresses, msg: Message) -> int:

@@ -39,6 +39,7 @@ from ..overlay.messages import (
     LookupRequest,
     PieceRequest,
     PieceResponse,
+    SLeaveNotify,
 )
 from ..sim.timers import PeriodicTimer
 from . import manifest as mf
@@ -175,6 +176,27 @@ class SwarmMixin:
     def on_TPeerUpdate(self, msg) -> None:
         super().on_TPeerUpdate(msg)
         self._swarm_reregister()
+
+    def on_LoadTransfer(self, msg) -> None:
+        """A leaver's dumped items: this s-peer holds them now."""
+        super().on_LoadTransfer(msg)
+        if self.role != "t" and not self.departing:
+            for key, _value, d_id in msg.items:
+                self._swarm_register(key, d_id)
+
+    def leave_s(self) -> None:
+        # The tracker (the t-peer) hears of the leave even when it is no
+        # tree neighbour and forgets this holder; the load dump's
+        # recipient announces the items in its place.
+        if self.t_peer != self.cp:
+            self.send(self.t_peer, SLeaveNotify(leaver=self.address))
+        super().leave_s()
+
+    def on_SLeaveNotify(self, msg: SLeaveNotify) -> None:
+        super().on_SLeaveNotify(msg)
+        tracker = self._touched("swarm_tracker")
+        if tracker is not None:
+            tracker.drop_holder(msg.leaver)
 
     def on_RejoinRedirect(self, msg) -> None:
         super().on_RejoinRedirect(msg)

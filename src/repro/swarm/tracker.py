@@ -54,6 +54,11 @@ class SwarmTracker:
             bm = entry.holders[holder] = bitmap_new(entry.n_pieces)
         bitmap_set(bm, piece)
 
+    def drop_holder(self, holder: int) -> None:
+        """Forget a holder that left, for every content."""
+        for entry in self._contents.values():
+            entry.holders.pop(holder, None)
+
     # ------------------------------------------------------------------
     def holders_for(
         self, content: str, exclude: int = -1, limit: int = 32

@@ -314,6 +314,35 @@ class TestBitTorrentMode:
         ]
         assert unknown == []
 
+    def test_tracker_follows_an_s_peer_leave_dump(self):
+        """The s-peer holding the most items leaves gracefully: the
+        recipient of its load dump announces the items, the tracker
+        forgets the leaver, and every lookup of them still resolves."""
+        system = build_system(
+            p_s=0.9, n_peers=80, seed=1, snetwork_style="bittorrent",
+            lookup_timeout=20_000.0,
+        )
+        populate(system, 300)
+        leaver = max(system.s_peers(), key=lambda p: len(p.database))
+        keys = [item.key for item in leaver.database]
+        control = [
+            item.key for p in system.s_peers() if p is not leaver for item in p.database
+        ][:len(keys)]
+        tracker = system.peers[leaver.t_peer]
+        assert {known_holders(tracker, key)[0] for key in keys} == {leaver.address}
+        system.leave_peers([leaver.address])
+        system.engine.run()
+        (recipient,) = [p for p in system.alive_peers() if keys[0] in p.database]
+        assert recipient.role == "s"
+        for key in keys:
+            assert known_holders(tracker, key) == [recipient.address]
+        alive = sorted(p.address for p in system.alive_peers())
+        system.run_lookups(
+            [(alive[(i * 7) % len(alive)], key) for i, key in enumerate(keys + control)]
+        )
+        stats = system.query_stats()
+        assert stats.total == 2 * len(keys) and stats.failures == 0
+
     def test_crashes_fail_no_more_lookups_than_the_flood(self):
         """The quick Fig. 5b crash cell (a fifth of the peers crash,
         heartbeats on): tracker resolution loses no more lookups than

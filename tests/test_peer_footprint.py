@@ -2,22 +2,26 @@
 and a feature that is off has no state at all (its mixin is not in the
 peer's class).
 
-Attribute *counts*, not bytes, so every assertion repeats exactly.
+Attribute *counts*, not bytes, so every assertion repeats exactly --
+apart from the dict sizes of the inline-layout test, which are CPython's
+own fixed table sizes.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 
 import pytest
 
-from repro.core import HybridSystem
+from repro.core import HybridConfig, HybridSystem
 from repro.core.failures import LivenessMixin
 from repro.core.hybridpeer import FEATURES, HybridPeer
 from repro.core.search import WalkMixin
 from repro.core.snetwork import MeshMixin
 from repro.enhance.bypass import BypassMixin
 from repro.enhance.caching import CacheMixin
+from repro.experiments.common import Scale, run_cell
 from repro.replica import ReplicationMixin
 from repro.swarm import SwarmMixin
 
@@ -26,7 +30,7 @@ from .conftest import build_bulk_system, build_system
 # The containers each class creates on first use.
 LAZY_BY_CLASS = {
     HybridPeer: {
-        "join_queue", "deferred_leaves", "_dump_candidates", "seen_queries",
+        "join_queue", "deferred_leaves", "seen_queries",
         "pending_lookups", "pending_searches", "_write_watchers",
     },
     LivenessMixin: {"neighbor_deadlines", "_last_liveness_sent"},
@@ -38,6 +42,11 @@ LAZY_BY_CLASS = {
     WalkMixin: set(),
 }
 LAZY = set().union(*LAZY_BY_CLASS.values())
+# Names every default peer sets in __init__ (DESIGN.md, "Peer state").
+EAGER = 27
+# CPython 3.11 keeps at most 29 names in a class's shared instance keys;
+# a peer that takes one more holds a combined dict instead.
+SHARED_KEYS_MAX = 29
 # State that leave/crash paths only ever cancel and empty.
 CLEAR_ONLY = {
     "pending_lookups", "neighbor_deadlines", "_replica_pending",
@@ -71,7 +80,7 @@ def test_idle_peer_carries_no_feature_state():
     assert materialised(system) == {}
     for peer in system.peers.values():
         assert type(peer) is HybridPeer
-        assert len(vars(peer)) <= 43
+        assert len(vars(peer)) <= EAGER
         assert "_dispatch" not in vars(peer)
     # The scalar companions read as their class defaults; features that
     # are off have none.
@@ -96,6 +105,37 @@ def test_off_features_leave_no_state_on_crash_and_leave():
     system.settle(20_000.0)
     for peer in system.peers.values():
         assert not {"bypass", "extra_links"} & set(vars(peer)), peer.address
+
+
+@pytest.fixture(scope="module")
+def looked_up_bulk_cell():
+    """The peers of a 2,000-peer bulk cell after its stores and lookups."""
+    out = {}
+    scale = Scale(n_peers=2_000, n_keys=400, n_lookups=200, wave_size=100,
+                  bulk_build=True)
+    result = run_cell(HybridConfig(p_s=0.7, ring_routing="finger"), scale,
+                      system_out=out)
+    assert result.successes == scale.n_lookups
+    return list(out["system"].peers.values())
+
+
+def test_a_lookup_cell_stays_within_the_shared_keys(looked_up_bulk_cell):
+    assert {type(p) for p in looked_up_bulk_cell} == {HybridPeer}
+    names = set().union(*(vars(p) for p in looked_up_bulk_cell))
+    assert len(names) <= SHARED_KEYS_MAX
+    # Past the eager names: the lookup path's two containers.
+    assert {"pending_lookups", "seen_queries"} <= names
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+    reason="inline attribute values arrived in CPython 3.11",
+)
+def test_every_peer_keeps_a_split_table(looked_up_bulk_cell):
+    # A split (shared-key) table is ~300 B; the combined table a peer
+    # falls back to is 1,584 B.
+    sizes = {sys.getsizeof(vars(p)) for p in looked_up_bulk_cell}
+    assert len(sizes) == 1 and max(sizes) < 600, sizes
 
 
 @pytest.mark.parametrize("role", ["t", "s"])
