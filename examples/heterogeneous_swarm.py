@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro import HybridConfig, HybridSystem
-from repro.net import CapacityClass
+from repro.net.links import CapacityClass, capacity_of
 from repro.workloads import KeyWorkload
 
 
@@ -40,13 +40,12 @@ def main() -> None:
     print("-" * 72)
     _, base_stats = run(base, "base (random roles, flooding)")
     hetero_system, hetero_stats = run(
-        base.with_changes(heterogeneity_aware=True, connect_policy="link_usage"),
+        base.with_changes(heterogeneity_aware=True),
         "+ link heterogeneity (5.1)",
     )
     _, bt_stats = run(
         base.with_changes(
             heterogeneity_aware=True,
-            connect_policy="link_usage",
             snetwork_style="bittorrent",
         ),
         "+ BitTorrent-style trackers (5.5)",
@@ -54,20 +53,8 @@ def main() -> None:
 
     # Who ended up on the backbone?
     print()
-    classes = Counter(
-        hetero_system.capacities.capacity_class(0).__class__(  # noqa: simple map
-            0
-        )
-        for _ in ()
-    )
-    t_class = Counter()
-    for p in hetero_system.t_peers():
-        if p.capacity >= 0.4:
-            t_class["high"] += 1
-        elif p.capacity >= 0.1:
-            t_class["medium"] += 1
-        else:
-            t_class["low"] += 1
+    tier = {capacity_of(c): c.name.lower() for c in CapacityClass}
+    t_class = Counter(tier[p.capacity] for p in hetero_system.t_peers())
     total_t = sum(t_class.values())
     print(f"t-peer link classes under the 5.1 policy "
           f"({total_t} t-peers): {dict(t_class)}")

@@ -15,12 +15,7 @@ Public surface:
 
 from .config import (
     ASSIGN_BALANCED,
-    ASSIGN_BINNED,
     ASSIGN_INTEREST,
-    ASSIGN_RANDOM,
-    CONNECT_DEGREE,
-    CONNECT_LINK_USAGE,
-    CONNECT_STAR,
     PLACEMENT_DIRECT,
     PLACEMENT_SPREAD,
     ROUTING_FINGER,
@@ -50,13 +45,8 @@ __all__ = [
     "PLACEMENT_SPREAD",
     "ROUTING_LINEAR",
     "ROUTING_FINGER",
-    "CONNECT_STAR",
-    "CONNECT_DEGREE",
-    "CONNECT_LINK_USAGE",
     "ASSIGN_BALANCED",
-    "ASSIGN_RANDOM",
     "ASSIGN_INTEREST",
-    "ASSIGN_BINNED",
     "SNETWORK_GNUTELLA",
     "SNETWORK_BITTORRENT",
 ]

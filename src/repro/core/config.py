@@ -5,15 +5,17 @@ implies.  The two headline knobs are ``p_s`` (fraction of s-peers,
 Section 3.1) and ``ttl`` (flood radius); ``delta`` is the tree degree
 cap of Section 3.2.2 (δ = 3 in the paper's simulations).
 
-Placement, connect-point policy, ring routing and the Section 5
-enhancements are all selected here so experiments can A/B them without
-touching protocol code.
+Placement, ring routing and the Section 5 enhancements are selected
+here so experiments can A/B them without touching protocol code.  Each
+enhancement is one switch, not a set of parts: ``heterogeneity_aware``
+turns on both halves of Section 5.1 (fast peers become t-peers, and
+s-peers pick connect points by link usage), and ``n_landmarks > 0``
+turns on Section 5.2's landmark binning of s-network assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from ..overlay.idspace import ID_BITS
 
@@ -25,13 +27,8 @@ __all__ = [
     "PLACEMENT_SPREAD",
     "ROUTING_LINEAR",
     "ROUTING_FINGER",
-    "CONNECT_STAR",
-    "CONNECT_DEGREE",
-    "CONNECT_LINK_USAGE",
     "ASSIGN_BALANCED",
-    "ASSIGN_RANDOM",
     "ASSIGN_INTEREST",
-    "ASSIGN_BINNED",
     "SNETWORK_GNUTELLA",
     "SNETWORK_BITTORRENT",
 ]
@@ -52,16 +49,10 @@ PLACEMENT_SPREAD = "spread"  # scheme 2: random spreading to s-peers
 ROUTING_LINEAR = "linear"
 ROUTING_FINGER = "finger"
 
-# Connect-point selection for s-peer joins (Sections 3.2.2, 5.1).
-CONNECT_STAR = "star"  # every s-peer hangs directly off the t-peer
-CONNECT_DEGREE = "degree"  # random branch walk until degree < delta
-CONNECT_LINK_USAGE = "link_usage"  # degree walk gated by degree/capacity
-
-# s-network assignment policies at the server (Sections 3.2.2, 5.2, 5.3).
+# s-network assignment policies at the server (Sections 3.2.2, 5.3).
+# Either one bins by landmark coordinate when landmarks exist (5.2).
 ASSIGN_BALANCED = "balanced"  # smallest s-network first
-ASSIGN_RANDOM = "random"
 ASSIGN_INTEREST = "interest"  # Section 5.3
-ASSIGN_BINNED = "binned"  # Section 5.2 landmark binning
 
 # s-network style (Sections 3.1, 5.5).
 SNETWORK_GNUTELLA = "gnutella"
@@ -95,7 +86,6 @@ class HybridConfig:
     max_refloods: int = 0
 
     # --- s-network construction ----------------------------------------
-    connect_policy: str = CONNECT_DEGREE
     assignment: str = ASSIGN_BALANCED
     # "bittorrent" (Section 5.5): the t-peer is the s-network's tracker,
     # for lookups and bulk content alike (repro.swarm).
@@ -113,7 +103,9 @@ class HybridConfig:
     join_retry_timeout: float = 5_000.0  # ms
 
     # --- Section 5 enhancements -----------------------------------------
-    heterogeneity_aware: bool = False  # 5.1: fast peers become t-peers
+    # 5.1: fast peers become t-peers, and a connect point takes a child
+    # only while its link usage (degree/capacity) stays low.
+    heterogeneity_aware: bool = False
     n_landmarks: int = 0  # 5.2: 0 disables binning
     # 5.3: width (in bits) of per-category key bands; 0 = uniform hashing.
     # Interest-based workloads need > 0 so one category maps to one segment.
@@ -197,14 +189,7 @@ class HybridConfig:
             raise ValueError("lookup_timeout must be positive")
         if self.max_refloods < 0:
             raise ValueError("max_refloods must be non-negative")
-        if self.connect_policy not in (CONNECT_STAR, CONNECT_DEGREE, CONNECT_LINK_USAGE):
-            raise ValueError(f"unknown connect_policy {self.connect_policy!r}")
-        if self.assignment not in (
-            ASSIGN_BALANCED,
-            ASSIGN_RANDOM,
-            ASSIGN_INTEREST,
-            ASSIGN_BINNED,
-        ):
+        if self.assignment not in (ASSIGN_BALANCED, ASSIGN_INTEREST):
             raise ValueError(f"unknown assignment {self.assignment!r}")
         if self.snetwork_style not in (SNETWORK_GNUTELLA, SNETWORK_BITTORRENT):
             raise ValueError(f"unknown snetwork_style {self.snetwork_style!r}")
@@ -239,8 +224,6 @@ class HybridConfig:
             raise ValueError("swarm_inflight must be >= 1")
         if self.swarm_request_timeout <= 0:
             raise ValueError("swarm_request_timeout must be positive")
-        if self.assignment == ASSIGN_BINNED and self.n_landmarks < 1:
-            raise ValueError("binned assignment requires n_landmarks >= 1")
 
     def with_changes(self, **changes) -> "HybridConfig":
         """Return a validated copy with fields replaced."""

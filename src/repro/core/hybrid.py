@@ -26,11 +26,10 @@ import numpy as np
 
 from ..enhance.binning import choose_landmarks, coordinate_of
 from ..enhance.heterogeneity import assign_roles
-from ..net.links import CapacityModel, HeterogeneityConfig
+from ..net.links import CapacityModel
 from ..net.routing import make_router
 from ..net.stress import LinkStress
 from ..net.topology import (
-    NodeKind,
     PhysicalTopology,
     config_for_size,
     generate_transit_stub,
@@ -48,6 +47,10 @@ from .server import BootstrapServer
 
 __all__ = ["HybridSystem"]
 
+#: Simulated time (ms) a measured cell lets pass after a mass crash, so
+#: detection, elections and subtree rejoins finish before its lookups.
+SETTLE_AFTER_CRASH = 30_000.0
+
 
 class HybridSystem:
     """A complete, runnable instance of the hybrid peer-to-peer system."""
@@ -59,7 +62,6 @@ class HybridSystem:
         seed: int = 0,
         topology: Optional[PhysicalTopology] = None,
         track_stress: bool = False,
-        capacity_config: Optional[HeterogeneityConfig] = None,
         queries: Optional[QueryRegistry] = None,
     ) -> None:
         config.validate()
@@ -94,9 +96,7 @@ class HybridSystem:
 
         # Access-link capacities are indexed by overlay address
         # (0 = server, 1..N = peers): the paper's 1/3-1/3-1/3 classes.
-        self.capacities = CapacityModel(
-            n_peers + 1, self.rngs.stream("capacity"), capacity_config
-        )
+        self.capacities = CapacityModel(n_peers + 1, self.rngs.stream("capacity"))
         self.transport = Transport(
             self.engine,
             router=self.router,
@@ -281,14 +281,18 @@ class HybridSystem:
         scales with golden baselines keep using the protocol build.
 
         Requires heartbeats off: liveness timers are armed by the join
-        protocol this path skips.
+        protocol this path skips.  Requires ``heterogeneity_aware`` off:
+        the breadth-first fill has no Section 5.1 link-usage rule, so
+        it would build the base tree under an aware config.
         """
         if self.config.heartbeats_enabled:
             raise ValueError("build_bulk requires heartbeats_enabled=False")
+        if self.config.heterogeneity_aware:
+            raise ValueError("build_bulk requires heterogeneity_aware=False")
         import heapq as _heapq
         from collections import deque
 
-        from .config import ASSIGN_BALANCED, CONNECT_STAR
+        from .config import ASSIGN_BALANCED
 
         t_list: List[HybridPeer] = []
         s_list: List[HybridPeer] = []
@@ -327,9 +331,10 @@ class HybridSystem:
 
         # --- s-networks: balanced assignment via a heap (same smallest-
         # count-then-address rule as the server's online policy, but
-        # O(log n_t) per join); other policies go through the server's
-        # own chooser.  Tree fill is breadth-first under the degree cap.
-        balanced = self.config.assignment == ASSIGN_BALANCED
+        # O(log n_t) per join); interest and landmark binning go through
+        # the server's own chooser.  Tree fill is breadth-first under
+        # the degree cap.
+        balanced = self.config.assignment == ASSIGN_BALANCED and not self.landmarks
         heap = [(0, p.address) for p in t_list]
         _heapq.heapify(heap)
         slots: Dict[int, deque] = {p.address: deque([p.address]) for p in t_list}
@@ -341,21 +346,18 @@ class HybridSystem:
                 anchor = self.server.choose_snetwork(peer.interest, peer.coordinate)
             anchor_peer = self.peers[anchor]
             queue = slots[anchor]
-            if self.config.connect_policy == CONNECT_STAR:
-                parent = anchor_peer
-            else:
-                while True:
-                    cand = self.peers[queue[0]]
-                    spare = self.config.delta - len(cand.children)
-                    if cand.role == "s":
-                        spare -= 1  # the cp link occupies one degree slot
-                        if not cand.children:
-                            spare = max(spare, 1)  # leaf takes its first child
-                    if spare > 0:
-                        parent = cand
-                        break
-                    queue.popleft()
-                queue.append(peer.address)
+            while True:
+                cand = self.peers[queue[0]]
+                spare = self.config.delta - len(cand.children)
+                if cand.role == "s":
+                    spare -= 1  # the cp link occupies one degree slot
+                    if not cand.children:
+                        spare = max(spare, 1)  # leaf takes its first child
+                if spare > 0:
+                    parent = cand
+                    break
+                queue.popleft()
+            queue.append(peer.address)
             parent.children.add(peer.address)
             peer.role = "s"
             peer.cp = parent.address

@@ -11,8 +11,8 @@ all implemented here:
   decides whether the peer is a t-peer or an s-peer");
 * s-network assignment -- balanced ("the server is responsible for
   assigning a joining s-peer to some s-network with a smaller size"),
-  random, interest-matched (Section 5.3) or landmark-binned
-  (Section 5.2);
+  interest-matched (Section 5.3), or landmark-binned (Section 5.2)
+  whenever the joining peer carries a landmark coordinate;
 * crash arbitration -- "The disconnected s-peers will compete to
   replace the crashed t-peer by sending messages to the server.  The
   server will pick an s-peer to be the new t-peer."
@@ -50,13 +50,7 @@ from ..overlay.peer import BasePeer
 from ..sim.engine import Engine
 from ..sim.trace import TraceBus
 from ..overlay.transport import Transport
-from .config import (
-    ASSIGN_BALANCED,
-    ASSIGN_BINNED,
-    ASSIGN_INTEREST,
-    ASSIGN_RANDOM,
-    HybridConfig,
-)
+from .config import ASSIGN_INTEREST, HybridConfig
 
 __all__ = ["RingDirectory", "BootstrapServer"]
 
@@ -283,14 +277,10 @@ class BootstrapServer(BasePeer):
         """Address of the t-peer whose s-network the new s-peer joins."""
         if not self.s_counts:
             raise LookupError("no t-peer available to anchor an s-network")
-        policy = self.config.assignment
-        if policy == ASSIGN_INTEREST and interest is not None:
+        if self.config.assignment == ASSIGN_INTEREST and interest is not None:
             return self._choose_by_interest(interest)
-        if policy == ASSIGN_BINNED and coordinate is not None:
+        if coordinate is not None:  # peers carry one only when landmarks exist
             return self._choose_by_bin(coordinate)
-        if policy == ASSIGN_RANDOM:
-            addrs = list(self.s_counts)
-            return addrs[int(self.rng.integers(0, len(addrs)))]
         # balanced (default): smallest s-network, ties by address for
         # determinism.
         return min(self.s_counts, key=lambda a: (self.s_counts[a], a))

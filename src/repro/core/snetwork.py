@@ -5,9 +5,8 @@
 * the **degree-constrained join walk** -- a join request descends from
   the t-peer along a random branch until it reaches a peer with degree
   below δ, the new s-peer's *connect point* (cp);
-* the **star policy** ablation (no degree cap: everyone hangs off the
-  t-peer, diameter two but unbalanced -- the paper's motivating strawman);
-* the **link-usage policy** of Section 5.1 (degree/capacity gating);
+* the **link-usage rule** of Section 5.1 (degree/capacity gating), on
+  with ``heterogeneity_aware``;
 * graceful s-peer leave with neighbor notification, subtree rejoin and
   load transfer to a neighbor;
 * rejoin of disconnected subtree roots through the t-peer, with retry
@@ -25,7 +24,6 @@ from typing import Set
 
 from ..enhance.heterogeneity import link_usage
 from ..overlay.messages import (
-    LoadTransfer,
     ServerUpdate,
     SJoinAccept,
     SJoinRequest,
@@ -34,7 +32,6 @@ from ..overlay.messages import (
     TPeerUpdate,
 )
 from ..sim.timers import Timer
-from .config import CONNECT_LINK_USAGE, CONNECT_STAR
 
 __all__ = ["SNetworkMixin", "MeshMixin"]
 
@@ -107,18 +104,13 @@ class SNetworkMixin:
         self.send(nxt, msg)
 
     def _accepts_here(self) -> bool:
-        policy = self.config.connect_policy
-        if policy == CONNECT_STAR:
-            # Star topology: the t-peer takes everyone (no cap).  An
-            # s-peer should never see a join request under this policy.
-            return self.role == "t"
         if not self.children:
             # A leaf must take the first child even if the degree cap or
             # link-usage frowns; otherwise the walk would dead-end.
             return True
         if self.tree_degree() >= self.config.delta:
             return False  # no spare degree for another child
-        if policy == CONNECT_LINK_USAGE:
+        if self.config.heterogeneity_aware:
             # Section 5.1: accept only while degree/capacity stays low.
             return link_usage(self.tree_degree() + 1, self.capacity) <= LINK_USAGE_THRESHOLD
         return True

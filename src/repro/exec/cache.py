@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache for sweep cells.
 
 Every experiment cell is a pure, deterministic function of its inputs:
-``(HybridConfig, Scale, crash_fraction, settle_after_crash)`` plus the
+``(HybridConfig, Scale, crash_fraction)`` plus the
 code that interprets them.  That makes the result memoizable across
 *processes and runs*: re-running a sweep whose inputs have not changed
 should cost one JSON read per cell, not laptop-minutes of simulation.
@@ -81,7 +81,6 @@ def _spec_inputs(spec: "CellSpec") -> Dict[str, Any]:  # noqa: F821
         "config": dataclasses.asdict(spec.config),
         "scale": dataclasses.asdict(spec.scale),
         "crash_fraction": spec.crash_fraction,
-        "settle_after_crash": spec.settle_after_crash,
         "code": code_fingerprint(),
     }
 

@@ -97,7 +97,6 @@ class CellSpec:
     config: HybridConfig
     scale: Scale
     crash_fraction: float = 0.0
-    settle_after_crash: float = 30_000.0
     tag: str = ""
     system_out: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
@@ -143,12 +142,7 @@ class ExecStats:
 def _cell_worker(spec: CellSpec) -> Tuple[bool, Any, float]:
     t0 = time.perf_counter()
     try:
-        result = run_cell(
-            spec.config,
-            spec.scale,
-            crash_fraction=spec.crash_fraction,
-            settle_after_crash=spec.settle_after_crash,
-        )
+        result = run_cell(spec.config, spec.scale, crash_fraction=spec.crash_fraction)
         return True, result, time.perf_counter() - t0
     except BaseException:
         return False, traceback.format_exc(), time.perf_counter() - t0
@@ -237,7 +231,6 @@ class CellExecutor:
                     spec.config,
                     spec.scale,
                     crash_fraction=spec.crash_fraction,
-                    settle_after_crash=spec.settle_after_crash,
                     system_out=spec.system_out,
                 )
                 elapsed = time.perf_counter() - t0

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import HybridConfig
-from ..core.hybrid import HybridSystem
+from ..core.hybrid import SETTLE_AFTER_CRASH, HybridSystem
 from ..core.lookup import QueryRegistry, QueryStats
 from ..workloads.keys import KeyWorkload
 
@@ -145,10 +145,12 @@ def prepare_cell(
     config: HybridConfig,
     scale: Scale,
     crash_fraction: float,
-    settle_after_crash: float,
     queries: Optional[QueryRegistry] = None,
 ) -> Tuple[HybridSystem, List[Tuple[int, str]]]:
     """Build + populate + (crash + settle) + sample: a cell up to its lookups.
+
+    A crash is followed by :data:`~repro.core.hybrid.SETTLE_AFTER_CRASH`
+    of simulated time before the lookups are sampled.
 
     Returns the system and the ``(origin, key)`` lookup pairs.  The one
     construction pipeline of :func:`run_cell`, the sharded executor and
@@ -171,7 +173,7 @@ def prepare_cell(
     system.populate(workload.store_plan())
     if crash_fraction > 0.0:
         system.crash_random_fraction(crash_fraction)
-        system.settle(settle_after_crash)
+        system.settle(SETTLE_AFTER_CRASH)
     alive = [p.address for p in system.alive_peers()]
     return system, workload.sample_lookups(scale.n_lookups, alive)
 
@@ -180,7 +182,6 @@ def run_cell(
     config: HybridConfig,
     scale: Scale,
     crash_fraction: float = 0.0,
-    settle_after_crash: float = 30_000.0,
     system_out: Optional[Dict[str, HybridSystem]] = None,
     shards: int = 1,
     shard_backend: Optional[str] = None,
@@ -212,16 +213,14 @@ def run_cell(
 
         info: Dict[str, object] = {}
         result = run_cell_sharded(
-            config, scale, crash_fraction, settle_after_crash,
+            config, scale, crash_fraction,
             shards=shards,
             info_out=info if system_out is not None else None,
         )
         if system_out is not None:
             system_out["shard_info"] = info
         return result
-    system, pairs = prepare_cell(
-        config, scale, crash_fraction, settle_after_crash
-    )
+    system, pairs = prepare_cell(config, scale, crash_fraction)
     system.run_lookups(pairs, wave_size=scale.wave_size)
     result = CellResult.from_stats(
         config, system.query_stats(),

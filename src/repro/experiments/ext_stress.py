@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..core.config import ASSIGN_BALANCED, ASSIGN_BINNED, HybridConfig
+from ..core.config import HybridConfig
 from ..core.hybrid import HybridSystem
 from ..exec import CellExecutor
 from ..metrics.report import format_table
@@ -47,9 +47,7 @@ def _stress_cell(args: tuple) -> StressCell:
     """Run one (p_s, variant) workload with link-stress tracking on."""
     p_s, variant, n_peers, n_keys, n_lookups, n_landmarks, seed = args
     config = HybridConfig(
-        p_s=p_s,
-        assignment=ASSIGN_BINNED if variant == "binned" else ASSIGN_BALANCED,
-        n_landmarks=n_landmarks if variant == "binned" else 0,
+        p_s=p_s, n_landmarks=n_landmarks if variant == "binned" else 0
     )
     system = HybridSystem(config, n_peers=n_peers, seed=seed, track_stress=True)
     system.build()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..core.config import ASSIGN_BALANCED, ASSIGN_BINNED, HybridConfig
+from ..core.config import HybridConfig
 from ..exec import CellExecutor, CellSpec
 from ..metrics.report import format_series
 from .common import CellResult, Scale
@@ -62,9 +62,7 @@ def run_6a(
     specs = []
     for p_s in ps_values:
         base = HybridConfig(p_s=p_s, delta=delta, ttl=ttl)
-        hetero = base.with_changes(
-            heterogeneity_aware=True, connect_policy="link_usage"
-        )
+        hetero = base.with_changes(heterogeneity_aware=True)
         keys += [("base", p_s), ("hetero", p_s)]
         specs += [
             CellSpec(base, scale, tag="fig6a"),
@@ -89,11 +87,11 @@ def run_6b(
     keys = []
     specs = []
     for p_s in ps_values:
-        base = HybridConfig(p_s=p_s, delta=delta, ttl=ttl, assignment=ASSIGN_BALANCED)
+        base = HybridConfig(p_s=p_s, delta=delta, ttl=ttl)
         keys.append(("base", p_s))
         specs.append(CellSpec(base, scale, tag="fig6b"))
         for n in landmark_counts:
-            binned = base.with_changes(assignment=ASSIGN_BINNED, n_landmarks=n)
+            binned = base.with_changes(n_landmarks=n)
             keys.append((f"bin{n}", p_s))
             specs.append(CellSpec(binned, scale, tag="fig6b"))
     cells: Dict[str, Dict[float, CellResult]] = {"base": {}}

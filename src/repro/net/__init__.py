@@ -7,7 +7,7 @@ Replaces GT-ITM + NS2's network layer: transit-stub topology generation
 (:mod:`~repro.net.stress`).
 """
 
-from .links import CapacityClass, CapacityModel, HeterogeneityConfig
+from .links import CapacityClass, CapacityModel
 from .routing import Router
 from .stress import LinkStress, StressSummary
 from .topology import (
@@ -22,7 +22,6 @@ from .topology import (
 __all__ = [
     "CapacityClass",
     "CapacityModel",
-    "HeterogeneityConfig",
     "Router",
     "LinkStress",
     "StressSummary",

@@ -15,13 +15,19 @@ hop is bounded by the slower of the two endpoint access links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-__all__ = ["CapacityClass", "CapacityModel", "HeterogeneityConfig"]
+__all__ = [
+    "CapacityClass",
+    "CapacityModel",
+    "RATIO_HIGH_TO_LOW",
+    "TIER_FRACTIONS",
+    "UNIT_CAPACITY",
+    "capacity_of",
+]
 
 
 class CapacityClass(IntEnum):
@@ -32,40 +38,24 @@ class CapacityClass(IntEnum):
     HIGH = 2
 
 
-@dataclass(frozen=True)
-class HeterogeneityConfig:
-    """Capacity assignment parameters.
+#: "The highest link capacity is 10 times of the lowest link capacity";
+#: the medium tier sits at the geometric midpoint so each step is the
+#: same factor.
+RATIO_HIGH_TO_LOW = 10.0
+#: Absolute scale (LOW tier) in message-size units per millisecond.  It
+#: makes a CONTROL_SIZE message cost ~20 ms on the slowest access link
+#: and ~2 ms on the fastest -- comparable to propagation delays, so
+#: link heterogeneity visibly shapes lookup latency (the Fig. 6a
+#: effect).  Only ratios matter for the paper's qualitative conclusions.
+UNIT_CAPACITY = 0.05
+#: Share of hosts in the LOW, MEDIUM and HIGH tiers: thirds.
+TIER_FRACTIONS = (1 / 3, 1 / 3, 1 / 3)
 
-    ``ratio_high_to_low`` is 10 in the paper; the medium tier sits at the
-    geometric midpoint so each step is the same factor.
-    ``unit_capacity`` sets the absolute scale in message-size units per
-    millisecond.  The default makes a CONTROL_SIZE message cost ~20 ms
-    on the slowest access link and ~2 ms on the fastest -- comparable
-    to propagation delays, so link heterogeneity visibly shapes lookup
-    latency (the Fig. 6a effect).  Only ratios matter for the paper's
-    qualitative conclusions.
-    """
 
-    ratio_high_to_low: float = 10.0
-    unit_capacity: float = 0.05
-    fractions: Sequence[float] = (1 / 3, 1 / 3, 1 / 3)
-
-    def validate(self) -> None:
-        if self.ratio_high_to_low < 1:
-            raise ValueError("ratio_high_to_low must be >= 1")
-        if self.unit_capacity <= 0:
-            raise ValueError("unit_capacity must be positive")
-        if len(self.fractions) != 3:
-            raise ValueError("fractions must have exactly three entries")
-        if any(f < 0 for f in self.fractions):
-            raise ValueError("fractions must be non-negative")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError("fractions must sum to 1")
-
-    def capacity_of(self, cls: CapacityClass) -> float:
-        """Capacity value of a class (LOW = unit, HIGH = ratio * unit)."""
-        step = self.ratio_high_to_low ** 0.5
-        return self.unit_capacity * (step ** int(cls))
+def capacity_of(cls: CapacityClass) -> float:
+    """Capacity value of a tier (LOW = unit, HIGH = ratio * unit)."""
+    step = RATIO_HIGH_TO_LOW ** 0.5
+    return UNIT_CAPACITY * (step ** int(cls))
 
 
 class CapacityModel:
@@ -77,21 +67,12 @@ class CapacityModel:
         Number of hosts to label.
     rng:
         Randomness for the (shuffled) class assignment.
-    config:
-        Tier ratios and fractions.
     """
 
-    def __init__(
-        self,
-        n_hosts: int,
-        rng: np.random.Generator,
-        config: HeterogeneityConfig | None = None,
-    ) -> None:
-        self.config = config or HeterogeneityConfig()
-        self.config.validate()
+    def __init__(self, n_hosts: int, rng: np.random.Generator) -> None:
         if n_hosts < 0:
             raise ValueError("n_hosts must be non-negative")
-        counts = [int(round(f * n_hosts)) for f in self.config.fractions]
+        counts = [int(round(f * n_hosts)) for f in TIER_FRACTIONS]
         # Fix rounding drift on the last class.
         counts[-1] = n_hosts - counts[0] - counts[1]
         labels: List[CapacityClass] = (
@@ -101,7 +82,7 @@ class CapacityModel:
         )
         rng.shuffle(labels)  # type: ignore[arg-type]
         self._classes = labels
-        self._capacity = [self.config.capacity_of(c) for c in labels]
+        self._capacity = [capacity_of(c) for c in labels]
         self._rng = rng
 
     def __len__(self) -> int:
@@ -110,12 +91,12 @@ class CapacityModel:
     def ensure(self, n_hosts: int) -> None:
         """Grow the model to cover at least ``n_hosts`` hosts.
 
-        New hosts draw a class from the configured fractions; used when
+        New hosts draw a class from the tier fractions; used when
         peers join dynamically after the initial population was sized.
         """
         while len(self._classes) < n_hosts:
             u = float(self._rng.random())
-            f = self.config.fractions
+            f = TIER_FRACTIONS
             if u < f[0]:
                 cls = CapacityClass.LOW
             elif u < f[0] + f[1]:
@@ -123,7 +104,7 @@ class CapacityModel:
             else:
                 cls = CapacityClass.HIGH
             self._classes.append(cls)
-            self._capacity.append(self.config.capacity_of(cls))
+            self._capacity.append(capacity_of(cls))
 
     def capacity_class(self, host: int) -> CapacityClass:
         """Tier of ``host``."""

@@ -474,7 +474,6 @@ def run_cell_sharded(
     config: HybridConfig,
     scale,
     crash_fraction: float = 0.0,
-    settle_after_crash: float = 30_000.0,
     shards: int = 2,
     mode: Optional[str] = None,
     info_out: Optional[dict] = None,
@@ -507,8 +506,7 @@ def run_cell_sharded(
     sampler = PhaseSampler()
     build_t0 = _time.perf_counter()
     system, pairs = prepare_cell(
-        config, scale, crash_fraction, settle_after_crash,
-        queries=ShardQueryRegistry(),
+        config, scale, crash_fraction, queries=ShardQueryRegistry()
     )
     build_wall = _time.perf_counter() - build_t0
     sampler.mark("build")
@@ -552,8 +550,7 @@ def run_cell_sharded(
                     replica = system
                 else:
                     replica, _ = prepare_cell(
-                        config, scale, crash_fraction, settle_after_crash,
-                        queries=ShardQueryRegistry(),
+                        config, scale, crash_fraction, queries=ShardQueryRegistry()
                     )
                 worker = ShardWorker(replica, shard, shards, owner, pairs)
                 worker.compact()

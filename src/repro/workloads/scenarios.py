@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.config import ASSIGN_INTEREST, HybridConfig
-from ..core.hybrid import HybridSystem
+from ..core.hybrid import SETTLE_AFTER_CRASH, HybridSystem
 from ..core.lookup import QueryStats
 from ..overlay.idspace import ID_BITS
 from .keys import KeyWorkload
@@ -50,7 +50,6 @@ def standard_sharing(
     seed: int = 0,
     zipf_s: float = 0.0,
     crash_fraction: float = 0.0,
-    settle_after_crash: float = 30_000.0,
     wave_size: int = 200,
 ) -> ScenarioResult:
     """The paper's base experiment: build, insert, (optionally crash), look up."""
@@ -62,7 +61,7 @@ def standard_sharing(
     system.populate(workload.store_plan())
     if crash_fraction > 0.0:
         system.crash_random_fraction(crash_fraction)
-        system.settle(settle_after_crash)
+        system.settle(SETTLE_AFTER_CRASH)
     alive = [p.address for p in system.alive_peers()]
     pairs = workload.sample_lookups(n_lookups, alive)
     system.run_lookups(pairs, wave_size=wave_size)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import HybridConfig, HybridSystem
 
-from .conftest import build_system, check_ring, check_trees
+from .conftest import build_bulk_system, build_system, check_ring, check_trees
 
 
 class TestRoleSplit:
@@ -74,8 +74,13 @@ class TestTreeInvariants:
                 delta, 1
             ) or system.config.p_s >= 1.0
 
-    def test_star_policy_gives_depth_one(self):
-        system = build_system(p_s=0.8, n_peers=30, connect_policy="star")
+    @pytest.mark.parametrize(
+        "builder", [build_system, build_bulk_system], ids=["build", "build_bulk"]
+    )
+    def test_unbounded_delta_gives_depth_one(self, builder):
+        # delta >= N: the t-peer takes everyone (the star topology).
+        system = builder(p_s=0.8, n_peers=30, delta=30)
+        check_trees(system)
         for peer in system.s_peers():
             assert peer.cp == peer.t_peer  # directly under the t-peer
 

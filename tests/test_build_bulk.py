@@ -66,6 +66,14 @@ def test_bulk_requires_heartbeats_off():
         system.build_bulk()
 
 
+def test_bulk_requires_heterogeneity_awareness_off():
+    # The breadth-first fill has no Section 5.1 link-usage rule: an
+    # aware config must not silently get the base degree tree.
+    system = HybridSystem(HybridConfig(heterogeneity_aware=True), n_peers=10)
+    with pytest.raises(ValueError, match="heterogeneity_aware"):
+        system.build_bulk()
+
+
 def test_hier_router_agrees_with_dense():
     topology = generate_transit_stub(config_for_size(1000), np.random.default_rng(5))
     dense = make_router(topology)

@@ -24,7 +24,6 @@ def test_defaults_validate():
         ("ring_routing", "nope"),
         ("lookup_timeout", 0.0),
         ("max_refloods", -1),
-        ("connect_policy", "nope"),
         ("assignment", "nope"),
         ("snetwork_style", "nope"),
         ("mesh_extra_links", -1),
@@ -55,10 +54,32 @@ def test_liveness_timeouts_follow_hello_period():
         HybridConfig(neighbor_timeout=700.0)  # derived, not a field
 
 
-def test_binned_assignment_requires_landmarks():
-    cfg = dataclasses.replace(HybridConfig(), assignment="binned", n_landmarks=0)
-    with pytest.raises(ValueError, match="landmark"):
-        cfg.validate()
+def test_option_surface_is_pinned():
+    """Every field and policy value is one a caller sets.  A new one
+    must come with a caller that wants a different value than the rest;
+    a removed one (the connect policies, random/binned assignment) must
+    not come back."""
+    assert [f.name for f in dataclasses.fields(HybridConfig)] == [
+        "p_s", "delta", "ttl",
+        "placement", "ring_routing", "search_mode", "walkers", "walk_ttl",
+        "lookup_timeout", "max_refloods",
+        "assignment", "snetwork_style", "mesh_extra_links",
+        "heartbeats_enabled", "hello_period", "join_retry_timeout",
+        "heterogeneity_aware", "n_landmarks", "interest_band_bits",
+        "bypass_links", "bypass_lifetime",
+        "replication_factor", "write_quorum", "replica_ack_timeout",
+        "replica_write_retries", "replica_sync_period",
+        "swarm_piece_size", "swarm_inflight", "swarm_request_timeout",
+        "cache_enabled", "server_address",
+    ]
+    accepted = set()
+    for value in ("balanced", "interest", "random", "binned"):
+        try:
+            HybridConfig(assignment=value).validate()
+        except ValueError:
+            continue
+        accepted.add(value)
+    assert accepted == {"balanced", "interest"}
 
 
 def test_with_changes_returns_validated_copy():

@@ -61,7 +61,6 @@ class TestHeterogeneitySystem:
             system = build_system(
                 p_s=0.7, n_peers=60, seed=21,
                 heterogeneity_aware=aware,
-                connect_policy="link_usage" if aware else "degree",
             )
             peers = [p.address for p in system.alive_peers()]
             system.populate(
@@ -125,11 +124,8 @@ class TestBinning:
         """Under binned assignment, s-peers should be physically closer
         to their t-peer than under balanced assignment."""
 
-        def mean_anchor_distance(assignment: str, n_landmarks: int) -> float:
-            system = build_system(
-                p_s=0.8, n_peers=60, seed=17,
-                assignment=assignment, n_landmarks=n_landmarks,
-            )
+        def mean_anchor_distance(n_landmarks: int) -> float:
+            system = build_system(p_s=0.8, n_peers=60, seed=17, n_landmarks=n_landmarks)
             total, count = 0.0, 0
             peers = {p.address: p for p in system.alive_peers()}
             for p in system.s_peers():
@@ -138,8 +134,8 @@ class TestBinning:
                 count += 1
             return total / count
 
-        binned = mean_anchor_distance("binned", 8)
-        balanced = mean_anchor_distance("balanced", 0)
+        binned = mean_anchor_distance(8)
+        balanced = mean_anchor_distance(0)
         assert binned < balanced
 
 

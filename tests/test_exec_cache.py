@@ -47,10 +47,6 @@ class TestKey:
         assert (
             cell_key(CellSpec(HybridConfig(p_s=0.4), TINY, crash_fraction=0.1)) != base
         )
-        assert (
-            cell_key(CellSpec(HybridConfig(p_s=0.4), TINY, settle_after_crash=1.0))
-            != base
-        )
 
     def test_tag_and_system_out_are_not_identity(self):
         # Identical cells declared by different experiments must collide

@@ -54,12 +54,7 @@ class TestResolveJobs:
 class TestMap:
     def test_serial_matches_direct_run_cell(self):
         direct = [
-            run_cell(
-                s.config,
-                s.scale,
-                crash_fraction=s.crash_fraction,
-                settle_after_crash=s.settle_after_crash,
-            )
+            run_cell(s.config, s.scale, crash_fraction=s.crash_fraction)
             for s in SPECS
         ]
         assert CellExecutor.serial().map(SPECS) == direct

@@ -5,29 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.net import CapacityClass, CapacityModel, HeterogeneityConfig
+from repro.net import CapacityClass, CapacityModel
+from repro.net.links import UNIT_CAPACITY, capacity_of
 
 
 class TestHeterogeneityConfig:
     def test_default_matches_paper(self):
-        cfg = HeterogeneityConfig()
-        cfg.validate()
         # "The highest link capacity is 10 times of the lowest."
-        assert cfg.capacity_of(CapacityClass.HIGH) == pytest.approx(
-            10.0 * cfg.capacity_of(CapacityClass.LOW)
+        assert capacity_of(CapacityClass.HIGH) == pytest.approx(
+            10.0 * capacity_of(CapacityClass.LOW)
         )
         # Medium sits at the geometric midpoint.
-        assert cfg.capacity_of(CapacityClass.MEDIUM) == pytest.approx(
-            cfg.unit_capacity * 10.0 ** 0.5
+        assert capacity_of(CapacityClass.MEDIUM) == pytest.approx(
+            UNIT_CAPACITY * 10.0 ** 0.5
         )
-
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ValueError):
-            HeterogeneityConfig(fractions=(0.5, 0.5, 0.5)).validate()
-
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            HeterogeneityConfig(ratio_high_to_low=0.5).validate()
 
 
 class TestCapacityModel:

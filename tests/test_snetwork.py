@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HybridConfig, HybridSystem
+from repro.net.links import CapacityClass, capacity_of
 
 from .conftest import build_system, check_ring, check_trees
 
@@ -54,23 +55,20 @@ class TestTreeConstruction:
         check_trees(system)
 
     def test_link_usage_policy_builds_valid_tree(self):
-        system = build_system(
-            p_s=0.85, n_peers=40, connect_policy="link_usage",
-        )
+        system = build_system(p_s=0.85, n_peers=40, heterogeneity_aware=True)
         check_trees(system)
 
     def test_link_usage_prefers_fast_connect_points(self):
         """Under the 5.1 policy, high-capacity peers should end up with
         more children on average."""
-        system = build_system(
-            p_s=0.9, n_peers=80, connect_policy="link_usage", seed=9,
-        )
-        fast = [p for p in system.s_peers() if p.capacity > 3]
-        slow = [p for p in system.s_peers() if p.capacity <= 1.01]
-        if fast and slow:
-            fast_children = sum(len(p.children) for p in fast) / len(fast)
-            slow_children = sum(len(p.children) for p in slow) / len(slow)
-            assert fast_children >= slow_children
+        system = build_system(p_s=0.9, n_peers=80, heterogeneity_aware=True, seed=9)
+
+        def mean_children(tier: CapacityClass) -> float:
+            peers = [p for p in system.s_peers() if p.capacity == capacity_of(tier)]
+            assert peers
+            return sum(len(p.children) for p in peers) / len(peers)
+
+        assert mean_children(CapacityClass.HIGH) > mean_children(CapacityClass.LOW)
 
 
 class TestSLeave:
