@@ -40,7 +40,6 @@ def choose_landmarks(
     n = router.n
     if not (1 <= n_landmarks <= n):
         raise ValueError(f"n_landmarks must be in [1, {n}], got {n_landmarks}")
-    dist = router.latency_matrix()
     landmarks = [int(rng.integers(0, n))]
     while len(landmarks) < n_landmarks:
         candidates = rng.integers(0, n, size=max(spread_rounds * 8, 32))
@@ -49,7 +48,7 @@ def choose_landmarks(
             c = int(c)
             if c in landmarks:
                 continue
-            score = min(float(dist[c, l]) for l in landmarks)
+            score = min(router.latency(c, l) for l in landmarks)
             if score > best_score:
                 best, best_score = c, score
         if best is None:  # tiny networks: fall back to any unused host

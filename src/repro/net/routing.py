@@ -1,41 +1,33 @@
 """Shortest-path routing over the physical topology.
 
 Overlay links are logical: each corresponds to the physical shortest
-path between the hosts of the two peers.  This module precomputes
-all-pairs shortest paths (latency-weighted Dijkstra via
-``scipy.sparse.csgraph``) and exposes:
-
-* ``latency(u, v)`` -- end-to-end propagation delay of the path, and
-* ``path(u, v)`` -- the node sequence, used for link-stress accounting.
-
-For the paper's scale (1,000 physical nodes) the dense :class:`Router`
-computes the distance matrix (~12 MB at 1,250 hosts) once per topology.
-Above :data:`DENSE_ROUTER_LIMIT` hosts :class:`HierRouter` keeps a
-hierarchical decomposition instead.  Both keep distances only and build
-predecessors per source (or stub domain) the first time ``path`` walks
-it: only link-stress accounting reads paths.
-
-Latency rows are zero-copy, read-only ``memoryview`` slices of the
-float64 tables: ``row[dst]`` is a plain Python ``float`` holding the very
-IEEE double the matrix stores, so delays -- and therefore event ordering
--- do not depend on how a row is read.
+path between the hosts of the two peers.  :class:`Router` gives its
+propagation delay (``latency``, ``latency_row``) and its node sequence
+(``path``, read only by link-stress accounting).  ``row[dst]`` is a plain
+``float`` holding the very IEEE double the tables give, so delays -- and
+therefore event ordering -- do not depend on how a row is read.  scipy
+is imported only past :data:`TABLE_LIMIT` hosts and by ``path``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .topology import NodeKind, PhysicalTopology
 
-__all__ = ["Router", "HierRouter", "make_router", "DENSE_ROUTER_LIMIT"]
+__all__ = ["Router", "HierRouter", "make_router", "TABLE_LIMIT"]
 
-# Above this host count the dense all-pairs matrices (O(n^2) doubles)
-# stop fitting in memory and make_router switches to HierRouter.
-DENSE_ROUTER_LIMIT = 4096
+# Most hosts for the numpy-solved n x n table (128 MB at the limit).
+TABLE_LIMIT = 4096
+
+# Most float64 cells one numpy step of a solve or a table fill holds (8 MB).
+_STEP_CELLS = 1 << 20
+
+# Most nodes per block-diagonal stub-domain graph in one scipy call:
+# ~64 domains of 8, whose dense 512 x 512 result is 2 MB.
+_BLOCK_NODES = 512
 
 
 def _row_view(matrix: np.ndarray, i: int) -> memoryview:
@@ -50,92 +42,80 @@ def _row_view(matrix: np.ndarray, i: int) -> memoryview:
     return flat[i * k : (i + 1) * k]
 
 
-class Router:
-    """All-pairs latency routing table for a :class:`PhysicalTopology`."""
-
-    def __init__(self, topology: PhysicalTopology) -> None:
-        self.topology = topology
-        n = topology.n
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for u, v, lat in topology.edges:
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((lat, lat))
-        graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        dist = dijkstra(graph, directed=False)
-        if np.isinf(dist).any():
-            raise ValueError("physical topology is not connected")
-        self._graph = graph
-        self._dist = dist
-        self._pred: Dict[int, np.ndarray] = {}  # per source, on demand
-
-    @property
-    def n(self) -> int:
-        return self.topology.n
-
-    def latency(self, src: int, dst: int) -> float:
-        """Propagation delay (ms) of the shortest path ``src -> dst``."""
-        return self._dist.item(src, dst)
-
-    def latency_row(self, src: int) -> memoryview:
-        """Row ``src`` of the latency matrix as a zero-copy view.
-
-        ``row[dst]`` is a C-level index returning a plain ``float`` --
-        the bulk-delay primitive behind :meth:`Transport.send_many`,
-        which caches one view per source host.
-        """
-        return _row_view(self._dist, src)
-
-    def latency_matrix(self) -> np.ndarray:
-        """The full (n, n) latency matrix (a view; do not mutate)."""
-        return self._dist
-
-    def path(self, src: int, dst: int) -> List[int]:
-        """Node sequence of the shortest path, inclusive of endpoints."""
-        if src == dst:
-            return [src]
-        pred = self._pred.get(src)
-        if pred is None:
-            _, pred = dijkstra(
-                self._graph, directed=False, indices=src, return_predecessors=True
-            )
-            self._pred[src] = pred
-        nodes = [dst]
-        cur = dst
-        while cur != src:
-            cur = int(pred[cur])
-            if cur < 0:  # pragma: no cover - connectivity checked in init
-                raise ValueError(f"no path {src} -> {dst}")
-            nodes.append(cur)
-        nodes.reverse()
-        return nodes
-
-    def path_edges(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        """Edges of the shortest path as sorted (u, v) pairs."""
-        nodes = self.path(src, dst)
-        return [tuple(sorted((a, b))) for a, b in zip(nodes, nodes[1:])]  # type: ignore[misc]
-
-    def hop_count(self, src: int, dst: int) -> int:
-        """Number of physical links on the path."""
-        return len(self.path(src, dst)) - 1
-
-    def min_edge_latency(self) -> float:
-        """Cheapest physical link (ms): a lower bound on any one-hop
-        propagation delay, used as the conservative-sync lookahead."""
-        return min(lat for _, _, lat in self.topology.edges)
+def _columns(edges: Sequence[Tuple[int, int, int, float]]):
+    """``(graph, a, b, w)`` edge tuples as three index arrays and a weight array."""
+    g, a, b = (np.array([e[i] for e in edges], dtype=np.intp) for i in range(3))
+    return g, a, b, np.array([e[3] for e in edges], dtype=np.float64)
 
 
-# Most nodes per block-diagonal stub-domain graph in one scipy call:
-# ~64 domains of 8, whose dense 512 x 512 result is 2 MB.
-_BLOCK_NODES = 512
+def _all_pairs(
+    m: int, k: int, edges: Sequence[Tuple[int, int, int, float]]
+) -> np.ndarray:
+    """All-pairs shortest-path lengths of ``m`` graphs of ``k`` nodes each.
+
+    ``edges`` holds each undirected edge once as ``(graph, a, b, w)``
+    with local node numbers, sorted by graph; the result is
+    ``(m, k, k)``, ``inf`` where no path exists.  Bellman-Ford from
+    every source at once: each sweep extends every known distance by one
+    edge, ``fl(d(a) + w)``, and keeps the least, until a sweep changes
+    nothing.  The fixed point is the least left-associated sum over all
+    walks -- the number scipy's ``dijkstra`` settles too, so the two
+    agree bit for bit (:func:`_scipy_all_pairs`).
+    """
+    dist = np.full((m, k, k), np.inf)
+    dist[:, np.arange(k), np.arange(k)] = 0.0
+    if not edges:
+        return dist
+    g, a, b, w = _columns(edges)
+    g, a, b, w = np.r_[g, g], np.r_[a, b], np.r_[b, a], np.r_[w, w]
+    order = np.lexsort((b, g))  # group the relaxations by target node
+    g, a, b, w = g[order], a[order], b[order], w[order][:, None]
+    key = g * k + b
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    kg, kb = g[starts], b[starts]
+    step = max(1, _STEP_CELLS // len(w))
+    for lo in range(0, k, step):  # sources a slab at a time
+        rows = dist[:, lo : lo + step]
+        while True:
+            reach = np.minimum.reduceat(rows[g, :, a] + w, starts)
+            known = rows[kg, :, kb]
+            if not (reach < known).any():
+                break
+            rows[kg, :, kb] = np.minimum(known, reach)
+    return dist
+
+
+def _scipy_all_pairs(
+    m: int, k: int, edges: Sequence[Tuple[int, int, int, float]]
+) -> List[np.ndarray]:
+    """:func:`_all_pairs` by scipy's ``dijkstra``, the graphs joined into
+    one block-diagonal graph of up to :data:`_BLOCK_NODES` nodes per
+    call: no path leaves a graph, so each diagonal block is its table."""
+    from scipy.sparse import csr_matrix
+
+    g, a, b, w = _columns(edges)
+    per = max(1, _BLOCK_NODES // k)
+    out: List[np.ndarray] = []
+    for lo in range(0, m, per):
+        n = min(per, m - lo)
+        i, j = np.searchsorted(g, (lo, lo + n))
+        u, v = (g[i:j] - lo) * k + a[i:j], (g[i:j] - lo) * k + b[i:j]
+        graph = csr_matrix((np.r_[w[i:j], w[i:j]], (np.r_[u, v], np.r_[v, u])), shape=(n * k,) * 2)
+        block = _dijkstra(graph)
+        # A lone graph's table is the whole block: kept, not copied.
+        out.extend(
+            np.ascontiguousarray(block[x * k : (x + 1) * k, x * k : (x + 1) * k])
+            for x in range(n)
+        )
+    return out
 
 
 def _undirected(
     edges: Iterable[Tuple[int, int, float]], index: Dict[int, int], k: int
-) -> csr_matrix:
-    """Symmetric ``k x k`` CSR of ``edges``, nodes renumbered by ``index``."""
+):
+    """Symmetric ``k x k`` scipy CSR of ``edges``, nodes renumbered by ``index``."""
+    from scipy.sparse import csr_matrix
+
     rows: List[int] = []
     cols: List[int] = []
     vals: List[float] = []
@@ -147,16 +127,22 @@ def _undirected(
     return csr_matrix((vals, (rows, cols)), shape=(k, k))
 
 
-class _HierRow:
-    """Latency row of a :class:`HierRouter` source host.
+def _dijkstra(graph, **kwargs):
+    from scipy.sparse.csgraph import dijkstra
 
-    Quacks like the view :meth:`Router.latency_row` returns --
-    ``row[dst]`` is a plain ``float`` -- without materializing n doubles
-    per source.  It holds views, not copies: the source's stub domain
-    index (shared by every member) and that domain's intra-distance row
-    for same-domain destinations, and the transit row of the source's
-    attachment point for everything else, which decomposes over the
-    single gateway edge of each stub domain (see :class:`HierRouter`).
+    return dijkstra(graph, directed=False, **kwargs)
+
+
+class _HierRow:
+    """Latency row of a source host above :data:`TABLE_LIMIT`.
+
+    Quacks like the table-row view -- ``row[dst]`` is a plain ``float``
+    -- without materializing n doubles per source.  It holds views, not
+    copies: the source's stub domain index (shared by every member) and
+    that domain's intra-distance row for same-domain destinations, and
+    the transit row of the source's attachment point for everything
+    else, which decomposes over the single gateway edge of each stub
+    domain (see :class:`Router`).
     """
 
     __slots__ = ("_base", "_tt", "_tindex", "_to_transit", "_index", "_local")
@@ -189,34 +175,34 @@ class _HierRow:
 _NO_DOMAIN: Dict[int, int] = {}
 
 
-class HierRouter:
-    """Hierarchical routing table for large transit-stub topologies.
+class Router:
+    """Routing table for a transit-stub :class:`PhysicalTopology`.
 
-    The dense :class:`Router` stores O(n^2) doubles -- 80 GB at 10^5
-    hosts -- which caps cell sizes long before the event loop does.
-    Transit-stub topologies don't need it: by construction
-    (:func:`~repro.net.topology.generate_transit_stub`) every stub
-    domain attaches to the backbone through exactly *one* gateway edge,
-    so any path leaving a stub domain crosses that edge, and any
-    excursion from the transit core into a stub domain is a detour.
-    Shortest paths therefore decompose exactly:
+    By construction (:func:`~repro.net.topology.generate_transit_stub`)
+    every stub domain attaches to the backbone through exactly *one*
+    gateway edge, so any path leaving a stub domain crosses that edge,
+    and any excursion from the transit core into a stub domain is a
+    detour.  Shortest paths therefore decompose exactly:
 
     ``lat(u, v) = d_D(u, g_D) + w_D  +  T(t_D, t_E)  +  w_E + d_E(g_E, v)``
 
-    where ``d_X`` is the all-pairs distance *inside* stub domain ``X``
-    (8 nodes by default; :func:`~repro.net.topology.config_for_size`
-    grows domains once the core reaches its cap, to 82 nodes at 10^6
-    hosts), ``g_X``/``w_X`` its gateway node and gateway edge weight, and
-    ``T`` the all-pairs distance over the transit-only subgraph.  Memory
-    is O(n_t^2 + sum |D|^2) instead of O(n^2).  Domains are solved
-    :data:`_BLOCK_NODES` nodes per scipy call; predecessors, which only
-    :meth:`path` (link-stress accounting) reads, are computed on demand.
+    where ``d_X`` is the all-pairs distance *inside* stub domain ``X``,
+    ``g_X``/``w_X`` its gateway node and edge weight, and ``T`` the
+    all-pairs distance over the transit-only subgraph (a topology of
+    transit nodes only is all core).  The sum is formed as
+    ``(to_transit[u] + T) + to_transit[v]``, ``to_transit`` being the
+    exact ``d_X(., g_X) + w_X`` (0.0 on transit nodes).  Two storage
+    forms, chosen by ``n <= TABLE_LIMIT``:
 
-    The decomposition yields the same shortest-path *lengths* as the
-    dense router up to IEEE summation association; ``make_router`` only
-    selects this class above :data:`DENSE_ROUTER_LIMIT`, where no dense
-    reference exists, and every shard of a sharded run uses the same
-    implementation, so determinism across shard counts is unaffected.
+    * **table** -- numpy solves the core and the stub domains (batched
+      by domain size) and one n x n float64 table holds the sums, with
+      intra-domain blocks overwritten; a row is a zero-copy view;
+    * **decomposed** -- O(n_t^2 + sum |D|^2) memory instead of O(n^2)
+      (80 GB at 10^5 hosts): scipy solves the core and the domains,
+      :data:`_BLOCK_NODES` nodes per call, and a :class:`_HierRow`
+      sums on read.
+
+    Both solves give the same doubles, so the forms agree bit for bit.
     """
 
     def __init__(self, topology: PhysicalTopology) -> None:
@@ -246,21 +232,13 @@ class HierRouter:
                 if d in gateway:
                     raise ValueError(
                         f"stub domain {d} has multiple gateway edges; "
-                        "HierRouter requires the single-gateway transit-stub form"
+                        "routing requires the single-gateway transit-stub form"
                     )
                 gateway[d] = (stub, lat)
             else:
                 if domain[u] != domain[v]:  # pragma: no cover - generator invariant
                     raise ValueError("stub edge crosses domains")
                 dom_edges.setdefault(domain[u], []).append((u, v, lat))
-        self._core = _undirected(core_edges, t_of, n_t)
-        tt_dist = dijkstra(self._core, directed=False)
-        if np.isinf(tt_dist).any():
-            raise ValueError("transit core is not connected")
-        self._tt = tt_dist
-        self._tt_pred: Dict[int, np.ndarray] = {}  # per source, on demand
-
-        # --- stub domains ------------------------------------------------
         # Members in node order; intra-domain all-pairs per domain.
         members: Dict[int, List[int]] = {}
         for i in range(n):
@@ -268,7 +246,12 @@ class HierRouter:
                 members.setdefault(domain[i], []).append(i)
         for d in members:
             if d not in gateway:
-                raise ValueError(f"stub domain {d} has no gateway edge")
+                raise ValueError(
+                    f"stub domain {d} has no gateway edge, so it is not connected"
+                )
+        self._core_edges = core_edges
+        self._core = None  # scipy CSR of the core, built by the first path()
+        self._tt_pred: Dict[int, np.ndarray] = {}  # per source, on demand
         self._members = members
         self._dom_index: Dict[int, Dict[int, int]] = {
             d: {node: j for j, node in enumerate(mem)} for d, mem in members.items()
@@ -279,54 +262,68 @@ class HierRouter:
         self._gateway = gateway
         # Per-host: index of the attachment transit node, and the exact
         # distance to it (0.0 for transit nodes).
-        tindex = [t_of[attach[i]] for i in range(n)]
-        to_transit = [0.0] * n
-        # Domains go to scipy a block at a time, as one block-diagonal
-        # graph: no path leaves a domain, so each source's run is the
-        # per-domain run, and its diagonal block is that domain's table.
-        block: List[int] = []
-        size = 0
-        for d, mem in members.items():
-            if block and size + len(mem) > _BLOCK_NODES:
-                self._solve_block(block, to_transit)
-                block, size = [], 0
-            block.append(d)
-            size += len(mem)
-        if block:
-            self._solve_block(block, to_transit)
-        self._tindex = tindex
-        self._to_transit = to_transit
+        self._tindex = [t_of[attach[i]] for i in range(n)]
+        self._to_transit = [0.0] * n
 
-    def _solve_block(self, block: List[int], to_transit: List[float]) -> None:
-        """All-pairs for the stub domains ``block`` in one scipy call."""
-        at: Dict[int, int] = {}
-        edges: List[Tuple[int, int, float]] = []
-        for d in block:
-            for node in self._members[d]:
-                at[node] = len(at)
-            edges.extend(self._dom_edges.get(d, ()))
-        dist = dijkstra(_undirected(edges, at, len(at)), directed=False)
-        lo = 0
-        for d in block:
-            mem = self._members[d]
-            hi = lo + len(mem)
-            sub = dist[lo:hi, lo:hi].copy()
-            lo = hi
-            if np.isinf(sub).any():
-                raise ValueError(f"stub domain {d} is not internally connected")
-            self._intra[d] = sub
-            g, w = self._gateway[d]
-            grow = sub[self._dom_index[d][g]].tolist()
-            for node, gd in zip(mem, grow):
-                to_transit[node] = gd + w
+        table = n <= TABLE_LIMIT
+        solve = _all_pairs if table else _scipy_all_pairs
+        tt_dist = solve(1, n_t, [(0, t_of[u], t_of[v], lat) for u, v, lat in core_edges])[0]
+        if np.isinf(tt_dist).any():
+            raise ValueError("transit core is not connected")
+        self._tt = tt_dist
+        # Stub domains, one batch per domain size.
+        by_size: Dict[int, List[int]] = {}
+        for d, mem in members.items():
+            by_size.setdefault(len(mem), []).append(d)
+        for k, batch in by_size.items():
+            edges = []
+            for g, d in enumerate(batch):
+                idx = self._dom_index[d]
+                edges.extend((g, idx[u], idx[v], lat) for u, v, lat in dom_edges.get(d, ()))
+            for d, sub in zip(batch, solve(len(batch), k, edges)):
+                if np.isinf(sub).any():
+                    raise ValueError(f"stub domain {d} is not internally connected")
+                self._intra[d] = sub
+                gate, w = gateway[d]
+                grow = sub[self._dom_index[d][gate]].tolist()
+                for node, gd in zip(members[d], grow):
+                    self._to_transit[node] = gd + w
+        self._table = self._fill() if table else None
+
+    def _fill(self) -> np.ndarray:
+        """The n x n table: entry for entry the double a ``_HierRow`` sums.
+
+        Filled a slab of rows at a time, so no n x n temporary appears.
+        """
+        n = self.n
+        tindex = np.array(self._tindex)
+        to_transit = np.array(self._to_transit)
+        table = np.empty((n, n))
+        step = max(1, _STEP_CELLS // n)
+        for lo in range(0, n, step):
+            rows = table[lo : lo + step]
+            np.take(self._tt[tindex[lo : lo + step]], tindex, axis=1, out=rows, mode="clip")
+            rows += to_transit[lo : lo + step, None]
+            rows += to_transit
+        for d, mem in self._members.items():
+            table[np.ix_(mem, mem)] = self._intra[d]
+        return table
 
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
         return self.topology.n
 
-    def latency_row(self, src: int) -> _HierRow:
-        """Row object supporting ``row[dst]``; views only, so not cached."""
+    def latency_row(self, src: int):
+        """Row ``src``: ``row[dst]`` is ``latency(src, dst)`` as a ``float``.
+
+        A zero-copy view of the table (C-level indexing) up to
+        :data:`TABLE_LIMIT` hosts, a :class:`_HierRow` of views above:
+        the bulk-delay primitive behind :meth:`Transport.send_many`,
+        which caches one row per source host.
+        """
+        if self._table is not None:
+            return _row_view(self._table, src)
         topo = self.topology
         if topo.kind[src] is NodeKind.STUB:
             d = topo.domain[src]
@@ -340,10 +337,13 @@ class HierRouter:
 
     def latency(self, src: int, dst: int) -> float:
         """Propagation delay (ms) of the shortest path ``src -> dst``."""
+        if self._table is not None:
+            return self._table.item(src, dst)
         return self.latency_row(src)[dst]
 
     def min_edge_latency(self) -> float:
-        """Cheapest physical link (ms); see :meth:`Router.min_edge_latency`."""
+        """Cheapest physical link (ms): a lower bound on any one-hop
+        propagation delay, used as the conservative-sync lookahead."""
         return min(lat for _, _, lat in self.topology.edges)
 
     # ------------------------------------------------------------------
@@ -355,7 +355,7 @@ class HierRouter:
         pred = self._intra_pred.get(d)
         if pred is None:
             graph = _undirected(self._dom_edges.get(d, ()), idx, len(mem))
-            _, pred = dijkstra(graph, directed=False, return_predecessors=True)
+            _, pred = _dijkstra(graph, return_predecessors=True)
             self._intra_pred[d] = pred
         nodes = [dst]
         cur = idx[dst]
@@ -370,9 +370,10 @@ class HierRouter:
         transit = self._transit
         pred = self._tt_pred.get(src_t)
         if pred is None:
-            _, pred = dijkstra(
-                self._core, directed=False, indices=src_t, return_predecessors=True
-            )
+            if self._core is None:
+                t_of = {node: i for i, node in enumerate(transit)}
+                self._core = _undirected(self._core_edges, t_of, len(transit))
+            _, pred = _dijkstra(self._core, indices=src_t, return_predecessors=True)
             self._tt_pred[src_t] = pred
         nodes = [transit[dst_t]]
         cur = dst_t
@@ -412,17 +413,10 @@ class HierRouter:
         return len(self.path(src, dst)) - 1
 
 
-def make_router(
-    topology: PhysicalTopology, dense_limit: Optional[int] = None
-):
-    """Pick the routing implementation for a topology's size.
+# The name the ledger's tracer and older callers resolve.
+HierRouter = Router
 
-    Dense :class:`Router` (exact, one matrix view per row) up to
-    ``dense_limit`` hosts; :class:`HierRouter` beyond.  The default
-    limit keeps every existing experiment scale -- and therefore all
-    golden determinism baselines -- on the dense implementation.
-    """
-    limit = DENSE_ROUTER_LIMIT if dense_limit is None else dense_limit
-    if topology.n <= limit:
-        return Router(topology)
-    return HierRouter(topology)
+
+def make_router(topology: PhysicalTopology) -> Router:
+    """The router for ``topology``: the name ``HybridSystem`` calls."""
+    return Router(topology)

@@ -317,7 +317,7 @@ def config_for_size(
 
     Past ~10^5 nodes the default shape would put tens of thousands of
     nodes in the transit core, whose all-pairs distance table is the
-    quadratic term in :class:`~repro.net.routing.HierRouter` memory and
+    quadratic term in :class:`~repro.net.routing.Router` memory and
     whose all-pairs Dijkstra (n_t runs over the core) dominates its
     build time.  When the core would exceed ``max_transit_nodes`` the
     stub domains grow instead -- their cost is the sum of squared

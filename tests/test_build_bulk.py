@@ -1,7 +1,7 @@
-"""``build_bulk``, ``HierRouter`` and ``install_fingers``.
+"""``build_bulk``, the decomposed router and ``install_fingers``.
 
 Every 10^5 / 10^6 figure rests on the protocol-free build and on the
-hierarchical router; this pins one bulk cell bit-for-bit (values taken
+router's transit-stub decomposition; this pins one bulk cell bit-for-bit (values taken
 at the commit before the peer-state diet), checks the structure the
 join protocol would have produced, and holds ``install_fingers`` to
 the exhaustive algorithm it replaced.
@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro.core import HybridConfig, HybridSystem
 from repro.experiments.common import Scale, run_cell
-from repro.net.routing import HierRouter, Router, make_router
+from repro.net.routing import make_router
 from repro.net.topology import (
     NodeKind,
     PhysicalTopology,
@@ -44,7 +44,7 @@ def test_bulk_cell_golden():
     assert (result.n_t_peers, result.n_s_peers) == (1500, 3500)
     system = out["system"]
     assert system.engine.events_executed == 12206
-    assert isinstance(system.router, HierRouter)
+    assert system.router._table is None  # past TABLE_LIMIT: rows summed on read
 
 
 def test_bulk_structure():
@@ -75,15 +75,17 @@ def test_bulk_requires_heterogeneity_awareness_off():
 
 
 def test_hier_router_agrees_with_dense():
+    """The decomposition against one scipy Dijkstra over the whole graph."""
     topology = generate_transit_stub(config_for_size(1000), np.random.default_rng(5))
-    dense = make_router(topology)
-    hier = make_router(topology, dense_limit=0)
-    assert isinstance(dense, Router) and isinstance(hier, HierRouter)
-    assert hier.min_edge_latency() == dense.min_edge_latency()
-    for src in range(0, topology.n, 37):
-        want, got = dense.latency_row(src), hier.latency_row(src)
-        assert all(abs(got[dst] - want[dst]) <= 1e-9 for dst in range(topology.n))
-        assert abs(hier.latency(src, topology.n - 1) - want[topology.n - 1]) <= 1e-9
+    router = make_router(topology)
+    u, v, w = (list(col) for col in zip(*topology.edges))
+    n = topology.n
+    full = dijkstra(csr_matrix((w + w, (u + v, v + u)), shape=(n, n)), directed=False)
+    assert router.min_edge_latency() == min(w)
+    for src in range(0, n, 37):
+        got = router.latency_row(src)
+        assert all(abs(got[dst] - full[src, dst]) <= 1e-9 for dst in range(n))
+        assert abs(router.latency(src, n - 1) - full[src, n - 1]) <= 1e-9
 
 
 def reference_domains(topology):
@@ -121,7 +123,7 @@ def reference_domains(topology):
 ])
 def test_hier_router_stub_tables_exact(shape):
     topology = generate_transit_stub(shape, np.random.default_rng(3))
-    router = make_router(topology, dense_limit=0)
+    router = make_router(topology)
     ref = reference_domains(topology)
     assert router._intra.keys() == ref.keys()
     for d, (mem, g, w, dist) in ref.items():
@@ -143,7 +145,7 @@ PATH_GOLDEN = "d1493c1bc8e068ae"
 
 def test_hier_router_path_golden():
     topology = generate_transit_stub(config_for_size(1000), np.random.default_rng(5))
-    router = make_router(topology, dense_limit=0)
+    router = make_router(topology)
     paths = [router.path(src, dst) for src, dst in PATH_PAIRS]
     assert paths[5] == [45] and paths[1] == paths[0][::-1]
     assert hashlib.sha256(repr(paths).encode()).hexdigest()[:16] == PATH_GOLDEN
@@ -168,7 +170,7 @@ def _two_domains(edges):
 ])
 def test_hier_router_rejects_malformed_domains(edges, match):
     with pytest.raises(ValueError, match=match):
-        make_router(_two_domains(edges), dense_limit=0)
+        make_router(_two_domains(edges))
 
 
 # ----------------------------------------------------------------------

@@ -220,8 +220,12 @@ def test_feature_cell_bit_identical(name):
 
 # sha256 of the repr of test_swarm.test_sim_crowd_is_deterministic's
 # ``swarm.piece`` event list: the swarm path, pinned across commits.
+# Re-pinned (was dd388102...3b5b7acb) when routing moved from one
+# Dijkstra over the whole graph to the transit-stub decomposition: some
+# latencies differ by an ulp in summation order, which moves the
+# piece-event times of this cell and of no other golden.
 GOLDEN_SWARM_PIECE_DIGEST = (
-    "dd38810225b64be725866b8b2c31486236ea03bb762ae951e62b699b3b5b7acb"
+    "132b55e0435bba5596d826fcf27b2fad5c9cd48e5c5b7f86cbac5d02598bedd4"
 )
 
 

@@ -138,6 +138,13 @@ class TestBinning:
         balanced = mean_anchor_distance(0)
         assert binned < balanced
 
+    def test_landmarks_past_the_table_limit(self):
+        """Landmarks are scored through ``latency``, which every router
+        form has, not through a full latency matrix."""
+        system = HybridSystem(HybridConfig(p_s=0.7, n_landmarks=8), n_peers=5000)
+        assert system.router._table is None
+        assert len(set(system.landmarks)) == 8
+
 
 class TestInterest:
     def test_interest_scenario_keeps_lookups_local(self):
