@@ -4,15 +4,15 @@ Section 3.1: "A data item is represented by a (key, value) pair ...
 Each peer receiving the flooding packets or random walk packets checks
 its own database for the data item queried."
 
-The store also implements the two bulk moves of Table 1's pseudocode:
-``loadtransfer`` (items in a segment move to a newly joined t-peer) and
-``loaddump`` (a leaving peer hands everything to its successor).
+The store also implements Table 1's ``loadtransfer`` (items in a
+segment move to a newly joined t-peer); ``loaddump`` (a leaving peer
+hands everything to its successor) is the t-network's departure path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..overlay.idspace import IdSpace
 
@@ -93,13 +93,3 @@ class DataStore:
         for item in moved:
             del self._items[item.key]
         return moved
-
-    def extract_all(self) -> List[DataItem]:
-        """Remove and return everything (``loaddump`` on leave)."""
-        moved = list(self._items.values())
-        self._items.clear()
-        return moved
-
-    def as_tuples(self) -> Tuple[Tuple[str, Any], ...]:
-        """Serialise to (key, value) tuples for message payloads."""
-        return tuple((item.key, item.value) for item in self._items.values())

@@ -7,8 +7,7 @@ protocol lives in the role mixins:
 
 * :class:`~repro.core.tnetwork.TNetworkMixin` -- ring membership/routing,
 * :class:`~repro.core.snetwork.SNetworkMixin` -- tree membership,
-* :class:`~repro.core.dataplane.DataPlaneMixin` -- store/lookup (flood),
-  and :class:`~repro.core.search.SearchMixin` -- prefix search.
+* :class:`~repro.core.dataplane.DataPlaneMixin` -- store/lookup (flood).
 
 Each optional feature is a mixin too (:data:`FEATURES`); :func:`peer_class`
 adds exactly the ones a config turns on, so a feature that is off has no
@@ -62,14 +61,14 @@ from .datastore import DataStore
 from .dataplane import DataPlaneMixin
 from .failures import LivenessMixin
 from .lookup import QueryRegistry
-from .search import PartialSearch, SearchMixin, WalkMixin
+from .search import WalkMixin
 from .snetwork import MeshMixin, SNetworkMixin
 from .tnetwork import TNetworkMixin
 
 __all__ = ["FEATURES", "HybridPeer", "peer_class"]
 
 
-class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, BasePeer):
+class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, BasePeer):
     """A peer of the hybrid system (role "t" or "s"), no optional feature."""
 
     # What a per-hop handler tests for a feature that is off (one
@@ -178,11 +177,6 @@ class HybridPeer(TNetworkMixin, SNetworkMixin, DataPlaneMixin, SearchMixin, Base
     @cached_property
     def pending_lookups(self) -> Dict[int, Any]:
         """Lookups this peer originated that are still in flight."""
-        return {}
-
-    @cached_property
-    def pending_searches(self) -> Dict[int, PartialSearch]:
-        """Partial searches this peer originated."""
         return {}
 
     def _touched(self, name: str) -> Any:

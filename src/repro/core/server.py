@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..enhance.binning import prefix_similarity
 from ..overlay.idspace import IdSpace
 from ..overlay.messages import (
     CrashReport,
@@ -304,20 +305,11 @@ class BootstrapServer(BasePeer):
         ties break toward the smaller s-network so clusters spread
         round-robin over equally-near s-networks.
         """
-
-        def prefix_len(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-            n = 0
-            for x, y in zip(a, b):
-                if x != y:
-                    break
-                n += 1
-            return n
-
         best = None
         best_key = (-1, 0, 0)
         for t_addr in self.s_counts:
             coord = self.t_coords.get(t_addr, ())
-            key = (prefix_len(coordinate, coord), -self.s_counts[t_addr], -t_addr)
+            key = (prefix_similarity(coordinate, coord), -self.s_counts[t_addr], -t_addr)
             if key > best_key:
                 best_key = key
                 best = t_addr

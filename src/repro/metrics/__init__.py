@@ -1,12 +1,12 @@
 """Measurement helpers.
 
 Items-per-peer distributions (:mod:`~repro.metrics.distributions`),
-trace-bus collectors (:mod:`~repro.metrics.collectors`), and plain-text
+the membership log (:mod:`~repro.metrics.collectors`), and plain-text
 table rendering for the experiment harness
 (:mod:`~repro.metrics.report`).
 """
 
-from .collectors import EventCounter, JoinLatencyCollector, MembershipLog
+from .collectors import MembershipLog
 from .distributions import (
     DistributionSummary,
     gini,
@@ -16,8 +16,6 @@ from .distributions import (
 from .report import format_grid, format_series, format_table
 
 __all__ = [
-    "EventCounter",
-    "JoinLatencyCollector",
     "MembershipLog",
     "DistributionSummary",
     "gini",

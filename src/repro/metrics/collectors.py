@@ -1,67 +1,20 @@
 """Trace-bus metric collectors.
 
-Subscribe these to a system's :class:`~repro.sim.trace.TraceBus` to
-count protocol events without touching protocol code: membership events
-(joins, departures, promotions, handoffs), crash detections, lookup
-failures, bypass-link additions.  Tests also use them to assert on
-protocol behaviour from the outside.
+:class:`MembershipLog` subscribes to a system's
+:class:`~repro.sim.trace.TraceBus` and logs membership events (joins,
+departures, promotions, handoffs, crash detections) without touching
+protocol code; :class:`~repro.obs.bridge.TraceBridge` counts the same
+categories.  Tests use it to assert on protocol behaviour from the
+outside.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List
+from typing import List
 
 from ..sim.trace import TraceBus, TraceRecord
 
-__all__ = ["EventCounter", "JoinLatencyCollector", "MembershipLog"]
-
-
-class EventCounter:
-    """Counts trace records per category."""
-
-    def __init__(self, bus: TraceBus, categories: List[str] | None = None) -> None:
-        self.counts: Counter = Counter()
-        self._bus = bus
-        self._categories = categories
-        if categories is None:
-            bus.subscribe("*", self._on_record)
-        else:
-            for cat in categories:
-                bus.subscribe(cat, self._on_record)
-
-    def _on_record(self, record: TraceRecord) -> None:
-        self.counts[record.category] += 1
-
-    def __getitem__(self, category: str) -> int:
-        return self.counts[category]
-
-    def detach(self) -> None:
-        if self._categories is None:
-            self._bus.unsubscribe("*", self._on_record)
-        else:
-            for cat in self._categories:
-                self._bus.unsubscribe(cat, self._on_record)
-
-
-class JoinLatencyCollector:
-    """Gathers join latencies as they complete, split by role."""
-
-    def __init__(self, bus: TraceBus) -> None:
-        self.by_role: Dict[str, List[float]] = {"t": [], "s": []}
-        bus.subscribe("join.complete", self._on_join)
-
-    def _on_join(self, record: TraceRecord) -> None:
-        role = record.payload.get("role", "?")
-        self.by_role.setdefault(role, []).append(record.payload["latency"])
-
-    def mean(self, role: str) -> float:
-        values = self.by_role.get(role, [])
-        return sum(values) / len(values) if values else float("nan")
-
-    def overall_mean(self) -> float:
-        values = [v for vs in self.by_role.values() for v in vs]
-        return sum(values) / len(values) if values else float("nan")
+__all__ = ["MembershipLog"]
 
 
 class MembershipLog:

@@ -8,9 +8,9 @@ have the lowest link capacities, and 1/3 of them have the medium link
 capacities.  The highest link capacity is 10 times of the lowest link
 capacity."*
 
-This module assigns capacity classes to hosts and converts a message
-transfer into a delay: the transfer time of a message over an overlay
-hop is bounded by the slower of the two endpoint access links.
+This module assigns capacity classes to hosts.  The transfer time of a
+message over an overlay hop is bounded by the slower of the two endpoint
+access links; :meth:`~repro.overlay.transport.Transport.send` charges it.
 """
 
 from __future__ import annotations
@@ -115,18 +115,6 @@ class CapacityModel:
         if host >= len(self._capacity):
             self.ensure(host + 1)
         return float(self._capacity[host])
-
-    def transfer_delay(self, src: int, dst: int, size: float) -> float:
-        """Time to push ``size`` units over the hop ``src -> dst``.
-
-        The bottleneck is the slower endpoint access link -- the effect
-        Section 5.1 describes ("its download speed is upper bounded by
-        the download speed of the low link capacity peer").
-        """
-        if size < 0:
-            raise ValueError("message size must be non-negative")
-        bottleneck = min(self.capacity(src), self.capacity(dst))
-        return float(size / bottleneck)
 
     def classes(self) -> List[CapacityClass]:
         """Copy of the per-host class labels."""

@@ -141,14 +141,6 @@ class PhysicalTopology:
     def stub_nodes(self) -> List[int]:
         return [i for i in range(self.n) if self.kind[i] is NodeKind.STUB]
 
-    def adjacency(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Adjacency lists ``node -> [(neighbor, latency), ...]``."""
-        adj: Dict[int, List[Tuple[int, float]]] = {i: [] for i in range(self.n)}
-        for u, v, lat in self.edges:
-            adj[u].append((v, lat))
-            adj[v].append((u, lat))
-        return adj
-
     def degree(self, node: int) -> int:
         return sum(1 for u, v, _ in self.edges if u == node or v == node)
 

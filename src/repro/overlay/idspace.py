@@ -170,7 +170,3 @@ class ClusteredIdSpace(IdSpace):
         band = super().hash_key(category) & band_mask
         low = super().hash_key(rest) & ((1 << self.band_bits) - 1)
         return band | low
-
-    def category_anchor(self, category: str) -> int:
-        """The id the server anchors this category's s-network at."""
-        return super().hash_key(category)

@@ -55,8 +55,8 @@ __all__ = [
     "LookupRequest",
     "FloodQuery",
     "WalkQuery",
-    "PartialQuery",
-    "PartialResult",
+    "PartialQuery",  # reserved wire id, never sent
+    "PartialResult",  # reserved wire id, never sent
     "DataFound",
     "LoadTransfer",
     "LoadTransferAck",
@@ -418,31 +418,12 @@ class WalkQuery(Message):
 
 @dataclass(slots=True)
 class PartialQuery(Message):
-    """Keyword/prefix search flood (Section 5.3).
-
-    "Interest-based s-network is also useful for partial/keyword search
-    ...  the partial search is conducted in the corresponding s-network
-    similar to that in other unstructured peer-to-peer networks."
-    Matching is key-prefix; every holder replies with all its matches.
-    """
-
-    prefix: str = ""
-    origin: int = -1
-    query_id: int = -1
-    ttl: int = 0
+    """Reserved wire id: never sent (Section 5.3's prefix search is not built)."""
 
 
 @dataclass(slots=True)
 class PartialResult(Message):
-    """One peer's matches for a partial search."""
-
-    query_id: int = -1
-    matches: Tuple[Tuple[str, Any], ...] = ()
-    holder: int = -1
-
-    @property
-    def size(self) -> float:
-        return CONTROL_SIZE + ITEM_SIZE * len(self.matches)
+    """Reserved wire id: never sent (Section 5.3's prefix search is not built)."""
 
 
 @dataclass(slots=True)

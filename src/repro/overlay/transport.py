@@ -23,7 +23,7 @@ Two delivery paths share one delay model:
   deliveries are bulk-inserted into the event heap in one call.
 
 Both paths memoize per-address access capacities (invalidated on
-``register``/``unregister``) and per-source-host latency rows (the only
+``register``) and per-source-host latency rows (the only
 row cache; a row is a view of the router's table, not a copy), and both
 preserve the exact delay values and sequence-number assignment order of
 the equivalent loop of single sends -- deterministic runs stay
@@ -91,9 +91,6 @@ class TransportBase:
     """
 
     def register(self, actor: Actor) -> None:
-        raise NotImplementedError
-
-    def unregister(self, address: int) -> None:
         raise NotImplementedError
 
     def actor(self, address: int) -> Optional[Actor]:
@@ -190,16 +187,6 @@ class Transport(TransportBase):
         # The address may be reused by a different peer (churn): the
         # memoized capacities and delays no longer apply.
         self._cap_cache.pop(actor.address, None)
-        self._delay_cache.clear()
-
-    def unregister(self, address: int) -> None:
-        """Remove an actor: sends to the address drop from now on.
-
-        Messages already in flight are bound to the actor itself and
-        reach its ``receive``, which drops them once it is not alive.
-        """
-        self._actors.pop(address, None)
-        self._cap_cache.pop(address, None)
         self._delay_cache.clear()
 
     def close(self) -> None:

@@ -368,9 +368,6 @@ class AioTransport(TransportBase):
             raise ValueError(f"address {actor.address} already registered")
         self._actors[actor.address] = actor
 
-    def unregister(self, address: int) -> None:
-        self._actors.pop(address, None)
-
     def actor(self, address: int) -> Optional[Actor]:
         return self._actors.get(address)
 

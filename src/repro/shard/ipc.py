@@ -98,7 +98,6 @@ _FRAME_OVERHEAD = _LENKIND.size
 _OFF_W = 0
 _OFF_R = 8
 _OFF_WCLOSED = 16
-_OFF_RCLOSED = 17
 HEADER_BYTES = 64
 
 #: Default capacities.  Data rings see at most one window's worth of
@@ -143,11 +142,11 @@ class SpscRing:
     """Single-producer/single-consumer frame ring over a shared buffer.
 
     One process calls only the producer methods (``try_write``,
-    ``write``, ``close_producer``), the other only the consumer methods
-    (``read``, ``close_consumer``).  A memoryview returned by ``read``
-    aliases the shared buffer and stays valid until the *next* read
-    call, which is when the consumed region is released to the
-    producer -- decode before reading on.
+    ``write``, ``close_producer``), the other only the consumer method
+    ``read``.  A memoryview returned by ``read`` aliases the shared
+    buffer and stays valid until the *next* read call, which is when
+    the consumed region is released to the producer -- decode before
+    reading on.
     """
 
     __slots__ = (
@@ -201,9 +200,6 @@ class SpscRing:
 
     def close_producer(self) -> None:
         self._buf[_OFF_WCLOSED] = 1
-
-    def close_consumer(self) -> None:
-        self._buf[_OFF_RCLOSED] = 1
 
     # -- producer --------------------------------------------------------
     def _place(self, kind: int, payload, need: int) -> None:

@@ -13,7 +13,7 @@ costs one membership test against :attr:`TraceBus.wanted`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple
 
 __all__ = ["TraceRecord", "TraceBus"]
 
@@ -30,8 +30,7 @@ Subscriber = Callable[[TraceRecord], None]
 
 
 class _EveryCategory:
-    """The universal set: what a bus with a ``"*"`` subscriber or a
-    running recorder wants."""
+    """The universal set: what a bus with a ``"*"`` subscriber wants."""
 
     __slots__ = ()
 
@@ -45,8 +44,8 @@ _EVERY_CATEGORY = _EveryCategory()
 class TraceBus:
     """Publish/subscribe bus for simulation trace events.
 
-    Subscribers register per-category or for all categories (``"*"``).
-    A built-in ring-buffer recorder can be enabled for debugging.
+    Subscribers register per-category or for all categories (``"*"``);
+    to record, subscribe a list's ``append``.
 
     Attributes
     ----------
@@ -61,13 +60,11 @@ class TraceBus:
         # Every key holds a non-empty list (unsubscribe prunes).
         self._subs: Dict[str, List[Subscriber]] = {}
         self._any_subs: List[Subscriber] = []
-        self._record_buffer: Optional[List[TraceRecord]] = None
-        self._record_categories: Optional[set] = None
         self.emitted = 0
         self.wanted = frozenset()
 
     def _listeners_changed(self) -> None:
-        if self._any_subs or self._record_buffer is not None:
+        if self._any_subs:
             self.wanted = _EVERY_CATEGORY
         else:
             self.wanted = frozenset(self._subs)
@@ -84,8 +81,8 @@ class TraceBus:
         Unlike :attr:`active` (bus-global), this is per-category: a bus
         with only a ``"data.stored"`` subscriber does not want
         ``"transport.send"`` records, so hot-path publishers can skip
-        building the payload entirely.  Conservatively True while
-        recording or when a wildcard subscriber is installed.
+        building the payload entirely.  Conservatively True for every
+        category while a wildcard subscriber is installed.
         """
         return category in self.wanted
 
@@ -111,32 +108,10 @@ class TraceBus:
         self._listeners_changed()
 
     def clear(self) -> None:
-        """Remove every subscriber and stop recording."""
+        """Remove every subscriber."""
         self._subs.clear()
         self._any_subs.clear()
-        self._record_buffer = None
-        self._record_categories = None
         self._listeners_changed()
-
-    # ------------------------------------------------------------------
-    def start_recording(self, categories: Optional[List[str]] = None) -> None:
-        """Begin buffering records (optionally only given categories)."""
-        self._record_buffer = []
-        self._record_categories = set(categories) if categories else None
-        self._listeners_changed()
-
-    def stop_recording(self) -> List[TraceRecord]:
-        """Stop buffering and return what was captured."""
-        buf = self._record_buffer or []
-        self._record_buffer = None
-        self._record_categories = None
-        self._listeners_changed()
-        return buf
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        """Records captured so far (empty when not recording)."""
-        return list(self._record_buffer or [])
 
     # ------------------------------------------------------------------
     def publish(self, time: float, category: str, **payload: Any) -> None:
@@ -145,10 +120,6 @@ class TraceBus:
             return
         rec = TraceRecord(time, category, payload)
         self.emitted += 1
-        if self._record_buffer is not None and (
-            self._record_categories is None or category in self._record_categories
-        ):
-            self._record_buffer.append(rec)
         # Iterate over snapshots: a subscriber may unsubscribe itself
         # (or others) while handling the record, and list mutation
         # during iteration would silently skip the next subscriber.

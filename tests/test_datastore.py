@@ -74,14 +74,6 @@ class TestSegmentMoves:
         moved = db.extract_segment(SPACE.size - 10, 5)
         assert [i.key for i in moved] == ["wrapped"]
 
-    def test_extract_all(self):
-        db = make_store()
-        for i in range(5):
-            db.insert(f"k{i}", i)
-        moved = db.extract_all()
-        assert len(moved) == 5
-        assert len(db) == 0
-
     @given(
         dids=st.lists(
             st.integers(min_value=0, max_value=SPACE.size - 1),
@@ -104,9 +96,3 @@ class TestSegmentMoves:
             assert SPACE.owner_segment_contains(item.d_id, lo, hi)
         for item in db:
             assert not SPACE.owner_segment_contains(item.d_id, lo, hi)
-
-    def test_as_tuples_round_trip(self):
-        db = make_store()
-        db.insert("a", 1)
-        db.insert("b", 2)
-        assert sorted(db.as_tuples()) == [("a", 1), ("b", 2)]

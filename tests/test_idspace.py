@@ -133,7 +133,7 @@ class TestClusteredIdSpace:
 
     def test_band_matches_anchor(self):
         cs = ClusteredIdSpace(32, 16)
-        anchor = cs.category_anchor("music")
+        anchor = cs.hash_key("music")
         assert anchor >> 16 == cs.hash_key("music:x") >> 16
 
     def test_different_categories_usually_differ(self):

@@ -1,5 +1,5 @@
-"""Tests for metrics: distributions, report rendering, collectors,
-and the QueryRegistry's aggregation."""
+"""Tests for metrics: distributions, report rendering, and the
+QueryRegistry's aggregation."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ import pytest
 
 from repro.core import QueryRegistry
 from repro.metrics import (
-    EventCounter,
-    JoinLatencyCollector,
     format_grid,
     format_series,
     format_table,
@@ -19,7 +17,6 @@ from repro.metrics import (
     items_pdf,
     summarize_distribution,
 )
-from repro.sim import TraceBus
 
 
 class TestDistributions:
@@ -69,37 +66,6 @@ class TestReport:
     def test_format_grid_missing_cells(self):
         out = format_grid("r", ["a"], "c", ["x", "y"], {"a": {"x": 1}})
         assert "-" in out  # missing (a, y)
-
-
-class TestCollectors:
-    def test_event_counter_all_categories(self):
-        bus = TraceBus()
-        counter = EventCounter(bus)
-        bus.publish(1.0, "a")
-        bus.publish(2.0, "b")
-        bus.publish(3.0, "a")
-        assert counter["a"] == 2 and counter["b"] == 1
-        counter.detach()
-        bus.publish(4.0, "a")
-        assert counter["a"] == 2
-
-    def test_event_counter_filtered(self):
-        bus = TraceBus()
-        counter = EventCounter(bus, ["a"])
-        bus.publish(1.0, "a")
-        bus.publish(1.0, "b")
-        assert counter["a"] == 1 and counter["b"] == 0
-
-    def test_join_latency_collector(self):
-        bus = TraceBus()
-        col = JoinLatencyCollector(bus)
-        bus.publish(1.0, "join.complete", role="t", latency=10.0)
-        bus.publish(2.0, "join.complete", role="s", latency=20.0)
-        bus.publish(3.0, "join.complete", role="s", latency=40.0)
-        assert col.mean("t") == 10.0
-        assert col.mean("s") == 30.0
-        assert col.overall_mean() == pytest.approx(70.0 / 3)
-        assert math.isnan(col.mean("x"))
 
 
 class TestQueryRegistry:

@@ -39,28 +39,6 @@ class TestCapacityModel:
         # Not all of the first hundred should share a class.
         assert len(set(classes[:100])) > 1
 
-    def test_transfer_delay_bottleneck(self, rng):
-        model = CapacityModel(30, rng)
-        fast = next(i for i in range(30) if model.capacity_class(i) == CapacityClass.HIGH)
-        slow = next(i for i in range(30) if model.capacity_class(i) == CapacityClass.LOW)
-        size = 100.0
-        # The slow endpoint bounds the transfer either way.
-        assert model.transfer_delay(fast, slow, size) == pytest.approx(
-            size / model.capacity(slow)
-        )
-        assert model.transfer_delay(slow, fast, size) == model.transfer_delay(
-            fast, slow, size
-        )
-
-    def test_zero_size_transfer_is_free(self, rng):
-        model = CapacityModel(10, rng)
-        assert model.transfer_delay(0, 1, 0.0) == 0.0
-
-    def test_negative_size_rejected(self, rng):
-        model = CapacityModel(10, rng)
-        with pytest.raises(ValueError):
-            model.transfer_delay(0, 1, -1.0)
-
     def test_deterministic_given_rng(self):
         a = CapacityModel(50, np.random.default_rng(3)).classes()
         b = CapacityModel(50, np.random.default_rng(3)).classes()

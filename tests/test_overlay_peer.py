@@ -164,5 +164,6 @@ class TestTaxonomyHygiene:
         }
         unhandled = {cls.__name__ for cls in messages_mod.wire_types()} - handled
         assert unhandled == {
-            "TLeaveRequest", "ReplicaPush", "BTRegister", "BTLookup", "BTFetch",
+            "TLeaveRequest", "PartialQuery", "PartialResult", "ReplicaPush",
+            "BTRegister", "BTLookup", "BTFetch",
         }

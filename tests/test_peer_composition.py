@@ -91,7 +91,7 @@ def test_one_class_per_feature_set():
 def test_default_peer_has_only_core_handlers():
     system = build_system(p_s=0.5, n_peers=12)
     handlers = {k for k in type(system.peers[1])._dispatch if isinstance(k, str)}
-    assert len(handlers) == 32
+    assert len(handlers) == 30
     off = {
         "Hello", "Ack", "ReplicaWrite", "ReplicaSyncRequest",
         "ReplicaSyncResponse", "AnnounceRequest", "AnnounceResponse",

@@ -31,7 +31,7 @@ from .conftest import build_bulk_system, build_system
 LAZY_BY_CLASS = {
     HybridPeer: {
         "join_queue", "deferred_leaves", "seen_queries",
-        "pending_lookups", "pending_searches", "_write_watchers",
+        "pending_lookups", "_write_watchers",
     },
     LivenessMixin: {"neighbor_deadlines", "_last_liveness_sent"},
     ReplicationMixin: {"replicas", "_replica_pending"},

@@ -166,9 +166,11 @@ def test_type_ids_stable() -> None:
 
 
 def test_section_5_5_wire_ids_pinned() -> None:
-    """The four ``BT*`` ids (three of them reserved, never sent) and the
-    five swarm messages keep their ids: no name may leave ``__all__``."""
+    """The four ``BT*`` ids (three of them reserved, never sent), the
+    five swarm messages and Section 5.3's two reserved prefix-search ids
+    keep their ids: no name may leave ``__all__``."""
     pinned = {
+        "PartialQuery": 28, "PartialResult": 29,
         "BTRegister": 43, "BTLookup": 44, "BTLookupReply": 45, "BTFetch": 46,
         "AnnounceRequest": 51, "AnnounceResponse": 52, "HaveAnnounce": 53,
         "PieceRequest": 54, "PieceResponse": 55,

@@ -1,10 +1,10 @@
-"""Tests for random-walk lookups and partial/keyword search."""
+"""Tests for random-walk lookups."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import HybridConfig, HybridSystem
+from repro.core import HybridConfig
 
 from .conftest import build_system
 
@@ -98,58 +98,3 @@ class TestRandomWalks:
         with pytest.raises(ValueError):
             HybridConfig(walk_ttl=0).validate()
 
-
-class TestPartialSearch:
-    def make_interest_system(self, n_items=40, seed=2):
-        system = build_system(
-            p_s=0.8, n_peers=60, ttl=10, seed=seed, interest_band_bits=14
-        )
-        peers = [p.address for p in system.alive_peers()]
-        system.populate(
-            [(peers[i % len(peers)], f"music:item-{i}", i) for i in range(n_items)]
-        )
-        anchor_pid, anchor = system.server.ring.owner_of(
-            system.idspace.hash_key("music")
-        )
-        members = [p for p in system.s_peers() if p.t_peer == anchor]
-        origin = members[0] if members else system.peers[anchor]
-        return system, origin
-
-    def test_prefix_search_finds_all_matches(self):
-        system, origin = self.make_interest_system()
-        qid = origin.search("music:item-1", timeout=10_000.0)
-        system.engine.run()
-        assert origin.search_done(qid)
-        results = origin.search_results(qid)
-        expected = {f"music:item-{i}" for i in [1] + list(range(10, 20))}
-        assert set(results) == expected
-        assert system.queries.get(qid).status == "success"
-
-    def test_search_with_no_matches_fails(self):
-        system, origin = self.make_interest_system()
-        qid = origin.search("video:", timeout=5_000.0)
-        system.engine.run()
-        assert origin.search_done(qid)
-        assert origin.search_results(qid) == {}
-        assert system.queries.get(qid).status == "failed"
-
-    def test_search_aggregates_multiple_holders(self):
-        system, origin = self.make_interest_system()
-        qid = origin.search("music:", timeout=10_000.0)
-        system.engine.run()
-        state = origin.pending_searches[qid]
-        assert len(state.holders) > 1  # matches came from several peers
-        assert len(origin.search_results(qid)) == 40
-
-    def test_empty_prefix_rejected(self):
-        system, origin = self.make_interest_system(n_items=5)
-        with pytest.raises(ValueError):
-            origin.search("")
-
-    def test_results_none_while_running(self):
-        system, origin = self.make_interest_system(n_items=5)
-        qid = origin.search("music:", timeout=60_000.0)
-        # Before the engine runs the timer out, results are unavailable.
-        assert origin.search_results(qid) is None
-        system.engine.run()
-        assert origin.search_results(qid) is not None

@@ -43,26 +43,6 @@ def test_unsubscribe():
         bus.unsubscribe("a", got.append)
 
 
-def test_recording_buffer():
-    bus = TraceBus()
-    bus.start_recording()
-    bus.publish(1.0, "a", k=1)
-    bus.publish(2.0, "b")
-    records = bus.stop_recording()
-    assert [r.category for r in records] == ["a", "b"]
-    # After stop, publishing with no listeners is inert again.
-    bus.publish(3.0, "c")
-    assert bus.records == []
-
-
-def test_recording_with_category_filter():
-    bus = TraceBus()
-    bus.start_recording(categories=["keep"])
-    bus.publish(1.0, "keep")
-    bus.publish(2.0, "drop")
-    assert [r.category for r in bus.stop_recording()] == ["keep"]
-
-
 def test_multiple_subscribers_same_category():
     bus = TraceBus()
     a, b = [], []
@@ -137,26 +117,6 @@ def test_wants_is_per_category_but_recording_is_conservative():
     bus.subscribe("a", lambda rec: None)
     assert bus.wants("a")
     assert not bus.wants("b")
-    # A category-filtered recording still makes every category wanted:
-    # wants() answers "could publishing cost anything", and the filter
-    # is applied inside publish, not at the wants() gate.
-    bus.start_recording(categories=["a"])
-    assert bus.wants("b")
-    bus.stop_recording()
-    assert not bus.wants("b")
-
-
-def test_filtered_recording_with_live_subscribers():
-    bus = TraceBus()
-    got = []
-    bus.subscribe("drop", got.append)
-    bus.start_recording(categories=["keep"])
-    bus.publish(1.0, "keep")
-    bus.publish(2.0, "drop")
-    # The buffer honours the filter; the subscriber still gets its
-    # category even though the recorder ignores it.
-    assert [r.category for r in bus.stop_recording()] == ["keep"]
-    assert [r.category for r in got] == ["drop"]
 
 
 def test_unsubscribe_of_unknown_category_raises_without_mutating():
@@ -225,12 +185,6 @@ def test_wanted_tracks_every_listener_change():
     check(None)
     bus.unsubscribe("*", hop)
     check({"lookup.done"})
-    bus.start_recording(categories=["transport.send"])
-    check(None)  # conservative while the recorder runs, filtered or not
-    bus.stop_recording()
-    check({"lookup.done"})
-    bus.start_recording()
     bus.subscribe("*", hop)
     bus.clear()
     check(set())
-    assert bus.records == []
