@@ -153,11 +153,11 @@ def prepare_cell(
     of simulated time before the lookups are sampled.
 
     Returns the system and the ``(origin, key)`` lookup pairs.  The one
-    construction pipeline of :func:`run_cell`, the sharded executor and
-    its inline replicas -- a deterministic function of the arguments,
-    which is what lets every shard replica rebuild the same state.
-    ``queries`` substitutes the registry (the sharded executor's
-    shard-aware one) before any peer captures the reference.
+    construction pipeline of :func:`run_cell` and the sharded executor
+    -- a deterministic function of the arguments, which is what lets a
+    sharded run reproduce the single-process state.  ``queries``
+    substitutes the registry (the sharded executor's shard-aware one)
+    before any peer captures the reference.
     """
     system = HybridSystem(
         config, n_peers=scale.n_peers, seed=scale.seed, queries=queries

@@ -1,9 +1,12 @@
 """Sharded multi-core simulation substrate.
 
-Runs one sweep cell across N worker shards -- each owning the peers of
-a subset of s-networks with its own event heap -- under conservative
-(null-message) time synchronization, producing results bit-identical
-to the single-process :func:`repro.experiments.common.run_cell`.
+Runs one sweep cell across N forked worker shards -- each owning the
+peers of a subset of s-networks with its own event heap -- under
+conservative (null-message) time synchronization, producing results
+bit-identical to the single-process
+:func:`repro.experiments.common.run_cell`.  Workers are forked from the
+built cell and talk over POSIX shared-memory rings, so the package runs
+only where ``fork`` exists.
 
 Public surface:
 

@@ -46,7 +46,6 @@ instead of hanging (see the worker-death test in
 from __future__ import annotations
 
 import math
-import os
 import pickle
 import struct
 import time
@@ -64,7 +63,6 @@ __all__ = [
     "ENVELOPE",
     "DATA_RING_BYTES",
     "CTRL_RING_BYTES",
-    "RING_BYTES_ENV",
     "K_CTRL",
     "K_STATE",
     "K_MSG",
@@ -100,14 +98,13 @@ _OFF_R = 8
 _OFF_WCLOSED = 16
 HEADER_BYTES = 64
 
-#: Default capacities.  Data rings see at most one window's worth of
+#: Ring capacities.  Data rings see at most one window's worth of
 #: cross-shard traffic for one ordered pair; overflow spills through
 #: the control path, so these are throughput knobs, not correctness
-#: limits.  ``REPRO_SHARD_RING_BYTES`` overrides the data-ring size
-#: (the determinism suite shrinks it to force the spill path).
+#: limits.  The coordinator reads ``DATA_RING_BYTES`` when it creates
+#: the rings (the determinism suite shrinks it to force the spill path).
 DATA_RING_BYTES = 4 << 20
 CTRL_RING_BYTES = 1 << 20
-RING_BYTES_ENV = "REPRO_SHARD_RING_BYTES"
 
 #: How much pickled blob travels per frame (finish exports can exceed
 #: the control-ring capacity at large scales; the coordinator is
@@ -125,17 +122,6 @@ class RingClosed(RingError):
 
 class RingTimeout(RingError):
     """A blocking ring operation exceeded its deadline."""
-
-
-def resolve_data_ring_bytes() -> int:
-    """Data-ring capacity: ``REPRO_SHARD_RING_BYTES`` or the default."""
-    raw = os.environ.get(RING_BYTES_ENV, "").strip()
-    if not raw:
-        return DATA_RING_BYTES
-    value = int(raw)
-    if value < 256:
-        raise ValueError(f"{RING_BYTES_ENV} must be >= 256, got {value}")
-    return value
 
 
 class SpscRing:

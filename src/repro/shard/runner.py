@@ -4,14 +4,12 @@
 :func:`repro.experiments.common.run_cell` but splits the lookup phase
 across shard workers:
 
-1. **Replicate** -- build + populate + crash + settle
-   (:func:`~repro.experiments.common.prepare_cell`) are deterministic
-   functions of (config, scale), so they run once and every worker gets
-   the finished state: fork mode builds in the parent and forks
-   (copy-on-write, no pickling) workers that talk over shared-memory
-   rings (:mod:`repro.shard.ipc`); inline mode -- used where fork is
-   unavailable, and as the tests' reference -- builds one replica per
-   logical shard from the same seed.
+1. **Build once, fork** -- build + populate + crash + settle
+   (:func:`~repro.experiments.common.prepare_cell`) run once in the
+   parent, which then forks the workers: each inherits the finished
+   state copy-on-write, with no pickling, and talks over shared-memory
+   rings (:mod:`repro.shard.ipc`).  The package needs ``fork``; where
+   the platform lacks it, ``get_context("fork")`` raises.
 2. **Partition** -- whole s-networks are assigned to shards
    (:mod:`repro.shard.partition`); each worker compacts the peers it
    does not own to stubs and installs the transport capture hook.
@@ -20,9 +18,9 @@ across shard workers:
    wave timestamp, lets the owners issue their share, then negotiates
    null-message windows (:mod:`repro.shard.sync`) until the wave
    resolves.  Cross-shard messages travel worker-to-worker through
-   the data rings (through the coordinator inline), sorted by (delivery
-   time, origin shard, capture order), so every delivery happens in
-   global timestamp order.
+   the data rings (a spilled frame through the coordinator), sorted by
+   (delivery time, origin shard, capture order), so every delivery
+   happens in global timestamp order.
 4. **Merge** -- per-shard registries are stitched back into one
    :class:`~repro.core.lookup.QueryRegistry` in global pair order, with
    foreign contact counts folded in and the metric overrun past the
@@ -44,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.config import SEARCH_WALK, SNETWORK_BITTORRENT, HybridConfig
 from ..core.lookup import PENDING, QueryRecord, QueryRegistry
 from ..perf import PhaseSampler, memory_info
+from . import ipc
 from .ipc import (
     CTRL_RING_BYTES,
     K_BLOB,
@@ -61,7 +60,6 @@ from .ipc import (
     encode_issue,
     encode_stop,
     encode_window,
-    resolve_data_ring_bytes,
 )
 from .partition import partition_snetworks, shard_loads
 from .state import SHARD_ID_BITS, CompactPeerState, ShardQueryRegistry
@@ -102,42 +100,6 @@ def check_shardable(config: HybridConfig) -> None:
         )
 
 
-# ----------------------------------------------------------------------
-# Worker backends
-# ----------------------------------------------------------------------
-class _Handle:
-    """Uniform request/reply surface over a worker backend."""
-
-    def send(self, request: tuple) -> None:
-        raise NotImplementedError
-
-    def recv(self) -> dict:
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        raise NotImplementedError
-
-
-class _InlineHandle(_Handle):
-    """A logical shard living in this process (no fork available)."""
-
-    def __init__(self, worker: ShardWorker) -> None:
-        self._worker = worker
-        self._reply: Optional[tuple] = None
-
-    def send(self, request: tuple) -> None:
-        self._reply = self._worker.handle(request)
-
-    def recv(self) -> dict:
-        status, payload = self._reply
-        self._reply = None
-        return payload
-
-    def stop(self) -> None:
-        self._reply = None
-        self._worker.close()
-
-
 def _worker_failure(shard: int, detail: str) -> Exception:
     """A shard worker failed or died: raise with the shard named."""
     from ..exec.pool import CellExecutionError
@@ -162,7 +124,7 @@ class _ShmHub:
     def __init__(self, shards: int, owner: Dict[int, int]) -> None:
         self.shards = shards
         self.owner = owner
-        data_bytes = resolve_data_ring_bytes()
+        data_bytes = ipc.DATA_RING_BYTES
         self.c2w: List[SpscRing] = []
         self.w2c: List[SpscRing] = []
         self.data: Dict[Tuple[int, int], SpscRing] = {}
@@ -205,18 +167,15 @@ class _ShmHub:
             peer_alive=peer_alive,
         )
 
-    def ipc_totals(self, worker_counters: Sequence[Optional[dict]]) -> dict:
+    def ipc_totals(self, worker_counters: Sequence[dict]) -> dict:
         totals = {
-            "backend": "shm",
             "data_bytes": 0,
             "data_frames": 0,
             "ctrl_bytes": 0,
             "spilled_frames": self.spilled_frames,
-            "pickled_fallbacks": 0,  # always: bench/ still reads the key (ROADMAP 2a)
+            "pickled_fallbacks": 0,  # always: bench/ still reads the key (ROADMAP 4a)
         }
         for c in worker_counters:
-            if not c:
-                continue
             totals["data_bytes"] += c["data_bytes_out"]
             totals["data_frames"] += c["data_frames_out"]
             totals["ctrl_bytes"] += c["ctrl_bytes_out"] + c["ctrl_bytes_in"]
@@ -235,7 +194,7 @@ class _ShmHub:
             ring.unlink()
 
 
-class _ShmHandle(_Handle):
+class _ShmHandle:
     """A forked worker behind the shared-memory rings."""
 
     def __init__(self, hub: _ShmHub, shard: int, process) -> None:
@@ -251,34 +210,29 @@ class _ShmHandle(_Handle):
             f"worker process died (exit code {code}): {cause}",
         )
 
-    def send(self, request: tuple) -> None:
-        hub = self._hub
-        ring = hub.c2w[self._shard]
-        op = request[0]
+    def _write(self, kind: int, payload) -> None:
         try:
-            if op == "issue":
-                ring.write(K_CTRL, encode_issue(*request[1:]), self._alive)
-            elif op == "window":
-                # The inbox argument is inline-mode only; here the spill
-                # buffer and owed counts replace it (and are reset --
-                # the worker drains everything at this window).
-                spills = hub.spill[self._shard]
-                hub.spill[self._shard] = []
-                owed = hub.owed[self._shard]
-                hub.owed[self._shard] = [0] * hub.shards
-                ring.write(
-                    K_CTRL,
-                    encode_window(request[1], len(spills), owed),
-                    self._alive,
-                )
-                for kind, frame in spills:
-                    ring.write(kind, frame, self._alive)
-            elif op == "finish":
-                ring.write(K_CTRL, encode_finish(request[1]), self._alive)
-            else:
-                raise ValueError(f"unknown shard request {op!r}")
+            self._hub.c2w[self._shard].write(kind, payload, self._alive)
         except RingClosed as exc:
             raise self._dead(exc) from None
+
+    def issue(self, wave_time: float, lo: int, hi: int, fold_time: float) -> None:
+        self._write(K_CTRL, encode_issue(wave_time, lo, hi, fold_time))
+
+    def window(self, w_end: float) -> None:
+        # The spill buffer and owed counts are the inbox, reset here:
+        # the worker drains everything at this window.
+        hub = self._hub
+        spills = hub.spill[self._shard]
+        hub.spill[self._shard] = []
+        owed = hub.owed[self._shard]
+        hub.owed[self._shard] = [0] * hub.shards
+        self._write(K_CTRL, encode_window(w_end, len(spills), owed))
+        for kind, frame in spills:
+            self._write(kind, frame)
+
+    def finish(self, cut_time: float) -> None:
+        self._write(K_CTRL, encode_finish(cut_time))
 
     def recv(self) -> dict:
         hub = self._hub
@@ -302,7 +256,6 @@ class _ShmHandle(_Handle):
                         "next_time": next_time,
                         "unresolved": unresolved,
                         "max_end": max_end,
-                        "outbox": [],
                         "summaries": summaries,
                     }
                 elif kind == K_BLOBC:
@@ -338,7 +291,7 @@ def _serve_forked_shm(hub, system, shard_index, n_shards, owner, pairs) -> None:
     parent = os.getppid()
     endpoint = hub.endpoint(shard_index, peer_alive=lambda: os.getppid() == parent)
     worker = ShardWorker(system, shard_index, n_shards, owner, pairs)
-    worker.compact(retain=True)
+    worker.compact()
     serve_shm(endpoint, worker)
 
 
@@ -346,7 +299,7 @@ def _serve_forked_shm(hub, system, shard_index, n_shards, owner, pairs) -> None:
 # Coordinator
 # ----------------------------------------------------------------------
 def _coordinate(
-    handles: Sequence[_Handle],
+    handles: Sequence[_ShmHandle],
     sync: NullMessageSync,
     n_pairs: int,
     wave_size: int,
@@ -357,38 +310,36 @@ def _coordinate(
     ``cut_time`` is the global resolution timestamp of the last wave --
     exactly where the single-process run's clock stops.
     """
-    def absorb(shard: int, reply: dict) -> None:
-        """Fold one state reply into the sync bookkeeping.
-
-        Inline replies carry the captured messages themselves; shm
-        replies carry per-destination (count, min time) summaries
-        while the bodies sit in the data rings.
-        """
-        sync.note_state(shard, reply["next_time"])
-        summaries = reply.get("summaries")
-        if summaries is None:
-            sync.add_messages(shard, reply["outbox"])
-        else:
-            for dst, (_ring_frames, total, min_time) in enumerate(summaries):
-                sync.add_summary(dst, total, min_time)
-
-    n_shards = len(handles)
     wave_time = start_time
     fold_time = float("-inf")
     global_max_end = start_time
+
+    def collect() -> int:
+        """Fold one state reply per shard into the sync bookkeeping.
+
+        A reply carries per-destination (count, min time) summaries;
+        the message bodies sit in the data rings.  Returns how many
+        lookups are still unresolved.
+        """
+        nonlocal global_max_end
+        unresolved = 0
+        for shard, handle in enumerate(handles):
+            reply = handle.recv()
+            sync.note_state(shard, reply["next_time"])
+            for dst, (_ring_frames, total, min_time) in enumerate(reply["summaries"]):
+                sync.add_summary(dst, total, min_time)
+            unresolved += reply["unresolved"]
+            if reply["max_end"] > global_max_end:
+                global_max_end = reply["max_end"]
+        return unresolved
+
     waves = rounds = 0
     lo = 0
     while lo < n_pairs:
         hi = min(lo + wave_size, n_pairs)
-        unresolved = 0
         for handle in handles:
-            handle.send(("issue", wave_time, lo, hi, fold_time))
-        for shard, handle in enumerate(handles):
-            reply = handle.recv()
-            absorb(shard, reply)
-            unresolved += reply["unresolved"]
-            if reply["max_end"] > global_max_end:
-                global_max_end = reply["max_end"]
+            handle.issue(wave_time, lo, hi, fold_time)
+        unresolved = collect()
         while unresolved > 0:
             w_end = sync.window_end()
             if w_end is None:
@@ -397,14 +348,9 @@ def _coordinate(
                     "pending events or in-flight messages"
                 )
             for shard, handle in enumerate(handles):
-                handle.send(("window", w_end, sync.take_inbox(shard)))
-            unresolved = 0
-            for shard, handle in enumerate(handles):
-                reply = handle.recv()
-                absorb(shard, reply)
-                unresolved += reply["unresolved"]
-                if reply["max_end"] > global_max_end:
-                    global_max_end = reply["max_end"]
+                sync.take_inbox(shard)
+                handle.window(w_end)
+            unresolved = collect()
             rounds += 1
         wave_time = fold_time = global_max_end
         waves += 1
@@ -475,19 +421,14 @@ def run_cell_sharded(
     scale,
     crash_fraction: float = 0.0,
     shards: int = 2,
-    mode: Optional[str] = None,
     info_out: Optional[dict] = None,
 ):
     """Run one sweep cell across ``shards`` workers; returns CellResult.
 
-    ``mode`` selects the worker substrate: "fork" (build once, fork
-    workers that exchange struct-encoded frames over shared-memory
-    rings -- the default where the platform supports it), "inline"
-    (logical shards in-process, each building its own replica; slower,
-    used for tests and as the portable fallback).  ``info_out``
+    The cell is built once; ``shards`` forked workers then exchange
+    struct-encoded frames over shared-memory rings.  ``info_out``
     receives shard diagnostics (loads, window rounds, event/message
-    totals, per-phase memory samples, IPC byte counts; ``"backend"``
-    reads "shm" or "inline").
+    totals, per-phase memory samples, IPC byte counts).
     """
     from ..experiments.common import CellResult, prepare_cell
 
@@ -495,13 +436,6 @@ def run_cell_sharded(
     if shards < 1:
         raise ValueError("shards must be >= 1")
     check_shardable(config)
-    if mode is None:
-        mode = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "inline"
-        )
-    if mode not in ("fork", "inline"):
-        raise ValueError(f"unknown shard mode {mode!r}")
 
     sampler = PhaseSampler()
     build_t0 = _time.perf_counter()
@@ -522,39 +456,27 @@ def run_cell_sharded(
     sampler.mark("partition")
 
     lookup_t0 = _time.perf_counter()
-    handles: List[_Handle] = []
+    handles: List[_ShmHandle] = []
     hub: Optional[_ShmHub] = None
     frozen = False
     try:
-        if mode == "fork":
-            ctx = multiprocessing.get_context("fork")
-            hub = _ShmHub(shards, owner)
-            # Move every live object to the permanent generation before
-            # forking: collector passes in the children would otherwise
-            # touch gc headers across the whole inherited heap and
-            # privatise the copy-on-write pages it lives in.
-            gc.collect()
-            gc.freeze()
-            frozen = True
-            for shard in range(shards):
-                process = ctx.Process(
-                    target=_serve_forked_shm,
-                    args=(hub, system, shard, shards, owner, pairs),
-                    daemon=True,
-                )
-                process.start()
-                handles.append(_ShmHandle(hub, shard, process))
-        else:
-            for shard in range(shards):
-                if shard == 0:
-                    replica = system
-                else:
-                    replica, _ = prepare_cell(
-                        config, scale, crash_fraction, queries=ShardQueryRegistry()
-                    )
-                worker = ShardWorker(replica, shard, shards, owner, pairs)
-                worker.compact()
-                handles.append(_InlineHandle(worker))
+        ctx = multiprocessing.get_context("fork")
+        hub = _ShmHub(shards, owner)
+        # Move every live object to the permanent generation before
+        # forking: collector passes in the children would otherwise
+        # touch gc headers across the whole inherited heap and
+        # privatise the copy-on-write pages it lives in.
+        gc.collect()
+        gc.freeze()
+        frozen = True
+        for shard in range(shards):
+            process = ctx.Process(
+                target=_serve_forked_shm,
+                args=(hub, system, shard, shards, owner, pairs),
+                daemon=True,
+            )
+            process.start()
+            handles.append(_ShmHandle(hub, shard, process))
         sampler.mark("workers_up")
 
         sync = NullMessageSync(shards, lookahead)
@@ -563,7 +485,7 @@ def run_cell_sharded(
         )
         results = []
         for handle in handles:
-            handle.send(("finish", cut_time))
+            handle.finish(cut_time)
         for handle in handles:
             results.append(handle.recv())
     finally:
@@ -578,14 +500,10 @@ def run_cell_sharded(
         # copy of the cell by reference count, not at some later gen-2.
         system.close()
     lookup_wall = _time.perf_counter() - lookup_t0
-    ipc = (
-        hub.ipc_totals([r.get("ipc") for r in results])
-        if hub is not None
-        else {"backend": "inline"}
-    )
+    ipc_totals = hub.ipc_totals([r["ipc"] for r in results])
     sampler.mark(
         "lookup",
-        ipc_bytes=ipc.get("data_bytes", 0) + ipc.get("ctrl_bytes", 0),
+        ipc_bytes=ipc_totals["data_bytes"] + ipc_totals["ctrl_bytes"],
     )
 
     merged = merge_registries(results, pairs, owner)
@@ -599,8 +517,10 @@ def run_cell_sharded(
             parent_rss_kb = 0
         info_out.update({
             "shards": shards,
-            "mode": mode,
-            "backend": ipc["backend"],
+            # Constants: one substrate is left, but bench/workloads.py
+            # (frozen) still gates on both keys (ROADMAP 4a).
+            "mode": "fork",
+            "backend": "shm",
             "lookahead_ms": lookahead,
             "waves": waves,
             "window_rounds": rounds,
@@ -622,7 +542,7 @@ def run_cell_sharded(
                 "parent_phases": sampler.as_list(),
                 "workers": [r.get("mem") for r in results],
             },
-            "ipc": ipc,
+            "ipc": ipc_totals,
             "registry": merged,
             "peer_state": compact,
         })

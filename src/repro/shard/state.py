@@ -1,8 +1,8 @@
 """Shard-local state: peer stubs, array-backed peer state, and the
 shard-aware query registry.
 
-A sharded run (see :mod:`repro.shard.runner`) replicates the
-deterministic construction phases in every worker and then partitions
+A sharded run (see :mod:`repro.shard.runner`) runs the construction
+phases once, forks every worker from the result and then partitions
 only the lookup phase.  Three representations support that split:
 
 * :class:`PeerStub` -- what a worker keeps of a peer it does *not* own:
@@ -11,7 +11,7 @@ only the lookup phase.  Three representations support that split:
   divergence.
 * :class:`CompactPeerState` -- a numpy columnar snapshot of per-peer
   protocol state (ids, ring pointers, liveness, anchors, item counts),
-  taken once after the replicated phases.  The coordinator computes
+  taken once after the construction phases.  The coordinator computes
   partitions and per-peer metrics from these flat arrays instead of
   walking a million-object graph.
 * :class:`ShardQueryRegistry` -- a :class:`~repro.core.lookup.QueryRegistry`

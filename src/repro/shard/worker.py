@@ -1,53 +1,33 @@
 """One shard of a sharded cell run.
 
 A :class:`ShardWorker` wraps a fully built :class:`HybridSystem` whose
-construction phases (build, populate, crash, settle) already ran -- in
-fork mode every worker inherits the *same* built system from the
-parent; in inline mode each logical shard builds its own identical
-replica from the seed.  From that point the worker:
+construction phases (build, populate, crash, settle) already ran: every
+forked worker inherits the *same* built system from the parent.  From
+that point the worker:
 
 * installs the transport's shard-capture hook so deliveries to peers
   owned by other shards are buffered instead of scheduled locally;
-* optionally compacts non-owned peers to :class:`PeerStub` residues,
-  freeing their protocol state (databases, trees, caches);
+* swaps non-owned peers for :class:`PeerStub` residues;
 * answers the coordinator's three requests -- ``issue`` (pin the clock
   to the wave timestamp and start the owned lookups of the wave),
   ``window`` (schedule inbound cross-shard deliveries, run everything
   strictly below the negotiated barrier), and ``finish`` (trim the
   metric overrun and export records/counters for the merge).
 
-The request/response loop is transport-agnostic: :func:`serve_shm`
-speaks it over the shared-memory rings of a forked worker, inline mode
-calls :meth:`ShardWorker.handle` directly.
+:func:`serve_shm` speaks that request/response loop over the
+shared-memory rings of the forked worker.
 """
 
 from __future__ import annotations
 
-import gc
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..perf import maybe_profile, memory_info, rss_kb
 from .ipc import RingClosed, WorkerEndpoint
 from .state import PeerStub
 
-__all__ = ["ShardWorker", "serve_shm", "release_freed_memory"]
-
-
-def release_freed_memory() -> None:
-    """Hand freed build-phase state back to the OS, best effort.
-
-    ``gc.collect`` breaks the cycles the stub swap left behind;
-    ``malloc_trim`` makes glibc return the emptied arenas, so the
-    sampled VmRSS actually drops instead of sitting in free lists.
-    """
-    gc.collect()
-    try:
-        import ctypes
-
-        ctypes.CDLL("libc.so.6").malloc_trim(0)
-    except Exception:  # pragma: no cover - non-glibc platforms
-        pass
+__all__ = ["ShardWorker", "serve_shm"]
 
 
 class ShardWorker:
@@ -72,13 +52,13 @@ class ShardWorker:
         # Captured cross-shard deliveries since the last reply:
         # (deliver_time, dst_shard, dst_address, msg).
         self._outbox: List[tuple] = []
-        # Retired peer objects kept alive under compact(retain=True)
-        # to preserve copy-on-write sharing with the fork parent.
+        # Retired peer objects kept alive by compact() to preserve
+        # copy-on-write sharing with the fork parent.
         self._retired: List[object] = []
         # Per-phase VmRSS samples, exported with the finish payload.
         self._mem_phases: List[dict] = []
-        # Counter baselines: construction-phase work is replicated in
-        # every worker, so only lookup-phase deltas are reported.
+        # Counter baselines: every worker inherits the construction
+        # phase's counts, so only lookup-phase deltas are reported.
         transport = system.transport
         self._events0 = self.engine.events_executed
         self._sent0 = transport.messages_sent
@@ -94,60 +74,36 @@ class ShardWorker:
         self._outbox.append((deliver_time, dst_shard, dst_address, msg))
         return True
 
-    def compact(self, retain: bool = False) -> int:
+    def compact(self) -> int:
         """Replace non-owned peers with stubs; returns how many.
 
         Stubs keep exactly what the sender-side delay model reads
         (host, liveness, capacity) and crash on ``receive`` -- non-owned
         peers never execute handlers once the capture hook is in.
 
-        ``retain`` selects the memory policy:
-
-        * ``retain=False`` (inline mode, and any worker that owns
-          its replica outright): the stubbed peers' protocol state
-          (databases, children sets, seen-query dicts, fingers) becomes
-          garbage and is eagerly returned to the OS, together with the
-          transport's build-phase delay/row memos -- a shard of a
-          million-peer cell then runs in a fraction of the build
-          footprint.
-        * ``retain=True`` (forked workers): the retired peer objects
-          are *kept referenced*.  A forked worker shares the built
-          system with its parent copy-on-write; freeing 1-1/N of it
-          would write every refcount, privatising the very pages the
-          fork shared and growing physical memory by the amount
-          "freed".  Retaining keeps those pages clean and shared, so
-          N workers cost ~one system, not N.
+        The retired peer objects are *kept referenced*.  A forked worker
+        shares the built system with its parent copy-on-write; freeing
+        1-1/N of it would write every refcount, privatising the very
+        pages the fork shared and growing physical memory by the amount
+        "freed".  Retaining keeps those pages clean and shared, so N
+        workers cost ~one system, not N.
         """
         peers = self.system.peers
-        transport = self.system.transport
-        actors = transport._actors
+        actors = self.system.transport._actors
         me = self.shard_index
         owner = self.owner
         retired: List[object] = []
-        replaced = 0
         for addr, peer in list(peers.items()):
             if owner[addr] == me:
                 continue
             stub = PeerStub(addr, peer.host, peer.alive, peer.capacity, peer.role)
-            if retain:
-                retired.append(peer)
+            retired.append(peer)
             peers[addr] = stub
             if addr in actors:
                 actors[addr] = stub
-            replaced += 1
-        if retain:
-            self._retired = retired
-        else:
-            # Build-phase memos rebuild lazily (and deterministically:
-            # pure functions of topology) for owned senders only.
-            transport._delay_cache.clear()
-            transport._rows.clear()
-            transport._cap_cache.clear()
-            release_freed_memory()
-        self._mem_phases.append(
-            {"phase": "compact", "vm_rss_kb": rss_kb(), "retained": retain}
-        )
-        return replaced
+        self._retired = retired
+        self._mem_phases.append({"phase": "compact", "vm_rss_kb": rss_kb()})
+        return len(retired)
 
     # ------------------------------------------------------------------
     # Coordinator requests
@@ -210,16 +166,6 @@ class ShardWorker:
             "peak_rss_kb": peak_rss_kb,
         }
 
-    def close(self) -> None:
-        """Teardown of an in-process worker: free its replica now.
-
-        Forked workers never call this -- they exit, and dismantling an
-        inherited system would write every refcount on the pages the
-        fork shares with its parent (see :meth:`compact`).
-        """
-        self._retired.clear()
-        self.system.close()
-
     def _state(self) -> dict:
         outbox = self._outbox
         self._outbox = []
@@ -229,18 +175,6 @@ class ShardWorker:
             "max_end": self.registry.max_end,
             "outbox": outbox,
         }
-
-    # ------------------------------------------------------------------
-    def handle(self, request: tuple) -> tuple:
-        """Dispatch one coordinator request; returns ("ok", payload)."""
-        op = request[0]
-        if op == "issue":
-            return ("ok", self.issue(*request[1:]))
-        if op == "window":
-            return ("ok", self.window(*request[1:]))
-        if op == "finish":
-            return ("ok", self.finish(*request[1:]))
-        raise ValueError(f"unknown shard request {op!r}")
 
 
 def serve_shm(endpoint: WorkerEndpoint, worker: ShardWorker) -> None:

@@ -5,7 +5,7 @@ churn schedules (:mod:`~repro.workloads.churn`), and canned end-to-end
 scenarios (:mod:`~repro.workloads.scenarios`).
 """
 
-from .churn import ChurnEvent, PoissonChurn, apply_churn, crash_fraction_schedule
+from .churn import ChurnEvent, PoissonChurn, apply_churn
 from .keys import KeyWorkload, interest_keys, zipf_weights
 from .scenarios import ScenarioResult, interest_sharing, standard_sharing
 
@@ -13,7 +13,6 @@ __all__ = [
     "ChurnEvent",
     "PoissonChurn",
     "apply_churn",
-    "crash_fraction_schedule",
     "KeyWorkload",
     "interest_keys",
     "zipf_weights",

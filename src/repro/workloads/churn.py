@@ -2,13 +2,12 @@
 
 Measurement studies of deployed P2P systems report heavy churn
 [refs 21, 22]; the paper's own churn experiment (Fig. 5b) crashes a
-random fraction of peers.  This module generates both styles:
-
-* :func:`crash_fraction_schedule` -- the paper's setup: one batch of
-  simultaneous crashes;
-* :class:`PoissonChurn` -- continuous churn: exponential inter-arrival
-  joins plus exponential peer lifetimes ending in a graceful leave or a
-  crash, for the robustness tests that go beyond the paper.
+random fraction of peers, which
+:meth:`~repro.core.hybrid.HybridSystem.crash_random_fraction` does in
+one batch.  This module generates continuous churn,
+:class:`PoissonChurn`: exponential inter-arrival joins plus exponential
+peer lifetimes ending in a graceful leave or a crash, for the
+robustness tests that go beyond the paper.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import List, Literal, Tuple
 
 import numpy as np
 
-__all__ = ["ChurnEvent", "crash_fraction_schedule", "PoissonChurn"]
+__all__ = ["ChurnEvent", "PoissonChurn"]
 
 EventKind = Literal["join", "leave", "crash"]
 
@@ -34,26 +33,6 @@ class ChurnEvent:
     time: float
     kind: EventKind
     target: int = -1
-
-
-def crash_fraction_schedule(
-    addresses: List[int],
-    fraction: float,
-    at_time: float,
-    rng: np.random.Generator,
-) -> List[ChurnEvent]:
-    """The paper's Fig. 5b churn: crash a random fraction at one instant.
-
-    "the peers are chosen randomly to leave the system without
-    transferring its data load."
-    """
-    if not (0.0 <= fraction <= 1.0):
-        raise ValueError("fraction must be in [0, 1]")
-    k = int(round(fraction * len(addresses)))
-    if k == 0:
-        return []
-    chosen = rng.choice(addresses, size=k, replace=False)
-    return [ChurnEvent(time=at_time, kind="crash", target=int(a)) for a in chosen]
 
 
 @dataclass

@@ -61,8 +61,6 @@ ALLOWED = {
     "repro.runtime.aio_transport.FrameConnection.eof_received": _ASYNCIO,
     "repro.runtime.aio_transport.FrameConnection.data_received": _ASYNCIO,
     "repro.runtime.codec.MessageCodec.type_id_of": "the wire-id pin tests read it",
-    "repro.shard.sync.NullMessageSync.in_flight":
-        "shard tests count the captured cross-shard messages",
     "repro.sim.engine.Engine.schedule_at":
         "engine API; hot paths inline it, engine tests call it",
     "repro.sim.engine.Engine.schedule_after":
@@ -71,8 +69,6 @@ ALLOWED = {
     "repro.sim.trace.TraceBus.active": "bus-global twin of wants(); trace tests read it",
     "repro.swarm.pieces.bitmap_all": "swarm tests build a full holder's bitmap",
     "repro.swarm.tracker.SwarmTracker.contents": "swarm tests list what is tracked",
-    "repro.workloads.churn.crash_fraction_schedule":
-        "Fig. 5b's crash batch as a churn schedule; prepare_cell crashes directly",
 }
 
 

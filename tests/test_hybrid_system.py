@@ -58,6 +58,14 @@ class TestAccessors:
 
 
 class TestChurnDriving:
+    def test_crash_fraction_counts(self, small_system):
+        alive = [p.address for p in small_system.alive_peers()]
+        crashed = small_system.crash_random_fraction(0.25)
+        assert len(crashed) == round(0.25 * len(alive)) > 0
+        assert len(set(crashed)) == len(crashed)
+        assert set(crashed) <= set(alive)
+        assert not any(small_system.peers[a].alive for a in crashed)
+
     def test_crash_fraction_validation(self, small_system):
         with pytest.raises(ValueError):
             small_system.crash_random_fraction(1.5)

@@ -6,8 +6,8 @@ N worker shards under conservative (null-message) synchronization is
 *the same computation* -- same event order per peer, same floating-point
 arithmetic, same metric bundle -- as the single-process run.  These
 tests compare full :class:`CellResult` values with ``==`` (exact float
-equality) across shard counts, modes, and configurations, and pin
-down the :class:`NullMessageSync` window logic the guarantee rests on.
+equality) across shard counts and configurations, and pin down the
+:class:`NullMessageSync` window logic the guarantee rests on.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from repro.shard import (
     NullMessageSync,
     ShardWorker,
     check_shardable,
+    ipc,
     run_cell_sharded,
 )
-from repro.shard.ipc import RING_BYTES_ENV, SpscRing
+from repro.shard.ipc import SpscRing
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +39,6 @@ def quick_single():
 
 
 class TestBitIdentity:
-    def test_inline_backend_matches(self, quick_single):
-        sharded = run_cell_sharded(
-            HybridConfig(p_s=0.3), Scale.quick(), shards=2, mode="inline"
-        )
-        assert sharded == quick_single
-
     def test_crash_cell_matches(self):
         config = HybridConfig(p_s=0.5)
         single = run_cell(config, Scale.quick(), crash_fraction=0.3)
@@ -70,14 +65,8 @@ class TestBitIdentity:
         )
         assert sharded == quick_single
         info = out["shard_info"]
-        # In fork mode the transport really was the shm rings; inline
-        # (fork-less platforms) is still bit-identical, just not shm.
-        if info["mode"] == "fork":
-            assert info["backend"] == "shm"
-            assert info["ipc"]["data_frames"] > 0
-            assert info["ipc"]["pickled_fallbacks"] == 0
-        else:
-            assert info["backend"] == "inline"
+        assert info["ipc"]["data_frames"] > 0
+        assert info["ipc"]["pickled_fallbacks"] == 0
 
     def test_unknown_shard_backend_rejected(self):
         # The keyword outlives the pipe transport only for the frozen
@@ -101,15 +90,15 @@ class TestBitIdentity:
     def test_shm_spill_path_matches(self, quick_single, monkeypatch):
         # Shrink the data rings until windows overflow into the control
         # path: the spilled frames must reorder into the exact same
-        # (time, origin, seq) delivery schedule.
-        monkeypatch.setenv(RING_BYTES_ENV, "512")
+        # (time, origin, seq) delivery schedule.  The coordinator sizes
+        # the rings it creates from the patched constant.
+        monkeypatch.setattr(ipc, "DATA_RING_BYTES", 512)
         info = {}
         sharded = run_cell_sharded(
             HybridConfig(p_s=0.3), Scale.quick(), shards=2, info_out=info,
         )
         assert sharded == quick_single
-        if info["mode"] == "fork":
-            assert info["ipc"]["spilled_frames"] > 0
+        assert info["ipc"]["spilled_frames"] > 0
 
     def test_diagnostics_reported(self, quick_single):
         info = {}
@@ -186,7 +175,7 @@ def _shm_segments() -> set:
 
 
 def _assert_failed_fork_run_leaks_nothing(exc_type, match) -> None:
-    """A failed fork-mode cell raises ``exc_type`` and unlinks every ring.
+    """A failed sharded cell raises ``exc_type`` and unlinks every ring.
 
     The check runs while ``pytest.raises`` still holds the traceback --
     i.e. while the frames of the failed run, and whatever views into
@@ -194,9 +183,7 @@ def _assert_failed_fork_run_leaks_nothing(exc_type, match) -> None:
     """
     before = _shm_segments()
     with pytest.raises(exc_type, match=match):
-        run_cell_sharded(
-            HybridConfig(p_s=0.3), Scale.quick(), shards=2, mode="fork",
-        )
+        run_cell_sharded(HybridConfig(p_s=0.3), Scale.quick(), shards=2)
     assert _shm_segments() - before == set()
 
 
@@ -211,7 +198,6 @@ def _patch_shard_one_issue(monkeypatch, fail) -> None:
     monkeypatch.setattr(ShardWorker, "issue", failing_issue)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 class TestWorkerDeath:
     """A failing shard must fail the cell loudly, naming the shard, and
     leave no shared-memory segment behind -- whichever way it failed."""
@@ -272,17 +258,6 @@ class TestNullMessageSync:
         assert sync.floor() is None
         assert sync.window_end() is None
 
-    def test_pending_message_bounds_floor(self):
-        # An in-flight cross-shard message is a future event of its
-        # destination: the floor may not pass its delivery time.
-        sync = NullMessageSync(2, lookahead=5.0)
-        sync.note_state(0, None)
-        sync.note_state(1, None)
-        sync.add_messages(0, [(30.0, 1, 7, object())])
-        assert sync.floor() == 30.0
-        assert sync.window_end() == 35.0
-        assert sync.in_flight == 1
-
     def test_floor_jumps_over_empty_time(self):
         # Nothing scheduled between 10 and 5000 (e.g. everyone waiting
         # on a lookup timeout): the next window must start at 5000, not
@@ -291,24 +266,3 @@ class TestNullMessageSync:
         sync.note_state(0, 5000.0)
         sync.note_state(1, 6000.0)
         assert sync.window_end() == 5002.0
-
-    def test_inbox_sorted_and_drained(self):
-        sync = NullMessageSync(2, lookahead=5.0)
-        m1, m2, m3 = object(), object(), object()
-        sync.add_messages(0, [(20.0, 1, 9, m2), (10.0, 1, 3, m1)])
-        sync.add_messages(1, [(20.0, 0, 5, m3)])
-        inbox = sync.take_inbox(1)
-        assert [t for t, _dst, _m in inbox] == [10.0, 20.0]
-        assert [m for _t, _dst, m in inbox] == [m1, m2]
-        assert sync.take_inbox(1) == []  # drained
-        assert sync.take_inbox(0) == [(20.0, 5, m3)]
-
-    def test_delivery_ties_ordered_by_origin_then_sequence(self):
-        # Equal-timestamp deliveries must replay in one deterministic
-        # order no matter which shard reported first.
-        sync = NullMessageSync(3, lookahead=1.0)
-        a, b, c = object(), object(), object()
-        sync.add_messages(2, [(50.0, 0, 1, c)])
-        sync.add_messages(1, [(50.0, 0, 1, a), (50.0, 0, 2, b)])
-        inbox = sync.take_inbox(0)
-        assert [m for _t, _dst, m in inbox] == [a, b, c]

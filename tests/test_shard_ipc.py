@@ -319,13 +319,14 @@ def test_envelope_is_fixed_size():
 # ----------------------------------------------------------------------
 class TestSummaryAccounting:
     def test_summary_bounds_floor_like_messages(self):
+        # An in-flight batch is a future event of its destination: the
+        # floor may not pass its earliest delivery time.
         sync = NullMessageSync(2, lookahead=5.0)
         sync.note_state(0, None)
         sync.note_state(1, None)
         sync.add_summary(1, count=3, min_time=30.0)
         assert sync.floor() == 30.0
         assert sync.window_end() == 35.0
-        assert sync.in_flight == 3
 
     def test_empty_summary_ignored(self):
         sync = NullMessageSync(2, lookahead=5.0)
@@ -333,22 +334,24 @@ class TestSummaryAccounting:
         sync.note_state(1, None)
         sync.add_summary(1, count=0, min_time=float("inf"))
         assert sync.floor() == 50.0
-        assert sync.in_flight == 0
 
     def test_take_inbox_clears_destination_summaries(self):
         sync = NullMessageSync(2, lookahead=1.0)
         sync.add_summary(0, count=2, min_time=10.0)
-        assert sync.in_flight == 2
+        sync.add_summary(1, count=1, min_time=20.0)
+        assert sync.floor() == 10.0
         sync.take_inbox(0)
-        assert sync.in_flight == 0
+        assert sync.floor() == 20.0
+        sync.take_inbox(1)
+        assert sync.floor() is None
 
     def test_min_of_mins_matches_message_floor(self):
-        # The summary floor must equal the floor inline mode
-        # computes from the messages themselves.
-        deliveries = [(12.0, 1), (7.5, 1), (9.0, 0)]
-        by_msg = NullMessageSync(2, lookahead=1.0)
-        by_msg.add_messages(0, [(t, d, 0, object()) for t, d in deliveries])
-        by_sum = NullMessageSync(2, lookahead=1.0)
-        by_sum.add_summary(1, 2, min(t for t, d in deliveries if d == 1))
-        by_sum.add_summary(0, 1, min(t for t, d in deliveries if d == 0))
-        assert by_msg.floor() == by_sum.floor() == 7.5
+        # The floor over batch minima is the floor over the messages
+        # themselves: 7.5, the earliest of the five deliveries.
+        sync = NullMessageSync(3, lookahead=1.0)
+        sync.note_state(0, 40.0)
+        sync.add_summary(1, 2, 12.0)  # deliveries at 12.0, 15.0
+        sync.add_summary(1, 1, 7.5)   # a later reply's batch
+        sync.add_summary(2, 2, 9.0)   # deliveries at 9.0, 9.0
+        assert sync.floor() == 7.5
+        assert sync.window_end() == 8.5

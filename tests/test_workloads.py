@@ -9,7 +9,6 @@ from repro.workloads import (
     ChurnEvent,
     KeyWorkload,
     PoissonChurn,
-    crash_fraction_schedule,
     interest_keys,
     zipf_weights,
 )
@@ -85,19 +84,6 @@ class TestKeyWorkload:
 
 
 class TestChurnSchedules:
-    def test_crash_fraction_counts(self, rng):
-        events = crash_fraction_schedule(list(range(100)), 0.25, 10.0, rng)
-        assert len(events) == 25
-        assert all(e.kind == "crash" and e.time == 10.0 for e in events)
-        assert len({e.target for e in events}) == 25
-
-    def test_crash_fraction_zero(self, rng):
-        assert crash_fraction_schedule([1, 2, 3], 0.0, 0.0, rng) == []
-
-    def test_crash_fraction_validation(self, rng):
-        with pytest.raises(ValueError):
-            crash_fraction_schedule([1], 1.5, 0.0, rng)
-
     def test_poisson_generates_sorted_events(self, rng):
         churn = PoissonChurn(join_rate=0.01, mean_lifetime=5_000.0)
         events = churn.generate(20_000.0, existing=[1, 2, 3], rng=rng)
