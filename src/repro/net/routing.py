@@ -319,8 +319,8 @@ class Router:
 
         A zero-copy view of the table (C-level indexing) up to
         :data:`TABLE_LIMIT` hosts, a :class:`_HierRow` of views above:
-        the bulk-delay primitive behind :meth:`Transport.send_many`,
-        which caches one row per source host.
+        the propagation term of :meth:`Transport.send`, which caches one
+        row per source host.
         """
         if self._table is not None:
             return _row_view(self._table, src)

@@ -83,7 +83,8 @@ class BasePeer:
         return self.transport.send(self, dst_address, msg)
 
     def send_many(self, dst_addresses, msg: Message) -> int:
-        """Fan one message out to many destinations (see Transport.send_many)."""
+        """Fan one message out (floods, tree broadcasts); the simulator's
+        transport sends it to each destination with ``send``."""
         return self.transport.send_many(self, dst_addresses, msg)
 
     def receive(self, msg: Message) -> None:

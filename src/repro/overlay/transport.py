@@ -13,21 +13,14 @@ exactly how a crashed peer manifests to the rest of the system.  A
 delivery is one event: the engine calls the destination's ``receive``
 directly (see :class:`Actor`), there is no transport frame in between.
 
-Two delivery paths share one delay model:
-
-* :meth:`Transport.send` -- one message, one destination; the delay
-  computation is inlined and feeds the engine's no-handle fast tier.
-* :meth:`Transport.send_many` -- one message fanned out to many
-  destinations (floods, tree broadcasts).  Propagation delays come from
-  a single cached row view of the router's latency matrix and all
-  deliveries are bulk-inserted into the event heap in one call.
-
-Both paths memoize per-address access capacities (invalidated on
-``register``) and per-source-host latency rows (the only
-row cache; a row is a view of the router's table, not a copy), and both
-preserve the exact delay values and sequence-number assignment order of
-the equivalent loop of single sends -- deterministic runs stay
-bit-identical.
+One delivery path: :meth:`Transport.send` inlines the delay model,
+memoizes each ``(src, dst, size)`` delay and per-address access
+capacities (both invalidated on ``register``) and per-source-host
+latency rows (the only row cache; a row is a view of the router's
+table, not a copy), and pushes the delivery onto the engine's heap
+directly.  A flood or tree broadcast (``send_many``) is the inherited
+loop of ``send`` calls: the paper's trees cap the degree at three, so
+fan-outs are small and rare next to the ring walk's unicast hops.
 """
 
 from __future__ import annotations
@@ -103,7 +96,9 @@ class TransportBase:
         raise NotImplementedError
 
     def send_many(self, src: Actor, dst_addresses: Iterable[int], msg: Message) -> int:
-        """Fan one message out; the default is a loop of :meth:`send`."""
+        """Fan one message out as a loop of :meth:`send`; returns the
+        number sent.  The simulator uses it as is; the live transport
+        overrides it to encode the message once."""
         sent = 0
         for dst_address in dst_addresses:
             if self.send(src, dst_address, msg):
@@ -113,6 +108,10 @@ class TransportBase:
 
 class Transport(TransportBase):
     """Address registry + delay model + delivery scheduler.
+
+    :meth:`send` is the only delivery path: floods and tree broadcasts
+    go through the inherited :meth:`TransportBase.send_many`, one
+    ``send`` per destination in iteration order.
 
     Parameters
     ----------
@@ -267,9 +266,9 @@ class Transport(TransportBase):
                 kind=type(msg).__name__,
                 delay=prop,
             )
-        # Engine.schedule_after, inlined (one frame per simulated
-        # message): ``prop >= min_latency > 0`` so the negative-delay
-        # guard is statically satisfied.
+        # Engine.schedule_at, inlined (one frame per simulated message):
+        # ``prop >= min_latency > 0`` so the past-time guard is
+        # statically satisfied.
         engine = self._engine
         capture = self._shard_capture
         if capture is not None and capture(engine._now + prop, dst_address, msg):
@@ -277,87 +276,3 @@ class Transport(TransportBase):
         heappush(engine._heap, (engine._now + prop, engine._seq, dst.receive, (msg,)))
         engine._seq += 1
         return True
-
-    def send_many(self, src: Actor, dst_addresses: Iterable[int], msg: Message) -> int:
-        """Fan ``msg`` out from ``src`` to every address in ``dst_addresses``.
-
-        The flood/broadcast primitive: one latency-matrix row view
-        supplies all propagation delays and the deliveries are inserted
-        into the event heap in a single batch.  Destinations are
-        processed in iteration order, so counters, delays, and event
-        ordering are identical to the equivalent loop of :meth:`send`
-        calls.  The *same* message object is delivered to every
-        destination -- receivers must treat messages as immutable, which
-        the protocol code already does.
-
-        Returns the number of destinations actually scheduled (dead or
-        unknown addresses are dropped, as in :meth:`send`).
-        """
-        actors = self._actors
-        router = self._router
-        stress = self._stress
-        capacity_of = self._capacity_of
-        src_address = src.address
-        src_host = src.host
-        msg.sender = src_address
-        size = msg.size
-        if router is not None:
-            rows = self._rows
-            row = rows.get(src_host)
-            if row is None:
-                row = rows[src_host] = router.latency_row(src_host)
-        else:
-            row = None
-        min_latency = self.min_latency
-        default_latency = self.default_latency
-        cache = self._cap_cache
-        if capacity_of is not None:
-            cap_src = cache.get(src_address)
-            if cap_src is None:
-                cap_src = cache[src_address] = capacity_of(src_address)
-        trace = self._trace
-        tracing = trace is not None and "transport.send" in trace.wanted
-        now = self._engine.now
-        args = (msg,)
-        entries = []
-        append = entries.append
-        kind = type(msg).__name__
-        sent = 0
-        dropped = 0
-        for dst_address in dst_addresses:
-            dst = actors.get(dst_address)
-            if dst is None or not dst.alive:
-                dropped += 1
-                continue
-            prop = row[dst.host] if row is not None else default_latency
-            if prop < min_latency:
-                prop = min_latency
-            if capacity_of is not None:
-                cap_dst = cache.get(dst_address)
-                if cap_dst is None:
-                    cap_dst = cache[dst_address] = capacity_of(dst_address)
-                prop += size / (cap_dst if cap_dst < cap_src else cap_src)
-            if stress is not None and router is not None:
-                stress.record_path(router.path_edges(src_host, dst.host))
-            if tracing:
-                trace.publish(
-                    now,
-                    "transport.send",
-                    src=src_address,
-                    dst=dst_address,
-                    kind=kind,
-                    delay=prop,
-                )
-            capture = self._shard_capture
-            if capture is not None and capture(now + prop, dst_address, msg):
-                sent += 1
-                continue
-            append((now + prop, dst.receive, args))
-            sent += 1
-        attempted = sent + dropped
-        self.messages_sent += attempted
-        if dropped:
-            self.messages_dropped += dropped
-        if entries:
-            self._engine.schedule_batch(entries)
-        return sent

@@ -127,12 +127,11 @@ class ShardWorker:
 
     def window(self, w_end: float, inbox: Sequence[tuple]) -> dict:
         """Schedule inbound deliveries, run strictly below ``w_end``."""
-        if inbox:
-            # Same heap entry Transport.send pushes for a local delivery.
-            actor = self.system.transport.actor
-            self.engine.schedule_batch(
-                (time, actor(dst).receive, (msg,)) for time, dst, msg in inbox
-            )
+        # Same heap entry Transport.send pushes for a local delivery.
+        actor = self.system.transport.actor
+        schedule_at = self.engine.schedule_at
+        for time, dst, msg in inbox:
+            schedule_at(time, actor(dst).receive, (msg,))
         self.engine.run_before(w_end)
         return self._state()
 

@@ -26,9 +26,9 @@ the profile.
 
 Two scheduling tiers:
 
-* :meth:`Engine.schedule_at` / :meth:`Engine.schedule_after` /
-  :meth:`Engine.schedule_batch` -- the fast fire-and-forget tier used
-  for message delivery (no handle, not cancellable);
+* :meth:`Engine.schedule_at` -- the fast fire-and-forget tier used for
+  message delivery (no handle, not cancellable; ``Transport.send``
+  inlines it);
 * :meth:`Engine.call_at` / :meth:`Engine.call_later` -- the handle tier
   for anything that may need :meth:`Event.cancel`.
 
@@ -49,9 +49,9 @@ Example
 from __future__ import annotations
 
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import inf as _INF, nextafter
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 __all__ = ["Event", "Engine", "SimulationError"]
 
@@ -197,46 +197,6 @@ class Engine:
             )
         heappush(self._heap, (time, self._seq, fn, args))
         self._seq += 1
-
-    def schedule_after(self, delay: float, fn: Callable[..., Any], args: tuple = ()) -> None:
-        """Schedule ``fn(*args)`` ``delay`` time units from now (no handle)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        heappush(self._heap, (self._now + delay, self._seq, fn, args))
-        self._seq += 1
-
-    def schedule_batch(
-        self, entries: Iterable[Tuple[float, Callable[..., Any], tuple]]
-    ) -> int:
-        """Bulk-insert ``(time, fn, args)`` entries; returns the count.
-
-        Sequence numbers are assigned in iteration order, so a batch is
-        observationally identical to the equivalent sequence of
-        :meth:`schedule_at` calls.  When the batch is large relative to
-        the heap the entries are appended and the heap re-heapified
-        (``heapq.merge``-style O(n + k) instead of O(k log n)).
-        """
-        heap = self._heap
-        seq = self._seq
-        now = self._now
-        staged = []
-        for time, fn, args in entries:
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule event at t={time} before current time t={now}"
-                )
-            staged.append((time, seq, fn, args))
-            seq += 1
-        if not staged:
-            return 0
-        if len(staged) > 8 and len(staged) * 4 >= len(heap):
-            heap.extend(staged)
-            heapify(heap)
-        else:
-            for entry in staged:
-                heappush(heap, entry)
-        self._seq = seq
-        return len(staged)
 
     # ------------------------------------------------------------------
     # Scheduling -- handle tier (cancellable)

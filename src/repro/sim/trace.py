@@ -53,7 +53,8 @@ class TraceBus:
         The categories a publish would reach, as one set-like object
         replaced whenever the listeners change.  Per-message publishers
         guard with ``"category" in trace.wanted`` and build no payload
-        otherwise; :meth:`wants` and :attr:`active` read the same object.
+        otherwise; :meth:`wants` reads the same object, and
+        ``bool(wanted)`` is True while anyone listens.
     """
 
     def __init__(self) -> None:
@@ -70,19 +71,14 @@ class TraceBus:
             self.wanted = frozenset(self._subs)
 
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """True if anyone is listening (publish is a no-op otherwise)."""
-        return bool(self.wanted)
-
     def wants(self, category: str) -> bool:
         """True if publishing ``category`` would reach any listener.
 
-        Unlike :attr:`active` (bus-global), this is per-category: a bus
-        with only a ``"data.stored"`` subscriber does not want
-        ``"transport.send"`` records, so hot-path publishers can skip
-        building the payload entirely.  Conservatively True for every
-        category while a wildcard subscriber is installed.
+        Per category: a bus with only a ``"data.stored"`` subscriber
+        does not want ``"transport.send"`` records, so hot-path
+        publishers can skip building the payload entirely.
+        Conservatively True for every category while a wildcard
+        subscriber is installed.
         """
         return category in self.wanted
 

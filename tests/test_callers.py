@@ -61,12 +61,7 @@ ALLOWED = {
     "repro.runtime.aio_transport.FrameConnection.eof_received": _ASYNCIO,
     "repro.runtime.aio_transport.FrameConnection.data_received": _ASYNCIO,
     "repro.runtime.codec.MessageCodec.type_id_of": "the wire-id pin tests read it",
-    "repro.sim.engine.Engine.schedule_at":
-        "engine API; hot paths inline it, engine tests call it",
-    "repro.sim.engine.Engine.schedule_after":
-        "engine API; hot paths inline it, engine tests call it",
     "repro.sim.rng.RngRegistry.fresh": "tests replay a stream from its origin",
-    "repro.sim.trace.TraceBus.active": "bus-global twin of wants(); trace tests read it",
     "repro.swarm.pieces.bitmap_all": "swarm tests build a full holder's bitmap",
     "repro.swarm.tracker.SwarmTracker.contents": "swarm tests list what is tracked",
 }

@@ -7,8 +7,6 @@ RingNotify assertions and retry timers exist for.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import HybridConfig, HybridSystem
 
 from .conftest import build_system, check_ring, check_trees
@@ -45,8 +43,7 @@ class TestJoinLeaveInterleavings:
             if all(system.peers[a].children for a in cand):
                 trio = cand
                 break
-        if trio is None:
-            pytest.skip("no three adjacent anchored t-peers in this build")
+        assert trio is not None, "no three adjacent anchored t-peers in this build"
         t_count = len(system.t_peers())
         for a in trio:
             system.peers[a].leave()
@@ -108,14 +105,14 @@ class TestJoinLeaveInterleavings:
 class TestSegmentBookkeeping:
     def test_collectload_updates_member_segments(self):
         """A t-join must shrink the successor s-network's segment on
-        every member (CollectLoad flood)."""
-        system = build_system(p_s=0.7, n_peers=20, seed=5)
+        every member (CollectLoad flood).  At 21 peers the server's
+        role quota makes the newcomer a t-peer."""
+        system = build_system(p_s=0.7, n_peers=21, seed=5)
         peers = [p.address for p in system.alive_peers()]
         system.populate([(peers[i % len(peers)], f"k{i}", i) for i in range(60)])
         newcomer = system.add_peer()
         drain(system)
-        if newcomer.role != "t":
-            pytest.skip("newcomer joined as s-peer under this seed")
+        assert newcomer.role == "t"
         anchors = {p.address: p for p in system.t_peers()}
         for s in system.s_peers():
             anchor = anchors[s.t_peer]
@@ -159,8 +156,7 @@ class TestRingNotify:
         system = build_system(p_s=0.0, n_peers=6, seed=2)
         peer = system.t_peers()[0]
         closer = system.idspace.midpoint_cw(peer.predecessor_pid, peer.p_id)
-        if closer in (peer.predecessor_pid, peer.p_id):
-            pytest.skip("arc too small on this seed")
+        assert closer not in (peer.predecessor_pid, peer.p_id), "arc too small"
         msg = RingNotify(p_id=closer, claim="pred")
         msg.sender = 999
         peer.on_RingNotify(msg)
@@ -174,8 +170,9 @@ class TestRingNotify:
         peer = system.t_peers()[0]
         # A pid on the far side of the ring is not a better predecessor.
         far = system.idspace.normalize(peer.p_id + 1)
-        if system.idspace.in_interval(far, peer.predecessor_pid, peer.p_id):
-            pytest.skip("degenerate layout")
+        assert not system.idspace.in_interval(
+            far, peer.predecessor_pid, peer.p_id
+        ), "degenerate layout"
         before = peer.predecessor
         msg = RingNotify(p_id=far, claim="pred")
         msg.sender = 999

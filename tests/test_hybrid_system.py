@@ -142,7 +142,7 @@ class TestClose:
         try:
             system.close()
             assert handle.cancelled and system.engine.pending_count == 0
-            assert not system.trace.active and len(system.transport) == 0
+            assert not system.trace.wanted and len(system.transport) == 0
             system.close()  # harmless twice
             del system, handle
             assert [r() for r in refs if r() is not None] == []

@@ -85,7 +85,7 @@ class TestLifecycle:
         assert bus.wants("transport.send")
         bridge.detach()
         assert not bus.wants("lookup.done")
-        assert not bus.active  # no-listener fast path restored
+        assert not bus.wanted  # no-listener fast path restored
 
     def test_detach_stops_counting(self, bus, reg):
         bridge = TraceBridge(bus, reg)

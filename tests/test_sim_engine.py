@@ -173,9 +173,8 @@ class TestRunVariants:
 
 
 class TestFastTier:
-    """The no-handle scheduling tier (schedule_at / schedule_after /
-    schedule_batch) shares one clock, one sequence counter and one heap
-    with the handle tier, so events from both interleave exactly by
+    """The no-handle scheduling tier (schedule_at) shares one clock, one
+    sequence counter and one heap with the handle tier, so events from both interleave exactly by
     (time, insertion order)."""
 
     def test_schedule_at_orders_with_handles(self, engine):
@@ -187,7 +186,9 @@ class TestFastTier:
         assert hits == ["fast@1", "handle@2", "fast@2"]
 
     def test_schedule_after_is_relative(self, engine):
-        engine.schedule_at(10.0, engine.schedule_after, (2.5, lambda: None))
+        engine.schedule_at(
+            10.0, lambda: engine.schedule_at(engine.now + 2.5, lambda: None)
+        )
         engine.run()
         assert engine.now == 12.5
 
@@ -197,26 +198,7 @@ class TestFastTier:
         with pytest.raises(SimulationError):
             engine.schedule_at(1.0, lambda: None)
         with pytest.raises(SimulationError):
-            engine.schedule_after(-0.5, lambda: None)
-
-    def test_schedule_batch_preserves_entry_order(self, engine):
-        hits = []
-        n = engine.schedule_batch(
-            [(2.0, hits.append, (i,)) for i in range(20)]
-            + [(1.0, hits.append, ("first",))]
-        )
-        assert n == 21
-        assert engine.pending_count == 21
-        engine.run()
-        assert hits == ["first"] + list(range(20))
-
-    def test_schedule_batch_interleaves_with_singles(self, engine):
-        hits = []
-        engine.schedule_at(2.0, hits.append, ("before",))
-        engine.schedule_batch([(2.0, hits.append, (i,)) for i in range(3)])
-        engine.schedule_at(2.0, hits.append, ("after",))
-        engine.run()
-        assert hits == ["before", 0, 1, 2, "after"]
+            engine.call_later(-0.5, lambda: None)
 
     def test_live_count_tracks_both_tiers(self, engine):
         ev = engine.call_at(3.0, lambda: None)
@@ -293,20 +275,6 @@ class TestPoppedHandleEdges:
         engine.call_at(3.0, hits.append, "sibling")
         engine.run()
         assert hits == ["sibling", "child"]
-
-    def test_schedule_batch_at_exactly_now(self, engine):
-        hits = []
-
-        def batch_now():
-            n = engine.schedule_batch(
-                [(engine.now, hits.append, (i,)) for i in range(12)]
-            )
-            assert n == 12
-
-        engine.call_at(5.0, batch_now)
-        engine.run()
-        assert hits == list(range(12))
-        assert engine.now == 5.0
 
     def test_timer_restart_from_own_expiry(self, engine):
         ticks = []
@@ -395,7 +363,7 @@ class TestShardPrimitives:
         engine.call_at(10.0, lambda: None)
         engine.run()
         engine.pin_clock(2.0)
-        engine.schedule_after(1.0, hits.append, ("post-pin",))
+        engine.schedule_at(engine.now + 1.0, hits.append, ("post-pin",))
         engine.run()
         assert hits == ["post-pin"]
         assert engine.now == 3.0
@@ -426,7 +394,9 @@ def load(engine, events, precancel):
         if cancel is not None and handles:
             handles[cancel % len(handles)].cancel()
         if child is not None:
-            engine.schedule_after(float(child), lambda: log.append((-1 - i, engine.now)))
+            engine.schedule_at(
+                engine.now + float(child), lambda: log.append((-1 - i, engine.now))
+            )
 
     for i, (time, handle, cancel, child) in enumerate(events):
         if handle:

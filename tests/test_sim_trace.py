@@ -104,9 +104,9 @@ def test_active_false_after_last_subscriber_leaves():
     bus = TraceBus()
     fn = lambda rec: None
     bus.subscribe("x", fn)
-    assert bus.active and bus.wants("x")
+    assert bus.wanted and bus.wants("x")
     bus.unsubscribe("x", fn)
-    assert not bus.active
+    assert not bus.wanted
     assert not bus.wants("x")
     bus.publish(1.0, "x")
     assert bus.emitted == 0  # back on the no-listener fast path
@@ -125,8 +125,8 @@ def test_unsubscribe_of_unknown_category_raises_without_mutating():
     with pytest.raises(ValueError):
         bus.unsubscribe("lookup.hop", fn)
     # The failed call must not leave an empty listener list behind: that
-    # made ``active`` True forever and every publish build a record.
-    assert not bus.active and not bus.wants("lookup.hop")
+    # made ``wanted`` non-empty forever and every publish build a record.
+    assert not bus.wanted and not bus.wants("lookup.hop")
     assert "lookup.hop" not in bus.wanted
     bus.publish(1.0, "lookup.hop")
     assert bus.emitted == 0
@@ -158,7 +158,7 @@ def test_wanted_tracks_every_listener_change():
 
     def check(expected):
         """``wanted`` holds exactly ``expected`` (None: every category),
-        ``wants``/``active`` agree, and no unwanted publish reaches anyone."""
+        ``wants``/``bool(wanted)`` agree, and no unwanted publish reaches anyone."""
         for category in categories:
             want = expected is None or category in expected
             assert (category in bus.wanted) is want, category
@@ -167,7 +167,7 @@ def test_wanted_tracks_every_listener_change():
             bus.publish(0.0, category)
             if not want:
                 assert len(reached) == before and bus.emitted == emitted
-        assert bus.active is (expected is None or bool(expected))
+        assert bool(bus.wanted) is (expected is None or bool(expected))
 
     hop = lambda rec: reached.append(rec)
     done = lambda rec: reached.append(rec)
