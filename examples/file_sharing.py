@@ -17,7 +17,8 @@ Run:  python examples/file_sharing.py
 from __future__ import annotations
 
 from repro import HybridConfig
-from repro.workloads import interest_sharing, standard_sharing
+from repro.experiments import Scale, run_cell
+from repro.workloads import interest_sharing
 
 CATEGORIES = ["music", "video", "books", "games"]
 
@@ -26,7 +27,7 @@ def main() -> None:
     print("== interest-based s-networks (Section 5.3) ==")
     # Interest communities are large (~50 peers here), so give the flood
     # a radius that covers a community tree leaf-to-leaf.
-    result = interest_sharing(
+    system = interest_sharing(
         HybridConfig(p_s=0.8, delta=3, ttl=10),
         n_peers=200,
         categories=CATEGORIES,
@@ -35,8 +36,7 @@ def main() -> None:
         seed=7,
         locality=0.9,  # 90% of lookups target the peer's own interest
     )
-    stats = result.stats
-    system = result.system
+    stats = system.query_stats()
     print(f"communities: {len(CATEGORIES)} interests over "
           f"{len(system.t_peers())} s-networks")
     for category, anchor in sorted(system.server.interest_map.items()):
@@ -51,24 +51,24 @@ def main() -> None:
 
     print()
     print("== baseline: same scale, random assignment, uniform keys ==")
-    base = standard_sharing(
+    out = {}
+    run_cell(
         HybridConfig(p_s=0.8, delta=3, ttl=10),
-        n_peers=200,
-        n_keys=len(CATEGORIES) * 150,
-        n_lookups=800,
-        seed=7,
+        Scale(n_peers=200, n_keys=len(CATEGORIES) * 150, n_lookups=800, seed=7),
+        system_out=out,
     )
-    print(f"failure ratio: {base.stats.failure_ratio:.4f}")
-    print(f"mean latency:  {base.stats.mean_latency:.1f} ms")
-    print(f"local lookups: {base.stats.local_fraction:.1%}")
-    print(f"connum:        {base.stats.connum}")
+    base = out["system"].query_stats()
+    print(f"failure ratio: {base.failure_ratio:.4f}")
+    print(f"mean latency:  {base.mean_latency:.1f} ms")
+    print(f"local lookups: {base.local_fraction:.1%}")
+    print(f"connum:        {base.connum}")
 
     print()
-    faster = 1 - result.stats.mean_latency / base.stats.mean_latency
+    faster = 1 - stats.mean_latency / base.mean_latency
     print(f"interest-based communities resolved lookups {faster:.0%} faster:")
     print("most queries never touch the t-network ring "
-          f"({result.stats.local_fraction:.0%} local vs "
-          f"{base.stats.local_fraction:.0%} in the baseline), trading some "
+          f"({stats.local_fraction:.0%} local vs "
+          f"{base.local_fraction:.0%} in the baseline), trading some "
           "extra flood traffic inside each community")
 
 

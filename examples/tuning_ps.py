@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from repro import HybridConfig
 from repro.analysis import failure_ratio_model, join_latency, lookup_latency
+from repro.experiments import Scale, run_cell
 from repro.metrics import format_table
-from repro.workloads import standard_sharing
 
 N_PEERS = 150
 DELTA = 3
@@ -27,14 +27,10 @@ PS_GRID = (0.0, 0.2, 0.4, 0.6, 0.7, 0.8, 0.9)
 def main() -> None:
     rows = []
     for p_s in PS_GRID:
-        result = standard_sharing(
+        stats = run_cell(
             HybridConfig(p_s=p_s, delta=DELTA, ttl=TTL),
-            n_peers=N_PEERS,
-            n_keys=450,
-            n_lookups=450,
-            seed=13,
+            Scale(n_peers=N_PEERS, n_keys=450, n_lookups=450, seed=13),
         )
-        stats = result.stats
         rows.append(
             [
                 f"{p_s:.1f}",

@@ -10,16 +10,19 @@ turns such a grid into results:
   :class:`~concurrent.futures.ProcessPoolExecutor`;
 * ``map_fn(fn, items)`` fans out arbitrary pure, picklable work units
   (the experiments whose cells are not plain ``run_cell`` calls --
-  Fig. 4 placement panels, the ``ext_*`` studies -- go through this).
+  Fig. 4 placement panels, the ``ext_*`` studies).
+
+Both run their cells through one fan-out, inline or over the pool.
 
 Submission order is always preserved in the returned list, so a sweep
 produces the same result *sequence* -- and therefore byte-identical
 rendered tables -- at any ``jobs`` value and from a warm cache.
 
-``jobs=1`` (the default for bare ``CellExecutor.serial()``) runs
-inline with zero subprocess machinery: tests, debuggers and profilers
-see plain function calls.  ``jobs`` resolves from the ``--jobs`` flag,
-the ``REPRO_JOBS`` environment variable, or ``os.cpu_count()``.
+``jobs=1`` (what the experiment drivers build when no executor is
+passed) runs inline with zero subprocess machinery: tests, debuggers
+and profilers see plain function calls.  ``jobs`` resolves from the
+``--jobs`` flag, the ``REPRO_JOBS`` environment variable, or
+``os.cpu_count()``.
 
 A worker failure is re-raised in the parent as
 :class:`CellExecutionError` carrying the owning cell's label and the
@@ -135,17 +138,16 @@ class ExecStats:
 
 
 # ----------------------------------------------------------------------
-# Worker entry points (module-level: picklable by reference).  They
-# never raise -- failures travel back as (False, traceback_text) so the
-# parent controls presentation and pool teardown.
+# Module-level, so picklable by reference.  ``_fn_worker`` runs one
+# pooled call and never raises -- a failure travels back as
+# (False, traceback_text) so the parent controls presentation and pool
+# teardown.
 # ----------------------------------------------------------------------
-def _cell_worker(spec: CellSpec) -> Tuple[bool, Any, float]:
-    t0 = time.perf_counter()
-    try:
-        result = run_cell(spec.config, spec.scale, crash_fraction=spec.crash_fraction)
-        return True, result, time.perf_counter() - t0
-    except BaseException:
-        return False, traceback.format_exc(), time.perf_counter() - t0
+def _run_spec(spec: CellSpec) -> CellResult:
+    return run_cell(
+        spec.config, spec.scale,
+        crash_fraction=spec.crash_fraction, system_out=spec.system_out,
+    )
 
 
 def _fn_worker(fn: Callable[[Any], Any], item: Any) -> Tuple[bool, Any, float]:
@@ -189,15 +191,6 @@ class CellExecutor:
         self.stats = ExecStats()
         self._line_open = False  # a \r progress line awaiting its newline
 
-    @classmethod
-    def serial(cls) -> "CellExecutor":
-        """Inline executor: no workers, no cache, no progress output.
-
-        The default the experiment drivers fall back to when no executor
-        is passed -- behaviourally identical to the old serial loops.
-        """
-        return cls(jobs=1)
-
     # ------------------------------------------------------------------
     def map(self, specs: Sequence[CellSpec]) -> List[CellResult]:
         """Run every cell; return results in submission order."""
@@ -212,7 +205,7 @@ class CellExecutor:
                     )
         t_start = time.perf_counter()
         results: List[Optional[CellResult]] = [None] * len(specs)
-        pending: List[int] = []
+        misses: List[Tuple[int, CellSpec, str]] = []
         for i, spec in enumerate(specs):
             hit = None
             if self.cache is not None and spec.system_out is None:
@@ -221,35 +214,14 @@ class CellExecutor:
                 results[i] = hit
                 self._tick("cache_hit", 0.0, spec.label)
             else:
-                pending.append(i)
+                misses.append((i, spec, spec.label))
 
-        if self.jobs == 1:
-            for i in pending:
-                spec = specs[i]
-                t0 = time.perf_counter()
-                result = run_cell(
-                    spec.config,
-                    spec.scale,
-                    crash_fraction=spec.crash_fraction,
-                    system_out=spec.system_out,
-                )
-                elapsed = time.perf_counter() - t0
-                if self.cache is not None and spec.system_out is None:
-                    self.cache.put(spec, result)
-                results[i] = result
-                self._tick("run", elapsed, spec.label)
-        elif pending:
-            def store(i: int, result: CellResult) -> None:
-                if self.cache is not None:
-                    self.cache.put(specs[i], result)
-                results[i] = result
+        def store(i: int, result: CellResult) -> None:
+            if self.cache is not None and specs[i].system_out is None:
+                self.cache.put(specs[i], result)
+            results[i] = result
 
-            self._pooled(
-                [(i, _cell_worker, (specs[i],), specs[i].label) for i in pending],
-                store,
-            )
-        self.stats.wall_seconds += time.perf_counter() - t_start
-        self._finish_line()
+        self._fan_out(_run_spec, misses, store, t_start)
         return results  # type: ignore[return-value]
 
     def map_fn(
@@ -268,28 +240,42 @@ class CellExecutor:
         self.stats.cells_total += len(items)
         t_start = time.perf_counter()
         results: List[Any] = [None] * len(items)
-        labels = [f"{tag}[{i}]" if tag else f"cell[{i}]" for i in range(len(items))]
-        if self.jobs == 1:
-            for i, item in enumerate(items):
-                t0 = time.perf_counter()
-                results[i] = fn(item)
-                self._tick("run", time.perf_counter() - t0, labels[i])
-        elif items:
-            def store(i: int, result: Any) -> None:
-                results[i] = result
-
-            self._pooled(
-                [(i, _fn_worker, (fn, items[i]), labels[i]) for i in range(len(items))],
-                store,
-            )
-        self.stats.wall_seconds += time.perf_counter() - t_start
-        self._finish_line()
+        tasks = [(i, item, f"{tag}[{i}]" if tag else f"cell[{i}]")
+                 for i, item in enumerate(items)]
+        self._fan_out(fn, tasks, results.__setitem__, t_start)
         return results
 
     # ------------------------------------------------------------------
+    def _fan_out(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Sequence[Tuple[int, Any, str]],
+        store: Callable[[int, Any], None],
+        t_start: float,
+    ) -> None:
+        """Run ``fn`` on each ``(index, item, label)``; ``store`` each result.
+
+        Inline at ``jobs=1`` (a failure raises the original exception),
+        otherwise over the pool in completion order (a failure raises
+        :class:`CellExecutionError` with the cell's label).  The call is
+        billed wall time from ``t_start``, the caller's cache reads included.
+        """
+        if self.jobs == 1:
+            for i, item, label in tasks:
+                t0 = time.perf_counter()
+                result = fn(item)
+                elapsed = time.perf_counter() - t0
+                store(i, result)
+                self._tick("run", elapsed, label)
+        elif tasks:
+            self._pooled(fn, tasks, store)
+        self.stats.wall_seconds += time.perf_counter() - t_start
+        self._finish_line()
+
     def _pooled(
         self,
-        tasks: Sequence[Tuple[int, Callable, tuple, str]],
+        fn: Callable[[Any], Any],
+        tasks: Sequence[Tuple[int, Any, str]],
         store: Callable[[int, Any], None],
     ) -> None:
         """Submit tasks to the pool, collect in completion order."""
@@ -297,8 +283,8 @@ class CellExecutor:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = {
-                pool.submit(worker, *args): (i, label)
-                for i, worker, args, label in tasks
+                pool.submit(_fn_worker, fn, item): (i, label)
+                for i, item, label in tasks
             }
             for future in as_completed(futures):
                 i, label = futures[future]

@@ -19,7 +19,8 @@ from ..core.hybrid import SETTLE_AFTER_CRASH, HybridSystem
 from ..core.lookup import QueryRegistry, QueryStats
 from ..workloads.keys import KeyWorkload
 
-__all__ = ["Scale", "CellResult", "prepare_cell", "run_cell", "DEFAULT_PS_GRID"]
+__all__ = ["Scale", "CellResult", "populate_cell", "prepare_cell", "run_cell",
+           "DEFAULT_PS_GRID"]
 
 # The paper sweeps p_s from 0 to 1; 0.99 stands in for the pure-
 # unstructured endpoint (p_s = 1 has no t-network to anchor s-networks,
@@ -141,26 +142,18 @@ class CellResult:
         )
 
 
-def prepare_cell(
-    config: HybridConfig,
-    scale: Scale,
-    crash_fraction: float,
-    queries: Optional[QueryRegistry] = None,
-) -> Tuple[HybridSystem, List[Tuple[int, str]]]:
-    """Build + populate + (crash + settle) + sample: a cell up to its lookups.
+def populate_cell(
+    config: HybridConfig, scale: Scale, **system_kwargs: Any
+) -> Tuple[HybridSystem, KeyWorkload]:
+    """Build + populate: the one construction pipeline of every cell.
 
-    A crash is followed by :data:`~repro.core.hybrid.SETTLE_AFTER_CRASH`
-    of simulated time before the lookups are sampled.
-
-    Returns the system and the ``(origin, key)`` lookup pairs.  The one
-    construction pipeline of :func:`run_cell` and the sharded executor
-    -- a deterministic function of the arguments, which is what lets a
-    sharded run reproduce the single-process state.  ``queries``
-    substitutes the registry (the sharded executor's shard-aware one)
-    before any peer captures the reference.
+    ``system_kwargs`` go to :class:`~repro.core.hybrid.HybridSystem`;
+    ``scale.bulk_build`` selects ``build_bulk``.  Inserts ``scale.n_keys``
+    uniform keys from the ``"workload"`` stream and returns the system
+    and the workload, to sample the cell's lookups from.
     """
     system = HybridSystem(
-        config, n_peers=scale.n_peers, seed=scale.seed, queries=queries
+        config, n_peers=scale.n_peers, seed=scale.seed, **system_kwargs
     )
     if scale.bulk_build:
         system.build_bulk()
@@ -171,6 +164,27 @@ def prepare_cell(
         scale.n_keys, addresses, system.rngs.stream("workload")
     )
     system.populate(workload.store_plan())
+    return system, workload
+
+
+def prepare_cell(
+    config: HybridConfig,
+    scale: Scale,
+    crash_fraction: float,
+    queries: Optional[QueryRegistry] = None,
+) -> Tuple[HybridSystem, List[Tuple[int, str]]]:
+    """:func:`populate_cell` + (crash + settle) + sample: a cell up to its lookups.
+
+    A crash is followed by :data:`~repro.core.hybrid.SETTLE_AFTER_CRASH`
+    of simulated time before the lookups are sampled.
+
+    Returns the system and the ``(origin, key)`` lookup pairs.  Shared
+    by :func:`run_cell` and the sharded executor: a deterministic
+    function of the arguments, so a sharded run reproduces the
+    single-process state.  ``queries`` substitutes the registry (the
+    sharded executor's shard-aware one) before any peer captures it.
+    """
+    system, workload = populate_cell(config, scale, queries=queries)
     if crash_fraction > 0.0:
         system.crash_random_fraction(crash_fraction)
         system.settle(SETTLE_AFTER_CRASH)

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..core.config import HybridConfig
-from ..core.hybrid import HybridSystem
 from ..exec import CellExecutor
 from ..metrics.report import format_table
 from ..workloads.churn import PoissonChurn, apply_churn
-from ..workloads.keys import KeyWorkload
+from .common import Scale, populate_cell
 
 __all__ = ["ChurnCell", "run", "main"]
 
@@ -48,20 +47,17 @@ class ChurnCell:
 
 def _churn_cell(args: tuple) -> ChurnCell:
     """Run one churn intensity end to end."""
-    lifetime, n_peers, n_keys, n_lookups, churn_window, crash_probability, seed = args
+    lifetime, scale, churn_window, crash_probability = args
     config = HybridConfig(
         p_s=0.7,
         ttl=6,
         heartbeats_enabled=True,
         lookup_timeout=20_000.0,
     )
-    system = HybridSystem(config, n_peers=n_peers, seed=seed)
-    system.build()
+    system, workload = populate_cell(config, scale)
     peers = [p.address for p in system.alive_peers()]
-    workload = KeyWorkload.uniform(n_keys, peers, system.rngs.stream("workload"))
-    system.populate(workload.store_plan())
     churn = PoissonChurn(
-        join_rate=n_peers / (2.0 * lifetime),  # roughly steady population
+        join_rate=scale.n_peers / (2.0 * lifetime),  # roughly steady population
         mean_lifetime=lifetime,
         crash_probability=crash_probability,
     )
@@ -71,7 +67,7 @@ def _churn_cell(args: tuple) -> ChurnCell:
     joins, leaves, crashes = apply_churn(system, events)
     system.settle(30_000.0)  # let repairs finish before measuring
     alive = [p.address for p in system.alive_peers()]
-    system.run_lookups(workload.sample_lookups(n_lookups, alive))
+    system.run_lookups(workload.sample_lookups(scale.n_lookups, alive))
     stats = system.query_stats()
     return ChurnCell(
         mean_lifetime=lifetime,
@@ -94,11 +90,9 @@ def run(
     executor: CellExecutor | None = None,
 ) -> Dict[float, ChurnCell]:
     """One cell per churn intensity (mean peer lifetime)."""
-    executor = executor or CellExecutor.serial()
-    tasks = [
-        (lifetime, n_peers, n_keys, n_lookups, churn_window, crash_probability, seed)
-        for lifetime in lifetimes
-    ]
+    executor = executor or CellExecutor(jobs=1)
+    scale = Scale(n_peers, n_keys, n_lookups, seed)
+    tasks = [(lifetime, scale, churn_window, crash_probability) for lifetime in lifetimes]
     cells = executor.map_fn(_churn_cell, tasks, tag="churn")
     return {lifetime: cell for lifetime, cell in zip(lifetimes, cells)}
 

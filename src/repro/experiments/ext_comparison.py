@@ -85,7 +85,7 @@ def run(
     executor: CellExecutor | None = None,
 ) -> Dict[str, SystemScore]:
     """Score the three architectures on a common topology and workload."""
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     topology = generate_transit_stub(
         config_for_size(n_peers + 1), np.random.default_rng(seed)
     )

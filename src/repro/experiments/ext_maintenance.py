@@ -85,7 +85,7 @@ def run(
     Joins and leaves alternate; only control traffic flows (no data
     operations), so the transport's send counter isolates maintenance.
     """
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     tasks = [(p_s, n_peers, churn_events, seed) for p_s in ps_values]
     cells = executor.map_fn(_maintenance_cell, tasks, tag="maintenance")
     return {p_s: cell for p_s, cell in zip(ps_values, cells)}

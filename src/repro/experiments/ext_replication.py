@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..core.config import HybridConfig
-from ..core.hybrid import HybridSystem
 from ..exec import CellExecutor
 from ..metrics.report import format_grid
-from ..workloads.keys import KeyWorkload
+from .common import Scale, populate_cell
 
 __all__ = ["ReplicationCell", "run", "main"]
 
@@ -47,7 +46,7 @@ class ReplicationCell:
 
 def _replication_cell(args: tuple) -> ReplicationCell:
     """Measure one (replication factor, crash fraction) cell."""
-    factor, fraction, n_peers, n_keys, n_lookups, p_s, seed = args
+    factor, fraction, scale, p_s = args
     config = HybridConfig(
         p_s=p_s,
         ttl=8,
@@ -58,16 +57,12 @@ def _replication_cell(args: tuple) -> ReplicationCell:
         # during the post-crash settle window (inert at factor=1).
         replica_sync_period=5_000.0 if factor > 1 else 0.0,
     )
-    system = HybridSystem(config, n_peers=n_peers, seed=seed)
-    system.build()
-    peers = [p.address for p in system.alive_peers()]
-    workload = KeyWorkload.uniform(n_keys, peers, system.rngs.stream("workload"))
-    system.populate(workload.store_plan())
+    system, workload = populate_cell(config, scale)
     copies = system.total_items() + system.total_replicas()
     system.crash_random_fraction(fraction)
     system.settle(40_000.0)
     alive = [p.address for p in system.alive_peers()]
-    system.run_lookups(workload.sample_lookups(n_lookups, alive))
+    system.run_lookups(workload.sample_lookups(scale.n_lookups, alive))
     return ReplicationCell(
         factor=factor,
         crash_fraction=fraction,
@@ -86,12 +81,10 @@ def run(
     seed: int = 0,
     executor: CellExecutor | None = None,
 ) -> Dict[tuple, ReplicationCell]:
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     keys = [(factor, fraction) for factor in factors for fraction in fractions]
-    tasks = [
-        (factor, fraction, n_peers, n_keys, n_lookups, p_s, seed)
-        for factor, fraction in keys
-    ]
+    scale = Scale(n_peers, n_keys, n_lookups, seed)
+    tasks = [(factor, fraction, scale, p_s) for factor, fraction in keys]
     cells = executor.map_fn(_replication_cell, tasks, tag="replication")
     return {key: cell for key, cell in zip(keys, cells)}
 

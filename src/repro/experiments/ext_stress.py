@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from ..core.config import HybridConfig
-from ..core.hybrid import HybridSystem
 from ..exec import CellExecutor
 from ..metrics.report import format_table
 from ..net.stress import StressSummary
-from ..workloads.keys import KeyWorkload
+from .common import Scale, populate_cell
 
 __all__ = ["StressCell", "run", "main"]
 
@@ -45,23 +44,20 @@ class StressCell:
 
 def _stress_cell(args: tuple) -> StressCell:
     """Run one (p_s, variant) workload with link-stress tracking on."""
-    p_s, variant, n_peers, n_keys, n_lookups, n_landmarks, seed = args
+    p_s, variant, scale, n_landmarks = args
     config = HybridConfig(
         p_s=p_s, n_landmarks=n_landmarks if variant == "binned" else 0
     )
-    system = HybridSystem(config, n_peers=n_peers, seed=seed, track_stress=True)
-    system.build()
+    system, workload = populate_cell(config, scale, track_stress=True)
     peers = [p.address for p in system.alive_peers()]
-    workload = KeyWorkload.uniform(n_keys, peers, system.rngs.stream("workload"))
-    system.populate(workload.store_plan())
     # Only lookup traffic counts toward the comparison.
     system.stress.reset()
-    system.run_lookups(workload.sample_lookups(n_lookups, peers))
+    system.run_lookups(workload.sample_lookups(scale.n_lookups, peers))
     return StressCell(
         p_s=p_s,
         variant=variant,
         summary=system.stress.summary(),
-        lookups=n_lookups,
+        lookups=scale.n_lookups,
     )
 
 
@@ -75,12 +71,10 @@ def run(
     executor: CellExecutor | None = None,
 ) -> Dict[tuple, StressCell]:
     """Measure link stress for (p_s, variant) cells."""
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     keys = [(p_s, variant) for p_s in ps_values for variant in ("base", "binned")]
-    tasks = [
-        (p_s, variant, n_peers, n_keys, n_lookups, n_landmarks, seed)
-        for p_s, variant in keys
-    ]
+    scale = Scale(n_peers, n_keys, n_lookups, seed)
+    tasks = [(p_s, variant, scale, n_landmarks) for p_s, variant in keys]
     cells = executor.map_fn(_stress_cell, tasks, tag="stress")
     return {key: cell for key, cell in zip(keys, cells)}
 

@@ -13,18 +13,16 @@ headline observations to reproduce:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import PLACEMENT_DIRECT, PLACEMENT_SPREAD, HybridConfig
-from ..core.hybrid import HybridSystem
 from ..exec import CellExecutor
 from ..metrics.distributions import DistributionSummary, items_pdf, summarize_distribution
 from ..metrics.report import format_table
-from ..workloads.keys import KeyWorkload
-from .common import Scale
+from .common import Scale, populate_cell
 
 __all__ = ["Fig4Cell", "run", "main"]
 
@@ -49,23 +47,14 @@ class _PanelSpec:
 
     placement: str
     p_s: float
-    scale: Scale
+    scale: Scale  # n_keys already set to items_per_peer * n_peers
     delta: int
-    items_per_peer: int
 
 
 def _panel_cell(spec: _PanelSpec) -> Fig4Cell:
     """Build one system, insert the workload, measure the distribution."""
     config = HybridConfig(p_s=spec.p_s, delta=spec.delta, placement=spec.placement)
-    system = HybridSystem(config, n_peers=spec.scale.n_peers, seed=spec.scale.seed)
-    system.build()
-    addresses = [p.address for p in system.alive_peers()]
-    workload = KeyWorkload.uniform(
-        spec.items_per_peer * spec.scale.n_peers,
-        addresses,
-        system.rngs.stream("workload"),
-    )
-    system.populate(workload.store_plan())
+    system, _ = populate_cell(config, spec.scale)
     counts = system.data_distribution()
     return Fig4Cell(
         placement=spec.placement,
@@ -88,9 +77,10 @@ def run(
     ``items_per_peer`` matches the paper's density (Fig. 4a shows
     counts up to ~80 for 1,000 peers).
     """
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
+    scale = replace(scale, n_keys=items_per_peer * scale.n_peers)
     specs = [
-        _PanelSpec(placement, p_s, scale, delta, items_per_peer)
+        _PanelSpec(placement, p_s, scale, delta)
         for placement in SCHEMES
         for p_s in ps_values
     ]

@@ -57,7 +57,7 @@ def run_5a(
     executor: CellExecutor | None = None,
 ) -> Fig5aResult:
     """Sweep (TTL, p_s); data placed with scheme 2, no churn."""
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     keys = [(ttl, p_s) for ttl in ttls for p_s in ps_values]
     specs = [
         CellSpec(HybridConfig(p_s=p_s, delta=delta, ttl=ttl), scale, tag="fig5a")
@@ -78,7 +78,7 @@ def run_5b(
     executor: CellExecutor | None = None,
 ) -> Fig5bResult:
     """Sweep (p_s, crash fraction) with heartbeats + repair enabled."""
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     keys = [(p_s, fraction) for p_s in ps_values for fraction in fractions]
     specs = [
         CellSpec(

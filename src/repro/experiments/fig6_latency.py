@@ -57,7 +57,7 @@ def run_6a(
     executor: CellExecutor | None = None,
 ) -> Fig6aResult:
     """With/without heterogeneity-aware role assignment + connect points."""
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     keys = []
     specs = []
     for p_s in ps_values:
@@ -83,7 +83,7 @@ def run_6b(
     executor: CellExecutor | None = None,
 ) -> Fig6bResult:
     """Basic vs landmark-binned s-network assignment."""
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     keys = []
     specs = []
     for p_s in ps_values:

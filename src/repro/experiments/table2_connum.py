@@ -49,7 +49,7 @@ def run(
     executor: CellExecutor | None = None,
 ) -> Table2Result:
     """Sweep (p_s, TTL) with linear ring forwarding (the paper's mode)."""
-    executor = executor or CellExecutor.serial()
+    executor = executor or CellExecutor(jobs=1)
     keys = [(p_s, ttl) for p_s in ps_values for ttl in ttls]
     specs = [
         CellSpec(

@@ -1,13 +1,13 @@
 """Synthetic workload substrate.
 
 Key universes and popularity samplers (:mod:`~repro.workloads.keys`),
-churn schedules (:mod:`~repro.workloads.churn`), and canned end-to-end
-scenarios (:mod:`~repro.workloads.scenarios`).
+churn schedules (:mod:`~repro.workloads.churn`), and the Section 5.3
+interest-sharing scenario (:mod:`~repro.workloads.scenarios`).
 """
 
 from .churn import ChurnEvent, PoissonChurn, apply_churn
 from .keys import KeyWorkload, interest_keys, zipf_weights
-from .scenarios import ScenarioResult, interest_sharing, standard_sharing
+from .scenarios import interest_sharing
 
 __all__ = [
     "ChurnEvent",
@@ -16,7 +16,5 @@ __all__ = [
     "KeyWorkload",
     "interest_keys",
     "zipf_weights",
-    "ScenarioResult",
     "interest_sharing",
-    "standard_sharing",
 ]

@@ -1,71 +1,24 @@
-"""Canned end-to-end scenarios.
+"""The interest-sharing end-to-end scenario (Section 5.3).
 
-Thin composition helpers shared by the examples, the experiment drivers
-and the integration tests: build a system, push a workload through it,
-return the stats.  Every scenario is deterministic for a given seed.
+Builds a system with interest-based s-networks, pushes a local-heavy
+workload through it and returns the system; an example and the
+enhancement tests use it.  The paper's base cell -- build, insert,
+(crash), look up -- is :func:`~repro.experiments.common.run_cell`.
+Deterministic for a given seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.config import ASSIGN_INTEREST, HybridConfig
-from ..core.hybrid import SETTLE_AFTER_CRASH, HybridSystem
-from ..core.lookup import QueryStats
+from ..core.hybrid import HybridSystem
 from ..overlay.idspace import ID_BITS
 from .keys import KeyWorkload
 
-__all__ = ["ScenarioResult", "standard_sharing", "interest_sharing"]
-
-
-@dataclass
-class ScenarioResult:
-    """What a scenario hands back to its caller."""
-
-    system: HybridSystem
-    workload: KeyWorkload
-    stats: QueryStats
-
-    @property
-    def failure_ratio(self) -> float:
-        return self.stats.failure_ratio
-
-    @property
-    def mean_latency(self) -> float:
-        return self.stats.mean_latency
-
-    @property
-    def connum(self) -> int:
-        return self.stats.connum
-
-
-def standard_sharing(
-    config: HybridConfig,
-    n_peers: int,
-    n_keys: int,
-    n_lookups: int,
-    seed: int = 0,
-    zipf_s: float = 0.0,
-    crash_fraction: float = 0.0,
-    wave_size: int = 200,
-) -> ScenarioResult:
-    """The paper's base experiment: build, insert, (optionally crash), look up."""
-    system = HybridSystem(config, n_peers=n_peers, seed=seed)
-    system.build()
-    addresses = [p.address for p in system.alive_peers()]
-    rng = system.rngs.stream("workload")
-    workload = KeyWorkload.uniform(n_keys, addresses, rng, zipf_s=zipf_s)
-    system.populate(workload.store_plan())
-    if crash_fraction > 0.0:
-        system.crash_random_fraction(crash_fraction)
-        system.settle(SETTLE_AFTER_CRASH)
-    alive = [p.address for p in system.alive_peers()]
-    pairs = workload.sample_lookups(n_lookups, alive)
-    system.run_lookups(pairs, wave_size=wave_size)
-    return ScenarioResult(system=system, workload=workload, stats=system.query_stats())
+__all__ = ["interest_sharing"]
 
 
 def interest_sharing(
@@ -77,12 +30,14 @@ def interest_sharing(
     seed: int = 0,
     locality: float = 0.9,
     wave_size: int = 200,
-) -> ScenarioResult:
+) -> HybridSystem:
     """Section 5.3: interest-based s-networks with local-heavy lookups.
 
     Peers declare interests round-robin over ``categories``; the server
     anchors each category at the t-peer owning its hash, and the
     clustered key space keeps category data inside that segment.
+    Returns the system after its lookups; ``system.query_stats()``
+    holds the outcome.
     """
     if config.assignment != ASSIGN_INTEREST:
         config = config.with_changes(assignment=ASSIGN_INTEREST)
@@ -115,4 +70,4 @@ def interest_sharing(
             origin = int(pool[int(lookup_rng.integers(0, len(pool)))])
         pairs.append((origin, key))
     system.run_lookups(pairs, wave_size=wave_size)
-    return ScenarioResult(system=system, workload=workload, stats=system.query_stats())
+    return system

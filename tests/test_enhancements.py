@@ -150,7 +150,7 @@ class TestInterest:
     def test_interest_scenario_keeps_lookups_local(self):
         from repro.core import HybridConfig
 
-        result = interest_sharing(
+        system = interest_sharing(
             HybridConfig(p_s=0.8, ttl=8),
             n_peers=60,
             categories=["music", "video", "books"],
@@ -159,12 +159,13 @@ class TestInterest:
             seed=19,
             locality=0.9,
         )
-        assert result.stats.failure_ratio < 0.05
+        stats = system.query_stats()
+        assert stats.failure_ratio < 0.05
         # Most lookups should have been local to the origin's s-network.
-        assert result.stats.local_fraction > 0.4
+        assert stats.local_fraction > 0.4
 
     def test_interest_data_lands_in_interest_network(self):
-        result = interest_sharing(
+        system = interest_sharing(
             HybridConfig(p_s=0.8, ttl=8),
             n_peers=60,
             categories=["music", "video"],
@@ -173,7 +174,6 @@ class TestInterest:
             seed=23,
             locality=1.0,
         )
-        system = result.system
         anchors = dict(system.server.interest_map)
         peers = {p.address: p for p in system.alive_peers()}
         misplaced = 0

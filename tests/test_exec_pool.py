@@ -57,10 +57,10 @@ class TestMap:
             run_cell(s.config, s.scale, crash_fraction=s.crash_fraction)
             for s in SPECS
         ]
-        assert CellExecutor.serial().map(SPECS) == direct
+        assert CellExecutor(jobs=1).map(SPECS) == direct
 
     def test_pooled_preserves_order_and_values(self):
-        serial = CellExecutor.serial().map(SPECS)
+        serial = CellExecutor(jobs=1).map(SPECS)
         pooled = CellExecutor(jobs=2).map(SPECS)
         assert pooled == serial
 
@@ -72,6 +72,22 @@ class TestMap:
         second = warm.map(SPECS)
         assert (warm.stats.executed, warm.stats.cache_hits) == (0, 3)
         assert second == first
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_hits_and_misses(self, tmp_path, jobs):
+        """One call with a cached and an uncached cell counts both and
+        numbers progress across the whole list."""
+        cache = CellCache(tmp_path)
+        CellExecutor(jobs=1, cache=cache).map(SPECS[:1])
+        stream = io.StringIO()
+        executor = CellExecutor(jobs=jobs, cache=cache, progress=True, stream=stream)
+        results = executor.map(SPECS[:2])
+        s = executor.stats
+        assert (s.cells_total, s.executed, s.cache_hits) == (2, 1, 1)
+        lines = stream.getvalue().splitlines()
+        assert [line.split()[1] for line in lines] == ["1/2", "2/2"]
+        assert results == CellExecutor(jobs=1).map(SPECS[:2])
+        assert cache.get(SPECS[1]) == results[1]
 
     def test_empty_spec_list(self):
         executor = CellExecutor(jobs=2)

@@ -1,5 +1,5 @@
 """End-to-end integration tests: full scenarios across every subsystem,
-including continuous churn, the canned scenarios module, and the
+including continuous churn, the paper's base cell (``run_cell``), and the
 hybrid's p_s endpoints behaving like the pure designs they stand for."""
 
 from __future__ import annotations
@@ -7,38 +7,43 @@ from __future__ import annotations
 import math
 
 from repro.core import HybridConfig, HybridSystem
-from repro.workloads import PoissonChurn, apply_churn, standard_sharing
+from repro.experiments import Scale, run_cell
+from repro.workloads import KeyWorkload, PoissonChurn, apply_churn
 
 from .conftest import build_system, check_ring, check_trees
 
 
 class TestScenarios:
     def test_standard_sharing_clean(self):
-        result = standard_sharing(
-            HybridConfig(p_s=0.6, ttl=6), n_peers=50, n_keys=150,
-            n_lookups=150, seed=3,
+        result = run_cell(
+            HybridConfig(p_s=0.6, ttl=6),
+            Scale(n_peers=50, n_keys=150, n_lookups=150, seed=3),
         )
         assert result.failure_ratio == 0.0
-        assert result.stats.successes == 150
+        assert result.successes == 150
         assert result.mean_latency > 0
 
     def test_standard_sharing_with_crash(self):
-        result = standard_sharing(
+        result = run_cell(
             HybridConfig(
                 p_s=0.6, ttl=6, heartbeats_enabled=True, lookup_timeout=20_000.0
             ),
-            n_peers=50, n_keys=150, n_lookups=150, seed=3,
+            Scale(n_peers=50, n_keys=150, n_lookups=150, seed=3),
             crash_fraction=0.1,
         )
         # Failures bounded by (and near) the share of lost data.
         assert 0.0 < result.failure_ratio < 0.3
 
     def test_zipf_workload(self):
-        result = standard_sharing(
-            HybridConfig(p_s=0.7, ttl=6), n_peers=40, n_keys=100,
-            n_lookups=200, seed=4, zipf_s=1.2,
+        system = HybridSystem(HybridConfig(p_s=0.7, ttl=6), n_peers=40, seed=4)
+        system.build()
+        addresses = [p.address for p in system.alive_peers()]
+        workload = KeyWorkload.uniform(
+            100, addresses, system.rngs.stream("workload"), zipf_s=1.2
         )
-        assert result.failure_ratio == 0.0
+        system.populate(workload.store_plan())
+        system.run_lookups(workload.sample_lookups(200, addresses))
+        assert system.query_stats().failure_ratio == 0.0
 
 
 class TestContinuousChurn:
@@ -81,8 +86,9 @@ class TestEndpointCrossValidation:
     p_s = 0 is a Chord ring, p_s -> 1 is Gnutella."""
 
     def test_structured_endpoint_has_zero_failures(self):
-        hybrid = standard_sharing(
-            HybridConfig(p_s=0.0), n_peers=40, n_keys=120, n_lookups=120, seed=5
+        hybrid = run_cell(
+            HybridConfig(p_s=0.0),
+            Scale(n_peers=40, n_keys=120, n_lookups=120, seed=5),
         )
         assert hybrid.failure_ratio == 0.0
 
@@ -90,26 +96,26 @@ class TestEndpointCrossValidation:
         """Chord's O(log n) lookup: p_s = 0 with finger routing contacts
         at most log2 N peers per lookup."""
         n_peers = 120
-        chord = standard_sharing(
-            HybridConfig(p_s=0.0, ring_routing="finger"), n_peers=n_peers,
-            n_keys=240, n_lookups=240, seed=5,
+        chord = run_cell(
+            HybridConfig(p_s=0.0, ring_routing="finger"),
+            Scale(n_peers=n_peers, n_keys=240, n_lookups=240, seed=5),
         )
         assert chord.failure_ratio == 0.0
-        assert chord.stats.mean_contacts_per_lookup <= math.log2(n_peers)
+        assert chord.mean_contacts <= math.log2(n_peers)
 
     def test_unstructured_endpoint_fails_like_gnutella(self):
         """At p_s -> 1 with a small TTL, bounded flooding misses keys."""
-        hybrid = standard_sharing(
-            HybridConfig(p_s=0.95, ttl=1, delta=2), n_peers=60,
-            n_keys=180, n_lookups=180, seed=6,
+        hybrid = run_cell(
+            HybridConfig(p_s=0.95, ttl=1, delta=2),
+            Scale(n_peers=60, n_keys=180, n_lookups=180, seed=6),
         )
         assert hybrid.failure_ratio > 0.0
 
     def test_hybrid_midpoint_beats_both_extremes_on_connum(self):
         def connum(p_s):
-            r = standard_sharing(
-                HybridConfig(p_s=p_s, ttl=4), n_peers=50, n_keys=100,
-                n_lookups=100, seed=7,
+            r = run_cell(
+                HybridConfig(p_s=p_s, ttl=4),
+                Scale(n_peers=50, n_keys=100, n_lookups=100, seed=7),
             )
             return r.connum
 
